@@ -26,7 +26,6 @@ from .channel_one import (
     u1_gue_general,
 )
 from .channel_two import (
-    ChannelTwo,
     SffVariance,
     UnsupportedDimensionError,
     build_M,
@@ -60,14 +59,22 @@ from .krylov import (
     signed_lanczos_noisy,
 )
 from .montecarlo import (
+    Observable,
+    OracleRun,
     TrajectoryConfig,
     UnitarityError,
+    estimate_observables,
     estimate_otoc,
     estimate_sff,
     estimate_sff_squared,
     estimate_transfer,
     estimate_two_point,
     evolve_trajectory,
+    otoc_observable,
+    sff_observable,
+    sff_squared_observable,
+    transfer_observable,
+    two_point_observable,
 )
 from .noise import (
     ConstantOverD,

@@ -114,27 +114,6 @@ def build_M(D: int, J: float, w: complex) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ChannelTwo:
-    """Two-replica channel: spectral phase plus the eight f_a(t), evaluated
-    on demand; graph groups are contracted by the observable functions."""
-
-    spectrum: Spectrum
-    J: float
-
-    @property
-    def dim(self) -> int:
-        return self.spectrum.dim
-
-    def f(self, t: float) -> np.ndarray:
-        return f_coefficients(self.dim, self.J, t)
-
-    def phase(self, i: int, j: int, k: int, l: int, t: float) -> complex:
-        """e^{-i E_ijkl t} with E_ijkl = E_i - E_j + E_k - E_l."""
-        e = self.spectrum.energies
-        return complex(np.exp(-1j * (e[i] - e[j] + e[k] - e[l]) * t))
-
-
-@dataclass(frozen=True)
 class SffVariance:
     """Second moment E[(TrU TrU+)^2] and the variance against (D^2 K_J)^2."""
 

@@ -2,7 +2,8 @@
 Carlo pipelines, write series artifacts and a summary with any oracle
 comparisons.
 
-Exit codes: 0 success, 1 config/IO error, 2 oracle-comparison failure.
+Exit codes: 0 success, 1 config/IO error or a numerical failure (Lanczos
+breakdown, unitarity drift), 2 oracle-comparison failure.
 """
 
 from __future__ import annotations
@@ -19,13 +20,23 @@ from . import diagnostics as diag
 from . import krylov
 from .channel_two import otoc as otoc_closed
 from .channel_two import sff_squared_mean
-from .montecarlo import (
+# The estimate_* names are not called here; they stay bound because
+# bench/tracer.py wraps them where it expects the cli to look them up.
+from .montecarlo import (  # noqa: F401
     TrajectoryConfig,
+    UnitarityError,
+    estimate_observables,
     estimate_otoc,
     estimate_sff,
     estimate_sff_squared,
     estimate_transfer,
     estimate_two_point,
+    otoc_observable,
+    sff_observable,
+    sff_squared_observable,
+    step_margin,
+    transfer_observable,
+    two_point_observable,
 )
 from .noise import NoiseModel, model_from_config
 from .spectra import Spectrum, sample_goe_spectrum, sample_gue_spectrum
@@ -98,11 +109,6 @@ def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray
     a = (x + x.conj().T) / 2.0
     a -= np.trace(a).real / dim * np.eye(dim)
     return a * np.sqrt(dim / np.trace(a @ a).real)
-
-
-def _mean_series(name: str, t: np.ndarray, series_list, metadata) -> diag.DiagnosticSeries:
-    values = np.mean([s.values for s in series_list], axis=0)
-    return diag.DiagnosticSeries(name, t, values, metadata=metadata)
 
 
 def _write(series: diag.DiagnosticSeries, out_dir: Path, stem: str, formats) -> list[str]:
@@ -268,40 +274,46 @@ def _run_oracle_compare(config, spec, noise_cfg, j_list, t, out, formats,
     )
     dim = spec.dim
     ensemble = noise_cfg.get("ensemble", "gue")
+    sff_fn = diag.sff_gue_const if ensemble == "gue" else diag.sff_goe_const
+    state_j = min(1, dim - 1)
     o = random_traceless_hermitian(dim, op_rng)
+    summary["mc_health"] = []
     for j in j_list:
         model = model_from_config(
             {"ensemble": ensemble, "profile": {"type": "const", "J": j}}, dim
         )
-        sff_fn = diag.sff_gue_const if ensemble == "gue" else diag.sff_goe_const
-        analytic = sff_fn(spec, j, t).values
-        mc = estimate_sff(spec, model, cfg, t, threads=threads)
-        summary["files"] += _write(mc, out, f"mc_sff_J{j:g}", formats)
-        _compare(f"sff_J{j:g}", analytic, mc, summary)
-
-        two_pt = _two_point(spec, noise_cfg, j, o, t)
-        mc2 = estimate_two_point(spec, model, cfg, o, t, threads=threads)
-        summary["files"] += _write(mc2, out, f"mc_two_point_J{j:g}", formats)
-        _compare(f"two_point_J{j:g}", two_pt, mc2, summary)
-
-        mc3 = estimate_transfer(spec, model, cfg, 0, min(1, dim - 1), t, threads=threads)
-        tp = diag.transfer_probability(spec, model, 0, min(1, dim - 1), t).values
-        summary["files"] += _write(mc3, out, f"mc_transfer_J{j:g}", formats)
-        _compare(f"transfer_J{j:g}", tp, mc3, summary)
-
+        # key -> (observable, analytic values); one simulation serves them all.
+        cases = {
+            "sff": (sff_observable(), sff_fn(spec, j, t).values),
+            "two_point": (two_point_observable(o), _two_point(spec, noise_cfg, j, o, t)),
+            "transfer": (
+                transfer_observable(0, state_j),
+                diag.transfer_probability(spec, model, 0, state_j, t).values,
+            ),
+        }
         if ensemble == "gue" and dim >= 3:
-            sq = np.array([sff_squared_mean(spec, j, tk) for tk in t])
-            mc4 = estimate_sff_squared(spec, model, cfg, t, threads=threads)
-            summary["files"] += _write(mc4, out, f"mc_sff_squared_J{j:g}", formats)
-            _compare(f"sff_squared_J{j:g}", sq, mc4, summary)
-
+            cases["sff_squared"] = (
+                sff_squared_observable(),
+                np.array([sff_squared_mean(spec, j, tk) for tk in t]),
+            )
         if ensemble == "gue" and config.get("compare_otoc", False):
             a = random_traceless_hermitian(dim, op_rng)
             b = random_traceless_hermitian(dim, op_rng)
-            an = np.array([otoc_closed(spec, j, tk, a, b) for tk in t])
-            mc5 = estimate_otoc(spec, model, cfg, a, b, t, threads=threads)
-            summary["files"] += _write(mc5, out, f"mc_otoc_J{j:g}", formats)
-            _compare(f"otoc_J{j:g}", an, mc5, summary)
+            cases["otoc"] = (
+                otoc_observable(a, b),
+                np.array([otoc_closed(spec, j, tk, a, b) for tk in t]),
+            )
+        mc = estimate_observables(
+            spec, model, cfg, t, {key: obs for key, (obs, _) in cases.items()}, threads
+        )
+        for key, (_, analytic) in cases.items():
+            summary["files"] += _write(mc.series[key], out, f"mc_{key}_J{j:g}", formats)
+            _compare(f"{key}_J{j:g}", analytic, mc.series[key], summary)
+        summary["mc_health"].append({
+            "J": j,
+            "max_unitarity_drift": mc.max_drift,
+            "step_margin": step_margin(model, cfg.dt),
+        })
 
 
 def main(argv=None) -> int:
@@ -325,7 +337,8 @@ def main(argv=None) -> int:
         return 1
     try:
         summary = run(config, out_dir=args.out, threads=args.threads, seed=args.seed)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, krylov.LanczosBreakdownError,
+            UnitarityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for comp in summary["comparisons"]:

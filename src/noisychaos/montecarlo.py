@@ -2,14 +2,19 @@
 
 Each trajectory evolves U(t_{n+1}) = exp(-i (H0 + eta_n) dt) U(t_n) with an
 exact (eigendecomposition) Hermitian exponential, eta_n drawn from the
-regularized noise model.  Trajectories get independent child seeds from a
-splittable SeedSequence and results land in per-trajectory slots before a
-fixed-order reduction, so estimates are bit-identical regardless of thread
-count.
+regularized noise model.  One simulation feeds every requested observable:
+``estimate_observables`` records U on the time grid once per chunk of
+trajectories and reduces each observable from those same unitaries; the
+``estimate_*`` functions are that path with a single observable.
+Trajectories get independent child seeds from a splittable SeedSequence and
+results land in per-trajectory slots before a fixed-order reduction, so
+estimates are bit-identical regardless of thread count, chunking, and which
+observables share the simulation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,6 +23,10 @@ import numpy as np
 from .diagnostics import DiagnosticSeries, _meta
 from .noise import NoiseModel, sample_noise_sequence
 from .spectra import Spectrum
+
+
+# Noise bytes (complex128 slices) that the chunks running at once may hold.
+NOISE_BUDGET_BYTES = 64e6
 
 
 class UnitarityError(RuntimeError):
@@ -56,10 +65,15 @@ class EnsembleEstimate:
     n: int
 
 
+def step_margin(model: NoiseModel, dt: float) -> float:
+    """dt |lambda|_inf D: the regularized variance is valid while this is <= 1."""
+    return dt * float(np.max(model.lambda_matrix())) * model.dim
+
+
 def validate_step(model: NoiseModel, dt: float) -> None:
     """Hard validity bound on the regularized variance: dt |lambda|_inf D <= 1."""
-    lam_max = float(np.max(model.lambda_matrix()))
-    if dt * lam_max * model.dim > 1.0:
+    if step_margin(model, dt) > 1.0:
+        lam_max = float(np.max(model.lambda_matrix()))
         raise ValueError(
             f"dt={dt} too large for |lambda|_inf={lam_max}, D={model.dim}: "
             "regularized variance exceeds perturbative validity"
@@ -78,9 +92,10 @@ def _evolve_recorded(
     dt: float,
     record_steps: np.ndarray,
     gens: list[np.random.Generator],
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
     """Evolve a batch of trajectories, returning U at the recorded step
-    indices with shape (n_batch, n_record, D, D)."""
+    indices with shape (n_batch, n_record, D, D) and the batch's largest
+    unitarity drift max |U+U - 1| at the last step."""
     d = energies.size
     n_steps = int(record_steps.max())
     batch = len(gens)
@@ -101,10 +116,10 @@ def _evolve_recorded(
         u = step_op @ u
         if n in rec:
             out[:, rec[n]] = u
-    drift = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)).max()
+    drift = float(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)).max())
     if drift > 1e-8:
         raise UnitarityError(f"unitarity drift {drift:.2e} exceeds 1e-8")
-    return out
+    return out, drift
 
 
 def evolve_trajectory(
@@ -113,7 +128,8 @@ def evolve_trajectory(
     """One full trajectory: U(t_n) for n = 0..n_steps, shape (n+1, D, D)."""
     validate_step(model, cfg.dt)
     steps = np.arange(cfg.n_steps + 1)
-    return _evolve_recorded(spec.energies, model, cfg.dt, steps, [rng])[0]
+    u_rec, _ = _evolve_recorded(spec.energies, model, cfg.dt, steps, [rng])
+    return u_rec[0]
 
 
 def _grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
@@ -123,42 +139,94 @@ def _grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
     return steps
 
 
-def _estimate_values(
-    spec: Spectrum,
-    model: NoiseModel,
-    cfg: TrajectoryConfig,
-    t_grid: np.ndarray,
-    value_fn,
-    threads: int = 1,
-) -> np.ndarray:
-    """Per-trajectory observable values, shape (n_traj, n_times).
+def chunk_bounds(n_traj: int, n_steps: int, dim: int, threads: int = 1) -> list[tuple[int, int]]:
+    """Split trajectories 0..n_traj into chunks of equal size (to within one)
+    whose count is a multiple of ``threads``, so every thread gets the same
+    work, and small enough that the noise of ``threads`` chunks running at
+    once fits ``NOISE_BUDGET_BYTES``.  There are never more chunks than
+    trajectories."""
+    per_traj = n_steps * dim * dim * 16
+    cap = max(1, int(NOISE_BUDGET_BYTES / (threads * per_traj)))
+    n_chunks = min(n_traj, threads * -(-n_traj // (threads * cap)))
+    return [(n_traj * k // n_chunks, n_traj * (k + 1) // n_chunks) for k in range(n_chunks)]
 
-    value_fn maps recorded unitaries (batch, n_times, D, D) to values
-    (batch, n_times).  Chunked over trajectories; each chunk writes its own
-    slots, so results do not depend on scheduling.
+
+@dataclass(frozen=True)
+class Observable:
+    """A per-trajectory observable of the recorded unitaries.
+
+    ``value`` maps U of shape (batch, n_times, D, D) to values of shape
+    (batch, n_times), each trajectory's from its own unitaries only.  The
+    estimated series is called ``name``; it keeps only the real part when
+    ``real``.
     """
-    validate_step(model, cfg.dt)
-    steps = _grid_steps(t_grid, cfg.dt)
-    if steps.max() > cfg.n_steps:
-        raise ValueError("t_grid extends beyond cfg.t_max")
-    gens = trajectory_generators(cfg.seed, cfg.n_traj)
-    d = spec.dim
-    n_steps = max(int(steps.max()), 1)
-    chunk = max(1, min(cfg.n_traj, int(64e6 / (n_steps * d * d * 16))))
-    values = np.empty((cfg.n_traj, steps.size), dtype=complex)
 
-    def run_chunk(lo: int, hi: int) -> None:
-        u_rec = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens[lo:hi])
-        values[lo:hi] = value_fn(u_rec)
+    name: str
+    value: Callable[[np.ndarray], np.ndarray]
+    real: bool = True
 
-    bounds = [(lo, min(lo + chunk, cfg.n_traj)) for lo in range(0, cfg.n_traj, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        for lo, hi in bounds:
-            run_chunk(lo, hi)
-    return values
+
+def sff_observable() -> Observable:
+    """|TrU|^2 / D^2, whose mean is the SFF K_J(t)."""
+
+    def value(u_rec):
+        d = u_rec.shape[-1]
+        tr = np.trace(u_rec, axis1=-2, axis2=-1)
+        return (np.abs(tr) ** 2 / d**2).astype(complex)
+
+    return Observable("mc_sff", value)
+
+
+def sff_squared_observable() -> Observable:
+    """(TrU TrU+)^2 = |TrU|^4."""
+
+    def value(u_rec):
+        tr = np.trace(u_rec, axis1=-2, axis2=-1)
+        return (np.abs(tr) ** 4).astype(complex)
+
+    return Observable("mc_sff_squared", value)
+
+
+def two_point_observable(O: np.ndarray) -> Observable:
+    """(1/D) Tr(O+ U+ O U), whose mean is the two-point function C_J(t)."""
+    o_dag = O.conj().T
+
+    def value(u_rec):
+        d = u_rec.shape[-1]
+        o_t = u_rec.conj().transpose(0, 1, 3, 2) @ O @ u_rec
+        return np.trace(o_dag @ o_t, axis1=-2, axis2=-1) / d
+
+    return Observable("mc_two_point", value, real=False)
+
+
+def otoc_observable(A: np.ndarray, B: np.ndarray) -> Observable:
+    """(1/D) Tr(A B_t A B_t) with B_t = U+ B U, whose mean is OTOC_J(t)."""
+
+    def value(u_rec):
+        d = u_rec.shape[-1]
+        b_t = u_rec.conj().transpose(0, 1, 3, 2) @ B @ u_rec
+        ab = A @ b_t
+        return np.trace(ab @ ab, axis1=-2, axis2=-1) / d
+
+    return Observable("mc_otoc", value, real=False)
+
+
+def transfer_observable(i: int, j: int) -> Observable:
+    """|U_ji|^2, whose mean is the transfer probability i -> j."""
+
+    def value(u_rec):
+        return (np.abs(u_rec[:, :, j, i]) ** 2).astype(complex)
+
+    return Observable("mc_transfer", value)
+
+
+@dataclass(frozen=True)
+class OracleRun:
+    """The series of one simulation, keyed as the observables were, and the
+    largest unitarity drift over all its trajectories."""
+
+    series: dict[str, DiagnosticSeries]
+    max_drift: float
 
 
 def _reduce(name, spec, model, cfg, t_grid, values, real=True) -> DiagnosticSeries:
@@ -180,31 +248,66 @@ def _reduce(name, spec, model, cfg, t_grid, values, real=True) -> DiagnosticSeri
     return DiagnosticSeries(name, np.asarray(t_grid, dtype=float), mean, stderr, meta)
 
 
+def estimate_observables(
+    spec: Spectrum,
+    model: NoiseModel,
+    cfg: TrajectoryConfig,
+    t_grid,
+    observables: Mapping[str, Observable],
+    threads: int = 1,
+) -> OracleRun:
+    """Monte Carlo estimates of several observables from one simulation.
+
+    Each chunk of trajectories (see ``chunk_bounds``) is evolved once and
+    every observable fills its own (n_traj, n_times) slots from the same
+    recorded unitaries, so each series equals the one a separate estimate
+    of that observable alone would give.
+    """
+    validate_step(model, cfg.dt)
+    t_grid = np.asarray(t_grid)
+    steps = _grid_steps(t_grid, cfg.dt)
+    if steps.max() > cfg.n_steps:
+        raise ValueError("t_grid extends beyond cfg.t_max")
+    gens = trajectory_generators(cfg.seed, cfg.n_traj)
+    threads = max(1, threads)
+    bounds = chunk_bounds(cfg.n_traj, max(int(steps.max()), 1), spec.dim, threads)
+    values = {key: np.empty((cfg.n_traj, steps.size), dtype=complex) for key in observables}
+
+    def run_chunk(bound: tuple[int, int]) -> float:
+        lo, hi = bound
+        u_rec, drift = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens[lo:hi])
+        for key, obs in observables.items():
+            values[key][lo:hi] = obs.value(u_rec)
+        return drift
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            drifts = list(pool.map(run_chunk, bounds))
+    else:
+        drifts = [run_chunk(b) for b in bounds]
+    series = {
+        key: _reduce(obs.name, spec, model, cfg, t_grid, values[key], obs.real)
+        for key, obs in observables.items()
+    }
+    return OracleRun(series, max(drifts))
+
+
+def _estimate_one(spec, model, cfg, t_grid, obs: Observable, threads: int) -> DiagnosticSeries:
+    return estimate_observables(spec, model, cfg, t_grid, {obs.name: obs}, threads).series[obs.name]
+
+
 def estimate_sff(
     spec: Spectrum, model: NoiseModel, cfg: TrajectoryConfig, t_grid, threads: int = 1
 ) -> DiagnosticSeries:
     """Monte Carlo estimate of K_J(t) = E|TrU|^2 / D^2 with error bars."""
-    d = spec.dim
-
-    def value_fn(u_rec):
-        tr = np.trace(u_rec, axis1=-2, axis2=-1)
-        return (np.abs(tr) ** 2 / d**2).astype(complex)
-
-    values = _estimate_values(spec, model, cfg, np.asarray(t_grid), value_fn, threads)
-    return _reduce("mc_sff", spec, model, cfg, t_grid, values)
+    return _estimate_one(spec, model, cfg, t_grid, sff_observable(), threads)
 
 
 def estimate_sff_squared(
     spec: Spectrum, model: NoiseModel, cfg: TrajectoryConfig, t_grid, threads: int = 1
 ) -> DiagnosticSeries:
     """Monte Carlo estimate of E[(TrU TrU+)^2]."""
-
-    def value_fn(u_rec):
-        tr = np.trace(u_rec, axis1=-2, axis2=-1)
-        return (np.abs(tr) ** 4).astype(complex)
-
-    values = _estimate_values(spec, model, cfg, np.asarray(t_grid), value_fn, threads)
-    return _reduce("mc_sff_squared", spec, model, cfg, t_grid, values)
+    return _estimate_one(spec, model, cfg, t_grid, sff_squared_observable(), threads)
 
 
 def estimate_two_point(
@@ -216,15 +319,7 @@ def estimate_two_point(
     threads: int = 1,
 ) -> DiagnosticSeries:
     """Monte Carlo estimate of C_J(t) = (1/D) E[Tr(O+ U+ O U)]."""
-    d = spec.dim
-    o_dag = O.conj().T
-
-    def value_fn(u_rec):
-        o_t = u_rec.conj().transpose(0, 1, 3, 2) @ O @ u_rec
-        return np.trace(o_dag @ o_t, axis1=-2, axis2=-1) / d
-
-    values = _estimate_values(spec, model, cfg, np.asarray(t_grid), value_fn, threads)
-    return _reduce("mc_two_point", spec, model, cfg, t_grid, values, real=False)
+    return _estimate_one(spec, model, cfg, t_grid, two_point_observable(O), threads)
 
 
 def estimate_otoc(
@@ -237,15 +332,7 @@ def estimate_otoc(
     threads: int = 1,
 ) -> DiagnosticSeries:
     """Monte Carlo estimate of OTOC_J = (1/D) E[Tr(A B_t A B_t)]."""
-    d = spec.dim
-
-    def value_fn(u_rec):
-        b_t = u_rec.conj().transpose(0, 1, 3, 2) @ B @ u_rec
-        ab = A @ b_t
-        return np.trace(ab @ ab, axis1=-2, axis2=-1) / d
-
-    values = _estimate_values(spec, model, cfg, np.asarray(t_grid), value_fn, threads)
-    return _reduce("mc_otoc", spec, model, cfg, t_grid, values, real=False)
+    return _estimate_one(spec, model, cfg, t_grid, otoc_observable(A, B), threads)
 
 
 def estimate_transfer(
@@ -258,9 +345,4 @@ def estimate_transfer(
     threads: int = 1,
 ) -> DiagnosticSeries:
     """Monte Carlo estimate of the transfer probability E|U_ji|^2."""
-
-    def value_fn(u_rec):
-        return (np.abs(u_rec[:, :, j, i]) ** 2).astype(complex)
-
-    values = _estimate_values(spec, model, cfg, np.asarray(t_grid), value_fn, threads)
-    return _reduce("mc_transfer", spec, model, cfg, t_grid, values)
+    return _estimate_one(spec, model, cfg, t_grid, transfer_observable(i, j), threads)

@@ -114,6 +114,11 @@ class TestOracleCompare:
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["pass"] is True
         assert all(c["max_sigma"] <= 3.0 for c in doc["comparisons"])
+        (health,) = doc["mc_health"]
+        assert health["J"] == 1.0
+        assert 0.0 < health["max_unitarity_drift"] <= 1e-8
+        # lambda_ij = J/D, so dt |lambda|_inf D = J dt.
+        assert health["step_margin"] == pytest.approx(0.0025)
 
     def test_thread_invariance_byte_identical(self, tmp_path):
         outs = []
@@ -139,6 +144,17 @@ class TestMainEntry:
     def test_exit_one_on_config_error(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"experiment": "nope", "J_list": [1]})
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_exit_one_on_lanczos_breakdown(self, tmp_path, capsys):
+        # J = alpha = 1 exhausts the Krylov space: b_1^2 = 1 - J^2 = 0.
+        cfg = {
+            "experiment": "lanczos_scan",
+            "J_list": [1.0],
+            "lanczos": {"alpha": 1.0, "n_max": 8, "dps": 30},
+        }
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "error: Lanczos recursion breakdown" in capsys.readouterr().err
 
     def test_oracle_prints_comparison_lines(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, ORACLE_CONFIG)

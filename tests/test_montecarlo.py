@@ -4,21 +4,28 @@ import pytest
 from noisychaos import (
     Spectrum,
     TrajectoryConfig,
+    estimate_observables,
     estimate_otoc,
     estimate_sff,
+    estimate_sff_squared,
     estimate_transfer,
     estimate_two_point,
     evolve_trajectory,
     goe_constant,
     gue_constant,
     otoc_noiseless,
+    otoc_observable,
     sample_gue_spectrum,
     sff_goe_const,
     sff_gue_const,
+    sff_observable,
+    sff_squared_observable,
+    transfer_observable,
     transfer_probability,
     two_point_gue_const,
+    two_point_observable,
 )
-from noisychaos.montecarlo import validate_step
+from noisychaos.montecarlo import NOISE_BUDGET_BYTES, chunk_bounds, validate_step
 
 from conftest import random_hermitian
 
@@ -125,11 +132,72 @@ class TestReproducibility:
             assert np.array_equal(runs[0].values, other.values)
             assert np.array_equal(runs[0].stderr, other.stderr)
 
+    def test_thread_count_invariant_uneven_chunks(self, spec4, rng):
+        # 61 trajectories split unevenly over 2 and 3 threads.
+        cfg = small_cfg(61)
+        for threads in (2, 3):
+            assert len(chunk_bounds(cfg.n_traj, cfg.n_steps, 4, threads)) > 1
+        a = random_hermitian(4, rng, traceless=True)
+        b = random_hermitian(4, rng, traceless=True)
+        observables = {"sff": sff_observable(), "otoc": otoc_observable(a, b)}
+        runs = [
+            estimate_observables(spec4, gue_constant(1.0, 4), cfg, T_GRID, observables, threads=n)
+            for n in (1, 2, 3)
+        ]
+        for other in runs[1:]:
+            assert other.max_drift == runs[0].max_drift
+            for key in observables:
+                assert np.array_equal(runs[0].series[key].values, other.series[key].values)
+                assert np.array_equal(runs[0].series[key].stderr, other.series[key].stderr)
+
     def test_different_seed_differs(self, spec4):
         model = gue_constant(1.0, 4)
         a = estimate_sff(spec4, model, small_cfg(60, seed=1), T_GRID)
         b = estimate_sff(spec4, model, small_cfg(60, seed=2), T_GRID)
         assert not np.array_equal(a.values, b.values)
+
+
+class TestSharedSimulation:
+    def test_shared_equals_separate_estimates(self, spec4, rng):
+        model = gue_constant(1.0, 4)
+        cfg = small_cfg(40)
+        o = random_hermitian(4, rng)
+        a = random_hermitian(4, rng, traceless=True)
+        b = random_hermitian(4, rng, traceless=True)
+        shared = estimate_observables(spec4, model, cfg, T_GRID, {
+            "sff": sff_observable(),
+            "sff_squared": sff_squared_observable(),
+            "two_point": two_point_observable(o),
+            "otoc": otoc_observable(a, b),
+            "transfer": transfer_observable(0, 1),
+        }, threads=2)
+        separate = {
+            "sff": estimate_sff(spec4, model, cfg, T_GRID),
+            "sff_squared": estimate_sff_squared(spec4, model, cfg, T_GRID),
+            "two_point": estimate_two_point(spec4, model, cfg, o, T_GRID),
+            "otoc": estimate_otoc(spec4, model, cfg, a, b, T_GRID),
+            "transfer": estimate_transfer(spec4, model, cfg, 0, 1, T_GRID),
+        }
+        assert 0.0 < shared.max_drift <= 1e-8
+        for key, series in separate.items():
+            assert shared.series[key].name == series.name
+            assert np.array_equal(shared.series[key].values, series.values)
+            assert np.array_equal(shared.series[key].stderr, series.stderr)
+
+    @pytest.mark.parametrize("n_traj, n_steps, dim, threads", [
+        (61, 400, 4, 1), (61, 400, 4, 3), (256, 200, 8, 2), (128, 200, 16, 2),
+        (1000, 1000, 32, 4), (3, 10, 4, 8),
+    ])
+    def test_chunk_bounds_balanced_within_budget(self, n_traj, n_steps, dim, threads):
+        bounds = chunk_bounds(n_traj, n_steps, dim, threads)
+        assert bounds[0][0] == 0 and bounds[-1][1] == n_traj
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        sizes = [hi - lo for lo, hi in bounds]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        if n_traj >= threads:
+            assert len(bounds) % threads == 0
+        concurrent = min(threads, len(bounds)) * max(sizes) * n_steps * dim * dim * 16
+        assert max(sizes) == 1 or concurrent <= NOISE_BUDGET_BYTES
 
 
 class TestConvergence:
