@@ -4,7 +4,10 @@ The channel is stored in the delta-structure basis: three D x D coefficient
 grids A, B, G multiplying delta_{ii'}delta_{jj'}, delta_{ij}delta_{i'j'} and
 delta_{ij'}delta_{ji'} respectively, so memory is O(D^2) instead of O(D^4).
 All four solved cases are covered: GUE/GOE with constant or general
-variance profile.
+variance profile.  Every case is an exact closed form: A and G are
+entrywise exponentials, and for a general profile B solves a linear system
+with a symmetric constant matrix and exponential forcing, which one
+eigendecomposition of that matrix solves at any t.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .noise import Ensemble, NoiseModel, row_sums
+from .noise import Ensemble, NoiseModel
 from .spectra import Spectrum
 
 
@@ -25,10 +27,6 @@ class CaseTag(enum.Enum):
     GUE_GENERAL = "gue_general"
     GOE_CONST = "goe_const"
     GOE_GENERAL = "goe_general"
-
-
-class IntegrationError(RuntimeError):
-    """The linear-ODE integrator failed to reach tolerance."""
 
 
 @dataclass(frozen=True)
@@ -133,37 +131,37 @@ def u1_gue_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
     return ChannelOne(d, CaseTag.GUE_CONST, coeff_a, coeff_b, coeff_g, t)
 
 
-def _integrate_linear(rhs, t: float, d: int, rtol: float = 1e-10) -> np.ndarray:
-    """Integrate B' = rhs(t, B) from B(0) = 0 to time t; returns D x D complex."""
-    if t == 0.0:
-        return np.zeros((d, d), dtype=complex)
+def _forced_linear(p: np.ndarray, f: np.ndarray, nu: np.ndarray, t: float) -> np.ndarray:
+    """Exact B(t) for B' = p.B + f * exp(nu_j t) (column j), B(0) = 0.
 
-    def flat_rhs(tt, y):
-        return rhs(tt, y.reshape(d, d)).ravel()
-
-    sol = solve_ivp(
-        flat_rhs,
-        (0.0, t),
-        np.zeros(d * d, dtype=complex),
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-13,
-        t_eval=[t],
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"ODE integration failed at t={t}: {sol.message}"
-        )
-    return sol.y[:, -1].reshape(d, d)
+    With p = V diag(mu) V^T symmetric, B = V [phi(mu_k, nu_j; t) o (V^T f)]
+    where phi = int_0^t e^{mu (t-s) + nu s} ds, evaluated as
+    t e^{max(mu, nu) t} h(|mu - nu| t) with h(x) = -expm1(-x)/x, h(0) = 1:
+    h lies in (0, 1], so no factor outgrows phi itself (the textbook
+    e^{nu t} expm1((mu - nu) t)/(mu - nu) gives 0 * inf once (mu - nu) t
+    exceeds ~709), and mu = nu (the constant profile) is exact.
+    """
+    mu, v = np.linalg.eigh(p)
+    x = np.abs(mu[:, None] - nu[None, :]) * t
+    h = np.ones_like(x)
+    nz = x > 0.0
+    h[nz] = -np.expm1(-x[nz]) / x[nz]
+    phi = t * np.exp(np.maximum(mu[:, None], nu[None, :]) * t) * h
+    return (v @ (phi * (v.T @ f))).astype(complex)
 
 
 def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
-    """General-lambda GUE channel.
+    """General-lambda GUE channel, in closed form.
 
-    A is the exact exponential exp(w_ij t); B solves the linear system
-    B' = P.B + Q(t) with P = diag(-J_i) + lambda and
-    Q(t)_ij = lambda_ij exp(-J_j t), integrated numerically (the printed
-    closed form is not used; see package notes).
+    A is the exact exponential exp(w_ij t).  B solves B' = P.B + Q(t),
+    B(0) = 0, with P = lambda - diag(J) (symmetric, minus a graph
+    Laplacian) and Q(t)_ij = lambda_ij exp(-J_j t).  With P = V diag(mu) V^T,
+
+        B = V [phi(mu_k, -J_j; t) o (V^T lambda)],
+        phi(mu, nu; t) = t e^{max(mu, nu) t} h(|mu - nu| t),
+        h(x) = (1 - e^{-x})/x, h(0) = 1,
+
+    the overflow-free form of (e^{nu t} - e^{mu t})/(nu - mu).
     """
     _check_dims(spec, model)
     if model.ensemble is not Ensemble.GUE:
@@ -174,12 +172,7 @@ def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     lam = model.lambda_matrix()
     j_row = lam.sum(axis=1)
     w = -1j * spec.gaps() - 0.5 * (j_row[:, None] + j_row[None, :])
-    p = np.diag(-j_row) + lam
-
-    def rhs(tt, b):
-        return p @ b + lam * np.exp(-j_row[None, :] * tt)
-
-    coeff_b = _integrate_linear(rhs, t, d)
+    coeff_b = _forced_linear(lam - np.diag(j_row), lam, -j_row, t)
     coeff_a = np.exp(w * t)
     coeff_g = np.zeros((d, d), dtype=complex)
     return ChannelOne(d, CaseTag.GUE_GENERAL, coeff_a, coeff_b, coeff_g, t)
@@ -242,11 +235,16 @@ def u1_goe_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
 
 
 def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
-    """General-lambda GOE channel: A and G from the closed forms, B from the
-    full first-order system
+    """General-lambda GOE channel, in closed form.
+
+    A and G are the entrywise closed forms.  B solves the first-order system
 
         B' = (w_ii + lambda_ii/2) B_ii' + (lambda/2).B
-             + (lambda_ii'/2)(C_i'i'(t) + G_i'i'(t)).
+             + (lambda_ii'/2)(C_i'i'(t) + G_i'i'(t)),  B(0) = 0,
+
+    i.e. B' = P.B + (lambda/2) e^{nu_j t} with P = (lambda - diag(J))/2 and
+    nu_j = Re z+_jj = -J_j/2.  It is solved as in u1_gue_general: one
+    eigendecomposition of P and the overflow-free phi(mu_k, nu_j; t).
     """
     _check_dims(spec, model)
     if model.ensemble is not Ensemble.GOE:
@@ -258,16 +256,9 @@ def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     params = goe_params(spec, model)
     coeff_a, coeff_g = _goe_ag(params, t)
     j_row = lam.sum(axis=1)
-    ld = np.diag(lam)
-    w_diag = -0.5 * (j_row + ld)
-    # C_jj(t) + G_jj(t) from the closed forms (c_jj+- = g_jj = 1).
+    # C_jj(t) + G_jj(t) = e^{z+_jj t} from the closed forms (c_jj+- = g_jj = 1).
     zp_diag = np.diag(params.z_plus).real
-
-    def rhs(tt, b):
-        drive = 0.5 * lam * np.exp(zp_diag[None, :] * tt)
-        return (w_diag + 0.5 * ld)[:, None] * b + 0.5 * (lam @ b) + drive
-
-    coeff_b = _integrate_linear(rhs, t, d)
+    coeff_b = _forced_linear(0.5 * (lam - np.diag(j_row)), 0.5 * lam, zp_diag, t)
     return ChannelOne(d, CaseTag.GOE_GENERAL, coeff_a, coeff_b, coeff_g, t)
 
 

@@ -46,22 +46,49 @@ class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
 
 
-EXPERIMENTS = (
-    "sff_scan",
-    "two_point_scan",
-    "lanczos_scan",
-    "otoc_scan",
-    "transfer_scan",
-    "return_scan",
-    "sff_variance_scan",
-    "oracle_compare",
-)
+# experiment -> (noise ensembles it computes, whether it averages over
+# spectrum.n_realizations).  Every experiment but lanczos_scan, which reads
+# neither noise nor spectrum, takes J from J_list with the constant profile.
+EXPERIMENTS = {
+    "sff_scan": (("gue", "goe"), True),
+    "two_point_scan": (("gue", "goe"), True),
+    "lanczos_scan": ((), False),
+    "otoc_scan": (("gue",), True),
+    "transfer_scan": (("gue", "goe"), False),
+    "return_scan": (("gue",), False),
+    "sff_variance_scan": (("gue",), False),
+    "oracle_compare": (("gue", "goe"), False),
+}
 
 
 def _require(config: dict, key: str, where: str):
     if key not in config:
         raise ConfigError(f"missing field {where}.{key}")
     return config[key]
+
+
+def check_supported(experiment: str, config: dict) -> None:
+    """Refuse a noise or spectrum setting the experiment would not honour."""
+    ensembles, averages = EXPERIMENTS[experiment]
+    noise = config.get("noise", {})
+    ensemble = noise.get("ensemble", "gue")
+    if ensemble not in ensembles:
+        raise ConfigError(
+            f"noise.ensemble={ensemble!r} is not supported by {experiment} "
+            f"(supported: {', '.join(ensembles)})"
+        )
+    profile = noise.get("profile", {}).get("type", "const")
+    if profile != "const":
+        raise ConfigError(
+            f"noise.profile.type={profile!r} is not supported by {experiment}: "
+            "J comes from J_list with the constant profile"
+        )
+    n_real = int(config.get("spectrum", {}).get("n_realizations", 1))
+    if n_real > 1 and not averages:
+        raise ConfigError(
+            f"spectrum.n_realizations={n_real} is not supported by {experiment}, "
+            "which evaluates one spectrum"
+        )
 
 
 def config_hash(config: dict) -> str:
@@ -149,6 +176,7 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
     if experiment == "lanczos_scan":
         _run_lanczos(config, j_list, out, formats, summary)
     else:
+        check_supported(experiment, config)
         spectra = sample_spectra(_require(config, "spectrum", "config"), seed)
         dim = spectra[0].dim
         t = time_grid(_require(config, "t_grid", "config"))

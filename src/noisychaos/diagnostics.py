@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel_one import ChannelOne, goe_params
 from .noise import Ensemble, NoiseModel, goe_constant
-from .spectra import Spectrum, level_statistics
+from .spectra import Spectrum
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,3 @@ def return_probability(
     return DiagnosticSeries(
         "return_probability", t, values, metadata=_meta(spec, J=J, ensemble="gue")
     )
-
-
-def r_statistics_invariant(spec: Spectrum, J: float, t: float) -> bool:
-    """Check that spacing ratios survive the effective-Hamiltonian map."""
-    before = level_statistics(spec)
-    after = level_statistics(effective_hamiltonian(spec, J, t))
-    return np.array_equal(before.ratios, after.ratios)

@@ -8,7 +8,7 @@ significant digits, configurable).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -25,12 +25,10 @@ class LanczosBreakdownError(ArithmeticError):
 @dataclass(frozen=True)
 class LanczosResult:
     """Signed Lanczos coefficients sgn(b_n^2)|b_n| and the moments that
-    produced them.  The a_n sequence is reserved (the nonzero-a_n
-    bi-Lanczos algorithm is out of scope)."""
+    produced them."""
 
     moments: list
     b_signed: np.ndarray
-    a: np.ndarray = field(default_factory=lambda: np.empty(0))
     n_max: int = 0
 
 

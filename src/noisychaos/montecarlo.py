@@ -58,13 +58,6 @@ class TrajectoryConfig:
         return int(round(self.t_max / self.dt))
 
 
-@dataclass(frozen=True)
-class EnsembleEstimate:
-    mean: complex
-    stderr: float
-    n: int
-
-
 def step_margin(model: NoiseModel, dt: float) -> float:
     """dt |lambda|_inf D: the regularized variance is valid while this is <= 1."""
     return dt * float(np.max(model.lambda_matrix())) * model.dim

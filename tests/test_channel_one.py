@@ -3,6 +3,7 @@ import pytest
 
 from noisychaos import (
     CaseTag,
+    GibbsProfile,
     MatrixProfile,
     NoiseModel,
     Spectrum,
@@ -15,6 +16,7 @@ from noisychaos import (
     dense_superoperator,
     goe_constant,
     gue_constant,
+    sample_gue_spectrum,
     u1_goe_const,
     u1_goe_general,
     u1_gue_const,
@@ -240,6 +242,52 @@ class TestGeneralReductions:
             ch = build(spec4, model, t)
             tp = ch.coeff_A.diagonal() + ch.coeff_B.sum(axis=0) + ch.coeff_G.diagonal()
             assert np.max(np.abs(tp - 1.0)) < 1e-9
+
+
+def general_case(dim, profile, ensemble):
+    """Spectrum, non-constant noise model and builder for one general case."""
+    rng = np.random.default_rng(100 + dim)
+    spec = sample_gue_spectrum(dim, rng)
+    if profile == "matrix":
+        prof = MatrixProfile(random_symmetric_lambda(dim, rng))
+    else:
+        prof = GibbsProfile(1.2, 0.7, spec)
+    build = u1_gue_general if ensemble is Ensemble.GUE else u1_goe_general
+    return spec, NoiseModel(ensemble, prof, dim), build, random_density(dim, rng)
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+@pytest.mark.parametrize("profile", ["matrix", "gibbs"])
+@pytest.mark.parametrize("dim", [4, 6])
+class TestGeneralClosedForm:
+    """The general-lambda channels checked against the dynamics they solve,
+    independently of the constant-profile reduction."""
+
+    def test_semigroup(self, dim, profile, ensemble):
+        spec, model, build, rho = general_case(dim, profile, ensemble)
+        s, t = 0.7, 1.6
+        lhs = apply_channel(build(spec, model, s + t), rho)
+        rhs = apply_channel(build(spec, model, t), apply_channel(build(spec, model, s), rho))
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    def test_generator_at_positive_time(self, dim, profile, ensemble):
+        spec, model, build, rho = general_case(dim, profile, ensemble)
+        gen = build_L1(spec, model)
+        t, h = 1.3, 1e-5
+        deriv = (
+            apply_channel(build(spec, model, t + h), rho)
+            - apply_channel(build(spec, model, t - h), rho)
+        ) / (2 * h)
+        expected = apply_generator(gen, apply_channel(build(spec, model, t), rho))
+        assert np.max(np.abs(deriv - expected)) < 1e-8
+
+    def test_large_time_finite_and_trace_preserving(self, dim, profile, ensemble):
+        spec, model, build, _ = general_case(dim, profile, ensemble)
+        ch = build(spec, model, 5000.0)
+        for coeff in (ch.coeff_A, ch.coeff_B, ch.coeff_G):
+            assert np.all(np.isfinite(coeff))
+        tp = ch.coeff_A.diagonal() + ch.coeff_B.sum(axis=0) + ch.coeff_G.diagonal()
+        assert np.max(np.abs(tp - 1.0)) < 1e-9
 
 
 class TestChannelInvariants:

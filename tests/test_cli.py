@@ -163,3 +163,42 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert code == 0
         assert "sff_J1" in out and "[pass]" in out
+
+
+class TestUnsupportedSettings:
+    BASE = {
+        "spectrum": {"sample": "gue", "dim": 4, "seed": 3},
+        "noise": {"ensemble": "gue", "profile": {"type": "const", "J": 1.0}},
+        "t_grid": {"t_min": 0.0, "t_max": 1.0, "n_points": 3},
+        "J_list": [1.0],
+        "montecarlo": {"dt": 0.01, "t_max": 1.0, "n_traj": 4, "seed": 1},
+    }
+    GOE = {"ensemble": "goe", "profile": {"type": "const", "J": 1.0}}
+    GIBBS = {"ensemble": "gue", "profile": {"type": "gibbs", "J": 1.0, "beta": 0.5}}
+    MATRIX = {"ensemble": "gue", "profile": {"type": "matrix", "lambda": [[0.25] * 4] * 4}}
+    MANY = {"sample": "gue", "dim": 4, "seed": 3, "n_realizations": 2}
+
+    @pytest.mark.parametrize(
+        "experiment, override, field",
+        [
+            ("return_scan", {"noise": GOE}, "noise.ensemble"),
+            ("otoc_scan", {"noise": GOE}, "noise.ensemble"),
+            ("sff_variance_scan", {"noise": GOE}, "noise.ensemble"),
+            ("sff_scan", {"noise": GIBBS}, "noise.profile.type"),
+            ("transfer_scan", {"noise": MATRIX}, "noise.profile.type"),
+            ("transfer_scan", {"spectrum": MANY}, "spectrum.n_realizations"),
+            ("return_scan", {"spectrum": MANY}, "spectrum.n_realizations"),
+            ("sff_variance_scan", {"spectrum": MANY}, "spectrum.n_realizations"),
+            ("oracle_compare", {"spectrum": MANY}, "spectrum.n_realizations"),
+        ],
+    )
+    def test_config_error_names_field(self, tmp_path, experiment, override, field):
+        cfg = {**self.BASE, "experiment": experiment, **override}
+        with pytest.raises(ConfigError, match=field):
+            run(cfg, out_dir=tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_supported_settings_still_run(self, tmp_path):
+        cfg = {**self.BASE, "experiment": "two_point_scan", "noise": self.GOE,
+               "spectrum": self.MANY}
+        assert run(cfg, out_dir=tmp_path)["pass"] is True

@@ -26,7 +26,6 @@ from noisychaos import (
     u1_gue_const,
     u1_gue_general,
 )
-from noisychaos.diagnostics import r_statistics_invariant
 
 from conftest import random_hermitian
 
@@ -156,9 +155,6 @@ class TestEffectiveHamiltonian:
         r1 = level_statistics(spec5).ratios
         r2 = level_statistics(eff).ratios
         assert np.max(np.abs(r1 - r2) / r1) < 1e-10
-
-    def test_invariance_helper(self, spec5):
-        assert r_statistics_invariant(spec5, 0.5, 1.0) in (True, False)
 
 
 class TestTransferReturn:
