@@ -14,6 +14,7 @@ observables share the simulation.
 
 from __future__ import annotations
 
+import queue
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -85,14 +86,18 @@ def _evolve_recorded(
     dt: float,
     record_steps: np.ndarray,
     gens: list[np.random.Generator],
+    eta: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Evolve a batch of trajectories, returning U at the recorded step
     indices with shape (n_batch, n_record, D, D) and the batch's largest
-    unitarity drift max |U+U - 1| at the last step."""
+    unitarity drift max |U+U - 1| at the last step.  The noise is drawn into
+    ``eta`` (at least n_batch x n_steps x D x D, overwritten) when given."""
     d = energies.size
     n_steps = int(record_steps.max())
     batch = len(gens)
-    eta = np.empty((batch, n_steps, d, d), dtype=complex)
+    if eta is None:
+        eta = np.empty((batch, n_steps, d, d), dtype=complex)
+    eta = eta[:batch]
     for b, gen in enumerate(gens):
         eta[b] = sample_noise_sequence(model, dt, n_steps, gen)
     u = np.broadcast_to(np.eye(d, dtype=complex), (batch, d, d)).copy()
@@ -263,12 +268,27 @@ def estimate_observables(
         raise ValueError("t_grid extends beyond cfg.t_max")
     gens = trajectory_generators(cfg.seed, cfg.n_traj)
     threads = max(1, threads)
-    bounds = chunk_bounds(cfg.n_traj, max(int(steps.max()), 1), spec.dim, threads)
+    n_steps = int(steps.max())
+    bounds = chunk_bounds(cfg.n_traj, max(n_steps, 1), spec.dim, threads)
     values = {key: np.empty((cfg.n_traj, steps.size), dtype=complex) for key in observables}
+    # The noise buffers, one per chunk running at once, are allocated here
+    # and lent to the chunks.  Were each chunk to allocate its own, every
+    # call's fresh pool threads would hold tens of MB in per-thread malloc
+    # arenas, and a thread starting before the last call's threads have
+    # released theirs gets a new arena: peak memory would then depend on
+    # thread timing.
+    largest = max(hi - lo for lo, hi in bounds)
+    buffers = queue.SimpleQueue()
+    for _ in range(min(threads, len(bounds))):
+        buffers.put(np.empty((largest, n_steps, spec.dim, spec.dim), dtype=complex))
 
     def run_chunk(bound: tuple[int, int]) -> float:
         lo, hi = bound
-        u_rec, drift = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens[lo:hi])
+        eta = buffers.get()
+        try:
+            u_rec, drift = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens[lo:hi], eta)
+        finally:
+            buffers.put(eta)
         for key, obs in observables.items():
             values[key][lo:hi] = obs.value(u_rec)
         return drift

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from noisychaos import (
     two_point_gue_const,
     two_point_observable,
 )
+from noisychaos import montecarlo
 from noisychaos.montecarlo import NOISE_BUDGET_BYTES, chunk_bounds, validate_step
 
 from conftest import random_hermitian
@@ -149,6 +152,25 @@ class TestReproducibility:
             for key in observables:
                 assert np.array_equal(runs[0].series[key].values, other.series[key].values)
                 assert np.array_equal(runs[0].series[key].stderr, other.series[key].stderr)
+
+    def test_noise_buffers_lent_one_chunk_at_a_time(self, spec4, monkeypatch):
+        # A one-byte budget makes every trajectory its own chunk, so each of
+        # the 4 threads' noise buffers serves 3 chunks in turn; a short switch
+        # interval interleaves the threads as often as it can.  A buffer held
+        # by two chunks at once would mix their noise.
+        monkeypatch.setattr(montecarlo, "NOISE_BUDGET_BYTES", 1.0)
+        cfg = small_cfg(12, dt=1e-2)
+        model = gue_constant(1.0, 4)
+        assert len(chunk_bounds(cfg.n_traj, cfg.n_steps, 4, 4)) == 12
+        serial = estimate_sff(spec4, model, cfg, T_GRID, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = estimate_sff(spec4, model, cfg, T_GRID, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.values, threaded.values)
+        assert np.array_equal(serial.stderr, threaded.stderr)
 
     def test_different_seed_differs(self, spec4):
         model = gue_constant(1.0, 4)
