@@ -5,6 +5,7 @@ exponentials with rational coefficients.  The rationals are kept exact
 (integer numerators over a common denominator) so that f(0) = (1, 0, ..., 0)
 and the J = 0 limit hold exactly in floating point.  Graph groups are never
 materialized; observables supply their 8-component contraction vector.
+Every function of t takes a scalar or a whole time grid (numpy broadcasting).
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
+from .diagnostics import sff_noiseless
 from .spectra import Spectrum
 
 
@@ -65,8 +68,9 @@ def decay_rates(D: int, J: float) -> np.ndarray:
     )
 
 
+@cache
 def _integer_rows(D: int):
-    """Per-row integer numerators and common denominator of f_matrix."""
+    """Per-row integer numerators and common denominator of f_matrix (shared, read-only)."""
     rows = f_matrix(D)
     nums = np.zeros((8, 5), dtype=float)
     dens = np.zeros(8)
@@ -75,20 +79,22 @@ def _integer_rows(D: int):
         dens[a] = q
         for b, frac in enumerate(row):
             nums[a, b] = frac.numerator * (q // frac.denominator)
+    nums.flags.writeable = dens.flags.writeable = False
     return nums, dens
 
 
-def f_coefficients(D: int, J: float, t: float) -> np.ndarray:
-    """The eight coefficients f_a(t); f(0) = (1, 0, ..., 0) exactly.
+def f_coefficients(D: int, J: float, t) -> np.ndarray:
+    """The eight coefficients f_a(t), shape t.shape + (8,); f(0) = (1, 0, ..., 0).
 
     The exponent row sums vanish exactly in integer arithmetic, so both
     t = 0 and J = 0 give the identity coefficients without roundoff.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError(f"t must be nonnegative, got {t.min()}")
     nums, dens = _integer_rows(D)
-    exps = np.exp(decay_rates(D, J) * t)
-    return (nums @ exps) / dens
+    exps = np.exp(np.multiply.outer(t, decay_rates(D, J)))
+    return (exps[..., None, :] * nums).sum(axis=-1) / dens
 
 
 def build_M(D: int, J: float, w: complex) -> np.ndarray:
@@ -117,49 +123,44 @@ def build_M(D: int, J: float, w: complex) -> np.ndarray:
 class SffVariance:
     """Second moment E[(TrU TrU+)^2] and the variance against (D^2 K_J)^2."""
 
-    second_moment: float
-    variance: float
+    second_moment: float | np.ndarray
+    variance: float | np.ndarray
 
 
-def sff_contraction_vector(spec: Spectrum, t: float) -> np.ndarray:
-    """V_a(SFF): the eight graph groups contracted for the squared SFF,
-    built from the noiseless traces."""
+def sff_contraction_vector(spec: Spectrum, t) -> np.ndarray:
+    """V_a(SFF), shape t.shape + (8,): the eight graph groups contracted for
+    the squared SFF, built from the noiseless traces."""
     d = spec.dim
-    tr1 = np.exp(-1j * spec.energies * t).sum()
-    tr2 = np.exp(-2j * spec.energies * t).sum()
-    k1 = abs(tr1) ** 2 / d**2
-    k2 = abs(tr2) ** 2 / d**2
-    v3 = tr2 * np.conj(tr1) ** 2
-    return np.array(
-        [
-            d**4 * k1**2,
-            4 * d**3 * k1,
-            (v3 + np.conj(v3)).real,
-            8 * d**2 * k1,
-            2 * d**2,
-            d**2 * k2,
-            2 * d,
-            4 * d,
-        ]
-    )
+    et = np.multiply.outer(np.asarray(t, dtype=float), spec.energies)
+    tr1 = np.exp(-1j * et).sum(axis=-1)
+    tr2 = np.exp(-2j * et).sum(axis=-1)
+    # Real arithmetic rounds numpy scalars and arrays alike (complex abs does not).
+    x, y = tr1.real, tr1.imag
+    k1 = (x * x + y * y) / d**2
+    k2 = (tr2.real * tr2.real + tr2.imag * tr2.imag) / d**2
+    re_v3 = tr2.real * (x * x - y * y) + 2.0 * tr2.imag * x * y  # Re tr2 conj(tr1)^2
+    return np.stack(np.broadcast_arrays(
+        d**4 * k1 * k1, 4 * d**3 * k1, 2.0 * re_v3, 8 * d**2 * k1,
+        2.0 * d**2, d**2 * k2, 2.0 * d, 4.0 * d,
+    ), axis=-1)
 
 
-def sff_squared_mean(spec: Spectrum, J: float, t: float) -> float:
-    """E[(TrU_t TrU_t+)^2] = sum_a f_a(t) V_a(SFF)."""
+def sff_squared_mean(spec: Spectrum, J: float, t):
+    """E[(TrU_t TrU_t+)^2] = sum_a f_a(t) V_a(SFF), with the shape of t."""
     f = f_coefficients(spec.dim, J, t)
-    return float(f @ sff_contraction_vector(spec, t))
+    return (f * sff_contraction_vector(spec, t)).sum(axis=-1)
 
 
-def sff_variance(spec: Spectrum, J: float, t: float) -> SffVariance:
+def sff_variance(spec: Spectrum, J: float, t) -> SffVariance:
     """Second moment of TrU TrU+ and its variance.
 
     The mean uses the single-replica closed form
     E[TrU TrU+] = D^2 K_J(t).
     """
     d = spec.dim
+    t = np.asarray(t, dtype=float)
     second = sff_squared_mean(spec, J, t)
-    k0 = abs(np.exp(-1j * spec.energies * t).sum()) ** 2 / d**2
-    k_j = math.exp(-J * t) * k0 - math.expm1(-J * t) / d**2
+    k_j = np.exp(-J * t) * sff_noiseless(spec, t) - np.expm1(-J * t) / d**2
     return SffVariance(second, second - (d**2 * k_j) ** 2)
 
 
@@ -178,15 +179,23 @@ def heisenberg_noiseless(spec: Spectrum, op: np.ndarray, t: float) -> np.ndarray
     return phase * op
 
 
-def otoc_noiseless(spec: Spectrum, t: float, A: np.ndarray, B: np.ndarray) -> complex:
+def _otoc_traces(spec: Spectrum, t, A: np.ndarray, B: np.ndarray):
+    """(1/D) Tr(A B_t A B_t) and Tr(A B_t) at each point of t, both from
+    the one product M = A B_t: Tr(M M) = sum_ij M_ij M_ji."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape + (2,), dtype=complex)
+    for k in np.ndindex(t.shape):
+        m = A @ heisenberg_noiseless(spec, B, t[k])
+        out[k] = (m * m.T).sum() / spec.dim, np.trace(m)
+    return out[..., 0], out[..., 1]
+
+
+def otoc_noiseless(spec: Spectrum, t, A: np.ndarray, B: np.ndarray):
     """(1/D) Tr(A B_t A B_t) for the noiseless diagonal Hamiltonian."""
-    bt = heisenberg_noiseless(spec, B, t)
-    return complex(np.trace(A @ bt @ A @ bt) / spec.dim)
+    return _otoc_traces(spec, t, A, B)[0][()]
 
 
-def otoc(
-    spec: Spectrum, J: float, t: float, A: np.ndarray, B: np.ndarray
-) -> complex:
+def otoc(spec: Spectrum, J: float, t, A: np.ndarray, B: np.ndarray):
     """Noise-averaged infinite-temperature OTOC for traceless Hermitian A, B.
 
     Only the groups 1, 3 and 6 survive the traceless contraction:
@@ -200,7 +209,5 @@ def otoc(
     _check_operator("A", A, d)
     _check_operator("B", B, d)
     f = f_coefficients(d, J, t)
-    bt = heisenberg_noiseless(spec, B, t)
-    otoc0 = complex(np.trace(A @ bt @ A @ bt) / d)
-    tr_ab = complex(np.trace(A @ bt))
-    return (f[0] + f[5]) * otoc0 + (2.0 / d) * f[2] * tr_ab**2
+    otoc0, tr_ab = _otoc_traces(spec, t, A, B)
+    return ((f[..., 0] + f[..., 5]) * otoc0 + (2.0 / d) * f[..., 2] * tr_ab**2)[()]

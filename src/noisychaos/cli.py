@@ -181,16 +181,24 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
         dim = spectra[0].dim
         t = time_grid(_require(config, "t_grid", "config"))
         noise_cfg = config.get("noise", {"ensemble": "gue", "profile": {"type": "const", "J": 0.0}})
+        ensemble = noise_cfg.get("ensemble", "gue")  # check_supported has validated it
         op_rng = np.random.default_rng(np.random.SeedSequence(int(config.get("operator_seed", 7))))
 
+        # Closed forms are looked up on diagnostics when called, where
+        # bench/tracer.py wraps them.
         if experiment == "sff_scan":
-            _run_sff(spectra, noise_cfg, j_list, t, out, formats, chash, summary)
+            sff = getattr(diag, f"sff_{ensemble}_const")
+            for j in j_list:
+                stem = f"sff_{ensemble}_J{j:g}"
+                series = _ensemble_mean(spectra, lambda s: sff(s, j, t).values, stem, t, chash)
+                summary["files"] += _write(series, out, stem, formats)
         elif experiment == "two_point_scan":
             o = random_traceless_hermitian(dim, op_rng)
+            two_point = getattr(diag, f"two_point_{ensemble}_const")
             for j in j_list:
                 series = _ensemble_mean(
                     spectra,
-                    lambda s: _two_point(s, noise_cfg, j, o, t),
+                    lambda s: two_point(s, j, o, t).values,
                     f"two_point_J{j:g}", t, chash,
                 )
                 summary["files"] += _write(series, out, f"two_point_J{j:g}", formats)
@@ -200,7 +208,7 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
             for j in j_list:
                 series = _ensemble_mean(
                     spectra,
-                    lambda s: np.array([otoc_closed(s, j, tk, a, b) for tk in t]),
+                    lambda s: otoc_closed(s, j, t, a, b),
                     f"otoc_J{j:g}", t, chash,
                 )
                 summary["files"] += _write(series, out, f"otoc_J{j:g}", formats)
@@ -219,15 +227,14 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
                 summary["files"] += _write(series, out, f"return_J{j:g}", formats)
         elif experiment == "sff_variance_scan":
             for j in j_list:
-                values = np.array([sff_squared_mean(spectra[0], j, tk) for tk in t])
                 series = diag.DiagnosticSeries(
-                    f"sff_squared_J{j:g}", t, values,
+                    f"sff_squared_J{j:g}", t, sff_squared_mean(spectra[0], j, t),
                     metadata={"config_hash": chash, "dim": dim, "J": j},
                 )
                 summary["files"] += _write(series, out, f"sff_squared_J{j:g}", formats)
         elif experiment == "oracle_compare":
             _run_oracle_compare(
-                config, spectra[0], noise_cfg, j_list, t, out, formats,
+                config, spectra[0], ensemble, j_list, t, out, formats,
                 chash, threads, summary, op_rng,
             )
 
@@ -237,29 +244,12 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
     return summary
 
 
-def _two_point(spec, noise_cfg, j, o, t):
-    ensemble = noise_cfg.get("ensemble", "gue")
-    if ensemble == "gue":
-        return diag.two_point_gue_const(spec, j, o, t).values
-    return diag.two_point_goe_const(spec, j, o, t).values
-
-
 def _ensemble_mean(spectra, fn, name, t, chash):
     values = np.mean([fn(s) for s in spectra], axis=0)
     return diag.DiagnosticSeries(
         name, t, values,
         metadata={"config_hash": chash, "n_realizations": len(spectra)},
     )
-
-
-def _run_sff(spectra, noise_cfg, j_list, t, out, formats, chash, summary):
-    ensemble = noise_cfg.get("ensemble", "gue")
-    sff_fn = diag.sff_gue_const if ensemble == "gue" else diag.sff_goe_const
-    for j in j_list:
-        series = _ensemble_mean(
-            spectra, lambda s: sff_fn(s, j, t).values, f"sff_{ensemble}_J{j:g}", t, chash
-        )
-        summary["files"] += _write(series, out, f"sff_{ensemble}_J{j:g}", formats)
 
 
 def _run_lanczos(config, j_list, out, formats, summary):
@@ -271,10 +261,7 @@ def _run_lanczos(config, j_list, out, formats, summary):
     mu = krylov.sech_moments(n_max, alpha=alpha, dps=dps)
     chash = config_hash(config)
     for j in j_list:
-        if j == 0.0:
-            result = krylov.lanczos_from_moments(mu, n_max, dps=dps)
-        else:
-            result = krylov.signed_lanczos_noisy(mu, j, ratio, n_max, dps=dps)
+        result = krylov.signed_lanczos_noisy(mu, j, ratio, n_max, dps=dps)
         n = np.arange(1, n_max + 1, dtype=float)
         series = diag.DiagnosticSeries(
             f"signed_bn_J{j:g}", n, result.b_signed,
@@ -291,7 +278,7 @@ def _compare(name, analytic, mc, summary):
     summary["comparisons"].append({"name": name, "max_sigma": sigma, "pass": ok})
 
 
-def _run_oracle_compare(config, spec, noise_cfg, j_list, t, out, formats,
+def _run_oracle_compare(config, spec, ensemble, j_list, t, out, formats,
                         chash, threads, summary, op_rng):
     mc_cfg = _require(config, "montecarlo", "config")
     cfg = TrajectoryConfig(
@@ -301,8 +288,8 @@ def _run_oracle_compare(config, spec, noise_cfg, j_list, t, out, formats,
         seed=int(_require(mc_cfg, "seed", "montecarlo")),
     )
     dim = spec.dim
-    ensemble = noise_cfg.get("ensemble", "gue")
-    sff_fn = diag.sff_gue_const if ensemble == "gue" else diag.sff_goe_const
+    sff = getattr(diag, f"sff_{ensemble}_const")
+    two_point = getattr(diag, f"two_point_{ensemble}_const")
     state_j = min(1, dim - 1)
     o = random_traceless_hermitian(dim, op_rng)
     summary["mc_health"] = []
@@ -312,8 +299,8 @@ def _run_oracle_compare(config, spec, noise_cfg, j_list, t, out, formats,
         )
         # key -> (observable, analytic values); one simulation serves them all.
         cases = {
-            "sff": (sff_observable(), sff_fn(spec, j, t).values),
-            "two_point": (two_point_observable(o), _two_point(spec, noise_cfg, j, o, t)),
+            "sff": (sff_observable(), sff(spec, j, t).values),
+            "two_point": (two_point_observable(o), two_point(spec, j, o, t).values),
             "transfer": (
                 transfer_observable(0, state_j),
                 diag.transfer_probability(spec, model, 0, state_j, t).values,
@@ -322,14 +309,14 @@ def _run_oracle_compare(config, spec, noise_cfg, j_list, t, out, formats,
         if ensemble == "gue" and dim >= 3:
             cases["sff_squared"] = (
                 sff_squared_observable(),
-                np.array([sff_squared_mean(spec, j, tk) for tk in t]),
+                sff_squared_mean(spec, j, t),
             )
         if ensemble == "gue" and config.get("compare_otoc", False):
             a = random_traceless_hermitian(dim, op_rng)
             b = random_traceless_hermitian(dim, op_rng)
             cases["otoc"] = (
                 otoc_observable(a, b),
-                np.array([otoc_closed(spec, j, tk, a, b) for tk in t]),
+                otoc_closed(spec, j, t, a, b),
             )
         mc = estimate_observables(
             spec, model, cfg, t, {key: obs for key, (obs, _) in cases.items()}, threads

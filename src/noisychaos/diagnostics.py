@@ -1,6 +1,7 @@
-"""Scalar and series observables built on the averaged channels: SFF,
-two-point functions, effective Hamiltonian, transfer and return
-probabilities.  Moments and Lanczos coefficients live in krylov.py."""
+"""Series observables built on the averaged channels: SFF, two-point
+functions, effective Hamiltonian, transfer and return probabilities, each
+evaluated on a whole time grid at once.  Moments and Lanczos coefficients
+live in krylov.py, the two-replica observables in channel_two.py."""
 
 from __future__ import annotations
 
@@ -73,11 +74,10 @@ def _meta(spec: Spectrum, **extra) -> dict:
     return meta
 
 
-def sff_noiseless(spec: Spectrum, t_grid: np.ndarray) -> np.ndarray:
-    """K_0(t) = |sum_i e^{-i E_i t}|^2 / D^2."""
-    t = np.asarray(t_grid, dtype=float)
-    phases = np.exp(-1j * np.outer(t, spec.energies))
-    return np.abs(phases.sum(axis=1)) ** 2 / spec.dim**2
+def sff_noiseless(spec: Spectrum, t_grid) -> np.ndarray:
+    """K_0(t) = |sum_i e^{-i E_i t}|^2 / D^2, with the shape of t."""
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(t_grid, dtype=float), spec.energies))
+    return np.abs(phases.sum(axis=-1)) ** 2 / spec.dim**2
 
 
 def sff_gue_const(spec: Spectrum, J: float, t_grid) -> DiagnosticSeries:
@@ -90,23 +90,40 @@ def sff_gue_const(spec: Spectrum, J: float, t_grid) -> DiagnosticSeries:
     )
 
 
+def _goe_contract(spec: Spectrum, J: float, wa, wg: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_ij [wa o A(t) + wg o G(t)]_ij of the constant GOE channel on t.
+
+    The weights fold onto the exponentials, b+- = (wa c+- +- wg g)/2 on
+    e^{z+- t}.  z+- are symmetric, so each exponent is taken once from the
+    upper triangle with the weights of (i, j) and (j, i).  The channel is
+    dropped once folded and t runs in blocks of ~4 D x D exponentials.
+    """
+    d = spec.dim
+    params = goe_params(spec, goe_constant(J, d))
+    up = np.triu_indices(d)
+
+    def fold(c, sign):
+        x = 0.5 * (wa * c + sign * wg * params.g)
+        return (x + np.tril(x, -1).T)[up]
+
+    z = np.concatenate([params.z_plus[up], params.z_minus[up]])
+    b = np.concatenate([fold(params.c_plus, 1.0), fold(params.c_minus, -1.0)])
+    del params
+    rows = max(1, 4 * d * d // z.size)
+    out = np.empty(t.size, dtype=complex)
+    for k in range(0, t.size, rows):
+        e = np.multiply.outer(t[k:k + rows], z)
+        out[k:k + rows] = np.exp(e, out=e) @ b
+    return out
+
+
 def sff_goe_const(spec: Spectrum, J: float, t_grid) -> DiagnosticSeries:
-    """Three-term GOE closed form: spectral sum over (c-, c+) exponentials,
-    universal (1 - e^{-Jt/2})/D^2, and the sinh exchange term."""
+    """K_J(t) = (sum_ij A_ij + Tr G + Tr B)/D^2 of the constant GOE channel,
+    with Tr B = 1 - e^{-Jt/2}."""
     d = spec.dim
     t = np.asarray(t_grid, dtype=float)
-    params = goe_params(spec, goe_constant(J, d))
-    values = np.empty(t.size)
-    for k, tk in enumerate(t):
-        a_sum = 0.5 * (
-            params.c_minus * np.exp(params.z_minus * tk)
-            + params.c_plus * np.exp(params.z_plus * tk)
-        ).sum()
-        term2 = -np.expm1(-J * tk / 2.0) / d**2
-        term3 = (
-            np.exp(-(d + 1) * J * tk / (2 * d)) * np.sinh(J * tk / (2 * d)) / d
-        )
-        values[k] = (a_sum / d**2).real + term2 + term3
+    total = _goe_contract(spec, J, 1.0, np.eye(d), t)
+    values = (total.real - np.expm1(-J * t / 2.0)) / d**2
     return DiagnosticSeries(
         "sff_goe_const", t, values, metadata=_meta(spec, J=J, ensemble="goe")
     )
@@ -121,14 +138,13 @@ def sff_from_channel(ch: ChannelOne) -> float:
 
 
 def two_point_noiseless(spec: Spectrum, O: np.ndarray, t_grid) -> np.ndarray:
-    """C_0(t) = (1/D) Tr(O+ O_t) via explicit phase sums (H0 diagonal)."""
+    """C_0(t) = (1/D) sum_ij O+_ij O_ji e^{-i(E_i - E_j)t}.  The phase grid has
+    rank one, so with P = exp(-i t E) this is the row sum of (P W) o conj(P)."""
     t = np.asarray(t_grid, dtype=float)
-    gaps = spec.gaps()
-    weights = O.conj().T * O.T  # entry (i, j): O+_ij O_ji
-    out = np.empty(t.size, dtype=complex)
-    for k, tk in enumerate(t):
-        out[k] = (weights * np.exp(-1j * gaps * tk)).sum() / spec.dim
-    return out
+    p = np.exp(-1j * np.multiply.outer(t, spec.energies))
+    pw = p @ (O.conj().T * O.T)  # weights (i, j): O+_ij O_ji
+    pw *= np.conjugate(p, out=p)
+    return pw.sum(axis=-1) / spec.dim
 
 
 def two_point_gue_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> DiagnosticSeries:
@@ -143,23 +159,16 @@ def two_point_gue_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> Diag
 
 
 def two_point_goe_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> DiagnosticSeries:
-    """GOE closed form: direct (c-, c+) sum, universal trace term, and the
-    exchange term weighted by O+_ji O_ji."""
+    """C_J(t) = (1/D) Tr(O+ U1[O]): the A term weighted by O+_ij O_ji, the
+    exchange term G by O+_ji O_ji, and the universal trace term."""
     d = spec.dim
     t = np.asarray(t_grid, dtype=float)
-    params = goe_params(spec, goe_constant(J, d))
     w_dir = O.conj().T * O.T  # O+_ij O_ji
     w_exch = O.conj() * O.T  # entry (i, j): O+_ji O_ji = conj(O_ij) O_ji
     tr_term = np.trace(O) * np.conj(np.trace(O)) / d**2
-    out = np.empty(t.size, dtype=complex)
-    for k, tk in enumerate(t):
-        ep = np.exp(params.z_plus * tk)
-        em = np.exp(params.z_minus * tk)
-        direct = ((params.c_minus * em + params.c_plus * ep) * w_dir).sum() / (2 * d)
-        exch = (params.g * (ep - em) * w_exch).sum() / (2 * d)
-        out[k] = direct + exch - np.expm1(-J * tk / 2.0) * tr_term
+    values = _goe_contract(spec, J, w_dir, w_exch, t) / d - np.expm1(-J * t / 2.0) * tr_term
     return DiagnosticSeries(
-        "two_point_goe_const", t, out, metadata=_meta(spec, J=J, ensemble="goe")
+        "two_point_goe_const", t, values, metadata=_meta(spec, J=J, ensemble="goe")
     )
 
 
@@ -223,25 +232,18 @@ def return_probability(
     P_{S;J}(t) = e^{-Jt} + (1 - e^{-Jt})/D is used; a general complete
     orthogonal partition is contracted against the averaged channel.
     """
-    d = spec.dim
     t = np.asarray(t_grid, dtype=float)
-    decay = np.exp(-J * t)
     if projectors is None:
-        values = decay + (1.0 - decay) / d
+        decay = np.exp(-J * t)
+        values = decay + (1.0 - decay) / spec.dim
     else:
-        _validate_partition(projectors, d)
-        n_s = len(projectors)
-        gaps = spec.gaps()
-        values = np.zeros(t.size)
-        for p in projectors:
-            rank = np.trace(p).real  # initial state rho_s = Pi_s / Tr Pi_s
-            weights = p * p.T  # Pi_ab Pi_ba summed against the phase grid
-            tr_sq = abs(np.trace(p)) ** 2
-            for k, tk in enumerate(t):
-                direct = (weights * np.exp(-1j * gaps * tk)).sum().real
-                values[k] += (
-                    (decay[k] * direct + (1.0 - decay[k]) * tr_sq / d) / rank / n_s
-                )
+        # rho_s = Pi_s / Tr Pi_s returns with weight (D / Tr Pi_s) C_J(t) of
+        # O = Pi_s, averaged over the blocks s.
+        _validate_partition(projectors, spec.dim)
+        values = sum(
+            spec.dim / np.trace(p).real * two_point_gue_const(spec, J, p, t).values.real
+            for p in projectors
+        ) / len(projectors)
     return DiagnosticSeries(
         "return_probability", t, values, metadata=_meta(spec, J=J, ensemble="gue")
     )

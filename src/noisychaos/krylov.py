@@ -84,16 +84,16 @@ def noisy_moments(
         return out
 
 
-def lanczos_from_moments(
-    moments, n_max: int, dps: int = 60, breakdown_tol: float = 1e-14
-) -> LanczosResult:
+def lanczos_from_moments(moments, n_max: int, dps: int = 60) -> LanczosResult:
     """Signed Lanczos coefficients from even moments via the moment
     recursion.
 
     ``moments[k]`` is mu_2k (k = 0..n_max at least), the Taylor data of
     C(-it); moments[0] must be 1.  b_n = sqrt(M^(n)_2n); for noisy inputs
     M^(n)_2n can turn negative, in which case the signed value
-    sgn(M) sqrt(|M|) is reported (b_n purely imaginary).
+    sgn(M) sqrt(|M|) is reported (b_n purely imaginary).  The Krylov space
+    has closed when b_m^2 cancels below 10^(-dps/2) of the two terms it is
+    the difference of, whatever the units of the moments.
     """
     if len(moments) < n_max + 1:
         raise ValueError(
@@ -110,14 +110,17 @@ def lanczos_from_moments(
         prev2 = [mpmath.mpf(0)] * n_keep  # M^(-1)
         prev1 = list(mu[:n_keep])  # M^(0) = mu_2k
         b2 = [mpmath.mpf(1), mpmath.mpf(1)]  # b_{-1}^2, b_0^2
+        tol = mpmath.mpf(10) ** (-dps / 2)
         signed = []
         for m in range(1, n_max + 1):
-            row = [mpmath.mpf(0)] * n_keep
-            for k in range(m, n_keep):
-                row[k] = prev1[k] / b2[-1] - prev2[k - 1] / b2[-2]
-            b2_m = row[m]
-            if abs(b2_m) < breakdown_tol:
+            t1, t2 = prev1[m] / b2[-1], prev2[m - 1] / b2[-2]
+            b2_m = t1 - t2
+            if abs(b2_m) <= tol * (abs(t1) + abs(t2)):
                 raise LanczosBreakdownError(m)
+            row = [mpmath.mpf(0)] * n_keep
+            row[m] = b2_m
+            for k in range(m + 1, n_keep):
+                row[k] = prev1[k] / b2[-1] - prev2[k - 1] / b2[-2]
             sign = 1 if b2_m > 0 else -1
             signed.append(sign * mpmath.sqrt(abs(b2_m)))
             b2.append(b2_m)

@@ -166,3 +166,36 @@ class TestOtoc:
             )
             cs.append(gap * d)
         assert max(cs) < 10.0 * max(min(cs), 1e-3)
+
+
+class TestGridCalls:
+    # A grid call must give its points' scalar calls exactly.
+    T = np.array([0.0, 0.3, 1.1, 2.6, 9.0, 40.0])
+
+    def test_f_coefficients(self):
+        grid = f_coefficients(7, 0.9, self.T)
+        assert grid.shape == (self.T.size, 8)
+        assert np.array_equal(grid, [f_coefficients(7, 0.9, t) for t in self.T])
+
+    def test_sff_squared_mean_and_variance(self, spec5):
+        grid = sff_squared_mean(spec5, 0.9, self.T)
+        assert grid.shape == self.T.shape
+        assert np.array_equal(grid, [sff_squared_mean(spec5, 0.9, t) for t in self.T])
+        var = sff_variance(spec5, 0.9, self.T).variance
+        assert np.array_equal(var, [sff_variance(spec5, 0.9, t).variance for t in self.T])
+
+    def test_otoc(self, rng):
+        spec = sample_gue_spectrum(6, np.random.default_rng(3))
+        a = random_hermitian(6, rng, traceless=True)
+        b = random_hermitian(6, rng, traceless=True)
+        grid = otoc(spec, 0.9, self.T, a, b)
+        assert grid.shape == self.T.shape
+        assert np.array_equal(grid, [otoc(spec, 0.9, t, a, b) for t in self.T])
+        assert np.array_equal(
+            otoc_noiseless(spec, self.T, a, b),
+            [otoc_noiseless(spec, t, a, b) for t in self.T],
+        )
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            f_coefficients(5, 1.0, np.array([0.0, -1e-3]))

@@ -214,3 +214,35 @@ class TestTransferReturn:
         v = return_probability(spec4, 0.9, [p1, p2], T_GRID).values
         assert abs(v[0] - 1.0) < 1e-12
         assert np.all(np.isreal(v)) and np.all(v >= -1e-12) and np.all(v <= 1 + 1e-12)
+
+
+class TestGridContraction:
+    # Every point of a grid from t = 0 to a late time against the channel
+    # built and contracted at that point alone.
+    GRID = np.array([0.0, 0.1, 0.7, 1.3, 2.9, 6.0, 15.0, 40.0])
+
+    @pytest.mark.parametrize("d", [4, 6])
+    @pytest.mark.parametrize(
+        "sff, build", [(sff_gue_const, u1_gue_const), (sff_goe_const, u1_goe_const)]
+    )
+    def test_sff_every_point(self, d, sff, build):
+        spec = sample_gue_spectrum(d, np.random.default_rng(d))
+        values = sff(spec, 0.8, self.GRID).values
+        per_point = [sff_from_channel(build(spec, 0.8, t)) for t in self.GRID]
+        assert np.max(np.abs(values - per_point)) < 1e-12
+
+    @pytest.mark.parametrize("d", [4, 6])
+    @pytest.mark.parametrize(
+        "two_point, build",
+        [(two_point_gue_const, u1_gue_const), (two_point_goe_const, u1_goe_const)],
+    )
+    def test_two_point_every_point(self, d, two_point, build):
+        rng = np.random.default_rng(10 + d)
+        spec = sample_gue_spectrum(d, rng)
+        o = random_hermitian(d, rng)
+        values = two_point(spec, 0.8, o, self.GRID).values
+        per_point = [
+            np.trace(o.conj().T @ apply_channel(build(spec, 0.8, t), o)) / d
+            for t in self.GRID
+        ]
+        assert np.max(np.abs(values - per_point)) < 1e-12

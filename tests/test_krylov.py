@@ -120,3 +120,27 @@ class TestSignedNoisy:
         a = signed_lanczos_noisy(mu, 0.0, 1.0, 10).b_signed
         b = lanczos_from_moments(mu, 10).b_signed
         assert np.array_equal(a, b)
+
+
+class TestScaleFreeBreakdown:
+    def test_small_scale_is_not_a_breakdown(self):
+        # sech(alpha t) has b_n = n alpha; b_1^2 = 1e-16 is a value, not a
+        # closed Krylov space.
+        res = lanczos_from_moments(sech_moments(10, alpha=1e-8), 10)
+        n = np.arange(1, 11)
+        assert np.max(np.abs(res.b_signed / (n * 1e-8) - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("dps", [30, 60])
+    @pytest.mark.parametrize("s", [1e-8, 1.0, 1e10])
+    def test_finite_spectrum_closes_at_any_scale(self, s, dps):
+        # Levels at +-1.1 s and +-2.3 s: a four-point symmetric measure has
+        # three b_n, and the recursion must stop at level 4 whatever s is.
+        with mpmath.workdps(dps):
+            e1, e2 = mpmath.mpf("1.1") * s, mpmath.mpf("2.3") * s
+            mu = [(e1 ** (2 * k) + e2 ** (2 * k)) / 2 for k in range(9)]
+        with pytest.raises(LanczosBreakdownError) as info:
+            lanczos_from_moments(mu, 8, dps=dps)
+        assert info.value.level == 4
+        head = lanczos_from_moments(mu, 3, dps=dps).b_signed / s
+        assert np.all(head > 0.0)
+        assert abs(head[0] - np.sqrt((1.1**2 + 2.3**2) / 2)) < 1e-12

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from noisychaos import (
+    Ensemble,
+    GibbsProfile,
+    MatrixProfile,
+    NoiseModel,
     Spectrum,
     TrajectoryConfig,
+    apply_channel,
     estimate_observables,
     estimate_otoc,
     estimate_sff,
@@ -18,6 +23,7 @@ from noisychaos import (
     otoc_noiseless,
     otoc_observable,
     sample_gue_spectrum,
+    sff_from_channel,
     sff_goe_const,
     sff_gue_const,
     sff_observable,
@@ -26,6 +32,8 @@ from noisychaos import (
     transfer_probability,
     two_point_gue_const,
     two_point_observable,
+    u1_goe_general,
+    u1_gue_general,
 )
 from noisychaos import montecarlo
 from noisychaos.montecarlo import NOISE_BUDGET_BYTES, chunk_bounds, validate_step
@@ -115,6 +123,40 @@ class TestEstimators:
         closed = transfer_probability(spec4, model, 0, 1, T_GRID).values
         resid = np.abs(est.values - closed)[1:]
         assert np.all(resid < 3.0 * est.stderr[1:] + 5e-3)
+
+
+class TestGeneralProfiles:
+    # The general-lambda channels against the oracle: SFF and transfer
+    # probability contracted from U1 at each time point.  The profiles are
+    # far from flat: the constant channel of the same mean rate misses the
+    # transfer estimates by 4-16 sigma.
+    T = np.array([0.25, 0.5, 0.75, 1.0])
+    LAMBDA = np.array([
+        [0.1, 1.2, 0.0, 0.3],
+        [1.2, 0.1, 0.05, 0.0],
+        [0.0, 0.05, 0.6, 0.2],
+        [0.3, 0.0, 0.2, 0.1],
+    ])
+
+    @pytest.mark.parametrize("ensemble, build", [
+        (Ensemble.GUE, u1_gue_general), (Ensemble.GOE, u1_goe_general),
+    ])
+    @pytest.mark.parametrize("kind", ["gibbs", "matrix"])
+    def test_sff_and_transfer_match_channel(self, spec4, ensemble, build, kind):
+        profile = GibbsProfile(2.0, 1.0, spec4) if kind == "gibbs" else MatrixProfile(self.LAMBDA)
+        model = NoiseModel(ensemble, profile, 4)
+        run = estimate_observables(spec4, model, small_cfg(), self.T, {
+            "sff": sff_observable(), "transfer": transfer_observable(0, 1),
+        })
+        channels = [build(spec4, model, t) for t in self.T]
+        start = np.diag([1.0, 0.0, 0.0, 0.0])
+        exact = {
+            "sff": [sff_from_channel(ch) for ch in channels],
+            "transfer": [apply_channel(ch, start)[1, 1].real for ch in channels],
+        }
+        for key, values in exact.items():
+            series = run.series[key]
+            assert np.all(np.abs(series.values - values) <= 4.0 * series.stderr), key
 
 
 class TestReproducibility:
