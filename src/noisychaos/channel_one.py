@@ -191,21 +191,29 @@ def goe_params(spec: Spectrum, model: NoiseModel) -> GoeClosedFormParams:
     lam = model.lambda_matrix()
     j_row = lam.sum(axis=1)
     ld = np.diag(lam)
-    w = -1j * spec.gaps() - 0.25 * (
-        j_row[:, None] + j_row[None, :] + ld[:, None] + ld[None, :]
-    )
+    # In place where a buffer is free: 5 D x D complex outputs and at most
+    # 2 more grids alive at once.
+    w = -1j * spec.gaps()
+    w -= 0.25 * (j_row[:, None] + j_row[None, :] + ld[:, None] + ld[None, :])
     diff = w - w.T
-    root = np.sqrt(diff**2 + lam.astype(complex) ** 2)
+    w += w.T  # numpy buffers the overlapping operand
+    root = np.square(diff)
+    root += np.square(lam.astype(complex))
+    np.sqrt(root, out=root)
     # lambda_ii > 0 guarantees a nonzero root on the diagonal; off-diagonal
     # zeros can only occur for degenerate levels with lambda_ij = 0, where
     # g = 0/0 is taken as 0 (the exchange term carries weight lambda_ij).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(root != 0.0, lam / np.where(root != 0.0, root, 1.0), 0.0)
-        ratio = np.where(root != 0.0, diff / np.where(root != 0.0, root, 1.0), 0.0)
+    nonzero = root != 0.0
+    g = np.zeros_like(root)
+    np.divide(lam, root, out=g, where=nonzero)
+    ratio = np.divide(diff, root, out=diff, where=nonzero)
+    ratio[~nonzero] = 0.0
     c_plus = 1.0 + ratio
-    c_minus = 1.0 - ratio
-    z_plus = 0.5 * ((w + w.T) + root)
-    z_minus = 0.5 * ((w + w.T) - root)
+    c_minus = np.subtract(1.0, ratio, out=ratio)
+    z_plus = w + root
+    z_plus *= 0.5
+    w -= root
+    z_minus = np.multiply(w, 0.5, out=w)
     return GoeClosedFormParams(g, c_plus, c_minus, z_plus, z_minus)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import krylov
 from .channel_two import otoc as otoc_closed
-from .channel_two import sff_squared_mean
+from .channel_two import sff_squared_mean, sff_variance
 # The estimate_* names are not called here; they stay bound because
 # bench/tracer.py wraps them where it expects the cli to look them up.
 from .montecarlo import (  # noqa: F401
@@ -227,11 +227,14 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
                 summary["files"] += _write(series, out, f"return_J{j:g}", formats)
         elif experiment == "sff_variance_scan":
             for j in j_list:
-                series = diag.DiagnosticSeries(
-                    f"sff_squared_J{j:g}", t, sff_squared_mean(spectra[0], j, t),
-                    metadata={"config_hash": chash, "dim": dim, "J": j},
-                )
-                summary["files"] += _write(series, out, f"sff_squared_J{j:g}", formats)
+                moments = sff_variance(spectra[0], j, t)
+                for stem, values in (("sff_squared", moments.second_moment),
+                                     ("sff_variance", moments.variance)):
+                    series = diag.DiagnosticSeries(
+                        f"{stem}_J{j:g}", t, values,
+                        metadata={"config_hash": chash, "dim": dim, "J": j},
+                    )
+                    summary["files"] += _write(series, out, f"{stem}_J{j:g}", formats)
         elif experiment == "oracle_compare":
             _run_oracle_compare(
                 config, spectra[0], ensemble, j_list, t, out, formats,
@@ -256,16 +259,16 @@ def _run_lanczos(config, j_list, out, formats, summary):
     lz = config.get("lanczos", {})
     alpha = float(lz.get("alpha", 1.0))
     n_max = int(lz.get("n_max", 30))
-    dps = int(lz.get("dps", 120))
     ratio = float(lz.get("trace_ratio", 1.0))
-    mu = krylov.sech_moments(n_max, alpha=alpha, dps=dps)
+    # The recursion is exact, so it meets any precision a config asks for.
+    mu = krylov.sech_moments(n_max, alpha=alpha)
     chash = config_hash(config)
     for j in j_list:
-        result = krylov.signed_lanczos_noisy(mu, j, ratio, n_max, dps=dps)
+        result = krylov.signed_lanczos_noisy(mu, j, ratio, n_max)
         n = np.arange(1, n_max + 1, dtype=float)
         series = diag.DiagnosticSeries(
             f"signed_bn_J{j:g}", n, result.b_signed,
-            metadata={"config_hash": chash, "J": j, "alpha": alpha, "dps": dps},
+            metadata={"config_hash": chash, "J": j, "alpha": alpha},
         )
         summary["files"] += _write(series, out, f"lanczos_J{j:g}", formats)
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from noisychaos import sff_variance
 from noisychaos.cli import ConfigError, config_hash, main, run, time_grid
 
 
@@ -80,7 +81,26 @@ class TestRunExperiments:
         }
         run(cfg, out_dir=tmp_path)
         doc = json.loads((tmp_path / "lanczos_J0.json").read_text())
-        assert np.allclose(doc["values_re"], np.arange(1, 13), atol=1e-6)
+        # The recursion is exact: lanczos.dps is accepted and has no effect.
+        assert doc["values_re"] == list(range(1, 13))
+        assert "dps" not in doc["metadata"]
+
+    def test_sff_variance_scan(self, tmp_path, spec5):
+        spec_path = tmp_path / "spec.json"
+        spec5.save(spec_path)
+        cfg = {
+            "experiment": "sff_variance_scan",
+            "spectrum": {"file": str(spec_path)},
+            "t_grid": {"t_min": 0.0, "t_max": 4.0, "n_points": 9},
+            "J_list": [0.5],
+        }
+        run(cfg, out_dir=tmp_path / "out")
+        moments = sff_variance(spec5, 0.5, np.linspace(0.0, 4.0, 9))
+        for stem, expected in (("sff_squared", moments.second_moment),
+                               ("sff_variance", moments.variance)):
+            doc = json.loads((tmp_path / "out" / f"{stem}_J0.5.json").read_text())
+            assert doc["values_re"] == list(expected)
+            assert doc["values_im"] == [0.0] * 9
 
     def test_spectrum_from_file(self, tmp_path, spec5):
         spec_path = tmp_path / "spec.json"

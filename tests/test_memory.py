@@ -2,8 +2,9 @@
 
 Each function takes a whole 400-point time grid at D = 128, and its traced
 peak, in D x D complex grids, must stay near what one time point needs.
-One point of a GOE form needs 10-12 such grids, most of them goe_params';
-the (T, D) phase matrices of the GUE forms take T/D ~ 3 grids each.  A
+A GOE form peaks at 11-12.5 such grids while it folds its weights onto
+goe_params' five output grids, which goe_params itself builds within 8; the
+(T, D) phase matrices of the GUE forms take T/D ~ 3 grids each.  A
 (T, D, D) stack over the grid would take 400.
 """
 
@@ -14,6 +15,7 @@ import pytest
 
 from noisychaos import (
     f_coefficients,
+    goe_constant,
     otoc,
     return_probability,
     sample_gue_spectrum,
@@ -25,11 +27,13 @@ from noisychaos import (
     two_point_gue_const,
     two_point_noiseless,
 )
+from noisychaos.channel_one import goe_params
 
 from conftest import random_hermitian
 
 D, T = 128, 400
 BOUND = 16  # D x D complex grids
+GOE_PARAMS_BOUND = 8  # its five outputs and the temporaries of its arithmetic
 
 GRID_FUNCTIONS = {
     "sff_gue_const": lambda s, o, a, b, t: sff_gue_const(s, 0.5, t),
@@ -57,12 +61,21 @@ def inputs():
     return spec, o, a, b, np.linspace(0.0, 20.0, T)
 
 
-@pytest.mark.parametrize("name", GRID_FUNCTIONS)
-def test_grid_peak_stays_near_one_point(inputs, name):
+def traced_peak_grids(fn, *args) -> float:
     tracemalloc.start()
     try:
-        GRID_FUNCTIONS[name](*inputs)
-        grids = tracemalloc.get_traced_memory()[1] / (D * D * 16)
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / (D * D * 16)
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", GRID_FUNCTIONS)
+def test_grid_peak_stays_near_one_point(inputs, name):
+    grids = traced_peak_grids(GRID_FUNCTIONS[name], *inputs)
     assert grids <= BOUND, f"{name} peaked at {grids:.1f} D x D grids"
+
+
+def test_goe_params_works_in_place(inputs):
+    grids = traced_peak_grids(goe_params, inputs[0], goe_constant(0.5, D))
+    assert grids <= GOE_PARAMS_BOUND, f"goe_params peaked at {grids:.1f} D x D grids"

@@ -6,11 +6,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_does_not_load_scipy():
-    # A fresh interpreter: the test session itself may have scipy loaded.
+def loaded_modules(package: str) -> str:
+    """``package`` and its submodules loaded by ``import noisychaos`` in a
+    fresh interpreter; the test session itself may have them loaded."""
     code = (
         "import sys, noisychaos; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(sorted(m for m in sys.modules if m == {package!r} "
+        f"or m.startswith({package + '.'!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -19,4 +21,12 @@ def test_import_does_not_load_scipy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    assert loaded_modules("scipy") == "[]"
+
+
+def test_import_does_not_load_mpmath():
+    assert loaded_modules("mpmath") == "[]"
