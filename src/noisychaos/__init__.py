@@ -86,7 +86,6 @@ from .noise import (
     goe_constant,
     gue_constant,
     model_from_config,
-    sample_noise_matrix,
     sample_noise_sequence,
 )
 from .spectra import (

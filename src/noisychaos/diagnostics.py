@@ -95,24 +95,34 @@ def _goe_contract(spec: Spectrum, J: float, wa, wg: np.ndarray, t: np.ndarray) -
 
     The weights fold onto the exponentials, b+- = (wa c+- +- wg g)/2 on
     e^{z+- t}.  z+- are symmetric, so each exponent is taken once from the
-    upper triangle with the weights of (i, j) and (j, i).  The channel is
-    dropped once folded and t runs in blocks of ~4 D x D exponentials.
+    upper triangle with the weights of (i, j) and (j, i).  The weights fold
+    in place, the channel is dropped once folded and t runs in blocks of
+    ~4 D x D exponentials in one reused buffer.
     """
     d = spec.dim
     params = goe_params(spec, goe_constant(J, d))
     up = np.triu_indices(d)
-
-    def fold(c, sign):
-        x = 0.5 * (wa * c + sign * wg * params.g)
-        return (x + np.tril(x, -1).T)[up]
-
     z = np.concatenate([params.z_plus[up], params.z_minus[up]])
-    b = np.concatenate([fold(params.c_plus, 1.0), fold(params.c_minus, -1.0)])
+    g, c_plus, c_minus = params.g, params.c_plus, params.c_minus
     del params
+    # In place on the parameter grids: g <- wg g, c+- <- (wa c+- +- g)/2
+    # plus the transpose of its strict lower triangle.
+    g *= wg
+    c_plus *= wa
+    c_plus += g
+    c_minus *= wa
+    c_minus -= g
+    del g
+    for c in (c_plus, c_minus):
+        c *= 0.5
+        c += np.tril(c, -1).T
+    b = np.concatenate([c_plus[up], c_minus[up]])
+    del c_plus, c_minus
     rows = max(1, 4 * d * d // z.size)
+    block = np.empty((rows, z.size), dtype=complex)
     out = np.empty(t.size, dtype=complex)
     for k in range(0, t.size, rows):
-        e = np.multiply.outer(t[k:k + rows], z)
+        e = np.multiply.outer(t[k:k + rows], z, out=block[:t.size - k])
         out[k:k + rows] = np.exp(e, out=e) @ b
     return out
 

@@ -1,8 +1,8 @@
 """Stochastic-trajectory oracle for the averaged channels.
 
-Each trajectory evolves U(t_{n+1}) = exp(-i (H0 + eta_n) dt) U(t_n) with an
-exact (eigendecomposition) Hermitian exponential, eta_n drawn from the
-regularized noise model.  One simulation feeds every requested observable:
+Each trajectory evolves U(t_{n+1}) = exp(-i (H0 + eta_n) dt) U(t_n) with the
+Hermitian exponential taken by Pade 7, scaling and squaring, eta_n drawn from
+the regularized noise model.  One simulation feeds every requested observable:
 ``estimate_observables`` records U on the time grid once per chunk of
 trajectories and reduces each observable from those same unitaries; the
 ``estimate_*`` functions are that path with a single observable.
@@ -22,12 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticSeries, _meta
-from .noise import NoiseModel, sample_noise_sequence
+from .noise import NoiseModel, noise_dtype, sample_noise_sequence
 from .spectra import Spectrum
 
 
-# Noise bytes (complex128 slices) that the chunks running at once may hold.
+# Noise bytes (counted as complex128 slices) that the chunks running at once
+# may hold.
 NOISE_BUDGET_BYTES = 64e6
+
+# Higham's bound on |X|_1 within which the [7/7] Pade approximant of exp is
+# accurate to double precision, and its coefficients b_0 .. b_7.
+THETA_7 = 0.9504178996162932
+PADE_7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)
 
 
 class UnitarityError(RuntimeError):
@@ -42,7 +48,6 @@ class TrajectoryConfig:
     t_max: float
     n_traj: int
     seed: int
-    scheme: str = "exp_step"
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -51,8 +56,6 @@ class TrajectoryConfig:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be positive, got {self.n_traj}")
-        if self.scheme != "exp_step":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @property
     def n_steps(self) -> int:
@@ -80,6 +83,35 @@ def trajectory_generators(seed: int, n_traj: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
+def expm_hermitian_step(x: np.ndarray) -> np.ndarray:
+    """exp(-iX) for a batch (..., D, D) of Hermitian or real symmetric X.
+
+    With Y = X^2 the [7/7] Pade approximant of exp(-iX) is
+    (Q + iW)^-1 (Q - iW), W = X (b1 - b3 Y + b5 Y^2 - b7 Y^3) and
+    Q = b0 - b2 Y + b4 Y^2 - b6 Y^3, exactly unitary in exact arithmetic
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  Each X is scaled
+    by its own 2^-s into |X|_1 <= THETA_7 and its result squared s times,
+    so a matrix's result does not depend on its batch-mates.  For real X
+    only the solve is complex.
+    """
+    b = PADE_7
+    norm = np.abs(x).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm / THETA_7, 1.0))).astype(int)
+    if s.any():
+        x = x * np.exp2(-s)[..., None, None]
+    eye = np.eye(x.shape[-1])
+    y1 = x @ x
+    y2 = y1 @ y1
+    y3 = y1 @ y2
+    w = x @ (b[1] * eye - b[3] * y1 + b[5] * y2 - b[7] * y3)
+    q = b[0] * eye - b[2] * y1 + b[4] * y2 - b[6] * y3
+    r = np.linalg.solve(q + 1j * w, q - 1j * w)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r
+
+
 def _evolve_recorded(
     energies: np.ndarray,
     model: NoiseModel,
@@ -91,27 +123,26 @@ def _evolve_recorded(
     """Evolve a batch of trajectories, returning U at the recorded step
     indices with shape (n_batch, n_record, D, D) and the batch's largest
     unitarity drift max |U+U - 1| at the last step.  The noise is drawn into
-    ``eta`` (at least n_batch x n_steps x D x D, overwritten) when given."""
+    ``eta`` (at least n_batch x n_steps x D x D of ``noise_dtype(model)``,
+    overwritten) when given."""
     d = energies.size
     n_steps = int(record_steps.max())
     batch = len(gens)
     if eta is None:
-        eta = np.empty((batch, n_steps, d, d), dtype=complex)
-    eta = eta[:batch]
+        eta = np.empty((batch, n_steps, d, d), dtype=noise_dtype(model))
+    eta = eta[:batch, :n_steps]
     for b, gen in enumerate(gens):
-        eta[b] = sample_noise_sequence(model, dt, n_steps, gen)
+        sample_noise_sequence(model, dt, n_steps, gen, out=eta[b])
     u = np.broadcast_to(np.eye(d, dtype=complex), (batch, d, d)).copy()
     out = np.empty((batch, record_steps.size, d, d), dtype=complex)
     rec = {step: k for k, step in enumerate(record_steps)}
     if 0 in rec:
         out[:, rec[0]] = u
-    h0 = np.diag(energies.astype(complex))
+    h0 = np.diag(energies)
     for n in range(1, n_steps + 1):
-        h = h0 + eta[:, n - 1]
-        evals, evecs = np.linalg.eigh(h)
-        phases = np.exp(-1j * evals * dt)
-        step_op = (evecs * phases[:, None, :]) @ evecs.conj().transpose(0, 2, 1)
-        u = step_op @ u
+        x = h0 + eta[:, n - 1]
+        x *= dt
+        u = expm_hermitian_step(x) @ u
         if n in rec:
             out[:, rec[n]] = u
     drift = float(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)).max())
@@ -280,7 +311,7 @@ def estimate_observables(
     largest = max(hi - lo for lo, hi in bounds)
     buffers = queue.SimpleQueue()
     for _ in range(min(threads, len(bounds))):
-        buffers.put(np.empty((largest, n_steps, spec.dim, spec.dim), dtype=complex))
+        buffers.put(np.empty((largest, n_steps, spec.dim, spec.dim), dtype=noise_dtype(model)))
 
     def run_chunk(bound: tuple[int, int]) -> float:
         lo, hi = bound

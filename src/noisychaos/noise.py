@@ -134,13 +134,17 @@ def goe_constant(J: float, dim: int) -> NoiseModel:
     return NoiseModel(Ensemble.GOE, ConstantOverD(J), dim)
 
 
-def row_sums(model: NoiseModel) -> np.ndarray:
-    """J_i = sum_k lambda_ik."""
-    return model.lambda_matrix().sum(axis=1)
+def noise_dtype(model: NoiseModel) -> type:
+    """Noise slices are complex for GUE and real for GOE."""
+    return complex if model.ensemble is Ensemble.GUE else float
 
 
 def sample_noise_sequence(
-    model: NoiseModel, dt: float, n_steps: int, rng: np.random.Generator
+    model: NoiseModel,
+    dt: float,
+    n_steps: int,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """n_steps independent time slices of the regularized noise matrix.
 
@@ -149,32 +153,30 @@ def sample_noise_sequence(
     off-diagonal GUE entries have independent real/imaginary parts of
     variance lambda_ij/(2 dt), GOE off-diagonals have variance
     lambda_ij/(2 dt), diagonals have variance lambda_ii/dt in both cases.
+
+    The slices are written into ``out`` (n_steps x D x D of
+    ``noise_dtype(model)``) when it is given, else into a new array.  The
+    stream is one full D x D normal draw x for all slices, then y for GUE;
+    an entry above the diagonal is sigma_ij (x + i y)_ij, the diagonal
+    sigma_ii x_ii.
     """
     if dt <= 0.0:
         raise InvalidStepError(f"dt must be positive, got {dt}")
     d = model.dim
     lam = model.lambda_matrix()
-    sig_off = np.sqrt(lam / (2.0 * dt))
+    sig_up = np.triu(np.sqrt(lam / (2.0 * dt)), k=1)
     sig_diag = np.sqrt(np.diag(lam) / dt)
-    upper = np.triu(np.ones((d, d), dtype=bool), k=1)
+    if out is None:
+        out = np.empty((n_steps, d, d), dtype=noise_dtype(model))
 
     x = rng.standard_normal((n_steps, d, d))
     if model.ensemble is Ensemble.GUE:
-        y = rng.standard_normal((n_steps, d, d))
-        eta = np.zeros((n_steps, d, d), dtype=complex)
-        up = np.where(upper, sig_off * (x + 1j * y), 0.0)
-        eta += up + up.conj().transpose(0, 2, 1)
+        np.multiply(x, sig_up, out=out.real)
+        np.multiply(rng.standard_normal((n_steps, d, d)), sig_up, out=out.imag)
+        out += out.conj().transpose(0, 2, 1)
     else:
-        eta = np.zeros((n_steps, d, d), dtype=float)
-        up = np.where(upper, sig_off * x, 0.0)
-        eta += up + up.transpose(0, 2, 1)
+        np.multiply(x, sig_up, out=out)
+        out += out.transpose(0, 2, 1)
     idx = np.arange(d)
-    eta[:, idx, idx] = sig_diag * x[:, idx, idx]
-    return eta
-
-
-def sample_noise_matrix(
-    model: NoiseModel, dt: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One regularized noise time slice; see :func:`sample_noise_sequence`."""
-    return sample_noise_sequence(model, dt, 1, rng)[0]
+    out[:, idx, idx] = sig_diag * x[:, idx, idx]
+    return out

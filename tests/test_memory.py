@@ -2,10 +2,11 @@
 
 Each function takes a whole 400-point time grid at D = 128, and its traced
 peak, in D x D complex grids, must stay near what one time point needs.
-A GOE form peaks at 11-12.5 such grids while it folds its weights onto
-goe_params' five output grids, which goe_params itself builds within 8; the
-(T, D) phase matrices of the GUE forms take T/D ~ 3 grids each.  A
-(T, D, D) stack over the grid would take 400.
+A GOE form peaks at 8-9.5 such grids while it takes the exponents' upper
+triangles next to goe_params' five output grids, which goe_params itself
+builds within 8, and folds its weights into those grids in place; the (T, D)
+phase matrices of the GUE forms take T/D ~ 3 grids each.  A (T, D, D) stack
+over the grid would take 400.
 """
 
 import tracemalloc
@@ -34,6 +35,9 @@ from conftest import random_hermitian
 D, T = 128, 400
 BOUND = 16  # D x D complex grids
 GOE_PARAMS_BOUND = 8  # its five outputs and the temporaries of its arithmetic
+# The GOE forms hold goe_params' five grids, the exponents' upper triangles
+# and the caller's weights; their weights fold in place.
+GOE_BOUNDS = {"sff_goe_const": 10, "two_point_goe_const": 11.5}
 
 GRID_FUNCTIONS = {
     "sff_gue_const": lambda s, o, a, b, t: sff_gue_const(s, 0.5, t),
@@ -73,7 +77,7 @@ def traced_peak_grids(fn, *args) -> float:
 @pytest.mark.parametrize("name", GRID_FUNCTIONS)
 def test_grid_peak_stays_near_one_point(inputs, name):
     grids = traced_peak_grids(GRID_FUNCTIONS[name], *inputs)
-    assert grids <= BOUND, f"{name} peaked at {grids:.1f} D x D grids"
+    assert grids <= GOE_BOUNDS.get(name, BOUND), f"{name} peaked at {grids:.1f} D x D grids"
 
 
 def test_goe_params_works_in_place(inputs):

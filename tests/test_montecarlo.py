@@ -36,7 +36,13 @@ from noisychaos import (
     u1_gue_general,
 )
 from noisychaos import montecarlo
-from noisychaos.montecarlo import NOISE_BUDGET_BYTES, chunk_bounds, validate_step
+from noisychaos.montecarlo import (
+    NOISE_BUDGET_BYTES,
+    THETA_7,
+    chunk_bounds,
+    expm_hermitian_step,
+    validate_step,
+)
 
 from conftest import random_hermitian
 
@@ -77,6 +83,78 @@ class TestTrajectory:
                                np.random.default_rng(3))
         for u in us[:: len(us) // 5]:
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-10
+
+
+def eigh_exp(x):
+    """exp(-iX) of a Hermitian batch from its eigendecomposition."""
+    evals, evecs = np.linalg.eigh(x)
+    return (evecs * np.exp(-1j * evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+
+
+def hermitian_batch(rng, n, d, real, norms):
+    """n random Hermitian (real symmetric if ``real``) D x D matrices with
+    the given 1-norms."""
+    x = rng.standard_normal((n, d, d))
+    if not real:
+        x = x + 1j * rng.standard_normal((n, d, d))
+    x = x + x.conj().swapaxes(-1, -2)
+    return x * (np.asarray(norms) / np.abs(x).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+class TestPadeStep:
+    NORMS = np.geomspace(0.01, 20.0, 24)
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    def test_matches_eigh_and_unitary(self, real, d):
+        # |X|_1 up to 20 = 2^4.4 THETA_7 squares up to 5 times.
+        x = hermitian_batch(np.random.default_rng(d), self.NORMS.size, d, real, self.NORMS)
+        assert np.ceil(np.log2(self.NORMS.max() / THETA_7)) == 5
+        r = expm_hermitian_step(x)
+        assert r.dtype == complex
+        assert np.abs(r - eigh_exp(x)).max() <= 1e-13
+        assert np.abs(r.conj().swapaxes(-1, -2) @ r - np.eye(d)).max() <= 1e-13
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_scaling_is_per_matrix(self, real):
+        # Each matrix's bits are its own, whatever its batch-mates' norms.
+        x = hermitian_batch(np.random.default_rng(5), 4, 6, real, [0.02, 0.5, 1.5, 20.0])
+        batch = expm_hermitian_step(x)
+        for k in range(4):
+            alone = expm_hermitian_step(x[k:k + 1])
+            assert np.array_equal(batch[k], alone[0])
+            for big in (x[3:], x[2:3]):
+                mixed = expm_hermitian_step(np.concatenate([x[k:k + 1], big]))
+                assert np.array_equal(mixed[0], alone[0])
+
+    @pytest.mark.parametrize("make", [gue_constant, goe_constant])
+    def test_trajectory_matches_eigh_steps(self, spec4, make):
+        # The same noise stream stepped by eigendecompositions.
+        model = make(1.0, 4)
+        cfg = TrajectoryConfig(dt=0.01, t_max=0.3, n_traj=1, seed=0)
+        us = evolve_trajectory(spec4, model, cfg, np.random.default_rng(21))
+        eta = montecarlo.sample_noise_sequence(model, cfg.dt, cfg.n_steps, np.random.default_rng(21))
+        u = np.eye(4, dtype=complex)
+        for n in range(cfg.n_steps):
+            u = eigh_exp(cfg.dt * (np.diag(spec4.energies) + eta[n])) @ u
+            assert np.abs(us[n + 1] - u).max() <= 1e-13
+
+    @pytest.mark.parametrize("make, dtype", [(gue_constant, complex), (goe_constant, float)])
+    def test_noise_buffers_follow_ensemble(self, spec4, monkeypatch, make, dtype):
+        # GOE noise is real from the draw to the step: the lent buffers are
+        # float64, half the bytes of complex ones.
+        seen = []
+        sample = montecarlo.sample_noise_sequence
+
+        def recording(model, dt, n_steps, rng, out=None):
+            seen.append(out.dtype)
+            return sample(model, dt, n_steps, rng, out=out)
+
+        monkeypatch.setattr(montecarlo, "sample_noise_sequence", recording)
+        run = estimate_observables(spec4, make(1.0, 4), small_cfg(6), T_GRID,
+                                   {"sff": sff_observable()}, threads=2)
+        assert seen == [np.dtype(dtype)] * 6
+        assert 0.0 < run.max_drift <= 1e-8
 
 
 class TestEstimators:

@@ -11,10 +11,31 @@ from noisychaos import (
     goe_constant,
     gue_constant,
     model_from_config,
-    sample_noise_matrix,
     sample_noise_sequence,
 )
-from noisychaos.noise import row_sums
+
+
+def reference_noise_sequence(model, dt, n_steps, rng):
+    """The noise stream as first written: full D x D draws x (then y for
+    GUE), masked to the upper triangle, mirrored, the diagonal from x."""
+    d = model.dim
+    lam = model.lambda_matrix()
+    sig_off = np.sqrt(lam / (2.0 * dt))
+    sig_diag = np.sqrt(np.diag(lam) / dt)
+    upper = np.triu(np.ones((d, d), dtype=bool), k=1)
+    x = rng.standard_normal((n_steps, d, d))
+    if model.ensemble is Ensemble.GUE:
+        y = rng.standard_normal((n_steps, d, d))
+        eta = np.zeros((n_steps, d, d), dtype=complex)
+        up = np.where(upper, sig_off * (x + 1j * y), 0.0)
+        eta += up + up.conj().transpose(0, 2, 1)
+    else:
+        eta = np.zeros((n_steps, d, d), dtype=float)
+        up = np.where(upper, sig_off * x, 0.0)
+        eta += up + up.transpose(0, 2, 1)
+    idx = np.arange(d)
+    eta[:, idx, idx] = sig_diag * x[:, idx, idx]
+    return eta
 
 
 class TestProfiles:
@@ -23,17 +44,17 @@ class TestProfiles:
         assert np.array_equal(lam, np.full((4, 4), 0.25))
 
     def test_row_sums_constant(self):
-        assert np.array_equal(row_sums(gue_constant(1.0, 4)), np.ones(4))
+        assert np.array_equal(gue_constant(1.0, 4).lambda_matrix().sum(axis=1), np.ones(4))
 
     def test_row_sums_matrix(self):
         model = NoiseModel(Ensemble.GUE, MatrixProfile(0.3 * np.eye(3)), 3)
-        assert np.allclose(row_sums(model), 0.3)
+        assert np.allclose(model.lambda_matrix().sum(axis=1), 0.3)
 
     def test_gibbs_beta_zero_is_constant(self, spec4):
         gibbs = GibbsProfile(J=1.0, beta=0.0, spectrum=spec4)
         assert np.array_equal(gibbs.matrix(4), ConstantOverD(1.0).matrix(4))
         model = NoiseModel(Ensemble.GUE, gibbs, 4)
-        assert np.array_equal(row_sums(model), np.ones(4))
+        assert np.array_equal(model.lambda_matrix().sum(axis=1), np.ones(4))
 
     def test_gibbs_decay(self, spec4):
         lam = GibbsProfile(J=1.0, beta=2.0, spectrum=spec4).matrix(4)
@@ -76,16 +97,16 @@ class TestConfig:
 class TestSampling:
     def test_invalid_step(self):
         with pytest.raises(InvalidStepError):
-            sample_noise_matrix(gue_constant(1.0, 2), 0.0, np.random.default_rng(0))
+            sample_noise_sequence(gue_constant(1.0, 2), 0.0, 1, np.random.default_rng(0))
 
     def test_zero_noise_is_zero(self):
-        eta = sample_noise_matrix(gue_constant(0.0, 3), 0.01, np.random.default_rng(0))
+        eta = sample_noise_sequence(gue_constant(0.0, 3), 0.01, 1, np.random.default_rng(0))[0]
         assert np.array_equal(eta, np.zeros((3, 3)))
 
     def test_gue_hermitian_goe_symmetric(self, rng):
-        eta = sample_noise_matrix(gue_constant(1.0, 4), 0.01, rng)
+        eta = sample_noise_sequence(gue_constant(1.0, 4), 0.01, 1, rng)[0]
         assert np.array_equal(eta, eta.conj().T)
-        etag = sample_noise_matrix(goe_constant(1.0, 4), 0.01, rng)
+        etag = sample_noise_sequence(goe_constant(1.0, 4), 0.01, 1, rng)[0]
         assert np.isrealobj(etag)
         assert np.array_equal(etag, etag.T)
 
@@ -117,3 +138,30 @@ class TestSampling:
         rng = np.random.default_rng(7)
         eta = sample_noise_sequence(gue_constant(1.0, 3), 0.01, 50_000, rng)
         assert np.max(np.abs(eta.mean(axis=0))) < 0.6  # sigma ~ 10/sqrt(5e4) ~ 0.045*10
+
+
+class TestFrozenStream:
+    # A change to the draws (e.g. drawing only the upper triangle) changes
+    # every Monte Carlo output; it must be made on purpose, here.
+    LAMBDA = np.array([
+        [0.1, 1.2, 0.0, 0.3, 0.2],
+        [1.2, 0.1, 0.05, 0.0, 0.4],
+        [0.0, 0.05, 0.6, 0.2, 0.0],
+        [0.3, 0.0, 0.2, 0.1, 0.7],
+        [0.2, 0.4, 0.0, 0.7, 0.9],
+    ])
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+    @pytest.mark.parametrize("profile", [ConstantOverD(1.3), MatrixProfile(LAMBDA)])
+    def test_stream_matches_reference(self, ensemble, profile):
+        model = NoiseModel(ensemble, profile, 5)
+        expected = reference_noise_sequence(model, 0.01, 30, np.random.default_rng(11))
+        fresh = sample_noise_sequence(model, 0.01, 30, np.random.default_rng(11))
+        assert fresh.dtype == expected.dtype
+        assert np.array_equal(fresh, expected)
+        # into a slice of a larger lent buffer, as the Monte Carlo does
+        buf = np.full((2, 40, 5, 5), np.nan, dtype=expected.dtype)
+        into = sample_noise_sequence(model, 0.01, 30, np.random.default_rng(11), out=buf[1, :30])
+        assert np.shares_memory(into, buf)
+        assert np.array_equal(buf[1, :30], expected)
+        assert np.isnan(buf[0]).all() and np.isnan(buf[1, 30:]).all()
