@@ -10,14 +10,11 @@ against a stochastic-trajectory Monte Carlo oracle.
 """
 
 from .channel_one import (
-    CaseTag,
     ChannelOne,
     GeneratorOne,
     apply_channel,
     apply_generator,
     build_L1,
-    channel_from_json,
-    channel_to_json,
     choi_matrix,
     dense_superoperator,
     u1_goe_const,

@@ -12,21 +12,12 @@ eigendecomposition of that matrix solves at any t.
 
 from __future__ import annotations
 
-import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .noise import Ensemble, NoiseModel
 from .spectra import Spectrum
-
-
-class CaseTag(enum.Enum):
-    GUE_CONST = "gue_const"
-    GUE_GENERAL = "gue_general"
-    GOE_CONST = "goe_const"
-    GOE_GENERAL = "goe_general"
 
 
 @dataclass(frozen=True)
@@ -41,11 +32,9 @@ class ChannelOne:
     """
 
     dim: int
-    case_tag: CaseTag
     coeff_A: np.ndarray
     coeff_B: np.ndarray
     coeff_G: np.ndarray
-    time: float
 
 
 @dataclass(frozen=True)
@@ -128,7 +117,7 @@ def u1_gue_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
     coeff_a = np.exp(w * t)
     coeff_b = np.full((d, d), -np.expm1(-J * t) / d, dtype=complex)
     coeff_g = np.zeros((d, d), dtype=complex)
-    return ChannelOne(d, CaseTag.GUE_CONST, coeff_a, coeff_b, coeff_g, t)
+    return ChannelOne(d, coeff_a, coeff_b, coeff_g)
 
 
 def _forced_linear(p: np.ndarray, f: np.ndarray, nu: np.ndarray, t: float) -> np.ndarray:
@@ -175,7 +164,7 @@ def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     coeff_b = _forced_linear(lam - np.diag(j_row), lam, -j_row, t)
     coeff_a = np.exp(w * t)
     coeff_g = np.zeros((d, d), dtype=complex)
-    return ChannelOne(d, CaseTag.GUE_GENERAL, coeff_a, coeff_b, coeff_g, t)
+    return ChannelOne(d, coeff_a, coeff_b, coeff_g)
 
 
 def goe_params(spec: Spectrum, model: NoiseModel) -> GoeClosedFormParams:
@@ -239,7 +228,7 @@ def u1_goe_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
     params = goe_params(spec, goe_constant(J, d))
     coeff_a, coeff_g = _goe_ag(params, t)
     coeff_b = np.full((d, d), -np.expm1(-J * t / 2.0) / d, dtype=complex)
-    return ChannelOne(d, CaseTag.GOE_CONST, coeff_a, coeff_b, coeff_g, t)
+    return ChannelOne(d, coeff_a, coeff_b, coeff_g)
 
 
 def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
@@ -267,7 +256,7 @@ def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     # C_jj(t) + G_jj(t) = e^{z+_jj t} from the closed forms (c_jj+- = g_jj = 1).
     zp_diag = np.diag(params.z_plus).real
     coeff_b = _forced_linear(0.5 * (lam - np.diag(j_row)), 0.5 * lam, zp_diag, t)
-    return ChannelOne(d, CaseTag.GOE_GENERAL, coeff_a, coeff_b, coeff_g, t)
+    return ChannelOne(d, coeff_a, coeff_b, coeff_g)
 
 
 def apply_channel(ch: ChannelOne, rho: np.ndarray) -> np.ndarray:
@@ -305,36 +294,3 @@ def choi_matrix(ch: ChannelOne, max_dim: int = 8) -> np.ndarray:
     s = dense_superoperator(ch, max_dim).reshape(d, d, d, d)
     return s.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
-
-def channel_to_json(ch: ChannelOne) -> str:
-    """Coefficient grids with interleaved real/imag parts, for diffing."""
-
-    def grid(m):
-        return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-    return json.dumps(
-        {
-            "dim": ch.dim,
-            "case": ch.case_tag.value,
-            "time": ch.time,
-            "coeff_A": grid(ch.coeff_A),
-            "coeff_B": grid(ch.coeff_B),
-            "coeff_G": grid(ch.coeff_G),
-        }
-    )
-
-
-def channel_from_json(text: str) -> ChannelOne:
-    data = json.loads(text)
-
-    def grid(rows):
-        return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-    return ChannelOne(
-        dim=int(data["dim"]),
-        case_tag=CaseTag(data["case"]),
-        coeff_A=grid(data["coeff_A"]),
-        coeff_B=grid(data["coeff_B"]),
-        coeff_G=grid(data["coeff_G"]),
-        time=float(data["time"]),
-    )

@@ -2,6 +2,14 @@
 Carlo pipelines, write series artifacts and a summary with any oracle
 comparisons.
 
+``EXPERIMENTS`` is the only list of experiments.  Each entry holds the
+noise ensembles the experiment computes, whether it averages over
+``spectrum.n_realizations``, and its scan: a generator over ``J_list`` that
+yields ``(file stem, DiagnosticSeries)`` from the ``Inputs`` that ``run``
+parsed once.  ``run`` is the only writer: one loop stamps every series with
+the config hash, writes it in each ``output.formats`` entry and records the
+file names in ``summary.json``.
+
 Exit codes: 0 success, 1 config/IO error or a numerical failure (Lanczos
 breakdown, unitarity drift), 2 oracle-comparison failure.
 """
@@ -13,6 +21,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,27 +47,15 @@ from .montecarlo import (  # noqa: F401
     transfer_observable,
     two_point_observable,
 )
-from .noise import NoiseModel, model_from_config
+from .noise import ConstantOverD, Ensemble, NoiseModel
 from .spectra import Spectrum, sample_goe_spectrum, sample_gue_spectrum
+
+# output.formats entries, in the order each series' files are written.
+FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
-
-
-# experiment -> (noise ensembles it computes, whether it averages over
-# spectrum.n_realizations).  Every experiment but lanczos_scan, which reads
-# neither noise nor spectrum, takes J from J_list with the constant profile.
-EXPERIMENTS = {
-    "sff_scan": (("gue", "goe"), True),
-    "two_point_scan": (("gue", "goe"), True),
-    "lanczos_scan": ((), False),
-    "otoc_scan": (("gue",), True),
-    "transfer_scan": (("gue", "goe"), False),
-    "return_scan": (("gue",), False),
-    "sff_variance_scan": (("gue",), False),
-    "oracle_compare": (("gue", "goe"), False),
-}
 
 
 def _require(config: dict, key: str, where: str):
@@ -69,7 +66,7 @@ def _require(config: dict, key: str, where: str):
 
 def check_supported(experiment: str, config: dict) -> None:
     """Refuse a noise or spectrum setting the experiment would not honour."""
-    ensembles, averages = EXPERIMENTS[experiment]
+    ensembles, averages, _ = EXPERIMENTS[experiment]
     noise = config.get("noise", {})
     ensemble = noise.get("ensemble", "gue")
     if ensemble not in ensembles:
@@ -84,6 +81,8 @@ def check_supported(experiment: str, config: dict) -> None:
             "J comes from J_list with the constant profile"
         )
     n_real = int(config.get("spectrum", {}).get("n_realizations", 1))
+    if n_real < 1:
+        raise ConfigError(f"spectrum.n_realizations={n_real} must be at least 1")
     if n_real > 1 and not averages:
         raise ConfigError(
             f"spectrum.n_realizations={n_real} is not supported by {experiment}, "
@@ -138,139 +137,92 @@ def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray
     return a * np.sqrt(dim / np.trace(a @ a).real)
 
 
-def _write(series: diag.DiagnosticSeries, out_dir: Path, stem: str, formats) -> list[str]:
-    written = []
-    if "csv" in formats:
-        path = out_dir / f"{stem}.csv"
-        series.write_csv(path)
-        written.append(path.name)
-    if "json" in formats:
-        path = out_dir / f"{stem}.json"
-        series.write_json(path)
-        written.append(path.name)
-    return written
+class Inputs(NamedTuple):
+    """A config as ``run`` parsed it, handed to the experiment's scan.
+    lanczos_scan reads neither spectrum nor noise, so it gets only the
+    config, J_list, threads and summary."""
+
+    config: dict
+    j_list: list[float]
+    spectra: list[Spectrum]
+    t: np.ndarray | None
+    ensemble: str | None
+    op_rng: np.random.Generator | None
+    threads: int
+    summary: dict
 
 
-def run(config: dict, out_dir: Path | None = None, threads: int = 1,
-        seed: int | None = None) -> dict:
-    """Execute one experiment config; returns the summary dict."""
-    experiment = str(_require(config, "experiment", "config")).lower()
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config['experiment']!r}")
-    output = config.get("output", {})
-    out = Path(out_dir) if out_dir is not None else Path(output.get("dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    formats = output.get("formats", ["csv", "json"])
-    j_list = [float(j) for j in _require(config, "J_list", "config")]
-    if not j_list:
-        raise ConfigError("J_list must be nonempty")
-    chash = config_hash(config)
+# Scans look up the names bench/tracer.py wraps when they call them: the
+# closed forms on diagnostics, the rest as globals of this module.
 
-    summary: dict = {
-        "experiment": experiment,
-        "config_hash": chash,
-        "files": [],
-        "comparisons": [],
-    }
-
-    if experiment == "lanczos_scan":
-        _run_lanczos(config, j_list, out, formats, summary)
-    else:
-        check_supported(experiment, config)
-        spectra = sample_spectra(_require(config, "spectrum", "config"), seed)
-        dim = spectra[0].dim
-        t = time_grid(_require(config, "t_grid", "config"))
-        noise_cfg = config.get("noise", {"ensemble": "gue", "profile": {"type": "const", "J": 0.0}})
-        ensemble = noise_cfg.get("ensemble", "gue")  # check_supported has validated it
-        op_rng = np.random.default_rng(np.random.SeedSequence(int(config.get("operator_seed", 7))))
-
-        # Closed forms are looked up on diagnostics when called, where
-        # bench/tracer.py wraps them.
-        if experiment == "sff_scan":
-            sff = getattr(diag, f"sff_{ensemble}_const")
-            for j in j_list:
-                stem = f"sff_{ensemble}_J{j:g}"
-                series = _ensemble_mean(spectra, lambda s: sff(s, j, t).values, stem, t, chash)
-                summary["files"] += _write(series, out, stem, formats)
-        elif experiment == "two_point_scan":
-            o = random_traceless_hermitian(dim, op_rng)
-            two_point = getattr(diag, f"two_point_{ensemble}_const")
-            for j in j_list:
-                series = _ensemble_mean(
-                    spectra,
-                    lambda s: two_point(s, j, o, t).values,
-                    f"two_point_J{j:g}", t, chash,
-                )
-                summary["files"] += _write(series, out, f"two_point_J{j:g}", formats)
-        elif experiment == "otoc_scan":
-            a = random_traceless_hermitian(dim, op_rng)
-            b = random_traceless_hermitian(dim, op_rng)
-            for j in j_list:
-                series = _ensemble_mean(
-                    spectra,
-                    lambda s: otoc_closed(s, j, t, a, b),
-                    f"otoc_J{j:g}", t, chash,
-                )
-                summary["files"] += _write(series, out, f"otoc_J{j:g}", formats)
-        elif experiment == "transfer_scan":
-            i = int(config.get("state_i", 0))
-            jj = int(config.get("state_j", min(1, dim - 1)))
-            for j in j_list:
-                model = model_from_config({**noise_cfg, "profile": {"type": "const", "J": j}}, dim)
-                series = diag.transfer_probability(spectra[0], model, i, jj, t)
-                series.metadata["config_hash"] = chash
-                summary["files"] += _write(series, out, f"transfer_J{j:g}", formats)
-        elif experiment == "return_scan":
-            for j in j_list:
-                series = diag.return_probability(spectra[0], j, None, t)
-                series.metadata["config_hash"] = chash
-                summary["files"] += _write(series, out, f"return_J{j:g}", formats)
-        elif experiment == "sff_variance_scan":
-            for j in j_list:
-                moments = sff_variance(spectra[0], j, t)
-                for stem, values in (("sff_squared", moments.second_moment),
-                                     ("sff_variance", moments.variance)):
-                    series = diag.DiagnosticSeries(
-                        f"{stem}_J{j:g}", t, values,
-                        metadata={"config_hash": chash, "dim": dim, "J": j},
-                    )
-                    summary["files"] += _write(series, out, f"{stem}_J{j:g}", formats)
-        elif experiment == "oracle_compare":
-            _run_oracle_compare(
-                config, spectra[0], ensemble, j_list, t, out, formats,
-                chash, threads, summary, op_rng,
-            )
-
-    summary["pass"] = all(c["pass"] for c in summary["comparisons"]) if summary["comparisons"] else True
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-    return summary
-
-
-def _ensemble_mean(spectra, fn, name, t, chash):
-    values = np.mean([fn(s) for s in spectra], axis=0)
-    return diag.DiagnosticSeries(
-        name, t, values,
-        metadata={"config_hash": chash, "n_realizations": len(spectra)},
+def _realization_mean(inp: Inputs, stem: str, values):
+    """(stem, mean of values(spectrum) over the spectrum realizations)."""
+    return stem, diag.DiagnosticSeries(
+        stem, inp.t, np.mean([values(s) for s in inp.spectra], axis=0),
+        metadata={"n_realizations": len(inp.spectra)},
     )
 
 
-def _run_lanczos(config, j_list, out, formats, summary):
-    lz = config.get("lanczos", {})
+def sff_scan(inp: Inputs):
+    sff = getattr(diag, f"sff_{inp.ensemble}_const")
+    for j in inp.j_list:
+        stem = f"sff_{inp.ensemble}_J{j:g}"
+        yield _realization_mean(inp, stem, lambda s: sff(s, j, inp.t).values)
+
+
+def two_point_scan(inp: Inputs):
+    o = random_traceless_hermitian(inp.spectra[0].dim, inp.op_rng)
+    two_point = getattr(diag, f"two_point_{inp.ensemble}_const")
+    for j in inp.j_list:
+        stem = f"two_point_J{j:g}"
+        yield _realization_mean(inp, stem, lambda s: two_point(s, j, o, inp.t).values)
+
+
+def otoc_scan(inp: Inputs):
+    a = random_traceless_hermitian(inp.spectra[0].dim, inp.op_rng)
+    b = random_traceless_hermitian(inp.spectra[0].dim, inp.op_rng)
+    for j in inp.j_list:
+        yield _realization_mean(inp, f"otoc_J{j:g}", lambda s: otoc_closed(s, j, inp.t, a, b))
+
+
+def transfer_scan(inp: Inputs):
+    spec = inp.spectra[0]
+    i = int(inp.config.get("state_i", 0))
+    k = int(inp.config.get("state_j", min(1, spec.dim - 1)))
+    for j in inp.j_list:
+        model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
+        yield f"transfer_J{j:g}", diag.transfer_probability(spec, model, i, k, inp.t)
+
+
+def return_scan(inp: Inputs):
+    for j in inp.j_list:
+        yield f"return_J{j:g}", diag.return_probability(inp.spectra[0], j, None, inp.t)
+
+
+def sff_variance_scan(inp: Inputs):
+    spec = inp.spectra[0]
+    for j in inp.j_list:
+        moments = sff_variance(spec, j, inp.t)
+        for stem, values in (("sff_squared", moments.second_moment),
+                             ("sff_variance", moments.variance)):
+            yield f"{stem}_J{j:g}", diag.DiagnosticSeries(
+                f"{stem}_J{j:g}", inp.t, values, metadata={"dim": spec.dim, "J": j},
+            )
+
+
+def lanczos_scan(inp: Inputs):
+    lz = inp.config.get("lanczos", {})
     alpha = float(lz.get("alpha", 1.0))
     n_max = int(lz.get("n_max", 30))
     ratio = float(lz.get("trace_ratio", 1.0))
     # The recursion is exact, so it meets any precision a config asks for.
     mu = krylov.sech_moments(n_max, alpha=alpha)
-    chash = config_hash(config)
-    for j in j_list:
+    n = np.arange(1, n_max + 1, dtype=float)
+    for j in inp.j_list:
         result = krylov.signed_lanczos_noisy(mu, j, ratio, n_max)
-        n = np.arange(1, n_max + 1, dtype=float)
-        series = diag.DiagnosticSeries(
-            f"signed_bn_J{j:g}", n, result.b_signed,
-            metadata={"config_hash": chash, "J": j, "alpha": alpha},
+        yield f"lanczos_J{j:g}", diag.DiagnosticSeries(
+            f"signed_bn_J{j:g}", n, result.b_signed, metadata={"J": j, "alpha": alpha},
         )
-        summary["files"] += _write(series, out, f"lanczos_J{j:g}", formats)
 
 
 def _compare(name, analytic, mc, summary):
@@ -281,25 +233,22 @@ def _compare(name, analytic, mc, summary):
     summary["comparisons"].append({"name": name, "max_sigma": sigma, "pass": ok})
 
 
-def _run_oracle_compare(config, spec, ensemble, j_list, t, out, formats,
-                        chash, threads, summary, op_rng):
-    mc_cfg = _require(config, "montecarlo", "config")
+def oracle_compare(inp: Inputs):
+    mc_cfg = _require(inp.config, "montecarlo", "config")
     cfg = TrajectoryConfig(
         dt=float(_require(mc_cfg, "dt", "montecarlo")),
         t_max=float(_require(mc_cfg, "t_max", "montecarlo")),
         n_traj=int(_require(mc_cfg, "n_traj", "montecarlo")),
         seed=int(_require(mc_cfg, "seed", "montecarlo")),
     )
-    dim = spec.dim
-    sff = getattr(diag, f"sff_{ensemble}_const")
-    two_point = getattr(diag, f"two_point_{ensemble}_const")
-    state_j = min(1, dim - 1)
-    o = random_traceless_hermitian(dim, op_rng)
-    summary["mc_health"] = []
-    for j in j_list:
-        model = model_from_config(
-            {"ensemble": ensemble, "profile": {"type": "const", "J": j}}, dim
-        )
+    spec, t, gue = inp.spectra[0], inp.t, inp.ensemble == "gue"
+    sff = getattr(diag, f"sff_{inp.ensemble}_const")
+    two_point = getattr(diag, f"two_point_{inp.ensemble}_const")
+    state_j = min(1, spec.dim - 1)
+    o = random_traceless_hermitian(spec.dim, inp.op_rng)
+    inp.summary["mc_health"] = []
+    for j in inp.j_list:
+        model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
         # key -> (observable, analytic values); one simulation serves them all.
         cases = {
             "sff": (sff_observable(), sff(spec, j, t).values),
@@ -309,29 +258,78 @@ def _run_oracle_compare(config, spec, ensemble, j_list, t, out, formats,
                 diag.transfer_probability(spec, model, 0, state_j, t).values,
             ),
         }
-        if ensemble == "gue" and dim >= 3:
-            cases["sff_squared"] = (
-                sff_squared_observable(),
-                sff_squared_mean(spec, j, t),
-            )
-        if ensemble == "gue" and config.get("compare_otoc", False):
-            a = random_traceless_hermitian(dim, op_rng)
-            b = random_traceless_hermitian(dim, op_rng)
-            cases["otoc"] = (
-                otoc_observable(a, b),
-                otoc_closed(spec, j, t, a, b),
-            )
+        if gue and spec.dim >= 3:
+            cases["sff_squared"] = (sff_squared_observable(), sff_squared_mean(spec, j, t))
+        if gue and inp.config.get("compare_otoc", False):
+            a = random_traceless_hermitian(spec.dim, inp.op_rng)
+            b = random_traceless_hermitian(spec.dim, inp.op_rng)
+            cases["otoc"] = (otoc_observable(a, b), otoc_closed(spec, j, t, a, b))
         mc = estimate_observables(
-            spec, model, cfg, t, {key: obs for key, (obs, _) in cases.items()}, threads
+            spec, model, cfg, t, {key: obs for key, (obs, _) in cases.items()}, inp.threads
         )
         for key, (_, analytic) in cases.items():
-            summary["files"] += _write(mc.series[key], out, f"mc_{key}_J{j:g}", formats)
-            _compare(f"{key}_J{j:g}", analytic, mc.series[key], summary)
-        summary["mc_health"].append({
+            yield f"mc_{key}_J{j:g}", mc.series[key]
+            _compare(f"{key}_J{j:g}", analytic, mc.series[key], inp.summary)
+        inp.summary["mc_health"].append({
             "J": j,
             "max_unitarity_drift": mc.max_drift,
             "step_margin": step_margin(model, cfg.dt),
         })
+
+
+# experiment -> (noise ensembles it computes, whether it averages over
+# spectrum.n_realizations, scan).  Every experiment but lanczos_scan takes
+# J from J_list with the constant profile.
+EXPERIMENTS = {
+    "sff_scan": (("gue", "goe"), True, sff_scan),
+    "two_point_scan": (("gue", "goe"), True, two_point_scan),
+    "lanczos_scan": ((), False, lanczos_scan),
+    "otoc_scan": (("gue",), True, otoc_scan),
+    "transfer_scan": (("gue", "goe"), False, transfer_scan),
+    "return_scan": (("gue",), False, return_scan),
+    "sff_variance_scan": (("gue",), False, sff_variance_scan),
+    "oracle_compare": (("gue", "goe"), False, oracle_compare),
+}
+
+
+def run(config: dict, out_dir: Path | None = None, threads: int = 1,
+        seed: int | None = None) -> dict:
+    """Execute one experiment config; returns the summary dict."""
+    experiment = str(_require(config, "experiment", "config")).lower()
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {config['experiment']!r}")
+    ensembles, _, scan = EXPERIMENTS[experiment]
+    output = config.get("output", {})
+    formats = output.get("formats", FORMATS)
+    if not isinstance(formats, (list, tuple)) or any(f not in FORMATS for f in formats):
+        raise ConfigError(f"output.formats={formats!r} may list only {', '.join(FORMATS)}")
+    j_list = [float(j) for j in _require(config, "J_list", "config")]
+    if not j_list or not all(np.isfinite(j) and j >= 0.0 for j in j_list):
+        raise ConfigError(f"J_list={j_list} must be a nonempty list of finite J >= 0")
+    spectra, t, ensemble, op_rng = [], None, None, None
+    if ensembles:
+        check_supported(experiment, config)
+        spectra = sample_spectra(_require(config, "spectrum", "config"), seed)
+        t = time_grid(_require(config, "t_grid", "config"))
+        ensemble = config.get("noise", {}).get("ensemble", "gue")
+        op_rng = np.random.default_rng(np.random.SeedSequence(int(config.get("operator_seed", 7))))
+    chash = config_hash(config)
+    summary: dict = {"experiment": experiment, "config_hash": chash, "files": [], "comparisons": []}
+    out = Path(out_dir) if out_dir is not None else Path(output.get("dir", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    inputs = Inputs(config, j_list, spectra, t, ensemble, op_rng, threads, summary)
+    for stem, series in scan(inputs):
+        series.metadata["config_hash"] = chash
+        for fmt in FORMATS:
+            if fmt in formats:
+                path = out / f"{stem}.{fmt}"
+                getattr(series, f"write_{fmt}")(path)
+                summary["files"].append(path.name)
+
+    summary["pass"] = all(c["pass"] for c in summary["comparisons"])
+    with open(out / "summary.json", "w") as fh:
+        json.dump(summary, fh, indent=1, sort_keys=True)
+    return summary
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from noisychaos import (
-    CaseTag,
     GibbsProfile,
     MatrixProfile,
     NoiseModel,
@@ -10,8 +9,6 @@ from noisychaos import (
     apply_channel,
     apply_generator,
     build_L1,
-    channel_from_json,
-    channel_to_json,
     choi_matrix,
     dense_superoperator,
     goe_constant,
@@ -87,7 +84,6 @@ class TestGueConst:
         ch = u1_gue_const(spec4, 1.0, 0.0)
         rho = random_density(4, rng)
         assert np.max(np.abs(apply_channel(ch, rho) - rho)) < 1e-12
-        assert ch.case_tag is CaseTag.GUE_CONST
 
     def test_flat_spectrum_values(self):
         # D=2, E=0, J=1, t=ln 2: A = e^{-J t} = 1/2, B = (1/2)(1 - 1/2) = 1/4.
@@ -318,14 +314,3 @@ class TestChannelInvariants:
         with pytest.raises(ValueError):
             apply_channel(ch, np.eye(3))
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("builder", ALL_BUILDERS)
-    def test_json_round_trip(self, builder, spec4):
-        ch = builder(spec4, 0.7, 1.3)
-        back = channel_from_json(channel_to_json(ch))
-        assert back.case_tag is ch.case_tag
-        assert back.time == ch.time
-        assert np.array_equal(back.coeff_A, ch.coeff_A)
-        assert np.array_equal(back.coeff_B, ch.coeff_B)
-        assert np.array_equal(back.coeff_G, ch.coeff_G)

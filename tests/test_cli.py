@@ -3,8 +3,17 @@ import json
 import numpy as np
 import pytest
 
+import noisychaos as nc
 from noisychaos import sff_variance
-from noisychaos.cli import ConfigError, config_hash, main, run, time_grid
+from noisychaos.cli import (
+    EXPERIMENTS,
+    ConfigError,
+    config_hash,
+    main,
+    random_traceless_hermitian,
+    run,
+    time_grid,
+)
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -52,6 +61,29 @@ class TestConfigParsing:
         cfg = dict(SFF_CONFIG, J_list=[])
         with pytest.raises(ConfigError):
             run(cfg, out_dir=tmp_path)
+
+    @pytest.mark.parametrize("bad_j", [-0.5, float("inf"), float("nan")])
+    @pytest.mark.parametrize("experiment", ["sff_scan", "lanczos_scan", "transfer_scan"])
+    def test_invalid_j_names_j_list(self, tmp_path, experiment, bad_j):
+        cfg = dict(SFF_CONFIG, experiment=experiment, J_list=[0.5, bad_j],
+                   spectrum={"sample": "gue", "dim": 4, "seed": 5})
+        with pytest.raises(ConfigError, match="J_list"):
+            run(cfg, out_dir=tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_zero_realizations(self, tmp_path):
+        cfg = dict(SFF_CONFIG, spectrum={"sample": "gue", "dim": 4, "n_realizations": 0})
+        with pytest.raises(ConfigError, match="spectrum.n_realizations"):
+            run(cfg, out_dir=tmp_path)
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("formats", [["xml"], ["csv", "xml"], "csv"])
+    def test_unknown_output_format(self, tmp_path, formats):
+        cfg = dict(SFF_CONFIG, output={"formats": formats})
+        with pytest.raises(ConfigError, match="output.formats"):
+            run(cfg, out_dir=tmp_path)
+        assert not (tmp_path / "summary.json").exists()
 
 
 class TestRunExperiments:
@@ -124,6 +156,106 @@ class TestRunExperiments:
         run(cfg, out_dir=tmp_path)
         doc = json.loads((tmp_path / "return_J0.7.json").read_text())
         assert doc["values_re"][0] == 1.0
+
+
+def _scan_cases():
+    for experiment, (ensembles, *_) in EXPERIMENTS.items():
+        for ensemble in ensembles or (None,):
+            yield experiment, ensemble
+
+
+def _expected_series(experiment, ensemble, cfg):
+    """Each series an experiment writes, by file stem, from the library
+    directly, with operators drawn from operator_seed in the cli's order."""
+    j_list = cfg["J_list"]
+    if experiment == "lanczos_scan":
+        mu = nc.sech_moments(6, alpha=0.75)
+        return {f"lanczos_J{j:g}": nc.signed_lanczos_noisy(mu, j, 1.0, 6).b_signed
+                for j in j_list}
+    sp = cfg["spectrum"]
+    rng = np.random.default_rng(np.random.SeedSequence(sp["seed"]))
+    spectra = [nc.sample_gue_spectrum(sp["dim"], rng) for _ in range(sp["n_realizations"])]
+    spec, dim = spectra[0], sp["dim"]
+    t = np.linspace(0.25, 1.0, 4)
+    op_rng = np.random.default_rng(np.random.SeedSequence(cfg["operator_seed"]))
+
+    def mean(fn):
+        return np.mean([fn(s) for s in spectra], axis=0)
+
+    def model(j):
+        return {"gue": nc.gue_constant, "goe": nc.goe_constant}[ensemble](j, dim)
+
+    sff = getattr(nc, f"sff_{ensemble}_const", None)
+    two_point = getattr(nc, f"two_point_{ensemble}_const", None)
+    out = {}
+    if experiment == "sff_scan":
+        for j in j_list:
+            out[f"sff_{ensemble}_J{j:g}"] = mean(lambda s: sff(s, j, t).values)
+    elif experiment == "two_point_scan":
+        o = random_traceless_hermitian(dim, op_rng)
+        for j in j_list:
+            out[f"two_point_J{j:g}"] = mean(lambda s: two_point(s, j, o, t).values)
+    elif experiment == "otoc_scan":
+        a = random_traceless_hermitian(dim, op_rng)
+        b = random_traceless_hermitian(dim, op_rng)
+        for j in j_list:
+            out[f"otoc_J{j:g}"] = mean(lambda s: nc.otoc(s, j, t, a, b))
+    elif experiment == "transfer_scan":
+        for j in j_list:
+            out[f"transfer_J{j:g}"] = nc.transfer_probability(spec, model(j), 0, 1, t).values
+    elif experiment == "return_scan":
+        for j in j_list:
+            out[f"return_J{j:g}"] = nc.return_probability(spec, j, None, t).values
+    elif experiment == "sff_variance_scan":
+        for j in j_list:
+            moments = sff_variance(spec, j, t)
+            out[f"sff_squared_J{j:g}"] = moments.second_moment
+            out[f"sff_variance_J{j:g}"] = moments.variance
+    elif experiment == "oracle_compare":
+        mc = cfg["montecarlo"]
+        traj = nc.TrajectoryConfig(mc["dt"], mc["t_max"], mc["n_traj"], mc["seed"])
+        o = random_traceless_hermitian(dim, op_rng)
+        for j in j_list:
+            observables = {
+                "sff": nc.sff_observable(),
+                "two_point": nc.two_point_observable(o),
+                "transfer": nc.transfer_observable(0, 1),
+            }
+            if ensemble == "gue":
+                observables["sff_squared"] = nc.sff_squared_observable()
+                a = random_traceless_hermitian(dim, op_rng)
+                b = random_traceless_hermitian(dim, op_rng)
+                observables["otoc"] = nc.otoc_observable(a, b)
+            run_ = nc.estimate_observables(spec, model(j), traj, t, observables)
+            for key, series in run_.series.items():
+                out[f"mc_{key}_J{j:g}"] = series.values
+    return out
+
+
+class TestExperimentTable:
+    @pytest.mark.parametrize("experiment, ensemble", list(_scan_cases()))
+    def test_series_match_library(self, tmp_path, experiment, ensemble):
+        averages = EXPERIMENTS[experiment][1]
+        cfg = {
+            "experiment": experiment,
+            "spectrum": {"sample": "gue", "dim": 5, "seed": 3,
+                         "n_realizations": 2 if averages else 1},
+            "noise": {"ensemble": ensemble or "gue", "profile": {"type": "const", "J": 1.0}},
+            "t_grid": {"t_min": 0.25, "t_max": 1.0, "n_points": 4},
+            "J_list": [0.5, 1.0],
+            "operator_seed": 11,
+            "lanczos": {"alpha": 0.75, "n_max": 6},
+            "montecarlo": {"dt": 0.05, "t_max": 1.0, "n_traj": 6, "seed": 2},
+            "compare_otoc": True,
+        }
+        summary = run(cfg, out_dir=tmp_path, threads=2)
+        expected = _expected_series(experiment, ensemble, cfg)
+        assert summary["files"] == [f"{stem}.{ext}" for stem in expected for ext in ("csv", "json")]
+        for stem, values in expected.items():
+            doc = json.loads((tmp_path / f"{stem}.json").read_text())
+            written = np.asarray(doc["values_re"]) + 1j * np.asarray(doc["values_im"])
+            assert np.array_equal(written, values), stem
+            assert doc["metadata"]["config_hash"] == config_hash(cfg), stem
 
 
 class TestOracleCompare:
