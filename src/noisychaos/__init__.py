@@ -11,12 +11,7 @@ against a stochastic-trajectory Monte Carlo oracle.
 
 from .channel_one import (
     ChannelOne,
-    GeneratorOne,
     apply_channel,
-    apply_generator,
-    build_L1,
-    choi_matrix,
-    dense_superoperator,
     u1_goe_const,
     u1_goe_general,
     u1_gue_const,
@@ -25,7 +20,6 @@ from .channel_one import (
 from .channel_two import (
     SffVariance,
     UnsupportedDimensionError,
-    build_M,
     decay_rates,
     f_coefficients,
     f_matrix,
@@ -49,7 +43,6 @@ from .diagnostics import (
 )
 from .krylov import (
     LanczosBreakdownError,
-    LanczosResult,
     lanczos_from_moments,
     noisy_moments,
     sech_moments,
@@ -66,7 +59,6 @@ from .montecarlo import (
     estimate_sff_squared,
     estimate_transfer,
     estimate_two_point,
-    evolve_trajectory,
     otoc_observable,
     sff_observable,
     sff_squared_observable,

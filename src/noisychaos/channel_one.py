@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import Ensemble, NoiseModel
+from .noise import Ensemble, NoiseModel, goe_constant
 from .spectra import Spectrum
 
 
@@ -52,56 +52,9 @@ class GoeClosedFormParams:
     z_minus: np.ndarray
 
 
-@dataclass(frozen=True)
-class GeneratorOne:
-    """Delta-structure form of the generator L1.
-
-    w multiplies delta_{ii'}delta_{jj'}; cross[i, i'] multiplies
-    delta_{ij}delta_{i'j'}; exch (GOE only) multiplies delta_{ij'}delta_{ji'}.
-    """
-
-    dim: int
-    ensemble: Ensemble
-    w: np.ndarray
-    cross: np.ndarray
-    exch: np.ndarray | None
-
-
 def _check_dims(spec: Spectrum, model: NoiseModel) -> None:
     if spec.dim != model.dim:
         raise ValueError(f"spectrum dim {spec.dim} != noise model dim {model.dim}")
-
-
-def build_L1(spec: Spectrum, model: NoiseModel) -> GeneratorOne:
-    """Generator of the averaged single-replica dynamics.
-
-    GUE: w_ij = -i E_i + i E_j - (J_i + J_j)/2, cross term lambda_ii'.
-    GOE: w_ij = -i E_i + i E_j - (J_i + J_j + lambda_ii + lambda_jj)/4,
-    cross and exchange terms lambda_ii'/2.
-    """
-    _check_dims(spec, model)
-    lam = model.lambda_matrix()
-    j_row = lam.sum(axis=1)
-    phase = -1j * spec.gaps()
-    if model.ensemble is Ensemble.GUE:
-        w = phase - 0.5 * (j_row[:, None] + j_row[None, :])
-        return GeneratorOne(spec.dim, model.ensemble, w, lam.copy(), None)
-    ld = np.diag(lam)
-    w = phase - 0.25 * (
-        j_row[:, None] + j_row[None, :] + ld[:, None] + ld[None, :]
-    )
-    return GeneratorOne(spec.dim, model.ensemble, w, lam / 2.0, lam / 2.0)
-
-
-def apply_generator(gen: GeneratorOne, rho: np.ndarray) -> np.ndarray:
-    """Contract L1 against a matrix (same index structure as apply_channel)."""
-    if rho.shape != (gen.dim, gen.dim):
-        raise ValueError(f"rho shape {rho.shape} != ({gen.dim}, {gen.dim})")
-    out = gen.w * rho
-    out += np.diag(gen.cross @ np.diag(rho))
-    if gen.exch is not None:
-        out = out + gen.exch * rho.T
-    return out
 
 
 def u1_gue_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
@@ -222,8 +175,6 @@ def u1_goe_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
     """
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    from .noise import goe_constant
-
     d = spec.dim
     params = goe_params(spec, goe_constant(J, d))
     coeff_a, coeff_g = _goe_ag(params, t)
@@ -273,24 +224,4 @@ def apply_channel(ch: ChannelOne, rho: np.ndarray) -> np.ndarray:
     out += np.diag(ch.coeff_B @ np.diag(rho))
     out += ch.coeff_G * rho.T
     return out
-
-
-def dense_superoperator(ch: ChannelOne, max_dim: int = 8) -> np.ndarray:
-    """Materialize the D^2 x D^2 superoperator matrix; small-D tests only."""
-    d = ch.dim
-    if d > max_dim:
-        raise ValueError(f"dense materialization limited to D <= {max_dim}")
-    s = np.zeros((d, d, d, d), dtype=complex)
-    idx = np.arange(d)
-    s[idx[:, None], idx[None, :], idx[:, None], idx[None, :]] += ch.coeff_A
-    s[idx[:, None], idx[:, None], idx[None, :], idx[None, :]] += ch.coeff_B
-    s[idx[:, None], idx[None, :], idx[None, :], idx[:, None]] += ch.coeff_G
-    return s.reshape(d * d, d * d)
-
-
-def choi_matrix(ch: ChannelOne, max_dim: int = 8) -> np.ndarray:
-    """Choi matrix C[(i,i'),(j,j')] = U1_{ij;i'j'}; PSD for a CP channel."""
-    d = ch.dim
-    s = dense_superoperator(ch, max_dim).reshape(d, d, d, d)
-    return s.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 

@@ -97,28 +97,6 @@ def f_coefficients(D: int, J: float, t) -> np.ndarray:
     return (exps[..., None, :] * nums).sum(axis=-1) / dens
 
 
-def build_M(D: int, J: float, w: complex) -> np.ndarray:
-    """The 8 x 8 generator on graph-group coefficients: L2.F_a = M_ba F_b."""
-    if D < 3:
-        raise UnsupportedDimensionError(f"need D >= 3, got {D}")
-    j = J / D
-    m = np.array(
-        [
-            [0, 0, -2 * j, 0, 0, 0, 0, 0],
-            [j, J, 0, 0, 0, 0, 0, 0],
-            [-j, 0, 0, 0, 0, -j, 0, 0],
-            [0, 0, j, J, 0, 0, 0, 0],
-            [0, 2 * j, 0, 0, 2 * J, 0, 0, 2 * j],
-            [0, 0, -2 * j, 0, 0, 0, 0, 0],
-            [0, 0, 0, 4 * j, 0, 0, 2 * J, 0],
-            [0, 0, 0, 0, 0, j, 0, J],
-        ],
-        dtype=complex,
-    )
-    m += w * np.eye(8)
-    return m
-
-
 @dataclass(frozen=True)
 class SffVariance:
     """Second moment E[(TrU TrU+)^2] and the variance against (D^2 K_J)^2."""

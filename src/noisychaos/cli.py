@@ -64,23 +64,33 @@ def _require(config: dict, key: str, where: str):
     return config[key]
 
 
+def _field(config: dict, path: str, kind: type, default=None):
+    """The value at the last key of the dotted ``path`` (``default`` when
+    absent), refused with a ConfigError naming ``path`` unless a ``kind``."""
+    value = config.get(path.rpartition(".")[2], default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{path}={value!r} must be a {kind.__name__}")
+    return value
+
+
 def check_supported(experiment: str, config: dict) -> None:
     """Refuse a noise or spectrum setting the experiment would not honour."""
     ensembles, averages, _ = EXPERIMENTS[experiment]
-    noise = config.get("noise", {})
+    noise = _field(config, "noise", dict, {})
     ensemble = noise.get("ensemble", "gue")
     if ensemble not in ensembles:
         raise ConfigError(
             f"noise.ensemble={ensemble!r} is not supported by {experiment} "
             f"(supported: {', '.join(ensembles)})"
         )
-    profile = noise.get("profile", {}).get("type", "const")
+    profile = _field(noise, "noise.profile", dict, {}).get("type", "const")
     if profile != "const":
         raise ConfigError(
             f"noise.profile.type={profile!r} is not supported by {experiment}: "
             "J comes from J_list with the constant profile"
         )
-    n_real = int(config.get("spectrum", {}).get("n_realizations", 1))
+    spectrum = _field(config, "spectrum", dict, {})
+    n_real = _field(spectrum, "spectrum.n_realizations", int, 1)
     if n_real < 1:
         raise ConfigError(f"spectrum.n_realizations={n_real} must be at least 1")
     if n_real > 1 and not averages:
@@ -88,6 +98,8 @@ def check_supported(experiment: str, config: dict) -> None:
             f"spectrum.n_realizations={n_real} is not supported by {experiment}, "
             "which evaluates one spectrum"
         )
+    if n_real > 1 and "file" in spectrum:
+        raise ConfigError(f"spectrum.n_realizations={n_real} needs sampled, not file, spectra")
 
 
 def config_hash(config: dict) -> str:
@@ -187,8 +199,10 @@ def otoc_scan(inp: Inputs):
 
 def transfer_scan(inp: Inputs):
     spec = inp.spectra[0]
-    i = int(inp.config.get("state_i", 0))
-    k = int(inp.config.get("state_j", min(1, spec.dim - 1)))
+    i = _field(inp.config, "state_i", int, 0)
+    k = _field(inp.config, "state_j", int, min(1, spec.dim - 1))
+    if not (0 <= i < spec.dim and 0 <= k < spec.dim):
+        raise ConfigError(f"state_i={i} and state_j={k} must lie in [0, {spec.dim})")
     for j in inp.j_list:
         model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
         yield f"transfer_J{j:g}", diag.transfer_probability(spec, model, i, k, inp.t)
@@ -211,7 +225,7 @@ def sff_variance_scan(inp: Inputs):
 
 
 def lanczos_scan(inp: Inputs):
-    lz = inp.config.get("lanczos", {})
+    lz = _field(inp.config, "lanczos", dict, {})
     alpha = float(lz.get("alpha", 1.0))
     n_max = int(lz.get("n_max", 30))
     ratio = float(lz.get("trace_ratio", 1.0))
@@ -219,9 +233,9 @@ def lanczos_scan(inp: Inputs):
     mu = krylov.sech_moments(n_max, alpha=alpha)
     n = np.arange(1, n_max + 1, dtype=float)
     for j in inp.j_list:
-        result = krylov.signed_lanczos_noisy(mu, j, ratio, n_max)
+        b_signed = krylov.signed_lanczos_noisy(mu, j, ratio, n_max)
         yield f"lanczos_J{j:g}", diag.DiagnosticSeries(
-            f"signed_bn_J{j:g}", n, result.b_signed, metadata={"J": j, "alpha": alpha},
+            f"signed_bn_J{j:g}", n, b_signed, metadata={"J": j, "alpha": alpha},
         )
 
 
@@ -234,7 +248,7 @@ def _compare(name, analytic, mc, summary):
 
 
 def oracle_compare(inp: Inputs):
-    mc_cfg = _require(inp.config, "montecarlo", "config")
+    mc_cfg = _field(inp.config, "montecarlo", dict, {})
     cfg = TrajectoryConfig(
         dt=float(_require(mc_cfg, "dt", "montecarlo")),
         t_max=float(_require(mc_cfg, "t_max", "montecarlo")),
@@ -299,19 +313,20 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config['experiment']!r}")
     ensembles, _, scan = EXPERIMENTS[experiment]
-    output = config.get("output", {})
+    output = _field(config, "output", dict, {})
     formats = output.get("formats", FORMATS)
     if not isinstance(formats, (list, tuple)) or any(f not in FORMATS for f in formats):
         raise ConfigError(f"output.formats={formats!r} may list only {', '.join(FORMATS)}")
-    j_list = [float(j) for j in _require(config, "J_list", "config")]
-    if not j_list or not all(np.isfinite(j) and j >= 0.0 for j in j_list):
-        raise ConfigError(f"J_list={j_list} must be a nonempty list of finite J >= 0")
+    j_list = _field(config, "J_list", list)
+    if not j_list or not all(isinstance(j, (int, float)) and 0.0 <= j < np.inf for j in j_list):
+        raise ConfigError(f"J_list={j_list!r} must be a nonempty list of finite J >= 0")
+    j_list = [float(j) for j in j_list]
     spectra, t, ensemble, op_rng = [], None, None, None
     if ensembles:
         check_supported(experiment, config)
-        spectra = sample_spectra(_require(config, "spectrum", "config"), seed)
-        t = time_grid(_require(config, "t_grid", "config"))
-        ensemble = config.get("noise", {}).get("ensemble", "gue")
+        spectra = sample_spectra(_field(config, "spectrum", dict, {}), seed)
+        t = time_grid(_field(config, "t_grid", dict, {}))
+        ensemble = _field(config, "noise", dict, {}).get("ensemble", "gue")
         op_rng = np.random.default_rng(np.random.SeedSequence(int(config.get("operator_seed", 7))))
     chash = config_hash(config)
     summary: dict = {"experiment": experiment, "config_hash": chash, "files": [], "comparisons": []}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel_one import ChannelOne, goe_params
-from .noise import Ensemble, NoiseModel, goe_constant
+from .noise import ConstantOverD, Ensemble, NoiseModel, goe_constant
 from .spectra import Spectrum
 
 
@@ -64,12 +64,9 @@ class DiagnosticSeries:
             json.dump(payload, fh, indent=1, sort_keys=True)
 
 
-def spectrum_hash(spec: Spectrum) -> str:
-    return hashlib.sha256(spec.energies.tobytes()).hexdigest()[:16]
-
-
 def _meta(spec: Spectrum, **extra) -> dict:
-    meta = {"dim": spec.dim, "spectrum_hash": spectrum_hash(spec)}
+    spectrum_hash = hashlib.sha256(spec.energies.tobytes()).hexdigest()[:16]
+    meta = {"dim": spec.dim, "spectrum_hash": spectrum_hash}
     meta.update(extra)
     return meta
 
@@ -197,8 +194,6 @@ def transfer_probability(
     """E(P_{j<-i}) = delta_ij e^{-rt} + (1 - e^{-rt})/D, with r = J for GUE
     constant noise and r = J/2 for GOE (the GOE case is the GUE case under
     J -> 2J)."""
-    from .noise import ConstantOverD
-
     if not isinstance(model.profile, ConstantOverD):
         raise ValueError("transfer_probability requires a constant profile")
     d = spec.dim
@@ -225,9 +220,7 @@ def _validate_partition(projectors: list[np.ndarray], d: int) -> None:
             raise ValueError(f"projector {k} is not Hermitian")
         total += p
         for l, q in enumerate(projectors):
-            prod = p @ q
-            target = p if k == l else np.zeros_like(p)
-            if not np.allclose(prod, target, atol=1e-10):
+            if not np.allclose(p @ q, p if k == l else 0.0, atol=1e-10):
                 raise ValueError(f"projectors {k}, {l} are not orthogonal idempotents")
     if not np.allclose(total, np.eye(d), atol=1e-10):
         raise ValueError("projectors do not sum to the identity")

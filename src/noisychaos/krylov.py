@@ -10,7 +10,6 @@ rounded to float once, at the end, and a Krylov breakdown is b_m^2 == 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
@@ -23,13 +22,6 @@ class LanczosBreakdownError(ArithmeticError):
     def __init__(self, level: int):
         super().__init__(f"Lanczos recursion breakdown at level {level}")
         self.level = level
-
-
-@dataclass(frozen=True)
-class LanczosResult:
-    """Signed Lanczos coefficients sgn(b_n^2)|b_n|, n = 1..n_max."""
-
-    b_signed: np.ndarray
 
 
 def sech_moments(n_max: int, alpha: float = 1.0) -> list[Fraction]:
@@ -75,9 +67,10 @@ def noisy_moments(
     ]
 
 
-def lanczos_from_moments(moments, n_max: int) -> LanczosResult:
-    """Signed Lanczos coefficients from even moments via the moment
-    recursion, in exact rational arithmetic.
+def lanczos_from_moments(moments, n_max: int) -> np.ndarray:
+    """Signed Lanczos coefficients sgn(b_n^2)|b_n|, n = 1..n_max, as a
+    float64 array, from even moments via the moment recursion, in exact
+    rational arithmetic.
 
     ``moments[k]`` is mu_2k (k = 0..n_max at least), the Taylor data of
     C(-it), each an int, float or Fraction; moments[0] must be exactly 1.
@@ -111,12 +104,12 @@ def lanczos_from_moments(moments, n_max: int) -> LanczosResult:
         signed.append(math.copysign(float(root), row[m]))
         b2 = [b2[1], row[m]]
         prev2, prev1 = prev1, row
-    return LanczosResult(np.array(signed))
+    return np.array(signed)
 
 
 def signed_lanczos_noisy(
     mu_even, J: float, trace_product_ratio: float, n_max: int
-) -> LanczosResult:
+) -> np.ndarray:
     """Signed b_n of the noisy autocorrelation: the exact even moments
     mu_{J;2n} through the exact recursion.  ``trace_product_ratio`` is
     TrO TrO+ / D^2 (the only combination that enters, so D drops out)."""

@@ -77,12 +77,6 @@ def validate_step(model: NoiseModel, dt: float) -> None:
         )
 
 
-def trajectory_generators(seed: int, n_traj: int) -> list[np.random.Generator]:
-    """Independent per-trajectory generators from a splittable seed."""
-    children = np.random.SeedSequence(seed).spawn(n_traj)
-    return [np.random.default_rng(c) for c in children]
-
-
 def expm_hermitian_step(x: np.ndarray) -> np.ndarray:
     """exp(-iX) for a batch (..., D, D) of Hermitian or real symmetric X.
 
@@ -118,18 +112,16 @@ def _evolve_recorded(
     dt: float,
     record_steps: np.ndarray,
     gens: list[np.random.Generator],
-    eta: np.ndarray | None = None,
+    eta: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """Evolve a batch of trajectories, returning U at the recorded step
     indices with shape (n_batch, n_record, D, D) and the batch's largest
     unitarity drift max |U+U - 1| at the last step.  The noise is drawn into
     ``eta`` (at least n_batch x n_steps x D x D of ``noise_dtype(model)``,
-    overwritten) when given."""
+    overwritten)."""
     d = energies.size
     n_steps = int(record_steps.max())
     batch = len(gens)
-    if eta is None:
-        eta = np.empty((batch, n_steps, d, d), dtype=noise_dtype(model))
     eta = eta[:batch, :n_steps]
     for b, gen in enumerate(gens):
         sample_noise_sequence(model, dt, n_steps, gen, out=eta[b])
@@ -149,16 +141,6 @@ def _evolve_recorded(
     if drift > 1e-8:
         raise UnitarityError(f"unitarity drift {drift:.2e} exceeds 1e-8")
     return out, drift
-
-
-def evolve_trajectory(
-    spec: Spectrum, model: NoiseModel, cfg: TrajectoryConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """One full trajectory: U(t_n) for n = 0..n_steps, shape (n+1, D, D)."""
-    validate_step(model, cfg.dt)
-    steps = np.arange(cfg.n_steps + 1)
-    u_rec, _ = _evolve_recorded(spec.energies, model, cfg.dt, steps, [rng])
-    return u_rec[0]
 
 
 def _grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
@@ -186,13 +168,11 @@ class Observable:
 
     ``value`` maps U of shape (batch, n_times, D, D) to values of shape
     (batch, n_times), each trajectory's from its own unitaries only.  The
-    estimated series is called ``name``; it keeps only the real part when
-    ``real``.
+    estimated series is called ``name``.
     """
 
     name: str
     value: Callable[[np.ndarray], np.ndarray]
-    real: bool = True
 
 
 def sff_observable() -> Observable:
@@ -201,7 +181,7 @@ def sff_observable() -> Observable:
     def value(u_rec):
         d = u_rec.shape[-1]
         tr = np.trace(u_rec, axis1=-2, axis2=-1)
-        return (np.abs(tr) ** 2 / d**2).astype(complex)
+        return np.abs(tr) ** 2 / d**2
 
     return Observable("mc_sff", value)
 
@@ -211,7 +191,7 @@ def sff_squared_observable() -> Observable:
 
     def value(u_rec):
         tr = np.trace(u_rec, axis1=-2, axis2=-1)
-        return (np.abs(tr) ** 4).astype(complex)
+        return np.abs(tr) ** 4
 
     return Observable("mc_sff_squared", value)
 
@@ -225,7 +205,7 @@ def two_point_observable(O: np.ndarray) -> Observable:
         o_t = u_rec.conj().transpose(0, 1, 3, 2) @ O @ u_rec
         return np.trace(o_dag @ o_t, axis1=-2, axis2=-1) / d
 
-    return Observable("mc_two_point", value, real=False)
+    return Observable("mc_two_point", value)
 
 
 def otoc_observable(A: np.ndarray, B: np.ndarray) -> Observable:
@@ -237,14 +217,14 @@ def otoc_observable(A: np.ndarray, B: np.ndarray) -> Observable:
         ab = A @ b_t
         return np.trace(ab @ ab, axis1=-2, axis2=-1) / d
 
-    return Observable("mc_otoc", value, real=False)
+    return Observable("mc_otoc", value)
 
 
 def transfer_observable(i: int, j: int) -> Observable:
     """|U_ji|^2, whose mean is the transfer probability i -> j."""
 
     def value(u_rec):
-        return (np.abs(u_rec[:, :, j, i]) ** 2).astype(complex)
+        return np.abs(u_rec[:, :, j, i]) ** 2
 
     return Observable("mc_transfer", value)
 
@@ -258,15 +238,12 @@ class OracleRun:
     max_drift: float
 
 
-def _reduce(name, spec, model, cfg, t_grid, values, real=True) -> DiagnosticSeries:
+def _reduce(name, spec, model, cfg, t_grid, values) -> DiagnosticSeries:
     mean = values.mean(axis=0)
     if cfg.n_traj >= 2:
         stderr = values.std(axis=0, ddof=1) / np.sqrt(cfg.n_traj)
-        stderr = np.abs(stderr)
     else:
         stderr = np.zeros(mean.size)
-    if real:
-        mean = mean.real
     meta = _meta(
         spec,
         noise=model.to_config(),
@@ -297,7 +274,8 @@ def estimate_observables(
     steps = _grid_steps(t_grid, cfg.dt)
     if steps.max() > cfg.n_steps:
         raise ValueError("t_grid extends beyond cfg.t_max")
-    gens = trajectory_generators(cfg.seed, cfg.n_traj)
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
+    gens = [np.random.default_rng(c) for c in children]
     threads = max(1, threads)
     n_steps = int(steps.max())
     bounds = chunk_bounds(cfg.n_traj, max(n_steps, 1), spec.dim, threads)
@@ -330,7 +308,7 @@ def estimate_observables(
     else:
         drifts = [run_chunk(b) for b in bounds]
     series = {
-        key: _reduce(obs.name, spec, model, cfg, t_grid, values[key], obs.real)
+        key: _reduce(obs.name, spec, model, cfg, t_grid, values[key])
         for key, obs in observables.items()
     }
     return OracleRun(series, max(drifts))

@@ -7,10 +7,6 @@ from noisychaos import (
     NoiseModel,
     Spectrum,
     apply_channel,
-    apply_generator,
-    build_L1,
-    choi_matrix,
-    dense_superoperator,
     goe_constant,
     gue_constant,
     sample_gue_spectrum,
@@ -23,6 +19,7 @@ from noisychaos.channel_one import goe_params
 from noisychaos.noise import Ensemble
 
 from conftest import random_density, random_hermitian
+from oracles import apply_generator, build_L1, choi_matrix, dense_superoperator
 
 
 def random_symmetric_lambda(dim, rng, scale=0.5):
@@ -187,6 +184,48 @@ class TestGoeParams:
             / z_scale
             < 1e-5
         )
+
+
+class TestDegenerateGoePair:
+    """A degenerate level pair with lambda_12 = 0 makes the GOE root vanish
+    at (1, 2), where g and the ratio are taken as 0."""
+
+    # Dyadic entries keep every sum exact, so w_12 = w_21 and the root is 0.
+    LAM = np.array([
+        [0.5, 0.25, 0.125, 0.25],
+        [0.25, 0.375, 0.0, 0.125],
+        [0.125, 0.0, 0.625, 0.25],
+        [0.25, 0.125, 0.25, 0.5],
+    ])
+
+    def case(self):
+        spec = Spectrum(np.array([-1.0, 0.3, 0.3, 1.2]))
+        return spec, NoiseModel(Ensemble.GOE, MatrixProfile(self.LAM), 4)
+
+    def test_params_finite_at_vanishing_root(self):
+        p = goe_params(*self.case())
+        for grid in (p.g, p.c_plus, p.c_minus, p.z_plus, p.z_minus):
+            assert np.all(np.isfinite(grid))
+        for i, j in ((1, 2), (2, 1)):
+            assert p.g[i, j] == 0.0
+            assert p.c_plus[i, j] == 1.0 and p.c_minus[i, j] == 1.0
+
+    def test_trace_preserving(self):
+        ch = u1_goe_general(*self.case(), 50.0)
+        tp = ch.coeff_A.diagonal() + ch.coeff_B.sum(axis=0) + ch.coeff_G.diagonal()
+        assert np.max(np.abs(tp - 1.0)) < 1e-9
+
+    def test_generator_at_positive_time(self, rng):
+        spec, model = self.case()
+        rho = random_density(4, rng)
+        t, h = 1.3, 1e-5
+        deriv = (
+            apply_channel(u1_goe_general(spec, model, t + h), rho)
+            - apply_channel(u1_goe_general(spec, model, t - h), rho)
+        ) / (2 * h)
+        expected = apply_generator(build_L1(spec, model), apply_channel(
+            u1_goe_general(spec, model, t), rho))
+        assert np.max(np.abs(deriv - expected)) < 1e-8
 
 
 class TestGoeConst:

@@ -6,7 +6,6 @@ import pytest
 from noisychaos import (
     Spectrum,
     UnsupportedDimensionError,
-    build_M,
     decay_rates,
     f_coefficients,
     f_matrix,
@@ -20,6 +19,7 @@ from noisychaos.channel_two import heisenberg_noiseless
 from noisychaos.diagnostics import sff_gue_const
 
 from conftest import random_hermitian
+from oracles import build_M
 
 
 class TestFCoefficients:

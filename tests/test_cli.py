@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,16 @@ class TestRunExperiments:
         summary = run(cfg, out_dir=tmp_path / "out")
         assert summary["pass"] is True
 
+    def test_spectrum_file_refuses_realizations(self, tmp_path, spec5):
+        # One file is one spectrum: averaging "3 realizations" of it would
+        # write a series of n_realizations 1.
+        spec_path = tmp_path / "spec.json"
+        spec5.save(spec_path)
+        cfg = dict(SFF_CONFIG, spectrum={"file": str(spec_path), "n_realizations": 3})
+        with pytest.raises(ConfigError, match="spectrum.n_realizations"):
+            run(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_missing_spectrum_file(self, tmp_path):
         cfg = dict(SFF_CONFIG, spectrum={"file": str(tmp_path / "nope.json")})
         with pytest.raises(ConfigError):
@@ -170,7 +181,7 @@ def _expected_series(experiment, ensemble, cfg):
     j_list = cfg["J_list"]
     if experiment == "lanczos_scan":
         mu = nc.sech_moments(6, alpha=0.75)
-        return {f"lanczos_J{j:g}": nc.signed_lanczos_noisy(mu, j, 1.0, 6).b_signed
+        return {f"lanczos_J{j:g}": nc.signed_lanczos_noisy(mu, j, 1.0, 6)
                 for j in j_list}
     sp = cfg["spectrum"]
     rng = np.random.default_rng(np.random.SeedSequence(sp["seed"]))
@@ -347,6 +358,48 @@ class TestUnsupportedSettings:
     def test_config_error_names_field(self, tmp_path, experiment, override, field):
         cfg = {**self.BASE, "experiment": experiment, **override}
         with pytest.raises(ConfigError, match=field):
+            run(cfg, out_dir=tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, override, field",
+        [
+            ("sff_scan", {"J_list": 5}, "J_list"),
+            ("lanczos_scan", {"J_list": "05"}, "J_list"),
+            ("sff_scan", {"J_list": [0.5, "1"]}, "J_list"),
+            ("sff_scan", {"noise": "gue"}, "noise"),
+            ("sff_scan", {"noise": {"ensemble": "gue", "profile": "const"}}, "noise.profile"),
+            ("sff_scan", {"spectrum": [4]}, "spectrum"),
+            ("sff_scan", {"spectrum": {"sample": "gue", "dim": 4, "n_realizations": "2"}},
+             "spectrum.n_realizations"),
+            ("sff_scan", {"t_grid": 5}, "t_grid"),
+            ("oracle_compare", {"montecarlo": 0.01}, "montecarlo"),
+            ("lanczos_scan", {"lanczos": 3}, "lanczos"),
+            ("sff_scan", {"output": ["csv"]}, "output"),
+        ],
+    )
+    def test_malformed_type_names_field(self, tmp_path, experiment, override, field):
+        cfg = {**self.BASE, "experiment": experiment, **override}
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}="):
+            run(cfg, out_dir=tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize(
+        "states, field",
+        [
+            ({"state_i": 9}, "state_i=9"),
+            ({"state_i": -1}, "state_i=-1"),
+            ({"state_j": 6}, "state_j=6"),
+            ({"state_i": "1"}, "state_i='1'"),
+            ({"state_j": 1.5}, "state_j=1.5"),
+        ],
+    )
+    def test_transfer_state_out_of_range(self, tmp_path, states, field):
+        spectrum = {"sample": "gue", "dim": 6, "seed": 3}
+        cfg = {**self.BASE, "experiment": "transfer_scan", "spectrum": spectrum, **states}
+        with pytest.raises(ConfigError, match=re.escape(field)):
             run(cfg, out_dir=tmp_path)
         assert not (tmp_path / "summary.json").exists()
 

@@ -17,7 +17,6 @@ from noisychaos import (
     estimate_sff_squared,
     estimate_transfer,
     estimate_two_point,
-    evolve_trajectory,
     goe_constant,
     gue_constant,
     otoc_noiseless,
@@ -45,6 +44,7 @@ from noisychaos.montecarlo import (
 )
 
 from conftest import random_hermitian
+from oracles import evolve_trajectory
 
 T_GRID = np.linspace(0.0, 1.0, 5)
 
