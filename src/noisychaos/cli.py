@@ -58,19 +58,23 @@ class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
 
 
-def _require(config: dict, key: str, where: str):
-    if key not in config:
-        raise ConfigError(f"missing field {where}.{key}")
-    return config[key]
+# The default of a field that must be present.
+_REQUIRED = object()
 
 
 def _field(config: dict, path: str, kind: type, default=None):
     """The value at the last key of the dotted ``path`` (``default`` when
-    absent), refused with a ConfigError naming ``path`` unless a ``kind``."""
-    value = config.get(path.rpartition(".")[2], default)
-    if isinstance(value, bool) or not isinstance(value, kind):
+    absent), refused with a ConfigError naming ``path`` unless a ``kind``
+    or, with ``default=_REQUIRED``, when absent.  A float field also takes
+    an int and returns it as a float."""
+    key = path.rpartition(".")[2]
+    if default is _REQUIRED and key not in config:
+        raise ConfigError(f"missing field {path}")
+    value = config.get(key, default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}={value!r} must be a {kind.__name__}")
-    return value
+    return float(value) if kind is float else value
 
 
 def check_supported(experiment: str, config: dict) -> None:
@@ -109,9 +113,9 @@ def config_hash(config: dict) -> str:
 
 
 def time_grid(config: dict) -> np.ndarray:
-    t_min = float(_require(config, "t_min", "t_grid"))
-    t_max = float(_require(config, "t_max", "t_grid"))
-    n = int(_require(config, "n_points", "t_grid"))
+    t_min = _field(config, "t_grid.t_min", float, _REQUIRED)
+    t_max = _field(config, "t_grid.t_max", float, _REQUIRED)
+    n = _field(config, "t_grid.n_points", int, _REQUIRED)
     spacing = config.get("spacing", "linear")
     if not (t_max > t_min >= 0.0 and n >= 2):
         raise ConfigError("t_grid requires 0 <= t_min < t_max and n_points >= 2")
@@ -126,14 +130,14 @@ def time_grid(config: dict) -> np.ndarray:
 
 def sample_spectra(config: dict, seed_override: int | None) -> list[Spectrum]:
     if "file" in config:
-        path = Path(config["file"])
+        path = Path(_field(config, "spectrum.file", str))
         if not path.exists():
             raise ConfigError(f"spectrum.file {path} does not exist")
         return [Spectrum.load(path)]
-    kind = _require(config, "sample", "spectrum")
-    dim = int(_require(config, "dim", "spectrum"))
-    n_real = int(config.get("n_realizations", 1))
-    seed = int(config.get("seed", 0)) if seed_override is None else seed_override
+    kind = _field(config, "spectrum.sample", str, _REQUIRED)
+    dim = _field(config, "spectrum.dim", int, _REQUIRED)
+    n_real = _field(config, "spectrum.n_realizations", int, 1)
+    seed = _field(config, "spectrum.seed", int, 0) if seed_override is None else seed_override
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sampler = {"gue": sample_gue_spectrum, "goe": sample_goe_spectrum}.get(kind)
     if sampler is None:
@@ -197,12 +201,20 @@ def otoc_scan(inp: Inputs):
         yield _realization_mean(inp, f"otoc_J{j:g}", lambda s: otoc_closed(s, j, inp.t, a, b))
 
 
+def _state_pair(inp: Inputs) -> tuple[int, int]:
+    """(state_i, state_j) of the transfer probability, 0 -> min(1, D - 1)
+    unless the config names them."""
+    d = inp.spectra[0].dim
+    i = _field(inp.config, "state_i", int, 0)
+    k = _field(inp.config, "state_j", int, min(1, d - 1))
+    if not (0 <= i < d and 0 <= k < d):
+        raise ConfigError(f"state_i={i} and state_j={k} must lie in [0, {d})")
+    return i, k
+
+
 def transfer_scan(inp: Inputs):
     spec = inp.spectra[0]
-    i = _field(inp.config, "state_i", int, 0)
-    k = _field(inp.config, "state_j", int, min(1, spec.dim - 1))
-    if not (0 <= i < spec.dim and 0 <= k < spec.dim):
-        raise ConfigError(f"state_i={i} and state_j={k} must lie in [0, {spec.dim})")
+    i, k = _state_pair(inp)
     for j in inp.j_list:
         model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
         yield f"transfer_J{j:g}", diag.transfer_probability(spec, model, i, k, inp.t)
@@ -226,9 +238,9 @@ def sff_variance_scan(inp: Inputs):
 
 def lanczos_scan(inp: Inputs):
     lz = _field(inp.config, "lanczos", dict, {})
-    alpha = float(lz.get("alpha", 1.0))
-    n_max = int(lz.get("n_max", 30))
-    ratio = float(lz.get("trace_ratio", 1.0))
+    alpha = _field(lz, "lanczos.alpha", float, 1.0)
+    n_max = _field(lz, "lanczos.n_max", int, 30)
+    ratio = _field(lz, "lanczos.trace_ratio", float, 1.0)
     # The recursion is exact, so it meets any precision a config asks for.
     mu = krylov.sech_moments(n_max, alpha=alpha)
     n = np.arange(1, n_max + 1, dtype=float)
@@ -250,15 +262,15 @@ def _compare(name, analytic, mc, summary):
 def oracle_compare(inp: Inputs):
     mc_cfg = _field(inp.config, "montecarlo", dict, {})
     cfg = TrajectoryConfig(
-        dt=float(_require(mc_cfg, "dt", "montecarlo")),
-        t_max=float(_require(mc_cfg, "t_max", "montecarlo")),
-        n_traj=int(_require(mc_cfg, "n_traj", "montecarlo")),
-        seed=int(_require(mc_cfg, "seed", "montecarlo")),
+        dt=_field(mc_cfg, "montecarlo.dt", float, _REQUIRED),
+        t_max=_field(mc_cfg, "montecarlo.t_max", float, _REQUIRED),
+        n_traj=_field(mc_cfg, "montecarlo.n_traj", int, _REQUIRED),
+        seed=_field(mc_cfg, "montecarlo.seed", int, _REQUIRED),
     )
     spec, t, gue = inp.spectra[0], inp.t, inp.ensemble == "gue"
     sff = getattr(diag, f"sff_{inp.ensemble}_const")
     two_point = getattr(diag, f"two_point_{inp.ensemble}_const")
-    state_j = min(1, spec.dim - 1)
+    state_i, state_j = _state_pair(inp)
     o = random_traceless_hermitian(spec.dim, inp.op_rng)
     inp.summary["mc_health"] = []
     for j in inp.j_list:
@@ -268,8 +280,8 @@ def oracle_compare(inp: Inputs):
             "sff": (sff_observable(), sff(spec, j, t).values),
             "two_point": (two_point_observable(o), two_point(spec, j, o, t).values),
             "transfer": (
-                transfer_observable(0, state_j),
-                diag.transfer_probability(spec, model, 0, state_j, t).values,
+                transfer_observable(state_i, state_j),
+                diag.transfer_probability(spec, model, state_i, state_j, t).values,
             ),
         }
         if gue and spec.dim >= 3:
@@ -281,6 +293,7 @@ def oracle_compare(inp: Inputs):
         mc = estimate_observables(
             spec, model, cfg, t, {key: obs for key, (obs, _) in cases.items()}, inp.threads
         )
+        mc.series["transfer"].metadata.update(i=state_i, j=state_j)
         for key, (_, analytic) in cases.items():
             yield f"mc_{key}_J{j:g}", mc.series[key]
             _compare(f"{key}_J{j:g}", analytic, mc.series[key], inp.summary)
@@ -309,11 +322,12 @@ EXPERIMENTS = {
 def run(config: dict, out_dir: Path | None = None, threads: int = 1,
         seed: int | None = None) -> dict:
     """Execute one experiment config; returns the summary dict."""
-    experiment = str(_require(config, "experiment", "config")).lower()
+    experiment = _field(config, "experiment", str, _REQUIRED).lower()
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config['experiment']!r}")
     ensembles, _, scan = EXPERIMENTS[experiment]
     output = _field(config, "output", dict, {})
+    default_dir = _field(output, "output.dir", str, ".")
     formats = output.get("formats", FORMATS)
     if not isinstance(formats, (list, tuple)) or any(f not in FORMATS for f in formats):
         raise ConfigError(f"output.formats={formats!r} may list only {', '.join(FORMATS)}")
@@ -327,10 +341,11 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
         spectra = sample_spectra(_field(config, "spectrum", dict, {}), seed)
         t = time_grid(_field(config, "t_grid", dict, {}))
         ensemble = _field(config, "noise", dict, {}).get("ensemble", "gue")
-        op_rng = np.random.default_rng(np.random.SeedSequence(int(config.get("operator_seed", 7))))
+        op_seed = _field(config, "operator_seed", int, 7)
+        op_rng = np.random.default_rng(np.random.SeedSequence(op_seed))
     chash = config_hash(config)
     summary: dict = {"experiment": experiment, "config_hash": chash, "files": [], "comparisons": []}
-    out = Path(out_dir) if out_dir is not None else Path(output.get("dir", "."))
+    out = Path(default_dir if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     inputs = Inputs(config, j_list, spectra, t, ensemble, op_rng, threads, summary)
     for stem, series in scan(inputs):

@@ -93,8 +93,13 @@ def _goe_contract(spec: Spectrum, J: float, wa, wg: np.ndarray, t: np.ndarray) -
     The weights fold onto the exponentials, b+- = (wa c+- +- wg g)/2 on
     e^{z+- t}.  z+- are symmetric, so each exponent is taken once from the
     upper triangle with the weights of (i, j) and (j, i).  The weights fold
-    in place, the channel is dropped once folded and t runs in blocks of
-    ~4 D x D exponentials in one reused buffer.
+    in place and the channel is dropped once folded.
+
+    The exponentials run along t by recurrence, e^{z t_{k+1}} = e^{z t_k}
+    e^{z (t_{k+1} - t_k)}, in one row and one step buffer.  On a uniform
+    grid (every t_k within 4 ulp of t_0 + k h, as np.linspace gives) the
+    step e^{z h} is taken once, so the grid costs two rows of exp; any
+    other grid takes its step exactly per point.
     """
     d = spec.dim
     params = goe_params(spec, goe_constant(J, d))
@@ -115,12 +120,19 @@ def _goe_contract(spec: Spectrum, J: float, wa, wg: np.ndarray, t: np.ndarray) -
         c += np.tril(c, -1).T
     b = np.concatenate([c_plus[up], c_minus[up]])
     del c_plus, c_minus
-    rows = max(1, 4 * d * d // z.size)
-    block = np.empty((rows, z.size), dtype=complex)
     out = np.empty(t.size, dtype=complex)
-    for k in range(0, t.size, rows):
-        e = np.multiply.outer(t[k:k + rows], z, out=block[:t.size - k])
-        out[k:k + rows] = np.exp(e, out=e) @ b
+    if t.size == 0:
+        return out
+    h = (t[-1] - t[0]) / max(t.size - 1, 1)
+    uniform = np.all(np.abs(t - (t[0] + h * np.arange(t.size))) <= 4 * np.spacing(abs(t[-1])))
+    row = np.exp(t[0] * z)
+    step = np.exp(h * z) if uniform else np.empty_like(z)
+    out[0] = row @ b
+    for k in range(1, t.size):
+        if not uniform:
+            np.exp(np.multiply(t[k] - t[k - 1], z, out=step), out=step)
+        row *= step
+        out[k] = row @ b
     return out
 
 

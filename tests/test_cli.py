@@ -13,6 +13,7 @@ from noisychaos.cli import (
     main,
     random_traceless_hermitian,
     run,
+    sample_spectra,
     time_grid,
 )
 
@@ -283,6 +284,26 @@ class TestOracleCompare:
         # lambda_ij = J/D, so dt |lambda|_inf D = J dt.
         assert health["step_margin"] == pytest.approx(0.0025)
 
+    def test_state_pair_is_compared(self, tmp_path):
+        cfg = {**ORACLE_CONFIG, "state_i": 2, "state_j": 3,
+               "montecarlo": {**ORACLE_CONFIG["montecarlo"], "n_traj": 20}}
+        run(cfg, out_dir=tmp_path)
+        doc = json.loads((tmp_path / "mc_transfer_J1.json").read_text())
+        assert (doc["metadata"]["i"], doc["metadata"]["j"]) == (2, 3)
+        spec = sample_spectra(cfg["spectrum"], None)[0]
+        mc = cfg["montecarlo"]
+        expected = nc.estimate_transfer(
+            spec, nc.gue_constant(1.0, spec.dim),
+            nc.TrajectoryConfig(mc["dt"], mc["t_max"], mc["n_traj"], mc["seed"]),
+            2, 3, time_grid(cfg["t_grid"]),
+        )
+        assert np.array_equal(doc["values_re"], expected.values.real)
+
+    def test_state_pair_out_of_range_exits_one(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {**ORACLE_CONFIG, "state_i": 4})
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "state_i=4" in capsys.readouterr().err
+
     def test_thread_invariance_byte_identical(self, tmp_path):
         outs = []
         for n in (1, 4):
@@ -376,6 +397,30 @@ class TestUnsupportedSettings:
             ("oracle_compare", {"montecarlo": 0.01}, "montecarlo"),
             ("lanczos_scan", {"lanczos": 3}, "lanczos"),
             ("sff_scan", {"output": ["csv"]}, "output"),
+            ("sff_scan", {"spectrum": {"sample": "gue", "dim": [4]}}, "spectrum.dim"),
+            ("sff_scan", {"spectrum": {"sample": "gue", "dim": "4"}}, "spectrum.dim"),
+            ("sff_scan", {"spectrum": {"sample": "gue", "dim": 4.0}}, "spectrum.dim"),
+            ("sff_scan", {"spectrum": {"sample": "gue", "dim": 4, "seed": "3"}},
+             "spectrum.seed"),
+            ("sff_scan", {"t_grid": {"t_min": "0", "t_max": 1.0, "n_points": 3}}, "t_grid.t_min"),
+            ("sff_scan", {"t_grid": {"t_min": 0.0, "t_max": [1.0], "n_points": 3}},
+             "t_grid.t_max"),
+            ("sff_scan", {"t_grid": {"t_min": 0.0, "t_max": 1.0, "n_points": True}},
+             "t_grid.n_points"),
+            ("oracle_compare", {"montecarlo": {"dt": "0.01", "t_max": 1.0, "n_traj": 4,
+                                               "seed": 1}}, "montecarlo.dt"),
+            ("oracle_compare", {"montecarlo": {"dt": 0.01, "t_max": None, "n_traj": 4,
+                                               "seed": 1}}, "montecarlo.t_max"),
+            ("oracle_compare", {"montecarlo": {"dt": 0.01, "t_max": 1.0, "n_traj": 4.5,
+                                               "seed": 1}}, "montecarlo.n_traj"),
+            ("oracle_compare", {"montecarlo": {"dt": 0.01, "t_max": 1.0, "n_traj": 4,
+                                               "seed": True}}, "montecarlo.seed"),
+            ("lanczos_scan", {"lanczos": {"alpha": "2"}}, "lanczos.alpha"),
+            ("lanczos_scan", {"lanczos": {"n_max": [8]}}, "lanczos.n_max"),
+            ("lanczos_scan", {"lanczos": {"trace_ratio": False}}, "lanczos.trace_ratio"),
+            ("sff_scan", {"operator_seed": "7"}, "operator_seed"),
+            ("sff_scan", {"spectrum": {"file": 5}}, "spectrum.file"),
+            ("sff_scan", {"output": {"dir": 5}}, "output.dir"),
         ],
     )
     def test_malformed_type_names_field(self, tmp_path, experiment, override, field):

@@ -219,30 +219,39 @@ class TestTransferReturn:
 class TestGridContraction:
     # Every point of a grid from t = 0 to a late time against the channel
     # built and contracted at that point alone.
-    GRID = np.array([0.0, 0.1, 0.7, 1.3, 2.9, 6.0, 15.0, 40.0])
+    # The mixed grid takes the GOE contraction's per-point step, the uniform
+    # one its single step e^{z h}.
+    GRIDS = {
+        "mixed": np.array([0.0, 0.1, 0.7, 1.3, 2.9, 6.0, 15.0, 40.0]),
+        "uniform": np.linspace(0.0, 40.0, 401),
+    }
 
+    @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("d", [4, 6])
     @pytest.mark.parametrize(
         "sff, build", [(sff_gue_const, u1_gue_const), (sff_goe_const, u1_goe_const)]
     )
-    def test_sff_every_point(self, d, sff, build):
+    def test_sff_every_point(self, grid, d, sff, build):
         spec = sample_gue_spectrum(d, np.random.default_rng(d))
-        values = sff(spec, 0.8, self.GRID).values
-        per_point = [sff_from_channel(build(spec, 0.8, t)) for t in self.GRID]
+        t_grid = self.GRIDS[grid]
+        values = sff(spec, 0.8, t_grid).values
+        per_point = [sff_from_channel(build(spec, 0.8, t)) for t in t_grid]
         assert np.max(np.abs(values - per_point)) < 1e-12
 
+    @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("d", [4, 6])
     @pytest.mark.parametrize(
         "two_point, build",
         [(two_point_gue_const, u1_gue_const), (two_point_goe_const, u1_goe_const)],
     )
-    def test_two_point_every_point(self, d, two_point, build):
+    def test_two_point_every_point(self, grid, d, two_point, build):
         rng = np.random.default_rng(10 + d)
         spec = sample_gue_spectrum(d, rng)
         o = random_hermitian(d, rng)
-        values = two_point(spec, 0.8, o, self.GRID).values
+        t_grid = self.GRIDS[grid]
+        values = two_point(spec, 0.8, o, t_grid).values
         per_point = [
             np.trace(o.conj().T @ apply_channel(build(spec, 0.8, t), o)) / d
-            for t in self.GRID
+            for t in t_grid
         ]
         assert np.max(np.abs(values - per_point)) < 1e-12
