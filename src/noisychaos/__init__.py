@@ -24,13 +24,11 @@ from .channel_two import (
     f_coefficients,
     f_matrix,
     otoc,
-    otoc_noiseless,
     sff_squared_mean,
     sff_variance,
 )
 from .diagnostics import (
     DiagnosticSeries,
-    effective_hamiltonian,
     return_probability,
     sff_from_channel,
     sff_goe_const,
@@ -78,10 +76,8 @@ from .noise import (
     sample_noise_sequence,
 )
 from .spectra import (
-    DegenerateSpectrumError,
     InvalidDimensionError,
     Spectrum,
-    level_statistics,
     sample_goe_spectrum,
     sample_gue_spectrum,
 )

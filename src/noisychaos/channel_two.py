@@ -151,26 +151,16 @@ def _check_operator(name: str, op: np.ndarray, d: int) -> None:
         raise ValueError(f"{name} must be traceless, got trace {np.trace(op)}")
 
 
-def heisenberg_noiseless(spec: Spectrum, op: np.ndarray, t: float) -> np.ndarray:
-    """B_t = e^{iH0 t} B e^{-iH0 t} in the energy eigenbasis (phase grid)."""
-    phase = np.exp(1j * spec.gaps() * t)
-    return phase * op
-
-
 def _otoc_traces(spec: Spectrum, t, A: np.ndarray, B: np.ndarray):
     """(1/D) Tr(A B_t A B_t) and Tr(A B_t) at each point of t, both from
-    the one product M = A B_t: Tr(M M) = sum_ij M_ij M_ji."""
+    M = A B_t, (B_t)_ij = e^{i E_ij t} B_ij: Tr(M M) = sum_ij M_ij M_ji."""
     t = np.asarray(t, dtype=float)
+    gaps = spec.gaps()
     out = np.empty(t.shape + (2,), dtype=complex)
     for k in np.ndindex(t.shape):
-        m = A @ heisenberg_noiseless(spec, B, t[k])
+        m = A @ (np.exp(1j * gaps * t[k]) * B)
         out[k] = (m * m.T).sum() / spec.dim, np.trace(m)
     return out[..., 0], out[..., 1]
-
-
-def otoc_noiseless(spec: Spectrum, t, A: np.ndarray, B: np.ndarray):
-    """(1/D) Tr(A B_t A B_t) for the noiseless diagonal Hamiltonian."""
-    return _otoc_traces(spec, t, A, B)[0][()]
 
 
 def otoc(spec: Spectrum, J: float, t, A: np.ndarray, B: np.ndarray):
@@ -182,6 +172,7 @@ def otoc(spec: Spectrum, J: float, t, A: np.ndarray, B: np.ndarray):
 
     with f1 + f6 = e^{-2Jt} cosh(2Jt/D) and
     2 f3 = -e^{-2Jt} sinh(2Jt/D), derived from the coefficient matrix rows.
+    At J = 0, f1 + f6 = 1 and f3 = 0 exactly: J = 0 gives the noiseless OTOC.
     """
     d = spec.dim
     _check_operator("A", A, d)

@@ -66,19 +66,20 @@ def _field(config: dict, path: str, kind: type, default=None):
     """The value at the last key of the dotted ``path`` (``default`` when
     absent), refused with a ConfigError naming ``path`` unless a ``kind``
     or, with ``default=_REQUIRED``, when absent.  A float field also takes
-    an int and returns it as a float."""
+    an int and returns it as a float; only a bool field takes a bool."""
     key = path.rpartition(".")[2]
     if default is _REQUIRED and key not in config:
         raise ConfigError(f"missing field {path}")
     value = config.get(key, default)
     accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}={value!r} must be a {kind.__name__}")
     return float(value) if kind is float else value
 
 
 def check_supported(experiment: str, config: dict) -> None:
-    """Refuse a noise or spectrum setting the experiment would not honour."""
+    """Refuse a noise or spectrum setting the experiment would not honour.
+    ``config["J_list"]`` has been validated."""
     ensembles, averages, _ = EXPERIMENTS[experiment]
     noise = _field(config, "noise", dict, {})
     ensemble = noise.get("ensemble", "gue")
@@ -87,11 +88,16 @@ def check_supported(experiment: str, config: dict) -> None:
             f"noise.ensemble={ensemble!r} is not supported by {experiment} "
             f"(supported: {', '.join(ensembles)})"
         )
-    profile = _field(noise, "noise.profile", dict, {}).get("type", "const")
-    if profile != "const":
+    profile = _field(noise, "noise.profile", dict, {})
+    if profile.get("type", "const") != "const":
         raise ConfigError(
-            f"noise.profile.type={profile!r} is not supported by {experiment}: "
+            f"noise.profile.type={profile['type']!r} is not supported by {experiment}: "
             "J comes from J_list with the constant profile"
+        )
+    if "J" in profile and _field(profile, "noise.profile.J", float) not in config["J_list"]:
+        raise ConfigError(
+            f"noise.profile.J={profile['J']!r} is not in J_list={config['J_list']!r}, "
+            "which sets J"
         )
     spectrum = _field(config, "spectrum", dict, {})
     n_real = _field(spectrum, "spectrum.n_realizations", int, 1)
@@ -133,7 +139,12 @@ def sample_spectra(config: dict, seed_override: int | None) -> list[Spectrum]:
         path = Path(_field(config, "spectrum.file", str))
         if not path.exists():
             raise ConfigError(f"spectrum.file {path} does not exist")
-        return [Spectrum.load(path)]
+        try:
+            return [Spectrum.load(path)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"spectrum.file {path} is not a spectrum: {type(exc).__name__}: {exc}"
+            ) from exc
     kind = _field(config, "spectrum.sample", str, _REQUIRED)
     dim = _field(config, "spectrum.dim", int, _REQUIRED)
     n_real = _field(config, "spectrum.n_realizations", int, 1)
@@ -241,7 +252,9 @@ def lanczos_scan(inp: Inputs):
     alpha = _field(lz, "lanczos.alpha", float, 1.0)
     n_max = _field(lz, "lanczos.n_max", int, 30)
     ratio = _field(lz, "lanczos.trace_ratio", float, 1.0)
-    # The recursion is exact, so it meets any precision a config asks for.
+    # Only the type of dps is checked: the recursion is exact, so it meets
+    # any precision a config asks for.
+    _field(lz, "lanczos.dps", int, 0)
     mu = krylov.sech_moments(n_max, alpha=alpha)
     n = np.arange(1, n_max + 1, dtype=float)
     for j in inp.j_list:
@@ -267,6 +280,7 @@ def oracle_compare(inp: Inputs):
         n_traj=_field(mc_cfg, "montecarlo.n_traj", int, _REQUIRED),
         seed=_field(mc_cfg, "montecarlo.seed", int, _REQUIRED),
     )
+    compare_otoc = _field(inp.config, "compare_otoc", bool, False)
     spec, t, gue = inp.spectra[0], inp.t, inp.ensemble == "gue"
     sff = getattr(diag, f"sff_{inp.ensemble}_const")
     two_point = getattr(diag, f"two_point_{inp.ensemble}_const")
@@ -286,7 +300,7 @@ def oracle_compare(inp: Inputs):
         }
         if gue and spec.dim >= 3:
             cases["sff_squared"] = (sff_squared_observable(), sff_squared_mean(spec, j, t))
-        if gue and inp.config.get("compare_otoc", False):
+        if gue and compare_otoc:
             a = random_traceless_hermitian(spec.dim, inp.op_rng)
             b = random_traceless_hermitian(spec.dim, inp.op_rng)
             cases["otoc"] = (otoc_observable(a, b), otoc_closed(spec, j, t, a, b))

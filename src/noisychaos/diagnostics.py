@@ -1,7 +1,7 @@
 """Series observables built on the averaged channels: SFF, two-point
-functions, effective Hamiltonian, transfer and return probabilities, each
-evaluated on a whole time grid at once.  Moments and Lanczos coefficients
-live in krylov.py, the two-replica observables in channel_two.py."""
+functions, transfer and return probabilities, each evaluated on a whole
+time grid at once.  Moments and Lanczos coefficients live in krylov.py,
+the two-replica observables in channel_two.py."""
 
 from __future__ import annotations
 
@@ -189,15 +189,6 @@ def two_point_goe_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> Diag
     return DiagnosticSeries(
         "two_point_goe_const", t, values, metadata=_meta(spec, J=J, ensemble="goe")
     )
-
-
-def effective_hamiltonian(spec: Spectrum, J: float, t: float) -> Spectrum:
-    """Eigenvalues of the noise-averaged Heisenberg evolution of diag(E):
-    E_{J;i} = e^{-Jt} E_i + Ebar (1 - e^{-Jt}).  The map is affine
-    increasing, so ordering and spacing ratios are preserved."""
-    decay = np.exp(-J * t)
-    e_bar = spec.mean_energy
-    return Spectrum(decay * spec.energies + e_bar * (1.0 - decay))
 
 
 def transfer_probability(

@@ -59,8 +59,6 @@ class GibbsProfile:
     def matrix(self, dim: int) -> np.ndarray:
         if self.spectrum.dim != dim:
             raise ValueError("Gibbs profile spectrum dimension mismatch")
-        if self.beta == 0.0:
-            return np.full((dim, dim), self.J / dim)
         return (self.J / dim) * np.exp(-self.beta * np.abs(self.spectrum.gaps()))
 
 

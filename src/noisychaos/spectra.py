@@ -1,4 +1,4 @@
-"""Energy spectra: random-matrix sampling, level-spacing statistics, JSON I/O."""
+"""Energy spectra: random-matrix sampling and JSON I/O."""
 
 from __future__ import annotations
 
@@ -10,14 +10,6 @@ import numpy as np
 
 class InvalidDimensionError(ValueError):
     """Hilbert-space dimension too small for the requested operation."""
-
-
-class DegenerateSpectrumError(ValueError):
-    """A level spacing is exactly zero; ratio statistics are undefined."""
-
-    def __init__(self, index: int):
-        super().__init__(f"zero level spacing at index {index}")
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -75,17 +67,6 @@ class Spectrum:
             return cls.from_json(fh.read())
 
 
-@dataclass(frozen=True)
-class LevelStatistics:
-    """Nearest-neighbour spacings s_n, ratios r_n = s_n/s_{n-1} and their
-    min-folded variant in [0, 1]."""
-
-    spacings: np.ndarray
-    ratios: np.ndarray
-    folded_ratios: np.ndarray
-    mean_folded_ratio: float
-
-
 def sample_gue_spectrum(dim: int, rng: np.random.Generator) -> Spectrum:
     """Sorted eigenvalues of a GUE matrix normalized so the semicircle
     support is approximately [-2, 2].
@@ -110,23 +91,3 @@ def sample_goe_spectrum(dim: int, rng: np.random.Generator) -> Spectrum:
     h = (x + x.T) / np.sqrt(2.0 * dim)
     return Spectrum(np.linalg.eigvalsh(h))
 
-
-def level_statistics(spec: Spectrum) -> LevelStatistics:
-    """Spacings, consecutive-spacing ratios and min-folded ratios.
-
-    Raises :class:`DegenerateSpectrumError` if any spacing vanishes.
-    """
-    if spec.dim < 3:
-        raise InvalidDimensionError(f"need dim >= 3 for ratios, got {spec.dim}")
-    s = np.diff(spec.energies)
-    zero = np.flatnonzero(s == 0.0)
-    if zero.size:
-        raise DegenerateSpectrumError(int(zero[0]))
-    r = s[1:] / s[:-1]
-    folded = np.minimum(r, 1.0 / r)
-    return LevelStatistics(
-        spacings=s,
-        ratios=r,
-        folded_ratios=folded,
-        mean_folded_ratio=float(folded.mean()),
-    )

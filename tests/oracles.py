@@ -1,16 +1,25 @@
 """Reference objects that only the tests use: the single-replica generator
 L1, the dense D^2 x D^2 superoperator and Choi matrix of a channel, the
-8 x 8 two-replica generator M, and one full Monte Carlo trajectory.
+8 x 8 two-replica generator M, one full Monte Carlo trajectory, the
+effective Hamiltonian and level-spacing statistics.
 
 Each is an independent statement of the dynamics the closed forms in
-``noisychaos`` solve, so the tests check the package against it.
+``noisychaos`` solve, or of a result the paper derives from them, so the
+tests check the package against it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from noisychaos import ChannelOne, Ensemble, NoiseModel, Spectrum, TrajectoryConfig
+from noisychaos import (
+    ChannelOne,
+    Ensemble,
+    InvalidDimensionError,
+    NoiseModel,
+    Spectrum,
+    TrajectoryConfig,
+)
 from noisychaos.channel_two import UnsupportedDimensionError
 from noisychaos.montecarlo import _evolve_recorded, validate_step
 from noisychaos.noise import noise_dtype
@@ -113,3 +122,52 @@ def evolve_trajectory(
     eta = np.empty((1, cfg.n_steps, spec.dim, spec.dim), dtype=noise_dtype(model))
     u_rec, _ = _evolve_recorded(spec.energies, model, cfg.dt, steps, [rng], eta)
     return u_rec[0]
+
+
+def effective_hamiltonian(spec: Spectrum, J: float, t: float) -> Spectrum:
+    """Eigenvalues of the noise-averaged Heisenberg evolution of diag(E):
+    E_{J;i} = e^{-Jt} E_i + Ebar (1 - e^{-Jt}).  The map is affine
+    increasing, so ordering and spacing ratios are preserved."""
+    decay = np.exp(-J * t)
+    e_bar = spec.mean_energy
+    return Spectrum(decay * spec.energies + e_bar * (1.0 - decay))
+
+
+class DegenerateSpectrumError(ValueError):
+    """A level spacing is exactly zero; ratio statistics are undefined."""
+
+    def __init__(self, index: int):
+        super().__init__(f"zero level spacing at index {index}")
+        self.index = index
+
+
+@dataclass(frozen=True)
+class LevelStatistics:
+    """Nearest-neighbour spacings s_n, ratios r_n = s_n/s_{n-1} and their
+    min-folded variant in [0, 1]."""
+
+    spacings: np.ndarray
+    ratios: np.ndarray
+    folded_ratios: np.ndarray
+    mean_folded_ratio: float
+
+
+def level_statistics(spec: Spectrum) -> LevelStatistics:
+    """Spacings, consecutive-spacing ratios and min-folded ratios.
+
+    Raises :class:`DegenerateSpectrumError` if any spacing vanishes.
+    """
+    if spec.dim < 3:
+        raise InvalidDimensionError(f"need dim >= 3 for ratios, got {spec.dim}")
+    s = np.diff(spec.energies)
+    zero = np.flatnonzero(s == 0.0)
+    if zero.size:
+        raise DegenerateSpectrumError(int(zero[0]))
+    r = s[1:] / s[:-1]
+    folded = np.minimum(r, 1.0 / r)
+    return LevelStatistics(
+        spacings=s,
+        ratios=r,
+        folded_ratios=folded,
+        mean_folded_ratio=float(folded.mean()),
+    )

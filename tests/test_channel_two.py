@@ -10,12 +10,10 @@ from noisychaos import (
     f_coefficients,
     f_matrix,
     otoc,
-    otoc_noiseless,
     sff_squared_mean,
     sff_variance,
     sample_gue_spectrum,
 )
-from noisychaos.channel_two import heisenberg_noiseless
 from noisychaos.diagnostics import sff_gue_const
 
 from conftest import random_hermitian
@@ -123,18 +121,15 @@ class TestOtoc:
         b = random_hermitian(6, rng, traceless=True)
         return a, b
 
-    def test_heisenberg_evolution(self, spec5, rng):
-        op = random_hermitian(5, rng)
-        t = 0.9
-        u = np.diag(np.exp(-1j * spec5.energies * t))
-        expected = u.conj().T @ op @ u
-        assert np.max(np.abs(heisenberg_noiseless(spec5, op, t) - expected)) < 1e-12
-
     def test_zero_noise_reduction(self, ops):
+        # J = 0 is (1/D) Tr(A B_t A B_t) with B_t = U^+ B U, U = e^{-iH0 t}.
         spec = sample_gue_spectrum(6, np.random.default_rng(3))
         a, b = ops
         for t in (0.0, 0.7, 2.1):
-            assert abs(otoc(spec, 0.0, t, a, b) - otoc_noiseless(spec, t, a, b)) < 1e-12
+            u = np.diag(np.exp(-1j * spec.energies * t))
+            b_t = u.conj().T @ b @ u
+            direct = np.trace(a @ b_t @ a @ b_t) / 6
+            assert abs(otoc(spec, 0.0, t, a, b) - direct) < 1e-12
 
     def test_t0_untouched_by_noise(self, ops):
         spec = sample_gue_spectrum(6, np.random.default_rng(3))
@@ -162,7 +157,7 @@ class TestOtoc:
             b *= np.sqrt(d / np.trace(b @ b).real)
             gap = abs(
                 otoc(spec, J, t, a, b)
-                - np.exp(-2 * J * t) * otoc_noiseless(spec, t, a, b)
+                - np.exp(-2 * J * t) * otoc(spec, 0.0, t, a, b)
             )
             cs.append(gap * d)
         assert max(cs) < 10.0 * max(min(cs), 1e-3)
@@ -191,10 +186,6 @@ class TestGridCalls:
         grid = otoc(spec, 0.9, self.T, a, b)
         assert grid.shape == self.T.shape
         assert np.array_equal(grid, [otoc(spec, 0.9, t, a, b) for t in self.T])
-        assert np.array_equal(
-            otoc_noiseless(spec, self.T, a, b),
-            [otoc_noiseless(spec, t, a, b) for t in self.T],
-        )
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

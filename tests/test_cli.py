@@ -153,10 +153,19 @@ class TestRunExperiments:
             run(cfg, out_dir=tmp_path / "out")
         assert not (tmp_path / "out" / "summary.json").exists()
 
-    def test_missing_spectrum_file(self, tmp_path):
-        cfg = dict(SFF_CONFIG, spectrum={"file": str(tmp_path / "nope.json")})
-        with pytest.raises(ConfigError):
-            run(cfg, out_dir=tmp_path)
+    @pytest.mark.parametrize(
+        "content", [None, '{"dim": 3}', "[0.0, 1.0]", '{"energies": 5}'],
+        ids=["absent", "no-energies", "list", "scalar-energies"],
+    )
+    def test_missing_spectrum_file(self, tmp_path, content):
+        spec_path = tmp_path / "spec.json"
+        if content is not None:
+            spec_path.write_text(content)
+        cfg = dict(SFF_CONFIG, spectrum={"file": str(spec_path)})
+        with pytest.raises(ConfigError, match="spectrum.file"):
+            run(cfg, out_dir=tmp_path / "out")
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
 
     def test_return_scan(self, tmp_path):
         cfg = {
@@ -374,6 +383,8 @@ class TestUnsupportedSettings:
             ("return_scan", {"spectrum": MANY}, "spectrum.n_realizations"),
             ("sff_variance_scan", {"spectrum": MANY}, "spectrum.n_realizations"),
             ("oracle_compare", {"spectrum": MANY}, "spectrum.n_realizations"),
+            ("sff_scan", {"noise": {"ensemble": "gue", "profile": {"type": "const", "J": 3.0}}},
+             "noise.profile.J"),
         ],
     )
     def test_config_error_names_field(self, tmp_path, experiment, override, field):
@@ -421,6 +432,8 @@ class TestUnsupportedSettings:
             ("sff_scan", {"operator_seed": "7"}, "operator_seed"),
             ("sff_scan", {"spectrum": {"file": 5}}, "spectrum.file"),
             ("sff_scan", {"output": {"dir": 5}}, "output.dir"),
+            ("oracle_compare", {"compare_otoc": "no"}, "compare_otoc"),
+            ("lanczos_scan", {"lanczos": {"dps": "x"}}, "lanczos.dps"),
         ],
     )
     def test_malformed_type_names_field(self, tmp_path, experiment, override, field):

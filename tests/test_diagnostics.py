@@ -7,10 +7,8 @@ from noisychaos import (
     DiagnosticSeries,
     Spectrum,
     apply_channel,
-    effective_hamiltonian,
     goe_constant,
     gue_constant,
-    level_statistics,
     return_probability,
     sample_gue_spectrum,
     sff_from_channel,
@@ -28,6 +26,7 @@ from noisychaos import (
 )
 
 from conftest import random_hermitian
+from oracles import effective_hamiltonian, level_statistics
 
 T_GRID = np.linspace(0.0, 3.0, 7)
 

@@ -19,7 +19,7 @@ from noisychaos import (
     estimate_two_point,
     goe_constant,
     gue_constant,
-    otoc_noiseless,
+    otoc,
     otoc_observable,
     sample_gue_spectrum,
     sff_from_channel,
@@ -193,7 +193,7 @@ class TestEstimators:
         est = estimate_otoc(spec4, gue_constant(0.0, 4), small_cfg(4), a, b, T_GRID)
         assert abs(est.values[0] - np.trace(a @ b @ a @ b) / 4) < 1e-12
         for k, t in enumerate(T_GRID):
-            assert abs(est.values[k] - otoc_noiseless(spec4, t, a, b)) < 1e-10
+            assert abs(est.values[k] - otoc(spec4, 0.0, t, a, b)) < 1e-10
 
     def test_transfer_matches_closed_form(self, spec4):
         model = gue_constant(1.0, 4)

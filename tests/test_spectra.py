@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from noisychaos import (
-    DegenerateSpectrumError,
     InvalidDimensionError,
     Spectrum,
-    level_statistics,
     sample_goe_spectrum,
     sample_gue_spectrum,
 )
+
+from oracles import DegenerateSpectrumError, level_statistics
 
 
 class TestSpectrum:
