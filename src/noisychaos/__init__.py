@@ -47,7 +47,6 @@ from .krylov import (
     signed_lanczos_noisy,
 )
 from .montecarlo import (
-    Observable,
     OracleRun,
     TrajectoryConfig,
     UnitarityError,

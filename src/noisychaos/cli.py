@@ -62,11 +62,12 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-def _field(config: dict, path: str, kind: type, default=None):
+def _field(config: dict, path: str, kind: type, default=None, minimum=None):
     """The value at the last key of the dotted ``path`` (``default`` when
     absent), refused with a ConfigError naming ``path`` unless a ``kind``
-    or, with ``default=_REQUIRED``, when absent.  A float field also takes
-    an int and returns it as a float; only a bool field takes a bool."""
+    of at least ``minimum``, if given, or, with ``default=_REQUIRED``, when
+    absent.  A float field also takes an int and returns it as a float; only
+    a bool field takes a bool."""
     key = path.rpartition(".")[2]
     if default is _REQUIRED and key not in config:
         raise ConfigError(f"missing field {path}")
@@ -74,6 +75,8 @@ def _field(config: dict, path: str, kind: type, default=None):
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}={value!r} must be a {kind.__name__}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path}={value!r} must be at least {minimum}")
     return float(value) if kind is float else value
 
 
@@ -100,9 +103,7 @@ def check_supported(experiment: str, config: dict) -> None:
             "which sets J"
         )
     spectrum = _field(config, "spectrum", dict, {})
-    n_real = _field(spectrum, "spectrum.n_realizations", int, 1)
-    if n_real < 1:
-        raise ConfigError(f"spectrum.n_realizations={n_real} must be at least 1")
+    n_real = _field(spectrum, "spectrum.n_realizations", int, 1, minimum=1)
     if n_real > 1 and not averages:
         raise ConfigError(
             f"spectrum.n_realizations={n_real} is not supported by {experiment}, "
@@ -146,9 +147,10 @@ def sample_spectra(config: dict, seed_override: int | None) -> list[Spectrum]:
                 f"spectrum.file {path} is not a spectrum: {type(exc).__name__}: {exc}"
             ) from exc
     kind = _field(config, "spectrum.sample", str, _REQUIRED)
-    dim = _field(config, "spectrum.dim", int, _REQUIRED)
+    dim = _field(config, "spectrum.dim", int, _REQUIRED, minimum=2)
     n_real = _field(config, "spectrum.n_realizations", int, 1)
-    seed = _field(config, "spectrum.seed", int, 0) if seed_override is None else seed_override
+    seed = (_field(config, "spectrum.seed", int, 0, minimum=0) if seed_override is None
+            else seed_override)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sampler = {"gue": sample_gue_spectrum, "goe": sample_goe_spectrum}.get(kind)
     if sampler is None:
@@ -233,7 +235,7 @@ def transfer_scan(inp: Inputs):
 
 def return_scan(inp: Inputs):
     for j in inp.j_list:
-        yield f"return_J{j:g}", diag.return_probability(inp.spectra[0], j, None, inp.t)
+        yield f"return_J{j:g}", diag.return_probability(inp.spectra[0], j, inp.t)
 
 
 def sff_variance_scan(inp: Inputs):
@@ -250,7 +252,7 @@ def sff_variance_scan(inp: Inputs):
 def lanczos_scan(inp: Inputs):
     lz = _field(inp.config, "lanczos", dict, {})
     alpha = _field(lz, "lanczos.alpha", float, 1.0)
-    n_max = _field(lz, "lanczos.n_max", int, 30)
+    n_max = _field(lz, "lanczos.n_max", int, 30, minimum=1)
     ratio = _field(lz, "lanczos.trace_ratio", float, 1.0)
     # Only the type of dps is checked: the recursion is exact, so it meets
     # any precision a config asks for.
@@ -277,11 +279,13 @@ def oracle_compare(inp: Inputs):
     cfg = TrajectoryConfig(
         dt=_field(mc_cfg, "montecarlo.dt", float, _REQUIRED),
         t_max=_field(mc_cfg, "montecarlo.t_max", float, _REQUIRED),
-        n_traj=_field(mc_cfg, "montecarlo.n_traj", int, _REQUIRED),
-        seed=_field(mc_cfg, "montecarlo.seed", int, _REQUIRED),
+        n_traj=_field(mc_cfg, "montecarlo.n_traj", int, _REQUIRED, minimum=1),
+        seed=_field(mc_cfg, "montecarlo.seed", int, _REQUIRED, minimum=0),
     )
     compare_otoc = _field(inp.config, "compare_otoc", bool, False)
     spec, t, gue = inp.spectra[0], inp.t, inp.ensemble == "gue"
+    if compare_otoc and not gue:
+        raise ConfigError(f"compare_otoc=True needs noise.ensemble 'gue', got {inp.ensemble!r}")
     sff = getattr(diag, f"sff_{inp.ensemble}_const")
     two_point = getattr(diag, f"two_point_{inp.ensemble}_const")
     state_i, state_j = _state_pair(inp)
@@ -300,7 +304,7 @@ def oracle_compare(inp: Inputs):
         }
         if gue and spec.dim >= 3:
             cases["sff_squared"] = (sff_squared_observable(), sff_squared_mean(spec, j, t))
-        if gue and compare_otoc:
+        if compare_otoc:
             a = random_traceless_hermitian(spec.dim, inp.op_rng)
             b = random_traceless_hermitian(spec.dim, inp.op_rng)
             cases["otoc"] = (otoc_observable(a, b), otoc_closed(spec, j, t, a, b))
@@ -349,13 +353,17 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
     if not j_list or not all(isinstance(j, (int, float)) and 0.0 <= j < np.inf for j in j_list):
         raise ConfigError(f"J_list={j_list!r} must be a nonempty list of finite J >= 0")
     j_list = [float(j) for j in j_list]
+    stems = [f"{j:g}" for j in j_list]
+    shared = [stem for k, stem in enumerate(stems) if stem in stems[:k]]
+    if shared:
+        raise ConfigError(f"J_list={j_list!r} gives two entries the file stem J{shared[0]}")
     spectra, t, ensemble, op_rng = [], None, None, None
     if ensembles:
         check_supported(experiment, config)
         spectra = sample_spectra(_field(config, "spectrum", dict, {}), seed)
         t = time_grid(_field(config, "t_grid", dict, {}))
         ensemble = _field(config, "noise", dict, {}).get("ensemble", "gue")
-        op_seed = _field(config, "operator_seed", int, 7)
+        op_seed = _field(config, "operator_seed", int, 7, minimum=0)
         op_rng = np.random.default_rng(np.random.SeedSequence(op_seed))
     chash = config_hash(config)
     summary: dict = {"experiment": experiment, "config_hash": chash, "files": [], "comparisons": []}

@@ -214,42 +214,12 @@ def transfer_probability(
     )
 
 
-def _validate_partition(projectors: list[np.ndarray], d: int) -> None:
-    total = np.zeros((d, d), dtype=complex)
-    for k, p in enumerate(projectors):
-        if p.shape != (d, d):
-            raise ValueError(f"projector {k} has shape {p.shape}")
-        if not np.allclose(p, p.conj().T, atol=1e-10):
-            raise ValueError(f"projector {k} is not Hermitian")
-        total += p
-        for l, q in enumerate(projectors):
-            if not np.allclose(p @ q, p if k == l else 0.0, atol=1e-10):
-                raise ValueError(f"projectors {k}, {l} are not orthogonal idempotents")
-    if not np.allclose(total, np.eye(d), atol=1e-10):
-        raise ValueError("projectors do not sum to the identity")
-
-
-def return_probability(
-    spec: Spectrum, J: float, projectors: list[np.ndarray] | None, t_grid
-) -> DiagnosticSeries:
-    """Mean return probability under constant GUE noise.
-
-    For the eigenbasis rank-1 partition (projectors=None) the closed form
-    P_{S;J}(t) = e^{-Jt} + (1 - e^{-Jt})/D is used; a general complete
-    orthogonal partition is contracted against the averaged channel.
-    """
+def return_probability(spec: Spectrum, J: float, t_grid) -> DiagnosticSeries:
+    """Mean return probability of the eigenbasis rank-1 partition under
+    constant GUE noise, P_{S;J}(t) = e^{-Jt} + (1 - e^{-Jt})/D."""
     t = np.asarray(t_grid, dtype=float)
-    if projectors is None:
-        decay = np.exp(-J * t)
-        values = decay + (1.0 - decay) / spec.dim
-    else:
-        # rho_s = Pi_s / Tr Pi_s returns with weight (D / Tr Pi_s) C_J(t) of
-        # O = Pi_s, averaged over the blocks s.
-        _validate_partition(projectors, spec.dim)
-        values = sum(
-            spec.dim / np.trace(p).real * two_point_gue_const(spec, J, p, t).values.real
-            for p in projectors
-        ) / len(projectors)
+    decay = np.exp(-J * t)
+    values = decay + (1.0 - decay) / spec.dim
     return DiagnosticSeries(
         "return_probability", t, values, metadata=_meta(spec, J=J, ensemble="gue")
     )

@@ -14,7 +14,6 @@ observables share the simulation.
 
 from __future__ import annotations
 
-import queue
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -162,17 +161,10 @@ def chunk_bounds(n_traj: int, n_steps: int, dim: int, threads: int = 1) -> list[
     return [(n_traj * k // n_chunks, n_traj * (k + 1) // n_chunks) for k in range(n_chunks)]
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A per-trajectory observable of the recorded unitaries.
-
-    ``value`` maps U of shape (batch, n_times, D, D) to values of shape
-    (batch, n_times), each trajectory's from its own unitaries only.  The
-    estimated series is called ``name``.
-    """
-
-    name: str
-    value: Callable[[np.ndarray], np.ndarray]
+# A per-trajectory observable of the recorded unitaries: it maps U of shape
+# (batch, n_times, D, D) to values of shape (batch, n_times), each
+# trajectory's from its own unitaries only.
+Observable = Callable[[np.ndarray], np.ndarray]
 
 
 def sff_observable() -> Observable:
@@ -183,7 +175,7 @@ def sff_observable() -> Observable:
         tr = np.trace(u_rec, axis1=-2, axis2=-1)
         return np.abs(tr) ** 2 / d**2
 
-    return Observable("mc_sff", value)
+    return value
 
 
 def sff_squared_observable() -> Observable:
@@ -193,7 +185,7 @@ def sff_squared_observable() -> Observable:
         tr = np.trace(u_rec, axis1=-2, axis2=-1)
         return np.abs(tr) ** 4
 
-    return Observable("mc_sff_squared", value)
+    return value
 
 
 def two_point_observable(O: np.ndarray) -> Observable:
@@ -205,7 +197,7 @@ def two_point_observable(O: np.ndarray) -> Observable:
         o_t = u_rec.conj().transpose(0, 1, 3, 2) @ O @ u_rec
         return np.trace(o_dag @ o_t, axis1=-2, axis2=-1) / d
 
-    return Observable("mc_two_point", value)
+    return value
 
 
 def otoc_observable(A: np.ndarray, B: np.ndarray) -> Observable:
@@ -217,7 +209,7 @@ def otoc_observable(A: np.ndarray, B: np.ndarray) -> Observable:
         ab = A @ b_t
         return np.trace(ab @ ab, axis1=-2, axis2=-1) / d
 
-    return Observable("mc_otoc", value)
+    return value
 
 
 def transfer_observable(i: int, j: int) -> Observable:
@@ -226,7 +218,7 @@ def transfer_observable(i: int, j: int) -> Observable:
     def value(u_rec):
         return np.abs(u_rec[:, :, j, i]) ** 2
 
-    return Observable("mc_transfer", value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -267,7 +259,8 @@ def estimate_observables(
     Each chunk of trajectories (see ``chunk_bounds``) is evolved once and
     every observable fills its own (n_traj, n_times) slots from the same
     recorded unitaries, so each series equals the one a separate estimate
-    of that observable alone would give.
+    of that observable alone would give.  The series of ``observables[key]``
+    is named ``mc_{key}``.
     """
     validate_step(model, cfg.dt)
     t_grid = np.asarray(t_grid)
@@ -280,56 +273,50 @@ def estimate_observables(
     n_steps = int(steps.max())
     bounds = chunk_bounds(cfg.n_traj, max(n_steps, 1), spec.dim, threads)
     values = {key: np.empty((cfg.n_traj, steps.size), dtype=complex) for key in observables}
-    # The noise buffers, one per chunk running at once, are allocated here
-    # and lent to the chunks.  Were each chunk to allocate its own, every
-    # call's fresh pool threads would hold tens of MB in per-thread malloc
-    # arenas, and a thread starting before the last call's threads have
-    # released theirs gets a new arena: peak memory would then depend on
+    # Worker w runs chunks w, w + workers, ... in its own noise buffer.  The
+    # buffers are allocated here: were each worker to allocate its own,
+    # every call's fresh pool threads would hold tens of MB in per-thread
+    # malloc arenas, and a thread starting before the last call's threads
+    # have released theirs gets a new arena, so peak memory would depend on
     # thread timing.
+    workers = min(threads, len(bounds))
     largest = max(hi - lo for lo, hi in bounds)
-    buffers = queue.SimpleQueue()
-    for _ in range(min(threads, len(bounds))):
-        buffers.put(np.empty((largest, n_steps, spec.dim, spec.dim), dtype=noise_dtype(model)))
+    shape = (largest, n_steps, spec.dim, spec.dim)
+    buffers = [np.empty(shape, dtype=noise_dtype(model)) for _ in range(workers)]
 
-    def run_chunk(bound: tuple[int, int]) -> float:
-        lo, hi = bound
-        eta = buffers.get()
-        try:
+    def run_share(w: int, eta: np.ndarray) -> float:
+        drifts = []
+        for lo, hi in bounds[w::workers]:
             u_rec, drift = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens[lo:hi], eta)
-        finally:
-            buffers.put(eta)
-        for key, obs in observables.items():
-            values[key][lo:hi] = obs.value(u_rec)
-        return drift
+            for key, value in observables.items():
+                values[key][lo:hi] = value(u_rec)
+            drifts.append(drift)
+        return max(drifts)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            drifts = list(pool.map(run_chunk, bounds))
-    else:
-        drifts = [run_chunk(b) for b in bounds]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        max_drift = max(pool.map(run_share, range(workers), buffers))
     series = {
-        key: _reduce(obs.name, spec, model, cfg, t_grid, values[key])
-        for key, obs in observables.items()
+        key: _reduce(f"mc_{key}", spec, model, cfg, t_grid, values[key]) for key in observables
     }
-    return OracleRun(series, max(drifts))
+    return OracleRun(series, max_drift)
 
 
-def _estimate_one(spec, model, cfg, t_grid, obs: Observable, threads: int) -> DiagnosticSeries:
-    return estimate_observables(spec, model, cfg, t_grid, {obs.name: obs}, threads).series[obs.name]
+def _estimate_one(spec, model, cfg, t_grid, key, obs, threads) -> DiagnosticSeries:
+    return estimate_observables(spec, model, cfg, t_grid, {key: obs}, threads).series[key]
 
 
 def estimate_sff(
     spec: Spectrum, model: NoiseModel, cfg: TrajectoryConfig, t_grid, threads: int = 1
 ) -> DiagnosticSeries:
     """Monte Carlo estimate of K_J(t) = E|TrU|^2 / D^2 with error bars."""
-    return _estimate_one(spec, model, cfg, t_grid, sff_observable(), threads)
+    return _estimate_one(spec, model, cfg, t_grid, "sff", sff_observable(), threads)
 
 
 def estimate_sff_squared(
     spec: Spectrum, model: NoiseModel, cfg: TrajectoryConfig, t_grid, threads: int = 1
 ) -> DiagnosticSeries:
     """Monte Carlo estimate of E[(TrU TrU+)^2]."""
-    return _estimate_one(spec, model, cfg, t_grid, sff_squared_observable(), threads)
+    return _estimate_one(spec, model, cfg, t_grid, "sff_squared", sff_squared_observable(), threads)
 
 
 def estimate_two_point(
@@ -341,7 +328,7 @@ def estimate_two_point(
     threads: int = 1,
 ) -> DiagnosticSeries:
     """Monte Carlo estimate of C_J(t) = (1/D) E[Tr(O+ U+ O U)]."""
-    return _estimate_one(spec, model, cfg, t_grid, two_point_observable(O), threads)
+    return _estimate_one(spec, model, cfg, t_grid, "two_point", two_point_observable(O), threads)
 
 
 def estimate_otoc(
@@ -354,7 +341,7 @@ def estimate_otoc(
     threads: int = 1,
 ) -> DiagnosticSeries:
     """Monte Carlo estimate of OTOC_J = (1/D) E[Tr(A B_t A B_t)]."""
-    return _estimate_one(spec, model, cfg, t_grid, otoc_observable(A, B), threads)
+    return _estimate_one(spec, model, cfg, t_grid, "otoc", otoc_observable(A, B), threads)
 
 
 def estimate_transfer(
@@ -367,4 +354,4 @@ def estimate_transfer(
     threads: int = 1,
 ) -> DiagnosticSeries:
     """Monte Carlo estimate of the transfer probability E|U_ji|^2."""
-    return _estimate_one(spec, model, cfg, t_grid, transfer_observable(i, j), threads)
+    return _estimate_one(spec, model, cfg, t_grid, "transfer", transfer_observable(i, j), threads)

@@ -35,36 +35,25 @@ class Spectrum:
     def dim(self) -> int:
         return self.energies.size
 
-    @property
-    def mean_energy(self) -> float:
-        return float(self.energies.mean())
-
     def gaps(self) -> np.ndarray:
         """Antisymmetric gap matrix E_ij = E_i - E_j."""
         e = self.energies
         return e[:, None] - e[None, :]
 
-    def to_json(self) -> str:
-        return json.dumps({"dim": self.dim, "energies": self.energies.tolist()})
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump({"dim": self.dim, "energies": self.energies.tolist()}, fh)
 
     @classmethod
-    def from_json(cls, text: str) -> "Spectrum":
-        data = json.loads(text)
+    def load(cls, path) -> "Spectrum":
+        with open(path) as fh:
+            data = json.load(fh)
         spec = cls(np.asarray(data["energies"], dtype=float))
         if "dim" in data and int(data["dim"]) != spec.dim:
             raise ValueError(
                 f"dim field {data['dim']} disagrees with {spec.dim} energies"
             )
         return spec
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "Spectrum":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
 
 
 def sample_gue_spectrum(dim: int, rng: np.random.Generator) -> Spectrum:

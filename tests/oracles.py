@@ -1,7 +1,8 @@
 """Reference objects that only the tests use: the single-replica generator
 L1, the dense D^2 x D^2 superoperator and Choi matrix of a channel, the
 8 x 8 two-replica generator M, one full Monte Carlo trajectory, the
-effective Hamiltonian and level-spacing statistics.
+effective Hamiltonian, level-spacing statistics and the return probability
+of a general partition.
 
 Each is an independent statement of the dynamics the closed forms in
 ``noisychaos`` solve, or of a result the paper derives from them, so the
@@ -19,6 +20,7 @@ from noisychaos import (
     NoiseModel,
     Spectrum,
     TrajectoryConfig,
+    two_point_gue_const,
 )
 from noisychaos.channel_two import UnsupportedDimensionError
 from noisychaos.montecarlo import _evolve_recorded, validate_step
@@ -129,7 +131,7 @@ def effective_hamiltonian(spec: Spectrum, J: float, t: float) -> Spectrum:
     E_{J;i} = e^{-Jt} E_i + Ebar (1 - e^{-Jt}).  The map is affine
     increasing, so ordering and spacing ratios are preserved."""
     decay = np.exp(-J * t)
-    e_bar = spec.mean_energy
+    e_bar = spec.energies.mean()
     return Spectrum(decay * spec.energies + e_bar * (1.0 - decay))
 
 
@@ -171,3 +173,32 @@ def level_statistics(spec: Spectrum) -> LevelStatistics:
         folded_ratios=folded,
         mean_folded_ratio=float(folded.mean()),
     )
+
+
+def _validate_partition(projectors: list[np.ndarray], d: int) -> None:
+    total = np.zeros((d, d), dtype=complex)
+    for k, p in enumerate(projectors):
+        if p.shape != (d, d):
+            raise ValueError(f"projector {k} has shape {p.shape}")
+        if not np.allclose(p, p.conj().T, atol=1e-10):
+            raise ValueError(f"projector {k} is not Hermitian")
+        total += p
+        for l, q in enumerate(projectors):
+            if not np.allclose(p @ q, p if k == l else 0.0, atol=1e-10):
+                raise ValueError(f"projectors {k}, {l} are not orthogonal idempotents")
+    if not np.allclose(total, np.eye(d), atol=1e-10):
+        raise ValueError("projectors do not sum to the identity")
+
+
+def partition_return_probability(
+    spec: Spectrum, J: float, projectors: list[np.ndarray], t_grid
+) -> np.ndarray:
+    """Mean return probability of a complete orthogonal partition under
+    constant GUE noise: rho_s = Pi_s / Tr Pi_s returns with weight
+    (D / Tr Pi_s) C_J(t) of O = Pi_s, averaged over the blocks s."""
+    _validate_partition(projectors, spec.dim)
+    t = np.asarray(t_grid, dtype=float)
+    return sum(
+        spec.dim / np.trace(p).real * two_point_gue_const(spec, J, p, t).values.real
+        for p in projectors
+    ) / len(projectors)

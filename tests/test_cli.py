@@ -73,6 +73,14 @@ class TestConfigParsing:
             run(cfg, out_dir=tmp_path)
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("j_list, stem", [([1.0, 1.0000001], "J1"), ([0.5, 0.5], "J0.5")])
+    def test_shared_file_stem_names_j_list(self, tmp_path, j_list, stem):
+        # Two entries with one stem would write the same files twice.
+        cfg = dict(SFF_CONFIG, J_list=j_list)
+        with pytest.raises(ConfigError, match=f"^J_list=.*{re.escape(stem)}$"):
+            run(cfg, out_dir=tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+
     def test_zero_realizations(self, tmp_path):
         cfg = dict(SFF_CONFIG, spectrum={"sample": "gue", "dim": 4, "n_realizations": 0})
         with pytest.raises(ConfigError, match="spectrum.n_realizations"):
@@ -154,8 +162,9 @@ class TestRunExperiments:
         assert not (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize(
-        "content", [None, '{"dim": 3}', "[0.0, 1.0]", '{"energies": 5}'],
-        ids=["absent", "no-energies", "list", "scalar-energies"],
+        "content",
+        [None, '{"dim": 3}', "[0.0, 1.0]", '{"energies": 5}', '{"dim": 3, "energies": [0.0, 1.0]}'],
+        ids=["absent", "no-energies", "list", "scalar-energies", "dim-mismatch"],
     )
     def test_missing_spectrum_file(self, tmp_path, content):
         spec_path = tmp_path / "spec.json"
@@ -226,7 +235,7 @@ def _expected_series(experiment, ensemble, cfg):
             out[f"transfer_J{j:g}"] = nc.transfer_probability(spec, model(j), 0, 1, t).values
     elif experiment == "return_scan":
         for j in j_list:
-            out[f"return_J{j:g}"] = nc.return_probability(spec, j, None, t).values
+            out[f"return_J{j:g}"] = nc.return_probability(spec, j, t).values
     elif experiment == "sff_variance_scan":
         for j in j_list:
             moments = sff_variance(spec, j, t)
@@ -267,7 +276,7 @@ class TestExperimentTable:
             "operator_seed": 11,
             "lanczos": {"alpha": 0.75, "n_max": 6},
             "montecarlo": {"dt": 0.05, "t_max": 1.0, "n_traj": 6, "seed": 2},
-            "compare_otoc": True,
+            "compare_otoc": ensemble != "goe",
         }
         summary = run(cfg, out_dir=tmp_path, threads=2)
         expected = _expected_series(experiment, ensemble, cfg)
@@ -385,6 +394,7 @@ class TestUnsupportedSettings:
             ("oracle_compare", {"spectrum": MANY}, "spectrum.n_realizations"),
             ("sff_scan", {"noise": {"ensemble": "gue", "profile": {"type": "const", "J": 3.0}}},
              "noise.profile.J"),
+            ("oracle_compare", {"noise": GOE, "compare_otoc": True}, "compare_otoc"),
         ],
     )
     def test_config_error_names_field(self, tmp_path, experiment, override, field):
@@ -434,6 +444,17 @@ class TestUnsupportedSettings:
             ("sff_scan", {"output": {"dir": 5}}, "output.dir"),
             ("oracle_compare", {"compare_otoc": "no"}, "compare_otoc"),
             ("lanczos_scan", {"lanczos": {"dps": "x"}}, "lanczos.dps"),
+            ("sff_scan", {"spectrum": {"sample": "gue", "dim": 4, "seed": -1}}, "spectrum.seed"),
+            ("sff_scan", {"operator_seed": -1}, "operator_seed"),
+            ("oracle_compare", {"montecarlo": {"dt": 0.01, "t_max": 1.0, "n_traj": 4,
+                                               "seed": -1}}, "montecarlo.seed"),
+            ("sff_scan", {"spectrum": {"sample": "gue", "dim": 1}}, "spectrum.dim"),
+            ("oracle_compare", {"montecarlo": {"dt": 0.01, "t_max": 1.0, "n_traj": 0,
+                                               "seed": 1}}, "montecarlo.n_traj"),
+            ("lanczos_scan", {"lanczos": {"n_max": 0}}, "lanczos.n_max"),
+            ("lanczos_scan", {"lanczos": {"n_max": -3}}, "lanczos.n_max"),
+            ("sff_scan", {"spectrum": {"sample": "gue", "dim": 4, "n_realizations": 0}},
+             "spectrum.n_realizations"),
         ],
     )
     def test_malformed_type_names_field(self, tmp_path, experiment, override, field):

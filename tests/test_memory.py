@@ -31,6 +31,7 @@ from noisychaos import (
 from noisychaos.channel_one import goe_params
 
 from conftest import random_hermitian
+from oracles import partition_return_probability
 
 D, T = 128, 400
 BOUND = 16  # D x D complex grids
@@ -45,7 +46,9 @@ GRID_FUNCTIONS = {
     "two_point_noiseless": lambda s, o, a, b, t: two_point_noiseless(s, o, t),
     "two_point_gue_const": lambda s, o, a, b, t: two_point_gue_const(s, 0.5, o, t),
     "two_point_goe_const": lambda s, o, a, b, t: two_point_goe_const(s, 0.5, o, t),
-    "return_probability": lambda s, o, a, b, t: return_probability(
+    "return_probability": lambda s, o, a, b, t: return_probability(s, 0.5, t),
+    # The test oracle of a general partition contracts the grid like the rest.
+    "partition_return_probability": lambda s, o, a, b, t: partition_return_probability(
         s, 0.5, [np.diag(np.arange(D) < D // 2).astype(float),
                  np.diag(np.arange(D) >= D // 2).astype(float)], t),
     "f_coefficients": lambda s, o, a, b, t: f_coefficients(D, 0.5, t),

@@ -141,7 +141,7 @@ class TestPadeStep:
 
     @pytest.mark.parametrize("make, dtype", [(gue_constant, complex), (goe_constant, float)])
     def test_noise_buffers_follow_ensemble(self, spec4, monkeypatch, make, dtype):
-        # GOE noise is real from the draw to the step: the lent buffers are
+        # GOE noise is real from the draw to the step: the noise buffers are
         # float64, half the bytes of complex ones.
         seen = []
         sample = montecarlo.sample_noise_sequence
@@ -273,11 +273,11 @@ class TestReproducibility:
                 assert np.array_equal(runs[0].series[key].values, other.series[key].values)
                 assert np.array_equal(runs[0].series[key].stderr, other.series[key].stderr)
 
-    def test_noise_buffers_lent_one_chunk_at_a_time(self, spec4, monkeypatch):
+    def test_each_worker_reuses_its_noise_buffer(self, spec4, monkeypatch):
         # A one-byte budget makes every trajectory its own chunk, so each of
-        # the 4 threads' noise buffers serves 3 chunks in turn; a short switch
-        # interval interleaves the threads as often as it can.  A buffer held
-        # by two chunks at once would mix their noise.
+        # the 4 workers reuses its own noise buffer for 3 one-trajectory
+        # chunks; a short switch interval interleaves the workers as often as
+        # it can.  A buffer two workers shared would mix their noise.
         monkeypatch.setattr(montecarlo, "NOISE_BUDGET_BYTES", 1.0)
         cfg = small_cfg(12, dt=1e-2)
         model = gue_constant(1.0, 4)
@@ -322,7 +322,7 @@ class TestSharedSimulation:
         }
         assert 0.0 < shared.max_drift <= 1e-8
         for key, series in separate.items():
-            assert shared.series[key].name == series.name
+            assert shared.series[key].name == series.name == f"mc_{key}"
             assert np.array_equal(shared.series[key].values, series.values)
             assert np.array_equal(shared.series[key].stderr, series.stderr)
 

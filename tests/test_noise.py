@@ -159,7 +159,7 @@ class TestFrozenStream:
         fresh = sample_noise_sequence(model, 0.01, 30, np.random.default_rng(11))
         assert fresh.dtype == expected.dtype
         assert np.array_equal(fresh, expected)
-        # into a slice of a larger lent buffer, as the Monte Carlo does
+        # into a slice of a larger worker buffer, as the Monte Carlo does
         buf = np.full((2, 40, 5, 5), np.nan, dtype=expected.dtype)
         into = sample_noise_sequence(model, 0.01, 30, np.random.default_rng(11), out=buf[1, :30])
         assert np.shares_memory(into, buf)
