@@ -17,7 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from .diagnostics import sff_noiseless
+from .diagnostics import sff_gue_const
 from .spectra import Spectrum
 
 
@@ -130,16 +130,10 @@ def sff_squared_mean(spec: Spectrum, J: float, t):
 
 
 def sff_variance(spec: Spectrum, J: float, t) -> SffVariance:
-    """Second moment of TrU TrU+ and its variance.
-
-    The mean uses the single-replica closed form
-    E[TrU TrU+] = D^2 K_J(t).
-    """
-    d = spec.dim
-    t = np.asarray(t, dtype=float)
+    """Second moment of TrU TrU+ and its variance against the squared mean
+    E[TrU TrU+] = D^2 K_J(t), with K_J from diagnostics.sff_gue_const."""
     second = sff_squared_mean(spec, J, t)
-    k_j = np.exp(-J * t) * sff_noiseless(spec, t) - np.expm1(-J * t) / d**2
-    return SffVariance(second, second - (d**2 * k_j) ** 2)
+    return SffVariance(second, second - (spec.dim**2 * sff_gue_const(spec, J, t)) ** 2)
 
 
 def _check_operator(name: str, op: np.ndarray, d: int) -> None:

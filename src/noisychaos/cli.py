@@ -196,7 +196,7 @@ def sff_scan(inp: Inputs):
     sff = getattr(diag, f"sff_{inp.ensemble}_const")
     for j in inp.j_list:
         stem = f"sff_{inp.ensemble}_J{j:g}"
-        yield _realization_mean(inp, stem, lambda s: sff(s, j, inp.t).values)
+        yield _realization_mean(inp, stem, lambda s: sff(s, j, inp.t))
 
 
 def two_point_scan(inp: Inputs):
@@ -204,7 +204,7 @@ def two_point_scan(inp: Inputs):
     two_point = getattr(diag, f"two_point_{inp.ensemble}_const")
     for j in inp.j_list:
         stem = f"two_point_J{j:g}"
-        yield _realization_mean(inp, stem, lambda s: two_point(s, j, o, inp.t).values)
+        yield _realization_mean(inp, stem, lambda s: two_point(s, j, o, inp.t))
 
 
 def otoc_scan(inp: Inputs):
@@ -230,12 +230,19 @@ def transfer_scan(inp: Inputs):
     i, k = _state_pair(inp)
     for j in inp.j_list:
         model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
-        yield f"transfer_J{j:g}", diag.transfer_probability(spec, model, i, k, inp.t)
+        yield f"transfer_J{j:g}", diag.DiagnosticSeries(
+            "transfer_probability", inp.t, diag.transfer_probability(spec, model, i, k, inp.t),
+            metadata=diag._meta(spec, J=j, ensemble=inp.ensemble, i=i, j=k),
+        )
 
 
 def return_scan(inp: Inputs):
+    spec = inp.spectra[0]
     for j in inp.j_list:
-        yield f"return_J{j:g}", diag.return_probability(inp.spectra[0], j, inp.t)
+        yield f"return_J{j:g}", diag.DiagnosticSeries(
+            "return_probability", inp.t, diag.return_probability(spec, j, inp.t),
+            metadata=diag._meta(spec, J=j, ensemble="gue"),
+        )
 
 
 def sff_variance_scan(inp: Inputs):
@@ -295,11 +302,11 @@ def oracle_compare(inp: Inputs):
         model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
         # key -> (observable, analytic values); one simulation serves them all.
         cases = {
-            "sff": (sff_observable(), sff(spec, j, t).values),
-            "two_point": (two_point_observable(o), two_point(spec, j, o, t).values),
+            "sff": (sff_observable(), sff(spec, j, t)),
+            "two_point": (two_point_observable(o), two_point(spec, j, o, t)),
             "transfer": (
                 transfer_observable(state_i, state_j),
-                diag.transfer_probability(spec, model, state_i, state_j, t).values,
+                diag.transfer_probability(spec, model, state_i, state_j, t),
             ),
         }
         if gue and spec.dim >= 3:
@@ -340,6 +347,10 @@ EXPERIMENTS = {
 def run(config: dict, out_dir: Path | None = None, threads: int = 1,
         seed: int | None = None) -> dict:
     """Execute one experiment config; returns the summary dict."""
+    if threads < 1:
+        raise ConfigError(f"--threads={threads} must be at least 1")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed={seed} must be at least 0")
     experiment = _field(config, "experiment", str, _REQUIRED).lower()
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config['experiment']!r}")
@@ -349,10 +360,10 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
     formats = output.get("formats", FORMATS)
     if not isinstance(formats, (list, tuple)) or any(f not in FORMATS for f in formats):
         raise ConfigError(f"output.formats={formats!r} may list only {', '.join(FORMATS)}")
-    j_list = _field(config, "J_list", list)
-    if not j_list or not all(isinstance(j, (int, float)) and 0.0 <= j < np.inf for j in j_list):
+    # Each entry is read as a float field, so a bool or a string is refused.
+    j_list = [_field({"J_list": j}, "J_list", float) for j in _field(config, "J_list", list)]
+    if not j_list or not all(0.0 <= j < np.inf for j in j_list):
         raise ConfigError(f"J_list={j_list!r} must be a nonempty list of finite J >= 0")
-    j_list = [float(j) for j in j_list]
     stems = [f"{j:g}" for j in j_list]
     shared = [stem for k, stem in enumerate(stems) if stem in stems[:k]]
     if shared:

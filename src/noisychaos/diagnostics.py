@@ -1,7 +1,8 @@
-"""Series observables built on the averaged channels: SFF, two-point
-functions, transfer and return probabilities, each evaluated on a whole
-time grid at once.  Moments and Lanczos coefficients live in krylov.py,
-the two-replica observables in channel_two.py."""
+"""Closed forms of the averaged channels, SFF, two-point functions, transfer
+and return probabilities, each an array with the shape of the time grid t;
+DiagnosticSeries is the record the CLI writes and the MC oracle estimates.
+Moments and Lanczos coefficients live in krylov.py, the two-replica
+observables in channel_two.py."""
 
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from .spectra import Spectrum
 
 @dataclass(frozen=True)
 class DiagnosticSeries:
-    """A named observable sampled on a time grid, optionally with Monte
-    Carlo error bars."""
+    """The written or estimated record of an observable on an increasing time
+    grid, with Monte Carlo error bars when estimated and its metadata."""
 
     name: str
     times: np.ndarray
@@ -65,10 +66,9 @@ class DiagnosticSeries:
 
 
 def _meta(spec: Spectrum, **extra) -> dict:
+    """Series metadata: D, a hash of the energies, then ``extra``."""
     spectrum_hash = hashlib.sha256(spec.energies.tobytes()).hexdigest()[:16]
-    meta = {"dim": spec.dim, "spectrum_hash": spectrum_hash}
-    meta.update(extra)
-    return meta
+    return {"dim": spec.dim, "spectrum_hash": spectrum_hash, **extra}
 
 
 def sff_noiseless(spec: Spectrum, t_grid) -> np.ndarray:
@@ -77,14 +77,11 @@ def sff_noiseless(spec: Spectrum, t_grid) -> np.ndarray:
     return np.abs(phases.sum(axis=-1)) ** 2 / spec.dim**2
 
 
-def sff_gue_const(spec: Spectrum, J: float, t_grid) -> DiagnosticSeries:
+def sff_gue_const(spec: Spectrum, J: float, t_grid) -> np.ndarray:
     """K_J(t) = e^{-Jt} K_0(t) + (1 - e^{-Jt})/D^2, normalized K_J(0) = 1."""
     t = np.asarray(t_grid, dtype=float)
     decay = np.exp(-J * t)
-    values = decay * sff_noiseless(spec, t) + (1.0 - decay) / spec.dim**2
-    return DiagnosticSeries(
-        "sff_gue_const", t, values, metadata=_meta(spec, J=J, ensemble="gue")
-    )
+    return decay * sff_noiseless(spec, t) + (1.0 - decay) / spec.dim**2
 
 
 def _goe_contract(spec: Spectrum, J: float, wa, wg: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -136,16 +133,13 @@ def _goe_contract(spec: Spectrum, J: float, wa, wg: np.ndarray, t: np.ndarray) -
     return out
 
 
-def sff_goe_const(spec: Spectrum, J: float, t_grid) -> DiagnosticSeries:
+def sff_goe_const(spec: Spectrum, J: float, t_grid) -> np.ndarray:
     """K_J(t) = (sum_ij A_ij + Tr G + Tr B)/D^2 of the constant GOE channel,
     with Tr B = 1 - e^{-Jt/2}."""
     d = spec.dim
     t = np.asarray(t_grid, dtype=float)
     total = _goe_contract(spec, J, 1.0, np.eye(d), t)
-    values = (total.real - np.expm1(-J * t / 2.0)) / d**2
-    return DiagnosticSeries(
-        "sff_goe_const", t, values, metadata=_meta(spec, J=J, ensemble="goe")
-    )
+    return (total.real - np.expm1(-J * t / 2.0)) / d**2
 
 
 def sff_from_channel(ch: ChannelOne) -> float:
@@ -166,18 +160,15 @@ def two_point_noiseless(spec: Spectrum, O: np.ndarray, t_grid) -> np.ndarray:
     return pw.sum(axis=-1) / spec.dim
 
 
-def two_point_gue_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> DiagnosticSeries:
+def two_point_gue_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> np.ndarray:
     """C_J(t) = e^{-Jt} C_0(t) + (1 - e^{-Jt}) TrO TrO+ / D^2."""
     t = np.asarray(t_grid, dtype=float)
     decay = np.exp(-J * t)
     tr_term = np.trace(O) * np.conj(np.trace(O)) / spec.dim**2
-    values = decay * two_point_noiseless(spec, O, t) + (1.0 - decay) * tr_term
-    return DiagnosticSeries(
-        "two_point_gue_const", t, values, metadata=_meta(spec, J=J, ensemble="gue")
-    )
+    return decay * two_point_noiseless(spec, O, t) + (1.0 - decay) * tr_term
 
 
-def two_point_goe_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> DiagnosticSeries:
+def two_point_goe_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> np.ndarray:
     """C_J(t) = (1/D) Tr(O+ U1[O]): the A term weighted by O+_ij O_ji, the
     exchange term G by O+_ji O_ji, and the universal trace term."""
     d = spec.dim
@@ -185,15 +176,12 @@ def two_point_goe_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> Diag
     w_dir = O.conj().T * O.T  # O+_ij O_ji
     w_exch = O.conj() * O.T  # entry (i, j): O+_ji O_ji = conj(O_ij) O_ji
     tr_term = np.trace(O) * np.conj(np.trace(O)) / d**2
-    values = _goe_contract(spec, J, w_dir, w_exch, t) / d - np.expm1(-J * t / 2.0) * tr_term
-    return DiagnosticSeries(
-        "two_point_goe_const", t, values, metadata=_meta(spec, J=J, ensemble="goe")
-    )
+    return _goe_contract(spec, J, w_dir, w_exch, t) / d - np.expm1(-J * t / 2.0) * tr_term
 
 
 def transfer_probability(
     spec: Spectrum, model: NoiseModel, i: int, j: int, t_grid
-) -> DiagnosticSeries:
+) -> np.ndarray:
     """E(P_{j<-i}) = delta_ij e^{-rt} + (1 - e^{-rt})/D, with r = J for GUE
     constant noise and r = J/2 for GOE (the GOE case is the GUE case under
     J -> 2J)."""
@@ -205,21 +193,12 @@ def transfer_probability(
     rate = model.profile.J if model.ensemble is Ensemble.GUE else model.profile.J / 2.0
     t = np.asarray(t_grid, dtype=float)
     decay = np.exp(-rate * t)
-    values = (1.0 if i == j else 0.0) * decay + (1.0 - decay) / d
-    return DiagnosticSeries(
-        "transfer_probability",
-        t,
-        values,
-        metadata=_meta(spec, J=model.profile.J, ensemble=model.ensemble.value, i=i, j=j),
-    )
+    return (1.0 if i == j else 0.0) * decay + (1.0 - decay) / d
 
 
-def return_probability(spec: Spectrum, J: float, t_grid) -> DiagnosticSeries:
+def return_probability(spec: Spectrum, J: float, t_grid) -> np.ndarray:
     """Mean return probability of the eigenbasis rank-1 partition under
     constant GUE noise, P_{S;J}(t) = e^{-Jt} + (1 - e^{-Jt})/D."""
     t = np.asarray(t_grid, dtype=float)
     decay = np.exp(-J * t)
-    values = decay + (1.0 - decay) / spec.dim
-    return DiagnosticSeries(
-        "return_probability", t, values, metadata=_meta(spec, J=J, ensemble="gue")
-    )
+    return decay + (1.0 - decay) / spec.dim

@@ -199,6 +199,6 @@ def partition_return_probability(
     _validate_partition(projectors, spec.dim)
     t = np.asarray(t_grid, dtype=float)
     return sum(
-        spec.dim / np.trace(p).real * two_point_gue_const(spec, J, p, t).values.real
+        spec.dim / np.trace(p).real * two_point_gue_const(spec, J, p, t).real
         for p in projectors
     ) / len(projectors)

@@ -109,9 +109,17 @@ class TestSffVariance:
         # sff_variance must assemble its mean from the same K_J closed form.
         t, J = 1.1, 0.9
         sv = sff_variance(spec5, J, t)
-        k = sff_gue_const(spec5, J, [0.0, t]).values[1]
+        k = sff_gue_const(spec5, J, [0.0, t])[1]
         d = spec5.dim
         assert abs(sv.second_moment - sv.variance - (d**2 * k) ** 2) < 1e-9
+
+    @pytest.mark.parametrize("J", [1e-6, 1e-3, 0.1])
+    def test_variance_against_sff_gue_const_bit_for_bit(self, spec5, J):
+        # Small J t is where 1 - e^{-Jt} and -expm1(-Jt) round apart.
+        t = np.linspace(0.0, 20.0, 101)
+        mean = spec5.dim**2 * sff_gue_const(spec5, J, t)
+        expected = sff_squared_mean(spec5, J, t) - mean**2
+        assert np.array_equal(sff_variance(spec5, J, t).variance, expected)
 
 
 class TestOtoc:

@@ -64,7 +64,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             run(cfg, out_dir=tmp_path)
 
-    @pytest.mark.parametrize("bad_j", [-0.5, float("inf"), float("nan")])
+    @pytest.mark.parametrize("bad_j", [-0.5, float("inf"), float("nan"), True])
     @pytest.mark.parametrize("experiment", ["sff_scan", "lanczos_scan", "transfer_scan"])
     def test_invalid_j_names_j_list(self, tmp_path, experiment, bad_j):
         cfg = dict(SFF_CONFIG, experiment=experiment, J_list=[0.5, bad_j],
@@ -220,11 +220,11 @@ def _expected_series(experiment, ensemble, cfg):
     out = {}
     if experiment == "sff_scan":
         for j in j_list:
-            out[f"sff_{ensemble}_J{j:g}"] = mean(lambda s: sff(s, j, t).values)
+            out[f"sff_{ensemble}_J{j:g}"] = mean(lambda s: sff(s, j, t))
     elif experiment == "two_point_scan":
         o = random_traceless_hermitian(dim, op_rng)
         for j in j_list:
-            out[f"two_point_J{j:g}"] = mean(lambda s: two_point(s, j, o, t).values)
+            out[f"two_point_J{j:g}"] = mean(lambda s: two_point(s, j, o, t))
     elif experiment == "otoc_scan":
         a = random_traceless_hermitian(dim, op_rng)
         b = random_traceless_hermitian(dim, op_rng)
@@ -232,10 +232,10 @@ def _expected_series(experiment, ensemble, cfg):
             out[f"otoc_J{j:g}"] = mean(lambda s: nc.otoc(s, j, t, a, b))
     elif experiment == "transfer_scan":
         for j in j_list:
-            out[f"transfer_J{j:g}"] = nc.transfer_probability(spec, model(j), 0, 1, t).values
+            out[f"transfer_J{j:g}"] = nc.transfer_probability(spec, model(j), 0, 1, t)
     elif experiment == "return_scan":
         for j in j_list:
-            out[f"return_J{j:g}"] = nc.return_probability(spec, j, t).values
+            out[f"return_J{j:g}"] = nc.return_probability(spec, j, t)
     elif experiment == "sff_variance_scan":
         for j in j_list:
             moments = sff_variance(spec, j, t)
@@ -357,6 +357,15 @@ class TestMainEntry:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert "error: Lanczos recursion breakdown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "0"),
+                                             ("--threads", "-3")])
+    def test_exit_one_on_bad_flag(self, tmp_path, capsys, flag, value):
+        cfg_path = write_config(tmp_path, SFF_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out), flag, value]) == 1
+        assert f"error: {flag}={value} must be at least" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oracle_prints_comparison_lines(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, ORACLE_CONFIG)

@@ -24,6 +24,7 @@ from noisychaos import (
     u1_gue_const,
     u1_gue_general,
 )
+from noisychaos.diagnostics import _meta
 
 from conftest import random_hermitian
 from oracles import effective_hamiltonian, level_statistics, partition_return_probability
@@ -59,7 +60,10 @@ class TestDiagnosticSeries:
         assert p.read_text().splitlines()[1].endswith(",")
 
     def test_json_metadata(self, tmp_path, spec5):
-        series = sff_gue_const(spec5, 1.0, [0.0, 1.0])
+        t = np.array([0.0, 1.0])
+        series = DiagnosticSeries(
+            "sff_gue_const", t, sff_gue_const(spec5, 1.0, t), metadata=_meta(spec5, J=1.0)
+        )
         p = tmp_path / "s.json"
         series.write_json(p)
         doc = json.loads(p.read_text())
@@ -67,20 +71,50 @@ class TestDiagnosticSeries:
         assert doc["metadata"]["dim"] == 5
 
 
+# name -> call on (spectrum, operator, t) at J = 0.7.
+CLOSED_FORMS = {
+    "sff_gue_const": lambda s, o, t: sff_gue_const(s, 0.7, t),
+    "sff_goe_const": lambda s, o, t: sff_goe_const(s, 0.7, t),
+    "two_point_gue_const": lambda s, o, t: two_point_gue_const(s, 0.7, o, t),
+    "two_point_goe_const": lambda s, o, t: two_point_goe_const(s, 0.7, o, t),
+    "transfer_probability": lambda s, o, t: transfer_probability(
+        s, gue_constant(0.7, s.dim), 0, 1, t
+    ),
+    "return_probability": lambda s, o, t: return_probability(s, 0.7, t),
+}
+
+
+class TestArrayContract:
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_returns_array_shaped_like_t(self, spec5, rng, name):
+        values = CLOSED_FORMS[name](spec5, random_hermitian(5, rng), T_GRID)
+        assert type(values) is np.ndarray
+        assert values.shape == T_GRID.shape
+
+    @pytest.mark.parametrize("name", [n for n in CLOSED_FORMS if "goe" not in n])
+    def test_gue_forms_take_scalar_t(self, spec5, rng, name):
+        o = random_hermitian(5, rng)
+        grid = CLOSED_FORMS[name](spec5, o, T_GRID)
+        for k, t in enumerate(T_GRID):
+            value = CLOSED_FORMS[name](spec5, o, t)
+            assert np.ndim(value) == 0
+            assert abs(value - grid[k]) < 1e-12
+
+
 class TestSffClosedForms:
     def test_normalized_at_t0(self, spec5):
-        assert sff_gue_const(spec5, 1.0, [0.0, 1.0]).values[0] == 1.0
-        assert abs(sff_goe_const(spec5, 1.0, [0.0, 1.0]).values[0] - 1.0) < 1e-10
+        assert sff_gue_const(spec5, 1.0, [0.0, 1.0])[0] == 1.0
+        assert abs(sff_goe_const(spec5, 1.0, [0.0, 1.0])[0] - 1.0) < 1e-10
 
     def test_zero_noise_is_phase_sum(self, spec5):
         t = np.array([0.5, 1.5])
-        k = sff_gue_const(spec5, 0.0, t).values
+        k = sff_gue_const(spec5, 0.0, t)
         direct = np.abs(np.exp(-1j * np.outer(t, spec5.energies)).sum(axis=1)) ** 2
         assert np.allclose(k, direct / 25, atol=1e-14)
 
     @pytest.mark.parametrize("sff", [sff_gue_const, sff_goe_const])
     def test_plateau_at_late_times(self, spec5, sff):
-        val = sff(spec5, 1.0, [0.0, 50.0]).values[1]
+        val = sff(spec5, 1.0, [0.0, 50.0])[1]
         assert abs(val - 1 / 25) / (1 / 25) < 1e-6
 
     def test_channel_contraction_agrees_all_cases(self, spec4):
@@ -92,25 +126,25 @@ class TestSffClosedForms:
             (u1_goe_general(spec4, goe_constant(J, 4), t), sff_goe_const),
         ]
         for ch, closed in cases:
-            assert abs(sff_from_channel(ch) - closed(spec4, J, [0.0, t]).values[1]) < 1e-10
+            assert abs(sff_from_channel(ch) - closed(spec4, J, [0.0, t])[1]) < 1e-10
 
     def test_goe_decays_slower_than_gue(self, spec5):
         t = np.array([1.0, 2.0, 4.0])
-        kg = sff_goe_const(spec5, 2.0, t).values
-        ku = sff_gue_const(spec5, 2.0, t).values
+        kg = sff_goe_const(spec5, 2.0, t)
+        ku = sff_gue_const(spec5, 2.0, t)
         assert np.all(kg >= ku - 1e-12)
 
 
 class TestTwoPoint:
     def test_t0_value(self, spec5, rng):
         o = random_hermitian(5, rng)
-        c = two_point_gue_const(spec5, 1.0, o, [0.0, 1.0]).values[0]
+        c = two_point_gue_const(spec5, 1.0, o, [0.0, 1.0])[0]
         assert abs(c - np.trace(o.conj().T @ o) / 5) < 1e-12
 
     def test_traceless_factorization(self, spec5, rng):
         o = random_hermitian(5, rng, traceless=True)
         t = np.array([0.4, 1.2])
-        c = two_point_gue_const(spec5, 0.9, o, t).values
+        c = two_point_gue_const(spec5, 0.9, o, t)
         c0 = two_point_noiseless(spec5, o, t)
         assert np.max(np.abs(c - np.exp(-0.9 * t) * c0)) < 1e-12
 
@@ -128,7 +162,7 @@ class TestTwoPoint:
         J, t = 0.7, 1.1
         ch = build(spec4, J, t)
         direct = np.trace(o.conj().T @ apply_channel(ch, o)) / 4
-        closed = two_point(spec4, J, o, [0.0, t]).values[1]
+        closed = two_point(spec4, J, o, [0.0, t])[1]
         assert abs(direct - closed) < 1e-12
 
 
@@ -161,36 +195,36 @@ class TestTransferReturn:
         model = gue_constant(1.0, 4)
         diag_series = transfer_probability(spec4, model, 2, 2, T_GRID)
         off_series = transfer_probability(spec4, model, 0, 1, T_GRID)
-        assert diag_series.values[0] == 1.0
-        assert off_series.values[0] == 0.0
-        late = transfer_probability(spec4, model, 0, 1, [0.0, 100.0]).values[1]
+        assert diag_series[0] == 1.0
+        assert off_series[0] == 0.0
+        late = transfer_probability(spec4, model, 0, 1, [0.0, 100.0])[1]
         assert abs(late - 0.25) < 1e-12
 
     def test_goe_is_gue_at_half_rate(self, spec4):
         goe = transfer_probability(spec4, goe_constant(2.0, 4), 0, 1, T_GRID)
         gue = transfer_probability(spec4, gue_constant(1.0, 4), 0, 1, T_GRID)
-        assert np.array_equal(goe.values, gue.values)
+        assert np.array_equal(goe, gue)
 
     def test_probability_range(self, spec4):
         for model in (gue_constant(0.7, 4), goe_constant(0.7, 4)):
             for pair in ((0, 0), (0, 3)):
-                v = transfer_probability(spec4, model, *pair, T_GRID).values
+                v = transfer_probability(spec4, model, *pair, T_GRID)
                 assert np.all(v >= -1e-12) and np.all(v <= 1 + 1e-12)
 
     def test_return_t0(self, spec5):
-        assert return_probability(spec5, 1.0, T_GRID).values[0] == 1.0
+        assert return_probability(spec5, 1.0, T_GRID)[0] == 1.0
 
     def test_return_closed_form_scale(self):
         # At t = (1/J) log(D/2) with D=100: e^{-t} + (1 - e^{-t})/100.
         spec = sample_gue_spectrum(100, np.random.default_rng(0))
         t = np.log(50.0)
-        val = return_probability(spec, 1.0, [0.0, t]).values[1]
+        val = return_probability(spec, 1.0, [0.0, t])[1]
         assert abs(val - (np.exp(-t) + (1 - np.exp(-t)) / 100)) < 1e-12
         assert abs(val - 0.0298) < 5e-4
 
     def test_return_dominates_sff(self, spec5):
-        p = return_probability(spec5, 0.8, T_GRID).values
-        k = sff_gue_const(spec5, 0.8, T_GRID).values
+        p = return_probability(spec5, 0.8, T_GRID)
+        k = sff_gue_const(spec5, 0.8, T_GRID)
         assert np.all(p >= k - 1e-12)
 
     def test_rank1_partition_matches_closed_form(self, spec4):
@@ -198,7 +232,7 @@ class TestTransferReturn:
         # the same curve as the closed form.
         projs = [np.diag((np.arange(4) == k).astype(float)) for k in range(4)]
         a = partition_return_probability(spec4, 0.9, projs, T_GRID)
-        b = return_probability(spec4, 0.9, T_GRID).values
+        b = return_probability(spec4, 0.9, T_GRID)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_partition_validated(self, spec4):
@@ -233,7 +267,7 @@ class TestGridContraction:
     def test_sff_every_point(self, grid, d, sff, build):
         spec = sample_gue_spectrum(d, np.random.default_rng(d))
         t_grid = self.GRIDS[grid]
-        values = sff(spec, 0.8, t_grid).values
+        values = sff(spec, 0.8, t_grid)
         per_point = [sff_from_channel(build(spec, 0.8, t)) for t in t_grid]
         assert np.max(np.abs(values - per_point)) < 1e-12
 
@@ -248,7 +282,7 @@ class TestGridContraction:
         spec = sample_gue_spectrum(d, rng)
         o = random_hermitian(d, rng)
         t_grid = self.GRIDS[grid]
-        values = two_point(spec, 0.8, o, t_grid).values
+        values = two_point(spec, 0.8, o, t_grid)
         per_point = [
             np.trace(o.conj().T @ apply_channel(build(spec, 0.8, t), o)) / d
             for t in t_grid

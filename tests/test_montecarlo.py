@@ -165,13 +165,13 @@ class TestEstimators:
 
     def test_sff_matches_gue_closed_form(self, spec4):
         est = estimate_sff(spec4, gue_constant(1.0, 4), small_cfg(), T_GRID)
-        closed = sff_gue_const(spec4, 1.0, T_GRID).values
+        closed = sff_gue_const(spec4, 1.0, T_GRID)
         resid = np.abs(est.values - closed)[1:]
         assert np.all(resid < 3.0 * est.stderr[1:] + 5e-3)
 
     def test_sff_matches_goe_closed_form(self, spec4):
         est = estimate_sff(spec4, goe_constant(1.0, 4), small_cfg(), T_GRID)
-        closed = sff_goe_const(spec4, 1.0, T_GRID).values
+        closed = sff_goe_const(spec4, 1.0, T_GRID)
         resid = np.abs(est.values - closed)[1:]
         assert np.all(resid < 3.0 * est.stderr[1:] + 5e-3)
 
@@ -183,7 +183,7 @@ class TestEstimators:
     def test_two_point_matches_closed_form(self, spec4, rng):
         o = random_hermitian(4, rng)
         est = estimate_two_point(spec4, gue_constant(1.0, 4), small_cfg(), o, T_GRID)
-        closed = two_point_gue_const(spec4, 1.0, o, T_GRID).values
+        closed = two_point_gue_const(spec4, 1.0, o, T_GRID)
         resid = np.abs(est.values - closed)[1:]
         assert np.all(resid < 3.0 * est.stderr[1:] + 5e-2)
 
@@ -198,7 +198,7 @@ class TestEstimators:
     def test_transfer_matches_closed_form(self, spec4):
         model = gue_constant(1.0, 4)
         est = estimate_transfer(spec4, model, small_cfg(), 0, 1, T_GRID)
-        closed = transfer_probability(spec4, model, 0, 1, T_GRID).values
+        closed = transfer_probability(spec4, model, 0, 1, T_GRID)
         resid = np.abs(est.values - closed)[1:]
         assert np.all(resid < 3.0 * est.stderr[1:] + 5e-3)
 
@@ -349,7 +349,7 @@ class TestConvergence:
         spec = Spectrum(np.array([-0.5, 0.7]))
         model = gue_constant(1.0, 2)
         t = np.array([0.0, 1.0])
-        closed = sff_gue_const(spec, 1.0, t).values[1]
+        closed = sff_gue_const(spec, 1.0, t)[1]
         biases = []
         for dt in (0.04, 0.02, 0.01):
             cfg = TrajectoryConfig(dt=dt, t_max=1.0, n_traj=4000, seed=9)
