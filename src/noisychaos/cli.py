@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -34,6 +35,7 @@ from .channel_two import sff_squared_mean, sff_variance
 from .montecarlo import (  # noqa: F401
     TrajectoryConfig,
     UnitarityError,
+    _grid_steps,
     estimate_observables,
     estimate_otoc,
     estimate_sff,
@@ -66,8 +68,8 @@ def _field(config: dict, path: str, kind: type, default=None, minimum=None):
     """The value at the last key of the dotted ``path`` (``default`` when
     absent), refused with a ConfigError naming ``path`` unless a ``kind``
     of at least ``minimum``, if given, or, with ``default=_REQUIRED``, when
-    absent.  A float field also takes an int and returns it as a float; only
-    a bool field takes a bool."""
+    absent.  A float field also takes an int, returns it as a float and
+    refuses NaN and +-inf; only a bool field takes a bool."""
     key = path.rpartition(".")[2]
     if default is _REQUIRED and key not in config:
         raise ConfigError(f"missing field {path}")
@@ -75,6 +77,8 @@ def _field(config: dict, path: str, kind: type, default=None, minimum=None):
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path}={value!r} must be a {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path}={value!r} must be finite")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}={value!r} must be at least {minimum}")
     return float(value) if kind is float else value
@@ -207,7 +211,18 @@ def two_point_scan(inp: Inputs):
         yield _realization_mean(inp, stem, lambda s: two_point(s, j, o, inp.t))
 
 
+def _two_replica_dim(inp: Inputs, experiment: str) -> None:
+    """Refuse D < 3, which the two-replica channel U2 does not cover, by
+    the field that set D."""
+    d, spectrum = inp.spectra[0].dim, inp.config["spectrum"]
+    if d < 3:
+        setting = (f"spectrum.file={spectrum['file']!r} holds D={d}" if "file" in spectrum
+                   else f"spectrum.dim={d}")
+        raise ConfigError(f"{setting}; {experiment} needs D >= 3")
+
+
 def otoc_scan(inp: Inputs):
+    _two_replica_dim(inp, "otoc_scan")
     a = random_traceless_hermitian(inp.spectra[0].dim, inp.op_rng)
     b = random_traceless_hermitian(inp.spectra[0].dim, inp.op_rng)
     for j in inp.j_list:
@@ -246,6 +261,7 @@ def return_scan(inp: Inputs):
 
 
 def sff_variance_scan(inp: Inputs):
+    _two_replica_dim(inp, "sff_variance_scan")
     spec = inp.spectra[0]
     for j in inp.j_list:
         moments = sff_variance(spec, j, inp.t)
@@ -260,7 +276,10 @@ def lanczos_scan(inp: Inputs):
     lz = _field(inp.config, "lanczos", dict, {})
     alpha = _field(lz, "lanczos.alpha", float, 1.0)
     n_max = _field(lz, "lanczos.n_max", int, 30, minimum=1)
+    # By Cauchy-Schwarz r = |TrO|^2/D^2 <= Tr(O+O)/D, which is C(0) = 1.
     ratio = _field(lz, "lanczos.trace_ratio", float, 1.0)
+    if not 0.0 <= ratio <= 1.0:
+        raise ConfigError(f"lanczos.trace_ratio={ratio!r} must lie in [0, 1]")
     # Only the type of dps is checked: the recursion is exact, so it meets
     # any precision a config asks for.
     _field(lz, "lanczos.dps", int, 0)
@@ -293,6 +312,18 @@ def oracle_compare(inp: Inputs):
     spec, t, gue = inp.spectra[0], inp.t, inp.ensemble == "gue"
     if compare_otoc and not gue:
         raise ConfigError(f"compare_otoc=True needs noise.ensemble 'gue', got {inp.ensemble!r}")
+    if compare_otoc:
+        _two_replica_dim(inp, "oracle_compare with compare_otoc")
+    try:
+        steps = _grid_steps(t, cfg.dt)
+    except ValueError:
+        raise ConfigError(
+            f"t_grid.* gives times that are not integer multiples of montecarlo.dt={cfg.dt!r}"
+        ) from None
+    if steps.max() > cfg.n_steps:
+        raise ConfigError(
+            f"t_grid.t_max={float(t[-1])!r} lies past montecarlo.t_max={cfg.t_max!r}"
+        )
     sff = getattr(diag, f"sff_{inp.ensemble}_const")
     two_point = getattr(diag, f"two_point_{inp.ensemble}_const")
     state_i, state_j = _state_pair(inp)

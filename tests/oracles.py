@@ -1,15 +1,18 @@
 """Reference objects that only the tests use: the single-replica generator
 L1, the dense D^2 x D^2 superoperator and Choi matrix of a channel, the
 8 x 8 two-replica generator M, one full Monte Carlo trajectory, the
-effective Hamiltonian, level-spacing statistics and the return probability
-of a general partition.
+effective Hamiltonian, level-spacing statistics, the return probability
+of a general partition, and the Krylov moments and moment recursion in
+``fractions.Fraction``.
 
 Each is an independent statement of the dynamics the closed forms in
 ``noisychaos`` solve, or of a result the paper derives from them, so the
 tests check the package against it.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from noisychaos import (
     two_point_gue_const,
 )
 from noisychaos.channel_two import UnsupportedDimensionError
+from noisychaos.krylov import LanczosBreakdownError
 from noisychaos.montecarlo import _evolve_recorded, validate_step
 from noisychaos.noise import noise_dtype
 
@@ -202,3 +206,72 @@ def partition_return_probability(
         spec.dim / np.trace(p).real * two_point_gue_const(spec, J, p, t).real
         for p in projectors
     ) / len(projectors)
+
+
+def fraction_noisy_moments(
+    mu_even, J: float, trace_product_ratio: float, n_max: int
+) -> list[Fraction]:
+    """Even moments mu_{J;2n}, n = 0..n_max, of C_J(-it) for constant GUE
+    noise, exactly, with a Fraction for every term: the reference for
+    ``krylov.noisy_moments``.
+
+    From C_J(t) = e^{-Jt}(C_0(t) - r) + r with r = TrO TrO+/D^2, and odd
+    mu_k vanishing, only even powers of iJ enter:
+
+        mu_{J;2n} = sum_j binom(2n, 2j) (-J^2)^j mu_{2n-2j}
+                    + r (delta_{n0} - (-J^2)^n)
+    """
+    if len(mu_even) < n_max + 1:
+        raise ValueError(f"need {n_max + 1} even moments, got {len(mu_even)}")
+    mu = [Fraction(m) for m in mu_even[: n_max + 1]]
+    r = Fraction(trace_product_ratio)
+    step = -Fraction(J) ** 2
+    powers = [Fraction(1)]  # (-J^2)^j
+    for _ in range(n_max):
+        powers.append(powers[-1] * step)
+    return [
+        sum(math.comb(2 * n, 2 * j) * powers[j] * mu[n - j] for j in range(n + 1))
+        + r * ((n == 0) - powers[n])
+        for n in range(n_max + 1)
+    ]
+
+
+def fraction_lanczos_from_moments(moments, n_max: int) -> np.ndarray:
+    """Signed Lanczos coefficients sgn(b_n^2)|b_n|, n = 1..n_max, as a
+    float64 array, from even moments via the moment recursion, with a
+    Fraction for every row entry: the reference for
+    ``krylov.lanczos_from_moments``.
+
+    ``moments[k]`` is mu_2k (k = 0..n_max at least), the Taylor data of
+    C(-it), each an int, float or Fraction; moments[0] must be exactly 1.
+    b_n = sqrt(M^(n)_2n); for noisy inputs M^(n)_2n can turn negative, in
+    which case the signed value sgn(M) sqrt(|M|) is reported (b_n purely
+    imaginary).  The Krylov space has closed at level m when b_m^2 == 0.
+    """
+    if len(moments) < n_max + 1:
+        raise ValueError(
+            f"need {n_max + 1} even moments for n_max={n_max}, got {len(moments)}"
+        )
+    mu = [Fraction(m) for m in moments[: n_max + 1]]
+    if mu[0] != 1:
+        raise ValueError(f"moments must be normalized, mu_0 = {mu[0]}")
+    # prev1[k] = M^(m-1)_2k and prev2[k] = M^(m-2)_2k, with M^(-1) = 0 and
+    # M^(0)_2k = mu_2k; b2 = [b_{m-2}^2, b_{m-1}^2], b_{-1}^2 = b_0^2 = 1.
+    prev2, prev1 = [Fraction(0)] * (n_max + 1), mu
+    b2 = [Fraction(1), Fraction(1)]
+    signed = []
+    for m in range(1, n_max + 1):
+        row = [Fraction(0)] * m + [
+            prev1[k] / b2[1] - prev2[k - 1] / b2[0] for k in range(m, n_max + 1)
+        ]
+        if row[m] == 0:
+            raise LanczosBreakdownError(m)
+        # sqrt(p/q) = sqrt(p q 4^64)/(q 2^64); the integer floor is off by
+        # < 2^-63 relative, so this rounds as the exact |b_m| does unless
+        # that lies within 2^-63 of a midpoint between two floats.
+        p, q = abs(row[m].numerator), row[m].denominator
+        root = Fraction(math.isqrt(p * q << 128), q << 64)
+        signed.append(math.copysign(float(root), row[m]))
+        b2 = [b2[1], row[m]]
+        prev2, prev1 = prev1, row
+    return np.array(signed)

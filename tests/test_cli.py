@@ -464,6 +464,19 @@ class TestUnsupportedSettings:
             ("lanczos_scan", {"lanczos": {"n_max": -3}}, "lanczos.n_max"),
             ("sff_scan", {"spectrum": {"sample": "gue", "dim": 4, "n_realizations": 0}},
              "spectrum.n_realizations"),
+            ("lanczos_scan", {"lanczos": {"alpha": float("inf")}}, "lanczos.alpha"),
+            ("lanczos_scan", {"lanczos": {"alpha": float("nan")}}, "lanczos.alpha"),
+            ("lanczos_scan", {"lanczos": {"trace_ratio": float("inf")}}, "lanczos.trace_ratio"),
+            ("oracle_compare", {"montecarlo": {"dt": float("nan"), "t_max": 1.0, "n_traj": 4,
+                                               "seed": 1}}, "montecarlo.dt"),
+            ("sff_scan", {"t_grid": {"t_min": 0.0, "t_max": float("-inf"), "n_points": 3}},
+             "t_grid.t_max"),
+            ("lanczos_scan", {"lanczos": {"trace_ratio": -3.0}}, "lanczos.trace_ratio"),
+            ("lanczos_scan", {"lanczos": {"trace_ratio": 1.5}}, "lanczos.trace_ratio"),
+            ("otoc_scan", {"spectrum": {"sample": "gue", "dim": 2}}, "spectrum.dim"),
+            ("sff_variance_scan", {"spectrum": {"sample": "gue", "dim": 2}}, "spectrum.dim"),
+            ("oracle_compare", {"spectrum": {"sample": "gue", "dim": 2}, "compare_otoc": True},
+             "spectrum.dim"),
         ],
     )
     def test_malformed_type_names_field(self, tmp_path, experiment, override, field):
@@ -490,6 +503,37 @@ class TestUnsupportedSettings:
         with pytest.raises(ConfigError, match=re.escape(field)):
             run(cfg, out_dir=tmp_path)
         assert not (tmp_path / "summary.json").exists()
+
+    def test_two_replica_file_spectrum_names_file(self, tmp_path):
+        spec_path = tmp_path / "spec2.json"
+        nc.Spectrum(np.array([-0.5, 0.5])).save(spec_path)
+        cfg = {**self.BASE, "experiment": "otoc_scan", "spectrum": {"file": str(spec_path)}}
+        with pytest.raises(ConfigError, match="^spectrum.file=.* holds D=2; otoc_scan"):
+            run(cfg, out_dir=tmp_path)
+
+    @pytest.mark.parametrize(
+        "t_grid, fields",
+        [
+            ({"t_min": 0.1, "t_max": 1.0, "n_points": 3, "spacing": "log"},
+             ("t_grid.*", "montecarlo.dt=0.01")),
+            ({"t_min": 0.0, "t_max": 2.0, "n_points": 3},
+             ("t_grid.t_max=2.0", "montecarlo.t_max=1.0")),
+        ],
+    )
+    def test_oracle_grid_names_fields(self, tmp_path, t_grid, fields):
+        cfg = {**self.BASE, "experiment": "oracle_compare", "t_grid": t_grid}
+        with pytest.raises(ConfigError) as info:
+            run(cfg, out_dir=tmp_path)
+        assert all(field in str(info.value) for field in fields)
+        assert not (tmp_path / "summary.json").exists()
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+
+    def test_oracle_two_levels_without_otoc(self, tmp_path):
+        # Only the OTOC comparison needs D >= 3; the rest runs at D = 2.
+        cfg = {**self.BASE, "experiment": "oracle_compare",
+               "spectrum": {"sample": "gue", "dim": 2, "seed": 3}}
+        assert "mc_sff_J1.json" in run(cfg, out_dir=tmp_path)["files"]
 
     def test_supported_settings_still_run(self, tmp_path):
         cfg = {**self.BASE, "experiment": "two_point_scan", "noise": self.GOE,

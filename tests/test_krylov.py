@@ -12,6 +12,7 @@ from noisychaos import (
     sech_moments,
     signed_lanczos_noisy,
 )
+from oracles import fraction_lanczos_from_moments, fraction_noisy_moments
 
 
 class TestSechMoments:
@@ -169,3 +170,74 @@ class TestScaleFreeBreakdown:
         assert np.all(head > 0.0)
         x1, x2 = (float(e) for e in levels)
         assert abs(head[0] - np.sqrt((x1**2 + x2**2) / 2)) < 1e-12
+
+
+def _lanczos_outcome(lanczos, moments, n_max):
+    """The b_n bytes, or the breakdown level."""
+    try:
+        return lanczos(moments, n_max).tobytes()
+    except LanczosBreakdownError as exc:
+        return ("breakdown", exc.level)
+
+
+class TestIntegerRowsMatchFractionOracle:
+    """The integer-row moments and recursion against the Fraction-per-entry
+    reference: equal moments, bit-identical b_n and the same breakdown
+    levels."""
+
+    @staticmethod
+    def _check(moments, n_max):
+        got = _lanczos_outcome(lanczos_from_moments, moments, n_max)
+        assert got == _lanczos_outcome(fraction_lanczos_from_moments, moments, n_max)
+        return got
+
+    @staticmethod
+    def _finite_measure(rng, n_points, signed):
+        # Symmetric measure on n_points pairs +-x_i, normalized to mu_0 = 1;
+        # signed weights make b_n^2 < 0 possible, as noise does.
+        points = set()
+        while len(points) < n_points:
+            points.add(Fraction(rng.randint(1, 30), rng.randint(1, 9)))
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in points]
+        if signed:
+            weights = [w * rng.choice((-1, 1)) for w in weights]
+        total = sum(weights)
+        if total == 0:
+            weights[0] += 1
+            total += 1
+        return lambda k: sum(w * x ** (2 * k) for w, x in zip(weights, points)) / total
+
+    def test_random_inputs(self):
+        rng = random.Random(1403)
+        rates = (0.0, 0.25, 0.5, 1.5, Fraction(1, 3), 0.1, Fraction(7, 5))
+        breakdowns = set()
+        for case in range(60):
+            n_max = rng.randint(1, 14)
+            kind = case % 3
+            if kind == 0:
+                mu = sech_moments(n_max, alpha=rng.choice((1.0, 0.5, 0.1, Fraction(1, 3))))
+            elif kind == 1:
+                measure = self._finite_measure(rng, rng.randint(1, 4), signed=case % 2 == 0)
+                mu = [measure(k) for k in range(n_max + 1)]
+            else:
+                mu = [Fraction(1)] + [
+                    Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(n_max)
+                ]
+            J, r = rng.choice(rates), rng.choice((1.0, 0.375, 0.0, Fraction(1, 3)))
+            moments = noisy_moments(mu, J, r, n_max)
+            assert moments == fraction_noisy_moments(mu, J, r, n_max)
+            for seq in (mu, moments):
+                got = self._check(seq, n_max)
+                if isinstance(got, tuple):
+                    breakdowns.add(got[1])
+        # The finite measures close their Krylov space at several levels.
+        assert len(breakdowns) >= 3
+
+    def test_bench_rates_at_n60(self):
+        mu = sech_moments(60)
+        for J in [0.0] + [k / 8 for k in range(1, 17)]:
+            moments = noisy_moments(mu, J, 1.0, 60)
+            assert moments == fraction_noisy_moments(mu, J, 1.0, 60)
+            got = self._check(moments, 60)
+            assert isinstance(got, tuple) is (J == 1.0)
+
