@@ -47,6 +47,7 @@ from .krylov import (
     signed_lanczos_noisy,
 )
 from .montecarlo import (
+    Estimate,
     OracleRun,
     TrajectoryConfig,
     UnitarityError,

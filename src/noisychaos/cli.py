@@ -35,13 +35,13 @@ from .channel_two import sff_squared_mean, sff_variance
 from .montecarlo import (  # noqa: F401
     TrajectoryConfig,
     UnitarityError,
-    _grid_steps,
     estimate_observables,
     estimate_otoc,
     estimate_sff,
     estimate_sff_squared,
     estimate_transfer,
     estimate_two_point,
+    grid_steps,
     otoc_observable,
     sff_observable,
     sff_squared_observable,
@@ -84,37 +84,39 @@ def _field(config: dict, path: str, kind: type, default=None, minimum=None):
     return float(value) if kind is float else value
 
 
-def check_supported(experiment: str, config: dict) -> None:
-    """Refuse a noise or spectrum setting the experiment would not honour.
-    ``config["J_list"]`` has been validated."""
-    ensembles, averages, _ = EXPERIMENTS[experiment]
-    noise = _field(config, "noise", dict, {})
-    ensemble = noise.get("ensemble", "gue")
-    if ensemble not in ensembles:
-        raise ConfigError(
-            f"noise.ensemble={ensemble!r} is not supported by {experiment} "
-            f"(supported: {', '.join(ensembles)})"
-        )
-    profile = _field(noise, "noise.profile", dict, {})
-    if profile.get("type", "const") != "const":
-        raise ConfigError(
-            f"noise.profile.type={profile['type']!r} is not supported by {experiment}: "
-            "J comes from J_list with the constant profile"
-        )
-    if "J" in profile and _field(profile, "noise.profile.J", float) not in config["J_list"]:
-        raise ConfigError(
-            f"noise.profile.J={profile['J']!r} is not in J_list={config['J_list']!r}, "
-            "which sets J"
-        )
-    spectrum = _field(config, "spectrum", dict, {})
-    n_real = _field(spectrum, "spectrum.n_realizations", int, 1, minimum=1)
-    if n_real > 1 and not averages:
-        raise ConfigError(
-            f"spectrum.n_realizations={n_real} is not supported by {experiment}, "
-            "which evaluates one spectrum"
-        )
-    if n_real > 1 and "file" in spectrum:
-        raise ConfigError(f"spectrum.n_realizations={n_real} needs sampled, not file, spectra")
+# Each config section, by dotted path ("" is the top level), and the keys
+# some experiment reads in it; run refuses any other key.  noise.profile's
+# beta and lambda are listed so a Gibbs or matrix profile is refused by its
+# type, not by its parameters.
+CONFIG_KEYS = {
+    "": ("experiment", "J_list", "spectrum", "noise", "t_grid", "operator_seed", "state_i",
+         "state_j", "lanczos", "montecarlo", "compare_otoc", "output"),
+    "spectrum": ("sample", "dim", "seed", "n_realizations", "file"),
+    "noise": ("ensemble", "profile"),
+    "noise.profile": ("type", "J", "beta", "lambda"),
+    "t_grid": ("t_min", "t_max", "n_points", "spacing"),
+    "lanczos": ("alpha", "n_max", "trace_ratio", "dps"),
+    "montecarlo": ("dt", "t_max", "n_traj", "seed"),
+    "output": ("dir", "formats"),
+}
+
+
+def _refuse_unknown_keys(config: dict) -> None:
+    """Refuse a key that CONFIG_KEYS does not list for its section by its
+    dotted path.  A section that is not an object is left to the field that
+    reads it."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"config={config!r} must be a JSON object")
+    for path, keys in CONFIG_KEYS.items():
+        section = config
+        for part in path.split(".") if path else ():
+            section = section.get(part) if isinstance(section, dict) else None
+        for key in section if isinstance(section, dict) else ():
+            if key not in keys:
+                raise ConfigError(
+                    f"{path + '.' if path else ''}{key}={section[key]!r} is not a config key; "
+                    f"{path or 'the top level'} takes {', '.join(keys)}"
+                )
 
 
 def config_hash(config: dict) -> str:
@@ -139,8 +141,12 @@ def time_grid(config: dict) -> np.ndarray:
     raise ConfigError(f"unknown t_grid.spacing {spacing!r}")
 
 
-def sample_spectra(config: dict, seed_override: int | None) -> list[Spectrum]:
+def sample_spectra(config: dict, seed_override: int | None, n_real: int = 1) -> list[Spectrum]:
+    """``n_real`` spectra from the spectrum section ``config``, whose
+    n_realizations ``run`` reads."""
     if "file" in config:
+        if n_real > 1:
+            raise ConfigError(f"spectrum.n_realizations={n_real} needs sampled, not file, spectra")
         path = Path(_field(config, "spectrum.file", str))
         if not path.exists():
             raise ConfigError(f"spectrum.file {path} does not exist")
@@ -152,7 +158,6 @@ def sample_spectra(config: dict, seed_override: int | None) -> list[Spectrum]:
             ) from exc
     kind = _field(config, "spectrum.sample", str, _REQUIRED)
     dim = _field(config, "spectrum.dim", int, _REQUIRED, minimum=2)
-    n_real = _field(config, "spectrum.n_realizations", int, 1)
     seed = (_field(config, "spectrum.seed", int, 0, minimum=0) if seed_override is None
             else seed_override)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -168,6 +173,12 @@ def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray
     a = (x + x.conj().T) / 2.0
     a -= np.trace(a).real / dim * np.eye(dim)
     return a * np.sqrt(dim / np.trace(a @ a).real)
+
+
+def _meta(spec: Spectrum, **extra) -> dict:
+    """Series metadata: D, a hash of the energies, then ``extra``."""
+    spectrum_hash = hashlib.sha256(spec.energies.tobytes()).hexdigest()[:16]
+    return {"dim": spec.dim, "spectrum_hash": spectrum_hash, **extra}
 
 
 class Inputs(NamedTuple):
@@ -247,7 +258,7 @@ def transfer_scan(inp: Inputs):
         model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
         yield f"transfer_J{j:g}", diag.DiagnosticSeries(
             "transfer_probability", inp.t, diag.transfer_probability(spec, model, i, k, inp.t),
-            metadata=diag._meta(spec, J=j, ensemble=inp.ensemble, i=i, j=k),
+            metadata=_meta(spec, J=j, ensemble=inp.ensemble, i=i, j=k),
         )
 
 
@@ -256,7 +267,7 @@ def return_scan(inp: Inputs):
     for j in inp.j_list:
         yield f"return_J{j:g}", diag.DiagnosticSeries(
             "return_probability", inp.t, diag.return_probability(spec, j, inp.t),
-            metadata=diag._meta(spec, J=j, ensemble="gue"),
+            metadata=_meta(spec, J=j, ensemble="gue"),
         )
 
 
@@ -286,7 +297,10 @@ def lanczos_scan(inp: Inputs):
     mu = krylov.sech_moments(n_max, alpha=alpha)
     n = np.arange(1, n_max + 1, dtype=float)
     for j in inp.j_list:
-        b_signed = krylov.signed_lanczos_noisy(mu, j, ratio, n_max)
+        try:
+            b_signed = krylov.signed_lanczos_noisy(mu, j, ratio, n_max)
+        except krylov.LanczosBreakdownError as exc:
+            raise ConfigError(f"{exc} for J_list entry {j!r}") from exc
         yield f"lanczos_J{j:g}", diag.DiagnosticSeries(
             f"signed_bn_J{j:g}", n, b_signed, metadata={"J": j, "alpha": alpha},
         )
@@ -302,12 +316,16 @@ def _compare(name, analytic, mc, summary):
 
 def oracle_compare(inp: Inputs):
     mc_cfg = _field(inp.config, "montecarlo", dict, {})
-    cfg = TrajectoryConfig(
-        dt=_field(mc_cfg, "montecarlo.dt", float, _REQUIRED),
-        t_max=_field(mc_cfg, "montecarlo.t_max", float, _REQUIRED),
-        n_traj=_field(mc_cfg, "montecarlo.n_traj", int, _REQUIRED, minimum=1),
-        seed=_field(mc_cfg, "montecarlo.seed", int, _REQUIRED, minimum=0),
-    )
+    fields = {
+        "dt": _field(mc_cfg, "montecarlo.dt", float, _REQUIRED),
+        "t_max": _field(mc_cfg, "montecarlo.t_max", float, _REQUIRED),
+        "n_traj": _field(mc_cfg, "montecarlo.n_traj", int, _REQUIRED, minimum=1),
+        "seed": _field(mc_cfg, "montecarlo.seed", int, _REQUIRED, minimum=0),
+    }
+    try:
+        cfg = TrajectoryConfig(**fields)
+    except ValueError as exc:  # its messages begin with the field name
+        raise ConfigError(f"montecarlo.{exc}") from None
     compare_otoc = _field(inp.config, "compare_otoc", bool, False)
     spec, t, gue = inp.spectra[0], inp.t, inp.ensemble == "gue"
     if compare_otoc and not gue:
@@ -315,7 +333,7 @@ def oracle_compare(inp: Inputs):
     if compare_otoc:
         _two_replica_dim(inp, "oracle_compare with compare_otoc")
     try:
-        steps = _grid_steps(t, cfg.dt)
+        steps = grid_steps(t, cfg.dt)
     except ValueError:
         raise ConfigError(
             f"t_grid.* gives times that are not integer multiples of montecarlo.dt={cfg.dt!r}"
@@ -349,10 +367,16 @@ def oracle_compare(inp: Inputs):
         mc = estimate_observables(
             spec, model, cfg, t, {key: obs for key, (obs, _) in cases.items()}, inp.threads
         )
-        mc.series["transfer"].metadata.update(i=state_i, j=state_j)
         for key, (_, analytic) in cases.items():
-            yield f"mc_{key}_J{j:g}", mc.series[key]
-            _compare(f"{key}_J{j:g}", analytic, mc.series[key], inp.summary)
+            est = mc.series[key]
+            pair = {"i": state_i, "j": state_j} if key == "transfer" else {}
+            yield f"mc_{key}_J{j:g}", diag.DiagnosticSeries(
+                f"mc_{key}", t, est.values, est.stderr, metadata=_meta(
+                    spec, noise=model.to_config(), dt=cfg.dt, n_traj=cfg.n_traj, seed=cfg.seed,
+                    **pair,
+                ),
+            )
+            _compare(f"{key}_J{j:g}", analytic, est, inp.summary)
         inp.summary["mc_health"].append({
             "J": j,
             "max_unitarity_drift": mc.max_drift,
@@ -382,10 +406,11 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
         raise ConfigError(f"--threads={threads} must be at least 1")
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed={seed} must be at least 0")
+    _refuse_unknown_keys(config)
     experiment = _field(config, "experiment", str, _REQUIRED).lower()
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {config['experiment']!r}")
-    ensembles, _, scan = EXPERIMENTS[experiment]
+    ensembles, averages, scan = EXPERIMENTS[experiment]
     output = _field(config, "output", dict, {})
     default_dir = _field(output, "output.dir", str, ".")
     formats = output.get("formats", FORMATS)
@@ -401,18 +426,43 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
         raise ConfigError(f"J_list={j_list!r} gives two entries the file stem J{shared[0]}")
     spectra, t, ensemble, op_rng = [], None, None, None
     if ensembles:
-        check_supported(experiment, config)
-        spectra = sample_spectra(_field(config, "spectrum", dict, {}), seed)
+        noise = _field(config, "noise", dict, {})
+        ensemble = noise.get("ensemble", "gue")
+        if ensemble not in ensembles:
+            raise ConfigError(
+                f"noise.ensemble={ensemble!r} is not supported by {experiment} "
+                f"(supported: {', '.join(ensembles)})"
+            )
+        profile = _field(noise, "noise.profile", dict, {})
+        if profile.get("type", "const") != "const":
+            raise ConfigError(
+                f"noise.profile.type={profile['type']!r} is not supported by {experiment}: "
+                "J comes from J_list with the constant profile"
+            )
+        if "J" in profile and _field(profile, "noise.profile.J", float) not in j_list:
+            raise ConfigError(
+                f"noise.profile.J={profile['J']!r} is not in J_list={config['J_list']!r}, "
+                "which sets J"
+            )
+        spectrum = _field(config, "spectrum", dict, {})
+        n_real = _field(spectrum, "spectrum.n_realizations", int, 1, minimum=1)
+        if n_real > 1 and not averages:
+            raise ConfigError(
+                f"spectrum.n_realizations={n_real} is not supported by {experiment}, "
+                "which evaluates one spectrum"
+            )
+        spectra = sample_spectra(spectrum, seed, n_real)
         t = time_grid(_field(config, "t_grid", dict, {}))
-        ensemble = _field(config, "noise", dict, {}).get("ensemble", "gue")
         op_seed = _field(config, "operator_seed", int, 7, minimum=0)
         op_rng = np.random.default_rng(np.random.SeedSequence(op_seed))
     chash = config_hash(config)
     summary: dict = {"experiment": experiment, "config_hash": chash, "files": [], "comparisons": []}
+    # Every series is computed before the first file is written, so a run
+    # that fails leaves nothing behind.
+    computed = list(scan(Inputs(config, j_list, spectra, t, ensemble, op_rng, threads, summary)))
     out = Path(default_dir if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    inputs = Inputs(config, j_list, spectra, t, ensemble, op_rng, threads, summary)
-    for stem, series in scan(inputs):
+    for stem, series in computed:
         series.metadata["config_hash"] = chash
         for fmt in FORMATS:
             if fmt in formats:
@@ -447,8 +497,7 @@ def main(argv=None) -> int:
         return 1
     try:
         summary = run(config, out_dir=args.out, threads=args.threads, seed=args.seed)
-    except (ConfigError, ValueError, OSError, krylov.LanczosBreakdownError,
-            UnitarityError) as exc:
+    except (ConfigError, ValueError, OSError, UnitarityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for comp in summary["comparisons"]:

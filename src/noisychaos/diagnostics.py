@@ -1,13 +1,12 @@
 """Closed forms of the averaged channels, SFF, two-point functions, transfer
 and return probabilities, each an array with the shape of the time grid t;
-DiagnosticSeries is the record the CLI writes and the MC oracle estimates.
+DiagnosticSeries is the record the CLI writes.
 Moments and Lanczos coefficients live in krylov.py, the two-replica
 observables in channel_two.py."""
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -20,8 +19,8 @@ from .spectra import Spectrum
 
 @dataclass(frozen=True)
 class DiagnosticSeries:
-    """The written or estimated record of an observable on an increasing time
-    grid, with Monte Carlo error bars when estimated and its metadata."""
+    """The written record of an observable on an increasing time grid, with
+    Monte Carlo error bars when estimated and its metadata."""
 
     name: str
     times: np.ndarray
@@ -63,12 +62,6 @@ class DiagnosticSeries:
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
-
-
-def _meta(spec: Spectrum, **extra) -> dict:
-    """Series metadata: D, a hash of the energies, then ``extra``."""
-    spectrum_hash = hashlib.sha256(spec.energies.tobytes()).hexdigest()[:16]
-    return {"dim": spec.dim, "spectrum_hash": spectrum_hash, **extra}
 
 
 def sff_noiseless(spec: Spectrum, t_grid) -> np.ndarray:

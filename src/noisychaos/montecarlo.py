@@ -17,10 +17,10 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import DiagnosticSeries, _meta
 from .noise import NoiseModel, noise_dtype, sample_noise_sequence
 from .spectra import Spectrum
 
@@ -50,11 +50,11 @@ class TrajectoryConfig:
 
     def __post_init__(self):
         if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise ValueError(f"dt={self.dt!r} must be positive")
         if self.t_max <= 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+            raise ValueError(f"t_max={self.t_max!r} must be positive")
         if self.n_traj < 1:
-            raise ValueError(f"n_traj must be positive, got {self.n_traj}")
+            raise ValueError(f"n_traj={self.n_traj!r} must be positive")
 
     @property
     def n_steps(self) -> int:
@@ -142,7 +142,8 @@ def _evolve_recorded(
     return out, drift
 
 
-def _grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
+def grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
+    """The step index n of each grid time t = n dt."""
     steps = np.round(np.asarray(t_grid, dtype=float) / dt).astype(int)
     if not np.allclose(steps * dt, t_grid, atol=1e-9):
         raise ValueError("t_grid times must be integer multiples of dt")
@@ -221,29 +222,21 @@ def transfer_observable(i: int, j: int) -> Observable:
     return value
 
 
+class Estimate(NamedTuple):
+    """The mean of an observable over the trajectories at each grid time and
+    its standard error (zero when there is one trajectory)."""
+
+    values: np.ndarray
+    stderr: np.ndarray
+
+
 @dataclass(frozen=True)
 class OracleRun:
-    """The series of one simulation, keyed as the observables were, and the
-    largest unitarity drift over all its trajectories."""
+    """The estimates of one simulation, keyed as the observables were, and
+    the largest unitarity drift over all its trajectories."""
 
-    series: dict[str, DiagnosticSeries]
+    series: dict[str, Estimate]
     max_drift: float
-
-
-def _reduce(name, spec, model, cfg, t_grid, values) -> DiagnosticSeries:
-    mean = values.mean(axis=0)
-    if cfg.n_traj >= 2:
-        stderr = values.std(axis=0, ddof=1) / np.sqrt(cfg.n_traj)
-    else:
-        stderr = np.zeros(mean.size)
-    meta = _meta(
-        spec,
-        noise=model.to_config(),
-        dt=cfg.dt,
-        n_traj=cfg.n_traj,
-        seed=cfg.seed,
-    )
-    return DiagnosticSeries(name, np.asarray(t_grid, dtype=float), mean, stderr, meta)
 
 
 def estimate_observables(
@@ -258,13 +251,11 @@ def estimate_observables(
 
     Each chunk of trajectories (see ``chunk_bounds``) is evolved once and
     every observable fills its own (n_traj, n_times) slots from the same
-    recorded unitaries, so each series equals the one a separate estimate
-    of that observable alone would give.  The series of ``observables[key]``
-    is named ``mc_{key}``.
+    recorded unitaries, so each estimate equals the one a separate estimate
+    of that observable alone would give.
     """
     validate_step(model, cfg.dt)
-    t_grid = np.asarray(t_grid)
-    steps = _grid_steps(t_grid, cfg.dt)
+    steps = grid_steps(t_grid, cfg.dt)
     if steps.max() > cfg.n_steps:
         raise ValueError("t_grid extends beyond cfg.t_max")
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
@@ -295,26 +286,29 @@ def estimate_observables(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         max_drift = max(pool.map(run_share, range(workers), buffers))
+    n = cfg.n_traj
     series = {
-        key: _reduce(f"mc_{key}", spec, model, cfg, t_grid, values[key]) for key in observables
+        key: Estimate(v.mean(axis=0),
+                      v.std(axis=0, ddof=1) / np.sqrt(n) if n >= 2 else np.zeros(steps.size))
+        for key, v in values.items()
     }
     return OracleRun(series, max_drift)
 
 
-def _estimate_one(spec, model, cfg, t_grid, key, obs, threads) -> DiagnosticSeries:
+def _estimate_one(spec, model, cfg, t_grid, key, obs, threads) -> Estimate:
     return estimate_observables(spec, model, cfg, t_grid, {key: obs}, threads).series[key]
 
 
 def estimate_sff(
     spec: Spectrum, model: NoiseModel, cfg: TrajectoryConfig, t_grid, threads: int = 1
-) -> DiagnosticSeries:
+) -> Estimate:
     """Monte Carlo estimate of K_J(t) = E|TrU|^2 / D^2 with error bars."""
     return _estimate_one(spec, model, cfg, t_grid, "sff", sff_observable(), threads)
 
 
 def estimate_sff_squared(
     spec: Spectrum, model: NoiseModel, cfg: TrajectoryConfig, t_grid, threads: int = 1
-) -> DiagnosticSeries:
+) -> Estimate:
     """Monte Carlo estimate of E[(TrU TrU+)^2]."""
     return _estimate_one(spec, model, cfg, t_grid, "sff_squared", sff_squared_observable(), threads)
 
@@ -326,7 +320,7 @@ def estimate_two_point(
     O: np.ndarray,
     t_grid,
     threads: int = 1,
-) -> DiagnosticSeries:
+) -> Estimate:
     """Monte Carlo estimate of C_J(t) = (1/D) E[Tr(O+ U+ O U)]."""
     return _estimate_one(spec, model, cfg, t_grid, "two_point", two_point_observable(O), threads)
 
@@ -339,7 +333,7 @@ def estimate_otoc(
     B: np.ndarray,
     t_grid,
     threads: int = 1,
-) -> DiagnosticSeries:
+) -> Estimate:
     """Monte Carlo estimate of OTOC_J = (1/D) E[Tr(A B_t A B_t)]."""
     return _estimate_one(spec, model, cfg, t_grid, "otoc", otoc_observable(A, B), threads)
 
@@ -352,6 +346,6 @@ def estimate_transfer(
     j: int,
     t_grid,
     threads: int = 1,
-) -> DiagnosticSeries:
+) -> Estimate:
     """Monte Carlo estimate of the transfer probability E|U_ji|^2."""
     return _estimate_one(spec, model, cfg, t_grid, "transfer", transfer_observable(i, j), threads)

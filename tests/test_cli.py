@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import noisychaos as nc
 from noisychaos import sff_variance
 from noisychaos.cli import (
+    CONFIG_KEYS,
     EXPERIMENTS,
     ConfigError,
     config_hash,
@@ -322,6 +324,20 @@ class TestOracleCompare:
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert "state_i=4" in capsys.readouterr().err
 
+    def test_mc_series_carry_name_and_metadata(self, tmp_path):
+        cfg = {**ORACLE_CONFIG, "compare_otoc": True,
+               "montecarlo": {**ORACLE_CONFIG["montecarlo"], "n_traj": 8}}
+        summary = run(cfg, out_dir=tmp_path)
+        keys = ("sff", "two_point", "transfer", "sff_squared", "otoc")
+        assert sorted(f for f in summary["files"] if f.endswith(".json")) == sorted(
+            f"mc_{key}_J1.json" for key in keys
+        )
+        for key in keys:
+            doc = json.loads((tmp_path / f"mc_{key}_J1.json").read_text())
+            assert doc["name"] == f"mc_{key}"
+            expected = {"dim", "spectrum_hash", "noise", "dt", "n_traj", "seed", "config_hash"}
+            assert set(doc["metadata"]) == expected | ({"i", "j"} if key == "transfer" else set())
+
     def test_thread_invariance_byte_identical(self, tmp_path):
         outs = []
         for n in (1, 4):
@@ -348,15 +364,19 @@ class TestMainEntry:
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
 
     def test_exit_one_on_lanczos_breakdown(self, tmp_path, capsys):
-        # J = alpha = 1 exhausts the Krylov space: b_1^2 = 1 - J^2 = 0.
+        # J = alpha = 1 exhausts the Krylov space: b_1^2 = 1 - J^2 = 0.  The
+        # series of J = 0.5, computed first, is not written either.
         cfg = {
             "experiment": "lanczos_scan",
-            "J_list": [1.0],
+            "J_list": [0.5, 1.0],
             "lanczos": {"alpha": 1.0, "n_max": 8, "dps": 30},
         }
         cfg_path = write_config(tmp_path, cfg)
-        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-        assert "error: Lanczos recursion breakdown" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: Lanczos recursion breakdown at level 3 for J_list entry 1.0" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--threads", "0"),
                                              ("--threads", "-3")])
@@ -477,6 +497,17 @@ class TestUnsupportedSettings:
             ("sff_variance_scan", {"spectrum": {"sample": "gue", "dim": 2}}, "spectrum.dim"),
             ("oracle_compare", {"spectrum": {"sample": "gue", "dim": 2}, "compare_otoc": True},
              "spectrum.dim"),
+            ("oracle_compare", {"montecarlo": {"dt": 0.0, "t_max": 1.0, "n_traj": 4,
+                                               "seed": 1}}, "montecarlo.dt"),
+            ("oracle_compare", {"montecarlo": {"dt": 0.01, "t_max": 0, "n_traj": 4,
+                                               "seed": 1}}, "montecarlo.t_max"),
+            # Misspelled keys, which would otherwise be ignored.
+            ("sff_scan", {"spectrum": {"sample": "gue", "dim": 4, "n_realisations": 5}},
+             "spectrum.n_realisations"),
+            ("sff_scan", {"J_lsit": [0.5]}, "J_lsit"),
+            ("oracle_compare", {"montecarlo": {"dt": 0.01, "t_max": 1.0, "n_traj": 4, "seed": 1,
+                                               "n_trajectories": 4096}},
+             "montecarlo.n_trajectories"),
         ],
     )
     def test_malformed_type_names_field(self, tmp_path, experiment, override, field):
@@ -501,8 +532,8 @@ class TestUnsupportedSettings:
         spectrum = {"sample": "gue", "dim": 6, "seed": 3}
         cfg = {**self.BASE, "experiment": "transfer_scan", "spectrum": spectrum, **states}
         with pytest.raises(ConfigError, match=re.escape(field)):
-            run(cfg, out_dir=tmp_path)
-        assert not (tmp_path / "summary.json").exists()
+            run(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_two_replica_file_spectrum_names_file(self, tmp_path):
         spec_path = tmp_path / "spec2.json"
@@ -539,3 +570,11 @@ class TestUnsupportedSettings:
         cfg = {**self.BASE, "experiment": "two_point_scan", "noise": self.GOE,
                "spectrum": self.MANY}
         assert run(cfg, out_dir=tmp_path)["pass"] is True
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for section, keys in CONFIG_KEYS.items():
+        for key in keys:
+            path = f"{section}.{key}" if section else key
+            assert f"`{path}`" in readme, path

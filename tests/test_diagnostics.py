@@ -24,7 +24,6 @@ from noisychaos import (
     u1_gue_const,
     u1_gue_general,
 )
-from noisychaos.diagnostics import _meta
 
 from conftest import random_hermitian
 from oracles import effective_hamiltonian, level_statistics, partition_return_probability
@@ -62,7 +61,8 @@ class TestDiagnosticSeries:
     def test_json_metadata(self, tmp_path, spec5):
         t = np.array([0.0, 1.0])
         series = DiagnosticSeries(
-            "sff_gue_const", t, sff_gue_const(spec5, 1.0, t), metadata=_meta(spec5, J=1.0)
+            "sff_gue_const", t, sff_gue_const(spec5, 1.0, t),
+            metadata={"dim": spec5.dim, "J": 1.0},
         )
         p = tmp_path / "s.json"
         series.write_json(p)

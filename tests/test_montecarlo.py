@@ -322,7 +322,6 @@ class TestSharedSimulation:
         }
         assert 0.0 < shared.max_drift <= 1e-8
         for key, series in separate.items():
-            assert shared.series[key].name == series.name == f"mc_{key}"
             assert np.array_equal(shared.series[key].values, series.values)
             assert np.array_equal(shared.series[key].stderr, series.stderr)
 
@@ -357,3 +356,22 @@ class TestConvergence:
             biases.append(abs(est.values[1] - closed))
         # noise floor ~ stderr; only require a clear downward trend
         assert biases[2] < biases[0]
+
+    def test_weak_order_richardson(self):
+        # At dt J = 1 the first-order bias of the SFF at t = 0.5 is about
+        # -8 sigma; halving dt halves it, so the Richardson combination
+        # 2 b(dt/2) - b(dt) cancels it to within the noise.  A step whose
+        # bias is absent or does not scale as dt fails one or the other.
+        # The two step sizes use independent seeds, so their errors add.
+        spec = Spectrum(np.array([-0.5, 0.7]))
+        model = gue_constant(4.0, 2)
+        t = np.array([0.0, 0.5])
+        closed = sff_gue_const(spec, 4.0, t)[1]
+        biases = []
+        for dt, seed in ((0.25, 1), (0.125, 2)):
+            cfg = TrajectoryConfig(dt=dt, t_max=0.5, n_traj=12000, seed=seed)
+            est = estimate_sff(spec, model, cfg, t, threads=2)
+            biases.append((est.values[1].real - closed, est.stderr[1]))
+        (b, s), (b_half, s_half) = biases
+        assert b < -4.0 * s
+        assert abs(2.0 * b_half - b) <= 3.0 * np.hypot(2.0 * s_half, s)
