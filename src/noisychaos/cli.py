@@ -319,7 +319,8 @@ def oracle_compare(inp: Inputs):
     fields = {
         "dt": _field(mc_cfg, "montecarlo.dt", float, _REQUIRED),
         "t_max": _field(mc_cfg, "montecarlo.t_max", float, _REQUIRED),
-        "n_traj": _field(mc_cfg, "montecarlo.n_traj", int, _REQUIRED, minimum=1),
+        # One trajectory gives no error bar to compare against.
+        "n_traj": _field(mc_cfg, "montecarlo.n_traj", int, _REQUIRED, minimum=2),
         "seed": _field(mc_cfg, "montecarlo.seed", int, _REQUIRED, minimum=0),
     }
     try:

@@ -1,19 +1,22 @@
 """Stochastic-trajectory oracle for the averaged channels.
 
-Each trajectory evolves U(t_{n+1}) = exp(-i (H0 + eta_n) dt) U(t_n) with the
-Hermitian exponential taken by Pade 7, scaling and squaring, eta_n drawn from
-the regularized noise model.  One simulation feeds every requested observable:
-``estimate_observables`` records U on the time grid once per chunk of
-trajectories and reduces each observable from those same unitaries; the
-``estimate_*`` functions are that path with a single observable.
-Trajectories get independent child seeds from a splittable SeedSequence and
-results land in per-trajectory slots before a fixed-order reduction, so
-estimates are bit-identical regardless of thread count, chunking, and which
-observables share the simulation.
+Each trajectory evolves U(t_{n+1}) = exp(-i (H0 + eta_n) dt) U(t_n), eta_n
+drawn from the regularized noise model, entirely in real arithmetic: U is
+carried as its real block column [Re U; Im U], and each step is the real
+form of exp(-iX) from a degree-15 Taylor polynomial with per-matrix scaling
+and squaring (``expm_hermitian_step``).  One simulation feeds every
+requested observable: ``estimate_observables`` records U on the time grid
+once per chunk of trajectories and reduces each observable from those same
+unitaries; the ``estimate_*`` functions are that path with a single
+observable.  Trajectory k draws its noise from child k of the
+SeedSequence of the seed, and results land in per-trajectory slots before
+a fixed-order reduction, so estimates are bit-identical regardless of
+thread count, chunking, and which observables share the simulation.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,10 +32,19 @@ from .spectra import Spectrum
 # may hold.
 NOISE_BUDGET_BYTES = 64e6
 
-# Higham's bound on |X|_1 within which the [7/7] Pade approximant of exp is
-# accurate to double precision, and its coefficients b_0 .. b_7.
-THETA_7 = 0.9504178996162932
-PADE_7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)
+# The bound (2^-53 16!)^(1/16) on |X|_1 within which the degree-15 Taylor
+# remainder |X|^16 / 16! of exp(-iX) lies below double-precision roundoff.
+THETA_15 = 0.6845053769594961
+# Paterson-Stockmeyer coefficients of that polynomial, one row per block
+# polynomial in the powers 0 .. 3 of its variable.  Rows of EXP_15: B_i in
+# exp(M) = sum_i M^4i B_i(M), B_i(M) = sum_j M^j / (4i + j)!.  Rows of
+# COS_SIN_15: the low and high halves of cos X and of sin X / X as
+# polynomials in Y = X^2, each low(Y) + Y^4 high(Y).
+EXP_15 = np.array([[1.0 / math.factorial(4 * i + j) for j in range(4)] for i in range(4)])
+COS_SIN_15 = np.array([
+    [(-1) ** k / math.factorial(2 * k + odd) for k in range(half, half + 4)]
+    for odd in (0, 1) for half in (0, 4)
+])
 
 
 class UnitarityError(RuntimeError):
@@ -76,32 +88,82 @@ def validate_step(model: NoiseModel, dt: float) -> None:
         )
 
 
-def expm_hermitian_step(x: np.ndarray) -> np.ndarray:
-    """exp(-iX) for a batch (..., D, D) of Hermitian or real symmetric X.
+def _block(col: np.ndarray) -> np.ndarray:
+    """The real form [[Re Z, -Im Z], [Im Z, Re Z]] of a complex matrix Z
+    from its block column [Re Z; Im Z] of shape (..., 2D, D)."""
+    d = col.shape[-1]
+    full = np.empty(col.shape[:-1] + (2 * d,))
+    full[..., :d] = col
+    full[..., :d, d:] = -col[..., d:, :]
+    full[..., d:, d:] = col[..., :d, :]
+    return full
 
-    With Y = X^2 the [7/7] Pade approximant of exp(-iX) is
-    (Q + iW)^-1 (Q - iW), W = X (b1 - b3 Y + b5 Y^2 - b7 Y^3) and
-    Q = b0 - b2 Y + b4 Y^2 - b6 Y^3, exactly unitary in exact arithmetic
-    (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  Each X is scaled
-    by its own 2^-s into |X|_1 <= THETA_7 and its result squared s times,
-    so a matrix's result does not depend on its batch-mates.  For real X
-    only the solve is complex.
+
+def _combine(coef: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """coef @ powers over the stacking axis -3 of (..., 4, m, n) powers, in
+    one small product per matrix of the batch."""
+    flat = powers.reshape(powers.shape[:-2] + (-1,))
+    return (coef @ flat).reshape(powers.shape)
+
+
+def _taylor_real(x: np.ndarray) -> np.ndarray:
+    """[cos X; -sin X], the block column of exp(-iX) for real symmetric X,
+    from Y = X^2 .. Y^4: 7 real D x D products."""
+    d = x.shape[-1]
+    y = np.empty(x.shape[:-2] + (4, d, d))
+    y[..., 0, :, :] = np.eye(d)
+    np.matmul(x, x, out=y[..., 1, :, :])
+    np.matmul(y[..., 1, :, :], y[..., 1, :, :], out=y[..., 2, :, :])
+    np.matmul(y[..., 1, :, :], y[..., 2, :, :], out=y[..., 3, :, :])
+    y4 = y[..., 2, :, :] @ y[..., 2, :, :]
+    p = _combine(COS_SIN_15, y)
+    p[..., ::2, :, :] += y4[..., None, :, :] @ p[..., 1::2, :, :]
+    return np.concatenate([p[..., 0, :, :], -(x @ p[..., 2, :, :])], axis=-2)
+
+
+def _taylor_complex(x: np.ndarray) -> np.ndarray:
+    """[Re; Im], the block column of exp(-iX) for Hermitian X: exp(M) of
+    the real form M = [[Im X, Re X], [-Re X, Im X]] of -iX, from M .. M^4
+    and three Horner steps in M^4.  Each of the 6 products is a 2D x 2D
+    matrix times a 2D x D block column."""
+    d = x.shape[-1]
+    m = np.zeros(x.shape[:-2] + (4, 2 * d, d))
+    m[..., 0, :d, :] = np.eye(d)
+    m[..., 1, :d, :] = x.imag
+    m[..., 1, d:, :] = -x.real
+    m1 = _block(m[..., 1, :, :])
+    np.matmul(m1, m[..., 1, :, :], out=m[..., 2, :, :])
+    np.matmul(m1, m[..., 2, :, :], out=m[..., 3, :, :])
+    m4 = _block(m1 @ m[..., 3, :, :])
+    b = _combine(EXP_15, m)
+    col = b[..., 3, :, :]
+    for i in (2, 1, 0):
+        col = b[..., i, :, :] + m4 @ col
+    return col
+
+
+def expm_hermitian_step(x: np.ndarray) -> np.ndarray:
+    """exp(-iX) for a batch (..., D, D) of Hermitian or real symmetric X, as
+    the real (..., 2D, 2D) matrix [[Re, -Im], [Im, Re]].
+
+    Both branches sum the degree-15 Taylor polynomial of exp(-iX) by
+    Paterson-Stockmeyer in real arithmetic: real X as cos X - i sin X
+    (``_taylor_real``), complex X as exp of a real antisymmetric 2D x 2D
+    matrix (``_taylor_complex``).  Each X is scaled by its own 2^-s into
+    |X|_1 <= THETA_15 and its result squared s times, so a matrix's result
+    does not depend on its batch-mates; as |X|_2 <= |X|_1 for Hermitian X,
+    the Taylor remainder |X|^16 / 16! is below 2^-53.
     """
-    b = PADE_7
     norm = np.abs(x).sum(axis=-2).max(axis=-1)
-    s = np.ceil(np.log2(np.maximum(norm / THETA_7, 1.0))).astype(int)
+    s = np.ceil(np.log2(np.maximum(norm / THETA_15, 1.0))).astype(int)
     if s.any():
         x = x * np.exp2(-s)[..., None, None]
-    eye = np.eye(x.shape[-1])
-    y1 = x @ x
-    y2 = y1 @ y1
-    y3 = y1 @ y2
-    w = x @ (b[1] * eye - b[3] * y1 + b[5] * y2 - b[7] * y3)
-    q = b[0] * eye - b[2] * y1 + b[4] * y2 - b[6] * y3
-    r = np.linalg.solve(q + 1j * w, q - 1j * w)
+    r = _block(_taylor_real(x) if np.isrealobj(x) else _taylor_complex(x))
+    d = x.shape[-1]
     for k in range(int(s.max(initial=0))):
         sq = s > k
-        r[sq] = r[sq] @ r[sq]
+        rs = r[sq]
+        r[sq] = _block(rs @ rs[..., :d])
     return r
 
 
@@ -117,25 +179,27 @@ def _evolve_recorded(
     indices with shape (n_batch, n_record, D, D) and the batch's largest
     unitarity drift max |U+U - 1| at the last step.  The noise is drawn into
     ``eta`` (at least n_batch x n_steps x D x D of ``noise_dtype(model)``,
-    overwritten)."""
+    overwritten).  U is carried as its real block column [Re U; Im U]."""
     d = energies.size
     n_steps = int(record_steps.max())
     batch = len(gens)
     eta = eta[:batch, :n_steps]
     for b, gen in enumerate(gens):
         sample_noise_sequence(model, dt, n_steps, gen, out=eta[b])
-    u = np.broadcast_to(np.eye(d, dtype=complex), (batch, d, d)).copy()
+    u = np.zeros((batch, 2 * d, d))
+    u[:, :d] = np.eye(d)
     out = np.empty((batch, record_steps.size, d, d), dtype=complex)
     rec = {step: k for k, step in enumerate(record_steps)}
-    if 0 in rec:
-        out[:, rec[0]] = u
     h0 = np.diag(energies)
-    for n in range(1, n_steps + 1):
-        x = h0 + eta[:, n - 1]
-        x *= dt
-        u = expm_hermitian_step(x) @ u
+    for n in range(n_steps + 1):
+        if n:
+            x = h0 + eta[:, n - 1]
+            x *= dt
+            u = expm_hermitian_step(x) @ u
         if n in rec:
-            out[:, rec[n]] = u
+            out[:, rec[n]].real = u[:, :d]
+            out[:, rec[n]].imag = u[:, d:]
+    u = u[:, :d] + 1j * u[:, d:]
     drift = float(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)).max())
     if drift > 1e-8:
         raise UnitarityError(f"unitarity drift {drift:.2e} exceeds 1e-8")
@@ -258,8 +322,6 @@ def estimate_observables(
     steps = grid_steps(t_grid, cfg.dt)
     if steps.max() > cfg.n_steps:
         raise ValueError("t_grid extends beyond cfg.t_max")
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
-    gens = [np.random.default_rng(c) for c in children]
     threads = max(1, threads)
     n_steps = int(steps.max())
     bounds = chunk_bounds(cfg.n_traj, max(n_steps, 1), spec.dim, threads)
@@ -278,7 +340,10 @@ def estimate_observables(
     def run_share(w: int, eta: np.ndarray) -> float:
         drifts = []
         for lo, hi in bounds[w::workers]:
-            u_rec, drift = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens[lo:hi], eta)
+            # Trajectory k's seed is child k of SeedSequence(cfg.seed).spawn(n_traj).
+            gens = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
+                    for k in range(lo, hi)]
+            u_rec, drift = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens, eta)
             for key, value in observables.items():
                 values[key][lo:hi] = value(u_rec)
             drifts.append(drift)

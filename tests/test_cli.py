@@ -560,6 +560,15 @@ class TestUnsupportedSettings:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
 
+    def test_oracle_one_trajectory_refused(self, tmp_path, capsys):
+        # One trajectory has no error bar to compare against.
+        cfg = {**self.BASE, "experiment": "oracle_compare",
+               "montecarlo": {**self.BASE["montecarlo"], "n_traj": 1}}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "montecarlo.n_traj=1 must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_two_levels_without_otoc(self, tmp_path):
         # Only the OTOC comparison needs D >= 3; the rest runs at D = 2.
         cfg = {**self.BASE, "experiment": "oracle_compare",
