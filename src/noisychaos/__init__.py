@@ -33,11 +33,9 @@ from .diagnostics import (
     sff_from_channel,
     sff_goe_const,
     sff_gue_const,
-    sff_noiseless,
     transfer_probability,
     two_point_goe_const,
     two_point_gue_const,
-    two_point_noiseless,
 )
 from .krylov import (
     LanczosBreakdownError,

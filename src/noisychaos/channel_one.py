@@ -3,11 +3,12 @@
 The channel is stored in the delta-structure basis: three D x D coefficient
 grids A, B, G multiplying delta_{ii'}delta_{jj'}, delta_{ij}delta_{i'j'} and
 delta_{ij'}delta_{ji'} respectively, so memory is O(D^2) instead of O(D^4).
-All four solved cases are covered: GUE/GOE with constant or general
-variance profile.  Every case is an exact closed form: A and G are
-entrywise exponentials, and for a general profile B solves a linear system
-with a symmetric constant matrix and exponential forcing, which one
-eigendecomposition of that matrix solves at any t.
+Each ensemble has one builder for any variance profile; u1_gue_const and
+u1_goe_const are those builders on lambda_ij = J/D.  Every case is an exact
+closed form: A and G are entrywise exponentials, and B, the populations,
+solves a linear system with a symmetric constant matrix and exponential
+forcing, which one eigendecomposition solves at any t (the constant profile
+needs none).  The GOE populations are the GUE ones at t/2.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import Ensemble, NoiseModel, goe_constant
+from .noise import ConstantOverD, Ensemble, NoiseModel, goe_constant, gue_constant
 from .spectra import Spectrum
 
 
@@ -57,22 +58,6 @@ def _check_dims(spec: Spectrum, model: NoiseModel) -> None:
         raise ValueError(f"spectrum dim {spec.dim} != noise model dim {model.dim}")
 
 
-def u1_gue_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
-    """Closed form for constant GUE noise lambda_ij = J/D.
-
-    A_ij = exp(w_ij t) with w_ij = -i(E_i - E_j) - J,
-    B = (1/D)(1 - e^{-Jt}), G = 0.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    d = spec.dim
-    w = -1j * spec.gaps() - J
-    coeff_a = np.exp(w * t)
-    coeff_b = np.full((d, d), -np.expm1(-J * t) / d, dtype=complex)
-    coeff_g = np.zeros((d, d), dtype=complex)
-    return ChannelOne(d, coeff_a, coeff_b, coeff_g)
-
-
 def _forced_linear(p: np.ndarray, f: np.ndarray, nu: np.ndarray, t: float) -> np.ndarray:
     """Exact B(t) for B' = p.B + f * exp(nu_j t) (column j), B(0) = 0.
 
@@ -92,32 +77,36 @@ def _forced_linear(p: np.ndarray, f: np.ndarray, nu: np.ndarray, t: float) -> np
     return (v @ (phi * (v.T @ f))).astype(complex)
 
 
-def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
-    """General-lambda GUE channel, in closed form.
+def _populations(model: NoiseModel, t: float) -> np.ndarray:
+    """B(t), the delta_ij delta_i'j' block, of either ensemble.
 
-    A is the exact exponential exp(w_ij t).  B solves B' = P.B + Q(t),
-    B(0) = 0, with P = lambda - diag(J) (symmetric, minus a graph
-    Laplacian) and Q(t)_ij = lambda_ij exp(-J_j t).  With P = V diag(mu) V^T,
-
-        B = V [phi(mu_k, -J_j; t) o (V^T lambda)],
-        phi(mu, nu; t) = t e^{max(mu, nu) t} h(|mu - nu| t),
-        h(x) = (1 - e^{-x})/x, h(0) = 1,
-
-    the overflow-free form of (e^{nu t} - e^{mu t})/(nu - mu).
+    Under GUE noise B' = P.B + lambda_ij e^{-J_j t}, B(0) = 0, with the
+    symmetric P = lambda - diag(J) (minus a graph Laplacian), which
+    _forced_linear solves; the constant profile gives B = (1 - e^{-Jt})/D.
+    The GOE system is this one halved (P/2, lambda/2 and rate -J/2), so its
+    B at t is the GUE B at t/2.
     """
+    d = model.dim
+    s = t if model.ensemble is Ensemble.GUE else t / 2.0
+    if isinstance(model.profile, ConstantOverD):
+        return np.full((d, d), -np.expm1(-model.profile.J * s) / d, dtype=complex)
+    lam = model.lambda_matrix()
+    j_row = lam.sum(axis=1)
+    return _forced_linear(lam - np.diag(j_row), lam, -j_row, s)
+
+
+def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
+    """GUE channel of any variance profile: A_ij = exp(w_ij t) with
+    w_ij = -i(E_i - E_j) - (J_i + J_j)/2, B from _populations, G = 0."""
     _check_dims(spec, model)
     if model.ensemble is not Ensemble.GUE:
         raise ValueError("u1_gue_general requires a GUE noise model")
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     d = spec.dim
-    lam = model.lambda_matrix()
-    j_row = lam.sum(axis=1)
+    j_row = model.lambda_matrix().sum(axis=1)
     w = -1j * spec.gaps() - 0.5 * (j_row[:, None] + j_row[None, :])
-    coeff_b = _forced_linear(lam - np.diag(j_row), lam, -j_row, t)
-    coeff_a = np.exp(w * t)
-    coeff_g = np.zeros((d, d), dtype=complex)
-    return ChannelOne(d, coeff_a, coeff_b, coeff_g)
+    return ChannelOne(d, np.exp(w * t), _populations(model, t), np.zeros((d, d), dtype=complex))
 
 
 def goe_params(spec: Spectrum, model: NoiseModel) -> GoeClosedFormParams:
@@ -159,55 +148,39 @@ def goe_params(spec: Spectrum, model: NoiseModel) -> GoeClosedFormParams:
     return GoeClosedFormParams(g, c_plus, c_minus, z_plus, z_minus)
 
 
-def _goe_ag(params: GoeClosedFormParams, t: float):
-    ep = np.exp(params.z_plus * t)
-    em = np.exp(params.z_minus * t)
-    coeff_a = 0.5 * (params.c_minus * em + params.c_plus * ep)
-    coeff_g = 0.5 * params.g * (ep - em)
-    return coeff_a, coeff_g
-
-
-def u1_goe_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
-    """Closed form for constant GOE noise lambda_ij = J/D.
-
-    A_ij = (c- e^{z- t} + c+ e^{z+ t})/2, B = (1/D)(1 - e^{-Jt/2}),
-    G_ij = g (e^{z+ t} - e^{z- t})/2.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    d = spec.dim
-    params = goe_params(spec, goe_constant(J, d))
-    coeff_a, coeff_g = _goe_ag(params, t)
-    coeff_b = np.full((d, d), -np.expm1(-J * t / 2.0) / d, dtype=complex)
-    return ChannelOne(d, coeff_a, coeff_b, coeff_g)
-
-
 def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
-    """General-lambda GOE channel, in closed form.
-
-    A and G are the entrywise closed forms.  B solves the first-order system
+    """GOE channel of any variance profile.  A = (c- e^{z- t} + c+ e^{z+ t})/2
+    and G = g (e^{z+ t} - e^{z- t})/2 entrywise, from goe_params.  B solves
 
         B' = (w_ii + lambda_ii/2) B_ii' + (lambda/2).B
              + (lambda_ii'/2)(C_i'i'(t) + G_i'i'(t)),  B(0) = 0,
 
-    i.e. B' = P.B + (lambda/2) e^{nu_j t} with P = (lambda - diag(J))/2 and
-    nu_j = Re z+_jj = -J_j/2.  It is solved as in u1_gue_general: one
-    eigendecomposition of P and the overflow-free phi(mu_k, nu_j; t).
+    where w_ii + lambda_ii/2 = -J_i/2 and C_jj + G_jj = e^{z+_jj t} = e^{-J_j t/2}:
+    the GUE system of _populations halved, so B is the GUE B at t/2.
     """
     _check_dims(spec, model)
     if model.ensemble is not Ensemble.GOE:
         raise ValueError("u1_goe_general requires a GOE noise model")
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    d = spec.dim
-    lam = model.lambda_matrix()
     params = goe_params(spec, model)
-    coeff_a, coeff_g = _goe_ag(params, t)
-    j_row = lam.sum(axis=1)
-    # C_jj(t) + G_jj(t) = e^{z+_jj t} from the closed forms (c_jj+- = g_jj = 1).
-    zp_diag = np.diag(params.z_plus).real
-    coeff_b = _forced_linear(0.5 * (lam - np.diag(j_row)), 0.5 * lam, zp_diag, t)
-    return ChannelOne(d, coeff_a, coeff_b, coeff_g)
+    ep = np.exp(params.z_plus * t)
+    em = np.exp(params.z_minus * t)
+    coeff_a = 0.5 * (params.c_minus * em + params.c_plus * ep)
+    coeff_g = 0.5 * params.g * (ep - em)
+    return ChannelOne(spec.dim, coeff_a, _populations(model, t), coeff_g)
+
+
+def u1_gue_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
+    """u1_gue_general of the constant profile lambda_ij = J/D.  The name
+    stays because bench/workloads.py builds it and bench/tracer.py times it."""
+    return u1_gue_general(spec, gue_constant(J, spec.dim), t)
+
+
+def u1_goe_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
+    """u1_goe_general of the constant profile lambda_ij = J/D.  The name
+    stays because bench/workloads.py builds it and bench/tracer.py times it."""
+    return u1_goe_general(spec, goe_constant(J, spec.dim), t)
 
 
 def apply_channel(ch: ChannelOne, rho: np.ndarray) -> np.ndarray:

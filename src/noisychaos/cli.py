@@ -28,8 +28,8 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import krylov
+from .channel_two import UnsupportedDimensionError, sff_squared_mean, sff_variance
 from .channel_two import otoc as otoc_closed
-from .channel_two import sff_squared_mean, sff_variance
 # The estimate_* names are not called here; they stay bound because
 # bench/tracer.py wraps them where it expects the cli to look them up.
 from .montecarlo import (  # noqa: F401
@@ -222,18 +222,7 @@ def two_point_scan(inp: Inputs):
         yield _realization_mean(inp, stem, lambda s: two_point(s, j, o, inp.t))
 
 
-def _two_replica_dim(inp: Inputs, experiment: str) -> None:
-    """Refuse D < 3, which the two-replica channel U2 does not cover, by
-    the field that set D."""
-    d, spectrum = inp.spectra[0].dim, inp.config["spectrum"]
-    if d < 3:
-        setting = (f"spectrum.file={spectrum['file']!r} holds D={d}" if "file" in spectrum
-                   else f"spectrum.dim={d}")
-        raise ConfigError(f"{setting}; {experiment} needs D >= 3")
-
-
 def otoc_scan(inp: Inputs):
-    _two_replica_dim(inp, "otoc_scan")
     a = random_traceless_hermitian(inp.spectra[0].dim, inp.op_rng)
     b = random_traceless_hermitian(inp.spectra[0].dim, inp.op_rng)
     for j in inp.j_list:
@@ -272,7 +261,6 @@ def return_scan(inp: Inputs):
 
 
 def sff_variance_scan(inp: Inputs):
-    _two_replica_dim(inp, "sff_variance_scan")
     spec = inp.spectra[0]
     for j in inp.j_list:
         moments = sff_variance(spec, j, inp.t)
@@ -331,8 +319,6 @@ def oracle_compare(inp: Inputs):
     spec, t, gue = inp.spectra[0], inp.t, inp.ensemble == "gue"
     if compare_otoc and not gue:
         raise ConfigError(f"compare_otoc=True needs noise.ensemble 'gue', got {inp.ensemble!r}")
-    if compare_otoc:
-        _two_replica_dim(inp, "oracle_compare with compare_otoc")
     try:
         steps = grid_steps(t, cfg.dt)
     except ValueError:
@@ -343,13 +329,21 @@ def oracle_compare(inp: Inputs):
         raise ConfigError(
             f"t_grid.t_max={float(t[-1])!r} lies past montecarlo.t_max={cfg.t_max!r}"
         )
+    models = [NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
+              for j in inp.j_list]
+    for j, model in zip(inp.j_list, models):
+        margin = step_margin(model, cfg.dt)
+        if margin > 1.0:
+            raise ConfigError(
+                f"montecarlo.dt={cfg.dt!r} gives J_list entry {j!r} the step margin "
+                f"dt * max lambda * D = {margin:g}, which must be at most 1"
+            )
     sff = getattr(diag, f"sff_{inp.ensemble}_const")
     two_point = getattr(diag, f"two_point_{inp.ensemble}_const")
     state_i, state_j = _state_pair(inp)
     o = random_traceless_hermitian(spec.dim, inp.op_rng)
     inp.summary["mc_health"] = []
-    for j in inp.j_list:
-        model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
+    for j, model in zip(inp.j_list, models):
         # key -> (observable, analytic values); one simulation serves them all.
         cases = {
             "sff": (sff_observable(), sff(spec, j, t)),
@@ -417,8 +411,10 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
     formats = output.get("formats", FORMATS)
     if not isinstance(formats, (list, tuple)) or any(f not in FORMATS for f in formats):
         raise ConfigError(f"output.formats={formats!r} may list only {', '.join(FORMATS)}")
-    # Each entry is read as a float field, so a bool or a string is refused.
-    j_list = [_field({"J_list": j}, "J_list", float) for j in _field(config, "J_list", list)]
+    # Each entry is read as a float field, so a bool or a string is refused;
+    # adding 0.0 turns -0.0 into 0.0, so the two share one J and one stem.
+    j_list = [_field({"J_list": j}, "J_list", float) + 0.0
+              for j in _field(config, "J_list", list)]
     if not j_list or not all(0.0 <= j < np.inf for j in j_list):
         raise ConfigError(f"J_list={j_list!r} must be a nonempty list of finite J >= 0")
     stems = [f"{j:g}" for j in j_list]
@@ -459,8 +455,18 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
     chash = config_hash(config)
     summary: dict = {"experiment": experiment, "config_hash": chash, "files": [], "comparisons": []}
     # Every series is computed before the first file is written, so a run
-    # that fails leaves nothing behind.
-    computed = list(scan(Inputs(config, j_list, spectra, t, ensemble, op_rng, threads, summary)))
+    # that fails leaves nothing behind.  The two-replica channel U2 refuses
+    # D < 3 before any scan that needs it simulates or writes.
+    inputs = Inputs(config, j_list, spectra, t, ensemble, op_rng, threads, summary)
+    try:
+        computed = list(scan(inputs))
+    except UnsupportedDimensionError:
+        d, spectrum = spectra[0].dim, config["spectrum"]
+        setting = (f"spectrum.file={spectrum['file']!r} holds D={d}" if "file" in spectrum
+                   else f"spectrum.dim={d}")
+        raise ConfigError(
+            f"{setting}; {experiment} needs D >= 3 for the two-replica channel"
+        ) from None
     out = Path(default_dir if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for stem, series in computed:

@@ -64,17 +64,13 @@ class DiagnosticSeries:
             json.dump(payload, fh, indent=1, sort_keys=True)
 
 
-def sff_noiseless(spec: Spectrum, t_grid) -> np.ndarray:
-    """K_0(t) = |sum_i e^{-i E_i t}|^2 / D^2, with the shape of t."""
-    phases = np.exp(-1j * np.multiply.outer(np.asarray(t_grid, dtype=float), spec.energies))
-    return np.abs(phases.sum(axis=-1)) ** 2 / spec.dim**2
-
-
 def sff_gue_const(spec: Spectrum, J: float, t_grid) -> np.ndarray:
-    """K_J(t) = e^{-Jt} K_0(t) + (1 - e^{-Jt})/D^2, normalized K_J(0) = 1."""
+    """K_J(t) = e^{-Jt} K_0(t) + (1 - e^{-Jt})/D^2, normalized K_J(0) = 1,
+    with K_0(t) = |sum_i e^{-i E_i t}|^2 / D^2; J = 0 is the noiseless K_0."""
     t = np.asarray(t_grid, dtype=float)
     decay = np.exp(-J * t)
-    return decay * sff_noiseless(spec, t) + (1.0 - decay) / spec.dim**2
+    phases = np.exp(-1j * np.multiply.outer(t, spec.energies))
+    return decay * (np.abs(phases.sum(axis=-1)) ** 2 / spec.dim**2) + (1.0 - decay) / spec.dim**2
 
 
 def _goe_contract(spec: Spectrum, J: float, wa, wg: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -143,22 +139,18 @@ def sff_from_channel(ch: ChannelOne) -> float:
     return float(total.real) / d**2
 
 
-def two_point_noiseless(spec: Spectrum, O: np.ndarray, t_grid) -> np.ndarray:
-    """C_0(t) = (1/D) sum_ij O+_ij O_ji e^{-i(E_i - E_j)t}.  The phase grid has
-    rank one, so with P = exp(-i t E) this is the row sum of (P W) o conj(P)."""
-    t = np.asarray(t_grid, dtype=float)
-    p = np.exp(-1j * np.multiply.outer(t, spec.energies))
-    pw = p @ (O.conj().T * O.T)  # weights (i, j): O+_ij O_ji
-    pw *= np.conjugate(p, out=p)
-    return pw.sum(axis=-1) / spec.dim
-
-
 def two_point_gue_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> np.ndarray:
-    """C_J(t) = e^{-Jt} C_0(t) + (1 - e^{-Jt}) TrO TrO+ / D^2."""
+    """C_J(t) = e^{-Jt} C_0(t) + (1 - e^{-Jt}) TrO TrO+ / D^2, where
+    C_0(t) = (1/D) sum_ij O+_ij O_ji e^{-i(E_i - E_j)t}; J = 0 is the
+    noiseless C_0.  The phase grid has rank one, so with P = exp(-i t E),
+    C_0 is the row sum of (P W) o conj(P)."""
     t = np.asarray(t_grid, dtype=float)
     decay = np.exp(-J * t)
     tr_term = np.trace(O) * np.conj(np.trace(O)) / spec.dim**2
-    return decay * two_point_noiseless(spec, O, t) + (1.0 - decay) * tr_term
+    p = np.exp(-1j * np.multiply.outer(t, spec.energies))
+    pw = p @ (O.conj().T * O.T)  # weights (i, j): O+_ij O_ji
+    pw *= np.conjugate(p, out=p)
+    return decay * (pw.sum(axis=-1) / spec.dim) + (1.0 - decay) * tr_term
 
 
 def two_point_goe_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> np.ndarray:

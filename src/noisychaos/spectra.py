@@ -16,7 +16,8 @@ class InvalidDimensionError(ValueError):
 class Spectrum:
     """Ordered real energy levels of a D-dimensional system.
 
-    Energies are sorted ascending on construction; ``dim >= 2``.
+    Energies are sorted ascending on construction; ``dim >= 2`` and every
+    energy is finite.
     """
 
     energies: np.ndarray
@@ -27,6 +28,8 @@ class Spectrum:
             raise InvalidDimensionError(
                 f"spectrum needs at least 2 levels, got shape {e.shape}"
             )
+        if not np.all(np.isfinite(e)):
+            raise ValueError(f"energies must be finite, got {e.tolist()}")
         e = np.sort(e)
         e.setflags(write=False)
         object.__setattr__(self, "energies", e)

@@ -15,7 +15,7 @@ from noisychaos import (
     u1_gue_const,
     u1_gue_general,
 )
-from noisychaos.channel_one import goe_params
+from noisychaos.channel_one import _forced_linear, goe_params
 from noisychaos.noise import Ensemble
 
 from conftest import random_density, random_hermitian
@@ -27,11 +27,17 @@ def random_symmetric_lambda(dim, rng, scale=0.5):
     return (lam + lam.T) / 2.0
 
 
+def flat_matrix(ensemble, J, dim):
+    """The constant profile as a matrix profile, which takes the general
+    (eigendecomposition) route for B rather than the constant closed form."""
+    return NoiseModel(ensemble, MatrixProfile(np.full((dim, dim), J / dim)), dim)
+
+
 ALL_BUILDERS = [
     lambda spec, J, t: u1_gue_const(spec, J, t),
-    lambda spec, J, t: u1_gue_general(spec, gue_constant(J, spec.dim), t),
+    lambda spec, J, t: u1_gue_general(spec, flat_matrix(Ensemble.GUE, J, spec.dim), t),
     lambda spec, J, t: u1_goe_const(spec, J, t),
-    lambda spec, J, t: u1_goe_general(spec, goe_constant(J, spec.dim), t),
+    lambda spec, J, t: u1_goe_general(spec, flat_matrix(Ensemble.GOE, J, spec.dim), t),
 ]
 
 
@@ -251,17 +257,31 @@ class TestGeneralReductions:
     @pytest.mark.parametrize("t", [0.0, 0.5, 2.0, 5.0])
     def test_gue_general_reduces_to_const(self, spec4, t):
         const = u1_gue_const(spec4, 0.8, t)
-        general = u1_gue_general(spec4, gue_constant(0.8, 4), t)
+        general = u1_gue_general(spec4, flat_matrix(Ensemble.GUE, 0.8, 4), t)
         assert np.max(np.abs(general.coeff_A - const.coeff_A)) < 1e-9
         assert np.max(np.abs(general.coeff_B - const.coeff_B)) < 1e-9
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 2.0, 5.0])
     def test_goe_general_reduces_to_const(self, spec4, t):
         const = u1_goe_const(spec4, 0.8, t)
-        general = u1_goe_general(spec4, goe_constant(0.8, 4), t)
+        general = u1_goe_general(spec4, flat_matrix(Ensemble.GOE, 0.8, 4), t)
         assert np.max(np.abs(general.coeff_A - const.coeff_A)) < 1e-9
         assert np.max(np.abs(general.coeff_B - const.coeff_B)) < 1e-9
         assert np.max(np.abs(general.coeff_G - const.coeff_G)) < 1e-9
+
+    @pytest.mark.parametrize("profile", ["matrix", "gibbs"])
+    @pytest.mark.parametrize("t", [0.0, 0.9, 4.0])
+    def test_goe_populations_are_gue_at_half_time(self, profile, t):
+        spec, gue_model, _, _ = general_case(6, profile, Ensemble.GUE)
+        goe_model = NoiseModel(Ensemble.GOE, gue_model.profile, 6)
+        goe = u1_goe_general(spec, goe_model, t).coeff_B
+        gue = u1_gue_general(spec, gue_model, t / 2.0).coeff_B
+        assert np.max(np.abs(goe - gue)) < 1e-14
+        # The GOE system as derived: P/2, forcing lambda/2 at rate nu = -J/2.
+        lam = goe_model.lambda_matrix()
+        j_row = lam.sum(axis=1)
+        halved = _forced_linear((lam - np.diag(j_row)) / 2.0, lam / 2.0, -j_row / 2.0, t)
+        assert np.max(np.abs(goe - halved)) < 1e-14
 
     def test_gue_general_noiseless(self, spec4):
         ch = u1_gue_general(spec4, gue_constant(0.0, 4), 1.4)

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import noisychaos as nc
-from noisychaos import sff_variance
+from noisychaos import cli, sff_variance
 from noisychaos.cli import (
     CONFIG_KEYS,
     EXPERIMENTS,
@@ -82,6 +83,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"^J_list=.*{re.escape(stem)}$"):
             run(cfg, out_dir=tmp_path)
         assert not (tmp_path / "summary.json").exists()
+
+    def test_negative_zero_shares_the_stem_of_zero(self, tmp_path):
+        cfg = dict(SFF_CONFIG, J_list=[0.0, -0.0])
+        with pytest.raises(ConfigError, match="^J_list=.*J0$"):
+            run(cfg, out_dir=tmp_path)
+        assert not (tmp_path / "summary.json").exists()
+        cfg = {"experiment": "return_scan", "spectrum": {"sample": "gue", "dim": 4, "seed": 2},
+               "t_grid": {"t_min": 0.0, "t_max": 1.0, "n_points": 3}, "J_list": [-0.0]}
+        assert run(cfg, out_dir=tmp_path)["files"] == ["return_J0.csv", "return_J0.json"]
+        doc = json.loads((tmp_path / "return_J0.json").read_text())
+        assert math.copysign(1.0, doc["metadata"]["J"]) == 1.0
 
     def test_zero_realizations(self, tmp_path):
         cfg = dict(SFF_CONFIG, spectrum={"sample": "gue", "dim": 4, "n_realizations": 0})
@@ -165,8 +177,9 @@ class TestRunExperiments:
 
     @pytest.mark.parametrize(
         "content",
-        [None, '{"dim": 3}', "[0.0, 1.0]", '{"energies": 5}', '{"dim": 3, "energies": [0.0, 1.0]}'],
-        ids=["absent", "no-energies", "list", "scalar-energies", "dim-mismatch"],
+        [None, '{"dim": 3}', "[0.0, 1.0]", '{"energies": 5}', '{"dim": 3, "energies": [0.0, 1.0]}',
+         '{"dim": 3, "energies": [NaN, 0.1, 0.5]}', '{"dim": 2, "energies": [0.1, Infinity]}'],
+        ids=["absent", "no-energies", "list", "scalar-energies", "dim-mismatch", "nan", "inf"],
     )
     def test_missing_spectrum_file(self, tmp_path, content):
         spec_path = tmp_path / "spec.json"
@@ -177,6 +190,7 @@ class TestRunExperiments:
             run(cfg, out_dir=tmp_path / "out")
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_return_scan(self, tmp_path):
         cfg = {
@@ -567,6 +581,28 @@ class TestUnsupportedSettings:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert "montecarlo.n_traj=1 must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_oracle_refusals_come_before_simulating(self, tmp_path, capsys, monkeypatch):
+        # The OTOC comparison refuses D = 2 while it builds its cases.  J = 40
+        # at D = 4 has |lambda|_inf = 10, so dt = 0.5 gives the step margin 20.
+        def simulate(*args, **kwargs):
+            raise AssertionError("a trajectory ran before the refusal")
+
+        monkeypatch.setattr(cli, "estimate_observables", simulate)
+        cfg = {**self.BASE, "experiment": "oracle_compare", "compare_otoc": True,
+               "spectrum": {"sample": "gue", "dim": 2, "seed": 3}}
+        with pytest.raises(ConfigError, match="^spectrum.dim=2; oracle_compare needs D >= 3"):
+            run(cfg, out_dir=tmp_path / "out")
+        cfg = {**self.BASE, "experiment": "oracle_compare", "J_list": [0.1, 40.0],
+               "noise": {"ensemble": "gue"},
+               "t_grid": {"t_min": 0.5, "t_max": 1.0, "n_points": 2},
+               "montecarlo": {**self.BASE["montecarlo"], "dt": 0.5}}
+        with pytest.raises(ConfigError, match=r"^montecarlo\.dt=0\.5 .*J_list entry 40\.0"):
+            run(cfg, out_dir=tmp_path / "out")
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: montecarlo.dt=0.5 ")
         assert not (tmp_path / "out").exists()
 
     def test_oracle_two_levels_without_otoc(self, tmp_path):

@@ -5,6 +5,9 @@ import pytest
 
 from noisychaos import (
     DiagnosticSeries,
+    Ensemble,
+    MatrixProfile,
+    NoiseModel,
     Spectrum,
     apply_channel,
     goe_constant,
@@ -14,11 +17,9 @@ from noisychaos import (
     sff_from_channel,
     sff_goe_const,
     sff_gue_const,
-    sff_noiseless,
     transfer_probability,
     two_point_goe_const,
     two_point_gue_const,
-    two_point_noiseless,
     u1_goe_const,
     u1_goe_general,
     u1_gue_const,
@@ -119,11 +120,14 @@ class TestSffClosedForms:
 
     def test_channel_contraction_agrees_all_cases(self, spec4):
         J, t = 0.8, 1.3
+        # The constant profile as a matrix takes the general route for B.
+        flat = NoiseModel(Ensemble.GUE, MatrixProfile(np.full((4, 4), J / 4)), 4)
+        flat_goe = NoiseModel(Ensemble.GOE, flat.profile, 4)
         cases = [
             (u1_gue_const(spec4, J, t), sff_gue_const),
-            (u1_gue_general(spec4, gue_constant(J, 4), t), sff_gue_const),
+            (u1_gue_general(spec4, flat, t), sff_gue_const),
             (u1_goe_const(spec4, J, t), sff_goe_const),
-            (u1_goe_general(spec4, goe_constant(J, 4), t), sff_goe_const),
+            (u1_goe_general(spec4, flat_goe, t), sff_goe_const),
         ]
         for ch, closed in cases:
             assert abs(sff_from_channel(ch) - closed(spec4, J, [0.0, t])[1]) < 1e-10
@@ -145,7 +149,7 @@ class TestTwoPoint:
         o = random_hermitian(5, rng, traceless=True)
         t = np.array([0.4, 1.2])
         c = two_point_gue_const(spec5, 0.9, o, t)
-        c0 = two_point_noiseless(spec5, o, t)
+        c0 = two_point_gue_const(spec5, 0.0, o, t)
         assert np.max(np.abs(c - np.exp(-0.9 * t) * c0)) < 1e-12
 
     @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from noisychaos import (
     sff_variance,
     two_point_goe_const,
     two_point_gue_const,
-    two_point_noiseless,
 )
 from noisychaos.channel_one import goe_params
 
@@ -43,7 +42,6 @@ GOE_BOUNDS = {"sff_goe_const": 10, "two_point_goe_const": 11.5}
 GRID_FUNCTIONS = {
     "sff_gue_const": lambda s, o, a, b, t: sff_gue_const(s, 0.5, t),
     "sff_goe_const": lambda s, o, a, b, t: sff_goe_const(s, 0.5, t),
-    "two_point_noiseless": lambda s, o, a, b, t: two_point_noiseless(s, o, t),
     "two_point_gue_const": lambda s, o, a, b, t: two_point_gue_const(s, 0.5, o, t),
     "two_point_goe_const": lambda s, o, a, b, t: two_point_goe_const(s, 0.5, o, t),
     "return_probability": lambda s, o, a, b, t: return_probability(s, 0.5, t),

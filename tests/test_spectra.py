@@ -20,6 +20,11 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             s.energies[0] = 7.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energy_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Spectrum(np.array([bad, 0.1, 0.5]))
+
     def test_dim(self):
         s = Spectrum(np.array([0.0, 1.0, 2.0]))
         assert s.dim == 3
