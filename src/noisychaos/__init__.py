@@ -71,6 +71,7 @@ from .noise import (
     goe_constant,
     gue_constant,
     model_from_config,
+    noise_slices,
     sample_noise_sequence,
 )
 from .spectra import (

@@ -8,10 +8,14 @@ and squaring (``expm_hermitian_step``).  One simulation feeds every
 requested observable: ``estimate_observables`` records U on the time grid
 once per chunk of trajectories and reduces each observable from those same
 unitaries; the ``estimate_*`` functions are that path with a single
-observable.  Trajectory k draws its noise from child k of the
-SeedSequence of the seed, and results land in per-trajectory slots before
-a fixed-order reduction, so estimates are bit-identical regardless of
-thread count, chunking, and which observables share the simulation.
+observable.  A chunk draws its noise up front into a float64 buffer of
+K = ``noise_width(model)`` independent entries per slice, n_steps x K x 8
+bytes per trajectory (``chunk_bounds`` sizes the chunks by those bytes),
+and expands one step's slices at a time.  Trajectory k draws its noise from
+child k of the SeedSequence of the seed, and results land in per-trajectory
+slots before a fixed-order reduction, so estimates are bit-identical
+regardless of thread count, chunking, and which observables share the
+simulation.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .noise import NoiseModel, noise_dtype, sample_noise_sequence
+from .noise import NoiseModel, noise_slices, noise_width, sample_noise_sequence
 from .spectra import Spectrum
 
 
-# Noise bytes (counted as complex128 slices) that the chunks running at once
-# may hold.
+# Noise bytes, the float64 rows of K independent entries per slice that
+# sample_noise_sequence writes, that the chunks running at once may hold.
 NOISE_BUDGET_BYTES = 64e6
 
 # The bound (2^-53 16!)^(1/16) on |X|_1 within which the degree-15 Taylor
@@ -178,8 +182,10 @@ def _evolve_recorded(
     """Evolve a batch of trajectories, returning U at the recorded step
     indices with shape (n_batch, n_record, D, D) and the batch's largest
     unitarity drift max |U+U - 1| at the last step.  The noise is drawn into
-    ``eta`` (at least n_batch x n_steps x D x D of ``noise_dtype(model)``,
-    overwritten).  U is carried as its real block column [Re U; Im U]."""
+    ``eta`` (at least n_batch x n_steps x K float64, K = ``noise_width(model)``,
+    overwritten) as rows of independent entries, and each step expands its
+    rows into the batch's full slices.  U is carried as its real block column
+    [Re U; Im U]."""
     d = energies.size
     n_steps = int(record_steps.max())
     batch = len(gens)
@@ -193,7 +199,7 @@ def _evolve_recorded(
     h0 = np.diag(energies)
     for n in range(n_steps + 1):
         if n:
-            x = h0 + eta[:, n - 1]
+            x = h0 + noise_slices(model, eta[:, n - 1])
             x *= dt
             u = expm_hermitian_step(x) @ u
         if n in rec:
@@ -214,13 +220,13 @@ def grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
     return steps
 
 
-def chunk_bounds(n_traj: int, n_steps: int, dim: int, threads: int = 1) -> list[tuple[int, int]]:
+def chunk_bounds(n_traj: int, n_steps: int, width: int, threads: int = 1) -> list[tuple[int, int]]:
     """Split trajectories 0..n_traj into chunks of equal size (to within one)
     whose count is a multiple of ``threads``, so every thread gets the same
     work, and small enough that the noise of ``threads`` chunks running at
-    once fits ``NOISE_BUDGET_BYTES``.  There are never more chunks than
-    trajectories."""
-    per_traj = n_steps * dim * dim * 16
+    once, n_steps rows of ``width`` float64 entries per trajectory, fits
+    ``NOISE_BUDGET_BYTES``.  There are never more chunks than trajectories."""
+    per_traj = n_steps * width * 8
     cap = max(1, int(NOISE_BUDGET_BYTES / (threads * per_traj)))
     n_chunks = min(n_traj, threads * -(-n_traj // (threads * cap)))
     return [(n_traj * k // n_chunks, n_traj * (k + 1) // n_chunks) for k in range(n_chunks)]
@@ -324,7 +330,8 @@ def estimate_observables(
         raise ValueError("t_grid extends beyond cfg.t_max")
     threads = max(1, threads)
     n_steps = int(steps.max())
-    bounds = chunk_bounds(cfg.n_traj, max(n_steps, 1), spec.dim, threads)
+    width = noise_width(model)
+    bounds = chunk_bounds(cfg.n_traj, max(n_steps, 1), width, threads)
     values = {key: np.empty((cfg.n_traj, steps.size), dtype=complex) for key in observables}
     # Worker w runs chunks w, w + workers, ... in its own noise buffer.  The
     # buffers are allocated here: were each worker to allocate its own,
@@ -334,8 +341,7 @@ def estimate_observables(
     # thread timing.
     workers = min(threads, len(bounds))
     largest = max(hi - lo for lo, hi in bounds)
-    shape = (largest, n_steps, spec.dim, spec.dim)
-    buffers = [np.empty(shape, dtype=noise_dtype(model)) for _ in range(workers)]
+    buffers = [np.empty((largest, n_steps, width)) for _ in range(workers)]
 
     def run_share(w: int, eta: np.ndarray) -> float:
         drifts = []

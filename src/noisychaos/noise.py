@@ -2,12 +2,18 @@
 
 Shared between the analytic channels and the Monte Carlo trajectory oracle.
 The white-noise variance is regularized on a time grid as lambda/dt per step.
+The oracle's noise slices are sampled as float64 rows of their K independent
+entries (``sample_noise_sequence``, K = ``noise_width``) and expanded into
+full Hermitian or symmetric slices (``noise_slices``) one step at a time;
+the draws are those of full D x D slices, so the stream at a seed does not
+depend on the layout.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -41,7 +47,7 @@ class MatrixProfile:
     lam: np.ndarray
 
     def matrix(self, dim: int) -> np.ndarray:
-        lam = np.asarray(self.lam, dtype=float)
+        lam = np.array(self.lam, dtype=float)
         if lam.shape != (dim, dim):
             raise ValueError(f"lambda matrix shape {lam.shape} != ({dim}, {dim})")
         return lam
@@ -67,21 +73,29 @@ Profile = Union[ConstantOverD, MatrixProfile, GibbsProfile]
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """White-noise model: symmetry class (GUE/GOE) and variance profile."""
+    """White-noise model: symmetry class (GUE/GOE) and variance profile.
+
+    The profile's lambda matrix, a new array from every profile, is built
+    and checked once, on construction, and every ``lambda_matrix()`` call
+    returns it, read-only.
+    """
 
     ensemble: Ensemble
     profile: Profile
     dim: int
+    _lam: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = self.profile.matrix(self.dim)
-        if np.any(lam < 0.0):
+        if (lam < 0.0).any():
             raise ValueError("lambda_ij must be nonnegative")
-        if not np.array_equal(lam, lam.T):
+        if (lam != lam.T).any():
             raise ValueError("lambda_ij must be symmetric")
+        lam.setflags(write=False)
+        object.__setattr__(self, "_lam", lam)
 
     def lambda_matrix(self) -> np.ndarray:
-        return self.profile.matrix(self.dim)
+        return self._lam
 
     def to_config(self) -> dict:
         out = {"ensemble": self.ensemble.value}
@@ -132,9 +146,12 @@ def goe_constant(J: float, dim: int) -> NoiseModel:
     return NoiseModel(Ensemble.GOE, ConstantOverD(J), dim)
 
 
-def noise_dtype(model: NoiseModel) -> type:
-    """Noise slices are complex for GUE and real for GOE."""
-    return complex if model.ensemble is Ensemble.GUE else float
+def noise_width(model: NoiseModel) -> int:
+    """K, the independent real entries of one noise slice: D^2 for GUE
+    (upper-triangle real parts, upper-triangle imaginary parts, diagonal),
+    D(D+1)/2 for GOE (upper triangle, diagonal)."""
+    d = model.dim
+    return d * d if model.ensemble is Ensemble.GUE else d * (d + 1) // 2
 
 
 def sample_noise_sequence(
@@ -144,7 +161,8 @@ def sample_noise_sequence(
     rng: np.random.Generator,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """n_steps independent time slices of the regularized noise matrix.
+    """n_steps independent time slices of the regularized noise matrix, each
+    as its K = ``noise_width(model)`` independent entries.
 
     Each slice is Hermitian (GUE) or real symmetric (GOE) with second
     moments matching the delta-regularized variance lambda/dt:
@@ -152,29 +170,69 @@ def sample_noise_sequence(
     variance lambda_ij/(2 dt), GOE off-diagonals have variance
     lambda_ij/(2 dt), diagonals have variance lambda_ii/dt in both cases.
 
-    The slices are written into ``out`` (n_steps x D x D of
-    ``noise_dtype(model)``) when it is given, else into a new array.  The
+    The rows are written into ``out`` (n_steps x K float64) when it is
+    given, else into a new array; ``noise_slices`` expands them.  A row
+    holds sigma_ij x_ij for i < j in ``np.triu_indices`` order, then under
+    GUE sigma_ij y_ij in the same order, then sigma_ii x_ii: the slice is
+    sigma_ij (x + i y)_ij above the diagonal and sigma_ii x_ii on it.  The
     stream is one full D x D normal draw x for all slices, then y for GUE;
-    an entry above the diagonal is sigma_ij (x + i y)_ij, the diagonal
-    sigma_ii x_ii.
+    the entries below the diagonal are drawn and discarded, so the stream,
+    and with it every Monte Carlo estimate at a given seed, is the one a
+    sampler of full slices draws.
     """
     if dt <= 0.0:
         raise InvalidStepError(f"dt must be positive, got {dt}")
     d = model.dim
     lam = model.lambda_matrix()
-    sig_up = np.triu(np.sqrt(lam / (2.0 * dt)), k=1)
+    iu, ju = np.triu_indices(d, k=1)
+    m = iu.size
+    sig_up = np.sqrt(lam[iu, ju] / (2.0 * dt))
     sig_diag = np.sqrt(np.diag(lam) / dt)
     if out is None:
-        out = np.empty((n_steps, d, d), dtype=noise_dtype(model))
+        out = np.empty((n_steps, noise_width(model)))
 
-    x = rng.standard_normal((n_steps, d, d))
+    # Each slice's draw as a flat row: the upper triangle is a gather, the
+    # diagonal every (D+1)-th entry.
+    upper = iu * d + ju
+    x = rng.standard_normal((n_steps, d * d))
+    np.multiply(np.take(x, upper, axis=1), sig_up, out=out[:, :m])
     if model.ensemble is Ensemble.GUE:
-        np.multiply(x, sig_up, out=out.real)
-        np.multiply(rng.standard_normal((n_steps, d, d)), sig_up, out=out.imag)
-        out += out.conj().transpose(0, 2, 1)
-    else:
-        np.multiply(x, sig_up, out=out)
-        out += out.transpose(0, 2, 1)
-    idx = np.arange(d)
-    out[:, idx, idx] = sig_diag * x[:, idx, idx]
+        y = rng.standard_normal((n_steps, d * d))
+        np.multiply(np.take(y, upper, axis=1), sig_up, out=out[:, m:2 * m])
+    np.multiply(x[:, :: d + 1], sig_diag, out=out[:, -d:])
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion(dim: int, gue: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Where each entry of a full slice sits in a row, as a flat gather
+    index over the slice's D x D entries, or under GUE over their
+    interleaved (real, imaginary) parts with the sign each part takes."""
+    iu, ju = np.triu_indices(dim, k=1)
+    m = iu.size
+    real = np.empty((dim, dim), dtype=np.intp)
+    real[iu, ju] = real[ju, iu] = np.arange(m)
+    np.fill_diagonal(real, (2 * m if gue else m) + np.arange(dim))
+    if not gue:
+        return real.ravel(), None
+    imag = np.zeros((dim, dim), dtype=np.intp)
+    imag[iu, ju] = imag[ju, iu] = m + np.arange(m)
+    sign = np.zeros((dim, dim, 2))
+    sign[..., 0] = 1.0
+    sign[iu, ju, 1], sign[ju, iu, 1] = 1.0, -1.0
+    return np.stack([real, imag], axis=-1).ravel(), sign.ravel()
+
+
+def noise_slices(model: NoiseModel, rows: np.ndarray) -> np.ndarray:
+    """The full slices (..., D, D), complex Hermitian for GUE and real
+    symmetric for GOE, of rows (..., K) laid out as ``sample_noise_sequence``
+    writes them: one gather, and under GUE one sign product, which gives
+    the diagonal an imaginary part of zero (of either sign)."""
+    d = model.dim
+    gue = model.ensemble is Ensemble.GUE
+    index, sign = _expansion(d, gue)
+    full = np.take(rows, index, axis=-1)
+    if gue:
+        full *= sign
+        full = full.view(complex)
+    return full.reshape(rows.shape[:-1] + (d, d))

@@ -52,10 +52,12 @@ class Spectrum:
         with open(path) as fh:
             data = json.load(fh)
         spec = cls(np.asarray(data["energies"], dtype=float))
-        if "dim" in data and int(data["dim"]) != spec.dim:
-            raise ValueError(
-                f"dim field {data['dim']} disagrees with {spec.dim} energies"
-            )
+        if "dim" in data:
+            dim = data["dim"]
+            if isinstance(dim, bool) or not isinstance(dim, int):
+                raise TypeError(f"dim field {dim!r} is not an integer")
+            if dim != spec.dim:
+                raise ValueError(f"dim field {dim} disagrees with {spec.dim} energies")
         return spec
 
 

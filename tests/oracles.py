@@ -28,7 +28,7 @@ from noisychaos import (
 from noisychaos.channel_two import UnsupportedDimensionError
 from noisychaos.krylov import LanczosBreakdownError
 from noisychaos.montecarlo import _evolve_recorded, validate_step
-from noisychaos.noise import noise_dtype
+from noisychaos.noise import noise_width
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def evolve_trajectory(
     """One full trajectory: U(t_n) for n = 0..n_steps, shape (n+1, D, D)."""
     validate_step(model, cfg.dt)
     steps = np.arange(cfg.n_steps + 1)
-    eta = np.empty((1, cfg.n_steps, spec.dim, spec.dim), dtype=noise_dtype(model))
+    eta = np.empty((1, cfg.n_steps, noise_width(model)))
     u_rec, _ = _evolve_recorded(spec.energies, model, cfg.dt, steps, [rng], eta)
     return u_rec[0]
 

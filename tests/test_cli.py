@@ -178,8 +178,10 @@ class TestRunExperiments:
     @pytest.mark.parametrize(
         "content",
         [None, '{"dim": 3}', "[0.0, 1.0]", '{"energies": 5}', '{"dim": 3, "energies": [0.0, 1.0]}',
-         '{"dim": 3, "energies": [NaN, 0.1, 0.5]}', '{"dim": 2, "energies": [0.1, Infinity]}'],
-        ids=["absent", "no-energies", "list", "scalar-energies", "dim-mismatch", "nan", "inf"],
+         '{"dim": 3, "energies": [NaN, 0.1, 0.5]}', '{"dim": 2, "energies": [0.1, Infinity]}',
+         '{"dim": 3.7, "energies": [0.0, 0.5, 1.0]}', '{"dim": true, "energies": [0.0, 1.0]}'],
+        ids=["absent", "no-energies", "list", "scalar-energies", "dim-mismatch", "nan", "inf",
+             "fractional-dim", "bool-dim"],
     )
     def test_missing_spectrum_file(self, tmp_path, content):
         spec_path = tmp_path / "spec.json"

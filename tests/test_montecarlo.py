@@ -149,27 +149,28 @@ class TestPadeStep:
         model = make(1.0, 4)
         cfg = TrajectoryConfig(dt=0.01, t_max=0.3, n_traj=1, seed=0)
         us = evolve_trajectory(spec4, model, cfg, np.random.default_rng(21))
-        eta = montecarlo.sample_noise_sequence(model, cfg.dt, cfg.n_steps, np.random.default_rng(21))
+        rows = montecarlo.sample_noise_sequence(model, cfg.dt, cfg.n_steps, np.random.default_rng(21))
+        eta = montecarlo.noise_slices(model, rows)
         u = np.eye(4, dtype=complex)
         for n in range(cfg.n_steps):
             u = eigh_exp(cfg.dt * (np.diag(spec4.energies) + eta[n])) @ u
             assert np.abs(us[n + 1] - u).max() <= 1e-13
 
-    @pytest.mark.parametrize("make, dtype", [(gue_constant, complex), (goe_constant, float)])
-    def test_noise_buffers_follow_ensemble(self, spec4, monkeypatch, make, dtype):
-        # GOE noise is real from the draw to the step: the noise buffers are
-        # float64, half the bytes of complex ones.
+    @pytest.mark.parametrize("make, width", [(gue_constant, 16), (goe_constant, 10)])
+    def test_noise_buffers_follow_ensemble(self, spec4, monkeypatch, make, width):
+        # The noise buffers hold only a slice's independent real entries:
+        # D^2 under GUE, D(D+1)/2 under GOE, as float64.
         seen = []
         sample = montecarlo.sample_noise_sequence
 
         def recording(model, dt, n_steps, rng, out=None):
-            seen.append(out.dtype)
+            seen.append((out.shape[1:], out.dtype))
             return sample(model, dt, n_steps, rng, out=out)
 
         monkeypatch.setattr(montecarlo, "sample_noise_sequence", recording)
         run = estimate_observables(spec4, make(1.0, 4), small_cfg(6), T_GRID,
                                    {"sff": sff_observable()}, threads=2)
-        assert seen == [np.dtype(dtype)] * 6
+        assert seen == [((width,), np.dtype(float))] * 6
         assert 0.0 < run.max_drift <= 1e-8
 
 
@@ -275,7 +276,7 @@ class TestReproducibility:
         # 61 trajectories split unevenly over 2 and 3 threads.
         cfg = small_cfg(61)
         for threads in (2, 3):
-            assert len(chunk_bounds(cfg.n_traj, cfg.n_steps, 4, threads)) > 1
+            assert len(chunk_bounds(cfg.n_traj, cfg.n_steps, 16, threads)) > 1
         a = random_hermitian(4, rng, traceless=True)
         b = random_hermitian(4, rng, traceless=True)
         observables = {"sff": sff_observable(), "otoc": otoc_observable(a, b)}
@@ -297,7 +298,7 @@ class TestReproducibility:
         monkeypatch.setattr(montecarlo, "NOISE_BUDGET_BYTES", 1.0)
         cfg = small_cfg(12, dt=1e-2)
         model = gue_constant(1.0, 4)
-        assert len(chunk_bounds(cfg.n_traj, cfg.n_steps, 4, 4)) == 12
+        assert len(chunk_bounds(cfg.n_traj, cfg.n_steps, 16, 4)) == 12
         serial = estimate_sff(spec4, model, cfg, T_GRID, threads=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -356,19 +357,20 @@ class TestSharedSimulation:
             assert np.array_equal(shared.series[key].values, series.values)
             assert np.array_equal(shared.series[key].stderr, series.stderr)
 
-    @pytest.mark.parametrize("n_traj, n_steps, dim, threads", [
-        (61, 400, 4, 1), (61, 400, 4, 3), (256, 200, 8, 2), (128, 200, 16, 2),
-        (1000, 1000, 32, 4), (3, 10, 4, 8),
+    # widths: GUE D = 4, 8, 32 (D^2) and GOE D = 16 (D(D+1)/2)
+    @pytest.mark.parametrize("n_traj, n_steps, width, threads", [
+        (61, 400, 16, 1), (61, 400, 16, 3), (256, 200, 64, 2), (128, 200, 136, 2),
+        (1000, 1000, 1024, 4), (3, 10, 16, 8),
     ])
-    def test_chunk_bounds_balanced_within_budget(self, n_traj, n_steps, dim, threads):
-        bounds = chunk_bounds(n_traj, n_steps, dim, threads)
+    def test_chunk_bounds_balanced_within_budget(self, n_traj, n_steps, width, threads):
+        bounds = chunk_bounds(n_traj, n_steps, width, threads)
         assert bounds[0][0] == 0 and bounds[-1][1] == n_traj
         assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
         sizes = [hi - lo for lo, hi in bounds]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
         if n_traj >= threads:
             assert len(bounds) % threads == 0
-        concurrent = min(threads, len(bounds)) * max(sizes) * n_steps * dim * dim * 16
+        concurrent = min(threads, len(bounds)) * max(sizes) * n_steps * width * 8
         assert max(sizes) == 1 or concurrent <= NOISE_BUDGET_BYTES
 
 

@@ -11,6 +11,7 @@ from noisychaos import (
     goe_constant,
     gue_constant,
     model_from_config,
+    noise_slices,
     sample_noise_sequence,
 )
 
@@ -66,6 +67,15 @@ class TestProfiles:
         with pytest.raises(ValueError):
             NoiseModel(Ensemble.GUE, MatrixProfile(lam), 2)
 
+    def test_lambda_built_once_read_only(self):
+        # The model keeps the matrix it validated; the caller's array is
+        # copied, not frozen.
+        lam = np.array([[0.1, 0.2], [0.2, 0.3]])
+        model = NoiseModel(Ensemble.GOE, MatrixProfile(lam), 2)
+        assert model.lambda_matrix() is model.lambda_matrix()
+        assert not model.lambda_matrix().flags.writeable
+        assert lam.flags.writeable and not np.shares_memory(lam, model.lambda_matrix())
+
     def test_negative_entries_rejected(self):
         lam = -np.eye(2)
         with pytest.raises(ValueError):
@@ -100,13 +110,15 @@ class TestSampling:
             sample_noise_sequence(gue_constant(1.0, 2), 0.0, 1, np.random.default_rng(0))
 
     def test_zero_noise_is_zero(self):
-        eta = sample_noise_sequence(gue_constant(0.0, 3), 0.01, 1, np.random.default_rng(0))[0]
+        model = gue_constant(0.0, 3)
+        eta = noise_slices(model, sample_noise_sequence(model, 0.01, 1, np.random.default_rng(0)))[0]
         assert np.array_equal(eta, np.zeros((3, 3)))
 
     def test_gue_hermitian_goe_symmetric(self, rng):
-        eta = sample_noise_sequence(gue_constant(1.0, 4), 0.01, 1, rng)[0]
+        gue, goe = gue_constant(1.0, 4), goe_constant(1.0, 4)
+        eta = noise_slices(gue, sample_noise_sequence(gue, 0.01, 1, rng))[0]
         assert np.array_equal(eta, eta.conj().T)
-        etag = sample_noise_sequence(goe_constant(1.0, 4), 0.01, 1, rng)[0]
+        etag = noise_slices(goe, sample_noise_sequence(goe, 0.01, 1, rng))[0]
         assert np.isrealobj(etag)
         assert np.array_equal(etag, etag.T)
 
@@ -114,7 +126,8 @@ class TestSampling:
         # E[eta_ij eta_kl] = lam_ij d_il d_jk / dt; lam_12 = J/D = 0.5.
         rng = np.random.default_rng(5)
         dt, n = 0.01, 100_000
-        eta = sample_noise_sequence(gue_constant(1.0, 2), dt, n, rng)
+        model = gue_constant(1.0, 2)
+        eta = noise_slices(model, sample_noise_sequence(model, dt, n, rng))
         m_abs = np.mean(np.abs(eta[:, 0, 1]) ** 2) * dt
         assert abs(m_abs - 0.5) < 3 * 0.5 / np.sqrt(n)
         # E[eta_12 eta_12] = 0 for the complex entry
@@ -128,7 +141,8 @@ class TestSampling:
         # GOE: E[eta_ij eta_kl] = lam_ij (d_ik d_jl + d_il d_jk)/2 / dt.
         rng = np.random.default_rng(6)
         dt, n = 0.01, 100_000
-        eta = sample_noise_sequence(goe_constant(1.0, 2), dt, n, rng)
+        model = goe_constant(1.0, 2)
+        eta = noise_slices(model, sample_noise_sequence(model, dt, n, rng))
         m_off = np.mean(eta[:, 0, 1] ** 2) * dt
         assert abs(m_off - 0.25) < 3 * np.sqrt(2) * 0.25 / np.sqrt(n)
         m_d = np.mean(eta[:, 0, 0] ** 2) * dt
@@ -136,7 +150,8 @@ class TestSampling:
 
     def test_mean_zero(self):
         rng = np.random.default_rng(7)
-        eta = sample_noise_sequence(gue_constant(1.0, 3), 0.01, 50_000, rng)
+        model = gue_constant(1.0, 3)
+        eta = noise_slices(model, sample_noise_sequence(model, 0.01, 50_000, rng))
         assert np.max(np.abs(eta.mean(axis=0))) < 0.6  # sigma ~ 10/sqrt(5e4) ~ 0.045*10
 
 
@@ -157,11 +172,14 @@ class TestFrozenStream:
         model = NoiseModel(ensemble, profile, 5)
         expected = reference_noise_sequence(model, 0.01, 30, np.random.default_rng(11))
         fresh = sample_noise_sequence(model, 0.01, 30, np.random.default_rng(11))
-        assert fresh.dtype == expected.dtype
-        assert np.array_equal(fresh, expected)
+        width = 25 if ensemble is Ensemble.GUE else 15
+        assert fresh.shape == (30, width) and fresh.dtype == np.float64
+        slices = noise_slices(model, fresh)
+        assert slices.dtype == expected.dtype
+        assert np.array_equal(slices, expected)
         # into a slice of a larger worker buffer, as the Monte Carlo does
-        buf = np.full((2, 40, 5, 5), np.nan, dtype=expected.dtype)
+        buf = np.full((2, 40, width), np.nan)
         into = sample_noise_sequence(model, 0.01, 30, np.random.default_rng(11), out=buf[1, :30])
         assert np.shares_memory(into, buf)
-        assert np.array_equal(buf[1, :30], expected)
+        assert np.array_equal(noise_slices(model, buf[1, :30]), expected)
         assert np.isnan(buf[0]).all() and np.isnan(buf[1, 30:]).all()
