@@ -7,8 +7,10 @@ Each ensemble has one builder for any variance profile; u1_gue_const and
 u1_goe_const are those builders on lambda_ij = J/D.  Every case is an exact
 closed form: A and G are entrywise exponentials, and B, the populations,
 solves a linear system with a symmetric constant matrix and exponential
-forcing, which one eigendecomposition solves at any t (the constant profile
-needs none).  The GOE populations are the GUE ones at t/2.
+forcing.  The system depends on the noise model alone, so its one
+eigendecomposition (``NoiseModel.population_modes``) is taken on the first
+build and serves every later t; the constant profile's closed form never
+takes it.  The GOE populations are the GUE ones at t/2, from the same modes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import ConstantOverD, Ensemble, NoiseModel, goe_constant, gue_constant
+from .noise import (
+    ConstantOverD,
+    Ensemble,
+    NoiseModel,
+    PopulationModes,
+    goe_constant,
+    gue_constant,
+)
 from .spectra import Spectrum
 
 
@@ -58,23 +67,31 @@ def _check_dims(spec: Spectrum, model: NoiseModel) -> None:
         raise ValueError(f"spectrum dim {spec.dim} != noise model dim {model.dim}")
 
 
-def _forced_linear(p: np.ndarray, f: np.ndarray, nu: np.ndarray, t: float) -> np.ndarray:
-    """Exact B(t) for B' = p.B + f * exp(nu_j t) (column j), B(0) = 0.
+def _solve_modes(modes: PopulationModes, t: float) -> np.ndarray:
+    """B(t) for B' = p.B + f * exp(nu_j t) (column j), B(0) = 0, from the
+    modes p = V diag(mu) V^T and V^T f.
 
-    With p = V diag(mu) V^T symmetric, B = V [phi(mu_k, nu_j; t) o (V^T f)]
-    where phi = int_0^t e^{mu (t-s) + nu s} ds, evaluated as
+    B = V [phi(mu_k, nu_j; t) o (V^T f)] where
+    phi = int_0^t e^{mu (t-s) + nu s} ds, evaluated as
     t e^{max(mu, nu) t} h(|mu - nu| t) with h(x) = -expm1(-x)/x, h(0) = 1:
     h lies in (0, 1], so no factor outgrows phi itself (the textbook
     e^{nu t} expm1((mu - nu) t)/(mu - nu) gives 0 * inf once (mu - nu) t
     exceeds ~709), and mu = nu (the constant profile) is exact.
     """
-    mu, v = np.linalg.eigh(p)
+    mu, v, vt_f, nu = modes
     x = np.abs(mu[:, None] - nu[None, :]) * t
     h = np.ones_like(x)
     nz = x > 0.0
     h[nz] = -np.expm1(-x[nz]) / x[nz]
     phi = t * np.exp(np.maximum(mu[:, None], nu[None, :]) * t) * h
-    return (v @ (phi * (v.T @ f))).astype(complex)
+    return (v @ (phi * vt_f)).astype(complex)
+
+
+def _forced_linear(p: np.ndarray, f: np.ndarray, nu: np.ndarray, t: float) -> np.ndarray:
+    """Exact B(t) for B' = p.B + f * exp(nu_j t) (column j), B(0) = 0, with
+    p symmetric: one eigendecomposition, then ``_solve_modes``."""
+    mu, v = np.linalg.eigh(p)
+    return _solve_modes(PopulationModes(mu, v, v.T @ f, nu), t)
 
 
 def _populations(model: NoiseModel, t: float) -> np.ndarray:
@@ -82,17 +99,15 @@ def _populations(model: NoiseModel, t: float) -> np.ndarray:
 
     Under GUE noise B' = P.B + lambda_ij e^{-J_j t}, B(0) = 0, with the
     symmetric P = lambda - diag(J) (minus a graph Laplacian), which
-    _forced_linear solves; the constant profile gives B = (1 - e^{-Jt})/D.
-    The GOE system is this one halved (P/2, lambda/2 and rate -J/2), so its
-    B at t is the GUE B at t/2.
+    _solve_modes solves from the model's cached modes; the constant profile
+    gives B = (1 - e^{-Jt})/D.  The GOE system is this one halved (P/2,
+    lambda/2 and rate -J/2), so its B at t is the GUE B at t/2.
     """
     d = model.dim
     s = t if model.ensemble is Ensemble.GUE else t / 2.0
     if isinstance(model.profile, ConstantOverD):
         return np.full((d, d), -np.expm1(-model.profile.J * s) / d, dtype=complex)
-    lam = model.lambda_matrix()
-    j_row = lam.sum(axis=1)
-    return _forced_linear(lam - np.diag(j_row), lam, -j_row, s)
+    return _solve_modes(model.population_modes, s)
 
 
 def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:

@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -173,6 +174,21 @@ def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray
     a = (x + x.conj().T) / 2.0
     a -= np.trace(a).real / dim * np.eye(dim)
     return a * np.sqrt(dim / np.trace(a @ a).real)
+
+
+def environment(threads: int) -> dict:
+    """What a run computed with: the Python and numpy versions, the
+    ``--threads`` it used, and the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 only prints its configuration
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "threads": threads,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
 
 
 def _meta(spec: Spectrum, **extra) -> dict:
@@ -453,7 +469,8 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
         op_seed = _field(config, "operator_seed", int, 7, minimum=0)
         op_rng = np.random.default_rng(np.random.SeedSequence(op_seed))
     chash = config_hash(config)
-    summary: dict = {"experiment": experiment, "config_hash": chash, "files": [], "comparisons": []}
+    summary: dict = {"experiment": experiment, "config_hash": chash, "files": [], "comparisons": [],
+                     "environment": environment(threads)}
     # Every series is computed before the first file is written, so a run
     # that fails leaves nothing behind.  The two-replica channel U2 refuses
     # D < 3 before any scan that needs it simulates or writes.

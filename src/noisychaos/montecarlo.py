@@ -34,7 +34,10 @@ from .spectra import Spectrum
 
 # Noise bytes, the float64 rows of K independent entries per slice that
 # sample_noise_sequence writes, that the chunks running at once may hold.
-NOISE_BUDGET_BYTES = 64e6
+# It stays below 32 MiB, glibc's cap on its dynamic mmap threshold: a larger
+# buffer is always mapped afresh and unmapped on free, so every call would
+# fault in every page of it again.
+NOISE_BUDGET_BYTES = 32e6
 
 # The bound (2^-53 16!)^(1/16) on |X|_1 within which the degree-15 Taylor
 # remainder |X|^16 / 16! of exp(-iX) lies below double-precision roundoff.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -71,13 +71,25 @@ class GibbsProfile:
 Profile = Union[ConstantOverD, MatrixProfile, GibbsProfile]
 
 
+class PopulationModes(NamedTuple):
+    """Eigenmodes of the population system B' = P.B + f e^{nu_j t} of the
+    single-replica channel: P = V diag(mu) V^T, and vt_f = V^T f."""
+
+    mu: np.ndarray
+    v: np.ndarray
+    vt_f: np.ndarray
+    nu: np.ndarray
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """White-noise model: symmetry class (GUE/GOE) and variance profile.
 
     The profile's lambda matrix, a new array from every profile, is built
     and checked once, on construction, and every ``lambda_matrix()`` call
-    returns it, read-only.
+    returns it, read-only.  The eigendecomposition of the channel's
+    population system, ``population_modes``, is taken once per model, on
+    first use; the constant profile's closed form never uses it.
     """
 
     ensemble: Ensemble
@@ -96,6 +108,20 @@ class NoiseModel:
 
     def lambda_matrix(self) -> np.ndarray:
         return self._lam
+
+    @functools.cached_property
+    def population_modes(self) -> PopulationModes:
+        """The modes of P = lambda - diag(J), J_i = sum_j lambda_ij, with
+        forcing f = lambda at rates nu = -J, all read-only.  P is symmetric
+        and depends on the model alone, so one ``eigh`` serves every t and
+        both ensembles (the GOE system is the GUE one at t/2)."""
+        lam = self._lam
+        j_row = lam.sum(axis=1)
+        mu, v = np.linalg.eigh(lam - np.diag(j_row))
+        modes = PopulationModes(mu, v, v.T @ lam, -j_row)
+        for a in modes:
+            a.setflags(write=False)
+        return modes
 
     def to_config(self) -> dict:
         out = {"ensemble": self.ensemble.value}

@@ -299,6 +299,66 @@ class TestGeneralReductions:
             assert np.max(np.abs(tp - 1.0)) < 1e-9
 
 
+class TestPopulationModes:
+    """NoiseModel.population_modes: the population system's one
+    eigendecomposition per model."""
+
+    @staticmethod
+    def count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+    def test_one_eigh_per_model(self, monkeypatch, ensemble):
+        spec, model, build, _ = general_case(6, "gibbs", ensemble)
+        calls = self.count_eigh(monkeypatch)
+        for t in np.linspace(0.0, 5.0, 25):
+            build(spec, model, t)
+        assert calls == [(6, 6)]
+
+    @pytest.mark.parametrize("build", [u1_gue_const, u1_goe_const])
+    def test_constant_profile_takes_none(self, monkeypatch, spec4, build):
+        calls = self.count_eigh(monkeypatch)
+        for t in np.linspace(0.0, 5.0, 25):
+            build(spec4, 0.8, t)
+        assert calls == []
+
+    def test_modes_read_only(self):
+        _, model, _, _ = general_case(6, "matrix", Ensemble.GUE)
+        for a in model.population_modes:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+    @pytest.mark.parametrize("profile", ["matrix", "gibbs"])
+    def test_cold_and_warm_builds_match_one_shot(self, profile, ensemble):
+        spec, model, build, _ = general_case(6, profile, ensemble)
+        t = 1.7
+        s = t if ensemble is Ensemble.GUE else t / 2.0
+        lam = model.lambda_matrix()
+        j_row = lam.sum(axis=1)
+        reference = _forced_linear(lam - np.diag(j_row), lam, -j_row, s)
+        cold = build(spec, model, t).coeff_B
+        warm = build(spec, model, t).coeff_B
+        assert np.array_equal(cold, reference)
+        assert np.array_equal(warm, reference)
+
+    @pytest.mark.parametrize("profile", ["matrix", "gibbs"])
+    def test_ensembles_sharing_a_profile_share_modes(self, profile):
+        _, gue_model, _, _ = general_case(6, profile, Ensemble.GUE)
+        goe_model = NoiseModel(Ensemble.GOE, gue_model.profile, 6)
+        for gue, goe in zip(gue_model.population_modes, goe_model.population_modes):
+            assert np.array_equal(gue, goe)
+
+
 def general_case(dim, profile, ensemble):
     """Spectrum, non-constant noise model and builder for one general case."""
     rng = np.random.default_rng(100 + dim)

@@ -1,5 +1,6 @@
 import json
 import math
+import platform
 import re
 from pathlib import Path
 
@@ -111,6 +112,17 @@ class TestConfigParsing:
 
 
 class TestRunExperiments:
+    def test_summary_records_environment(self, tmp_path):
+        run(SFF_CONFIG, out_dir=tmp_path, threads=3)
+        env = json.loads((tmp_path / "summary.json").read_text())["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "threads": 3,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+        }
+
     def test_sff_scan_outputs(self, tmp_path):
         summary = run(SFF_CONFIG, out_dir=tmp_path)
         assert summary["pass"] is True
@@ -361,7 +373,13 @@ class TestOracleCompare:
             run(ORACLE_CONFIG, out_dir=out, threads=n)
             outs.append(out)
         for name in sorted(p.name for p in outs[0].iterdir()):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            first, second = ((out / name).read_bytes() for out in outs)
+            if name == "summary.json":
+                # The environment record names the thread count; nothing else may differ.
+                first, second = (json.loads(doc) for doc in (first, second))
+                assert (first["environment"].pop("threads"),
+                        second["environment"].pop("threads")) == (1, 4)
+            assert first == second, name
 
 
 class TestMainEntry:

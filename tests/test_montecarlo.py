@@ -373,6 +373,13 @@ class TestSharedSimulation:
         concurrent = min(threads, len(bounds)) * max(sizes) * n_steps * width * 8
         assert max(sizes) == 1 or concurrent <= NOISE_BUDGET_BYTES
 
+    def test_single_thread_buffer_below_mmap_cap(self):
+        # glibc maps an allocation above 32 MiB afresh on every call and
+        # unmaps it on free, so such a buffer faults in every page each call
+        # (GUE D = 8, 512 trajectories of 200 steps: 52 MB in one chunk).
+        sizes = [hi - lo for lo, hi in chunk_bounds(512, 200, 64, 1)]
+        assert max(sizes) * 200 * 64 * 8 < 2**25
+
 
 class TestConvergence:
     def test_weak_first_order_in_dt(self):
