@@ -30,10 +30,12 @@ from .channel_two import (
 from .diagnostics import (
     DiagnosticSeries,
     return_probability,
+    sff,
     sff_from_channel,
     sff_goe_const,
     sff_gue_const,
     transfer_probability,
+    two_point,
     two_point_goe_const,
     two_point_gue_const,
 )

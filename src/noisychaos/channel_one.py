@@ -5,12 +5,9 @@ grids A, B, G multiplying delta_{ii'}delta_{jj'}, delta_{ij}delta_{i'j'} and
 delta_{ij'}delta_{ji'} respectively, so memory is O(D^2) instead of O(D^4).
 Each ensemble has one builder for any variance profile; u1_gue_const and
 u1_goe_const are those builders on lambda_ij = J/D.  Every case is an exact
-closed form: A and G are entrywise exponentials, and B, the populations,
-solves a linear system with a symmetric constant matrix and exponential
-forcing.  The system depends on the noise model alone, so its one
-eigendecomposition (``NoiseModel.population_modes``) is taken on the first
-build and serves every later t; the constant profile's closed form never
-takes it.  The GOE populations are the GUE ones at t/2, from the same modes.
+closed form: A and G are entrywise exponentials, and the populations are a
+Markov chain, so B is a matrix exponential, which ``populations`` evaluates
+at one t for the builders or contracted on a whole grid for the diagnostics.
 """
 
 from __future__ import annotations
@@ -19,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import (
-    ConstantOverD,
-    Ensemble,
-    NoiseModel,
-    PopulationModes,
-    goe_constant,
-    gue_constant,
-)
+from .noise import ConstantOverD, Ensemble, NoiseModel, goe_constant, gue_constant
 from .spectra import Spectrum
 
 
@@ -62,58 +52,46 @@ class GoeClosedFormParams:
     z_minus: np.ndarray
 
 
-def _check_dims(spec: Spectrum, model: NoiseModel) -> None:
+def check_dims(spec: Spectrum, model: NoiseModel) -> None:
     if spec.dim != model.dim:
         raise ValueError(f"spectrum dim {spec.dim} != noise model dim {model.dim}")
 
 
-def _solve_modes(modes: PopulationModes, t: float) -> np.ndarray:
-    """B(t) for B' = p.B + f * exp(nu_j t) (column j), B(0) = 0, from the
-    modes p = V diag(mu) V^T and V^T f.
+def populations(model: NoiseModel, t, m=None, propagator: bool = False) -> np.ndarray:
+    """The population block B, the delta_ij delta_i'j' coefficients, of
+    either ensemble: B(t) at one t without weights m, and with D x D weights
+    m the sum_ij m_ij B_ij(t) shaped like the grid t, or with ``propagator``
+    the same sum over e^{sP} = B(t) + diag(e^{-J s}).
 
-    B = V [phi(mu_k, nu_j; t) o (V^T f)] where
-    phi = int_0^t e^{mu (t-s) + nu s} ds, evaluated as
-    t e^{max(mu, nu) t} h(|mu - nu| t) with h(x) = -expm1(-x)/x, h(0) = 1:
-    h lies in (0, 1], so no factor outgrows phi itself (the textbook
-    e^{nu t} expm1((mu - nu) t)/(mu - nu) gives 0 * inf once (mu - nu) t
-    exceeds ~709), and mu = nu (the constant profile) is exact.
+    The populations obey rho_jj' = sum_i lambda_ji rho_ii - J_j rho_jj, a
+    Markov chain with the symmetric generator P = lambda - diag(J), so they
+    evolve by e^{sP}, with s = t under GUE noise and s = t/2 under GOE (its
+    generator is the GUE one halved).  The diagonal of A (+ G) carries the
+    e^{-J s} of it that never left its state, so B = e^{sP} - diag(e^{-J s}).
+    The constant profile gives B = -expm1(-Js)/D everywhere; any other takes
+    the model's modes, e^{sP} = V diag(e^{mu s}) V^T, and a contraction needs
+    only diag(V^T m V): O(T D) on T points.  P is minus a graph Laplacian,
+    negative semidefinite, so e^{mu s} <= 1 and no t overflows.
     """
-    mu, v, vt_f, nu = modes
-    x = np.abs(mu[:, None] - nu[None, :]) * t
-    h = np.ones_like(x)
-    nz = x > 0.0
-    h[nz] = -np.expm1(-x[nz]) / x[nz]
-    phi = t * np.exp(np.maximum(mu[:, None], nu[None, :]) * t) * h
-    return (v @ (phi * vt_f)).astype(complex)
-
-
-def _forced_linear(p: np.ndarray, f: np.ndarray, nu: np.ndarray, t: float) -> np.ndarray:
-    """Exact B(t) for B' = p.B + f * exp(nu_j t) (column j), B(0) = 0, with
-    p symmetric: one eigendecomposition, then ``_solve_modes``."""
-    mu, v = np.linalg.eigh(p)
-    return _solve_modes(PopulationModes(mu, v, v.T @ f, nu), t)
-
-
-def _populations(model: NoiseModel, t: float) -> np.ndarray:
-    """B(t), the delta_ij delta_i'j' block, of either ensemble.
-
-    Under GUE noise B' = P.B + lambda_ij e^{-J_j t}, B(0) = 0, with the
-    symmetric P = lambda - diag(J) (minus a graph Laplacian), which
-    _solve_modes solves from the model's cached modes; the constant profile
-    gives B = (1 - e^{-Jt})/D.  The GOE system is this one halved (P/2,
-    lambda/2 and rate -J/2), so its B at t is the GUE B at t/2.
-    """
+    s = np.asarray(t, dtype=float) / (2.0 if model.ensemble is Ensemble.GOE else 1.0)
     d = model.dim
-    s = t if model.ensemble is Ensemble.GUE else t / 2.0
     if isinstance(model.profile, ConstantOverD):
-        return np.full((d, d), -np.expm1(-model.profile.J * s) / d, dtype=complex)
-    return _solve_modes(model.population_modes, s)
+        flat = -np.expm1(-model.profile.J * s) / d
+        if m is None:
+            return np.full((d, d), flat)
+        kept = np.exp(-model.profile.J * s) * np.trace(m) if propagator else 0.0
+        return flat * np.sum(m) + kept
+    mu, v, j_row = model.population_modes
+    if m is None:
+        return (v * np.exp(mu * s)) @ v.T - np.diag(np.exp(-j_row * s))
+    out = np.exp(np.multiply.outer(s, mu)) @ ((m @ v) * v).sum(axis=0)
+    return out if propagator else out - np.exp(np.multiply.outer(s, -j_row)) @ np.diagonal(m)
 
 
 def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     """GUE channel of any variance profile: A_ij = exp(w_ij t) with
-    w_ij = -i(E_i - E_j) - (J_i + J_j)/2, B from _populations, G = 0."""
-    _check_dims(spec, model)
+    w_ij = -i(E_i - E_j) - (J_i + J_j)/2, B from populations, G = 0."""
+    check_dims(spec, model)
     if model.ensemble is not Ensemble.GUE:
         raise ValueError("u1_gue_general requires a GUE noise model")
     if t < 0.0:
@@ -121,7 +99,7 @@ def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     d = spec.dim
     j_row = model.lambda_matrix().sum(axis=1)
     w = -1j * spec.gaps() - 0.5 * (j_row[:, None] + j_row[None, :])
-    return ChannelOne(d, np.exp(w * t), _populations(model, t), np.zeros((d, d), dtype=complex))
+    return ChannelOne(d, np.exp(w * t), populations(model, t), np.zeros((d, d), dtype=complex))
 
 
 def goe_params(spec: Spectrum, model: NoiseModel) -> GoeClosedFormParams:
@@ -131,7 +109,7 @@ def goe_params(spec: Spectrum, model: NoiseModel) -> GoeClosedFormParams:
     sqrt((w_ij - w_ji)^2 + lambda_ij^2); a global sign flip of the root
     leaves the channel unchanged (tested).
     """
-    _check_dims(spec, model)
+    check_dims(spec, model)
     if model.ensemble is not Ensemble.GOE:
         raise ValueError("goe_params requires a GOE noise model")
     lam = model.lambda_matrix()
@@ -171,9 +149,9 @@ def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
              + (lambda_ii'/2)(C_i'i'(t) + G_i'i'(t)),  B(0) = 0,
 
     where w_ii + lambda_ii/2 = -J_i/2 and C_jj + G_jj = e^{z+_jj t} = e^{-J_j t/2}:
-    the GUE system of _populations halved, so B is the GUE B at t/2.
+    the GUE populations' system halved, so ``populations`` takes it at t/2.
     """
-    _check_dims(spec, model)
+    check_dims(spec, model)
     if model.ensemble is not Ensemble.GOE:
         raise ValueError("u1_goe_general requires a GOE noise model")
     if t < 0.0:
@@ -183,7 +161,7 @@ def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     em = np.exp(params.z_minus * t)
     coeff_a = 0.5 * (params.c_minus * em + params.c_plus * ep)
     coeff_g = 0.5 * params.g * (ep - em)
-    return ChannelOne(spec.dim, coeff_a, _populations(model, t), coeff_g)
+    return ChannelOne(spec.dim, coeff_a, populations(model, t), coeff_g)
 
 
 def u1_gue_const(spec: Spectrum, J: float, t: float) -> ChannelOne:

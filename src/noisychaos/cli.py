@@ -148,6 +148,10 @@ def sample_spectra(config: dict, seed_override: int | None, n_real: int = 1) -> 
     if "file" in config:
         if n_real > 1:
             raise ConfigError(f"spectrum.n_realizations={n_real} needs sampled, not file, spectra")
+        unread = [f"spectrum.{k}={config[k]!r}" for k in ("sample", "dim", "seed") if k in config]
+        if unread or seed_override is not None:
+            setting = unread[0] if unread else f"--seed={seed_override}"
+            raise ConfigError(f"{setting} is not read: spectrum.file holds the spectrum")
         path = Path(_field(config, "spectrum.file", str))
         if not path.exists():
             raise ConfigError(f"spectrum.file {path} does not exist")
@@ -270,8 +274,9 @@ def transfer_scan(inp: Inputs):
 def return_scan(inp: Inputs):
     spec = inp.spectra[0]
     for j in inp.j_list:
+        model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
         yield f"return_J{j:g}", diag.DiagnosticSeries(
-            "return_probability", inp.t, diag.return_probability(spec, j, inp.t),
+            "return_probability", inp.t, diag.return_probability(spec, model, inp.t),
             metadata=_meta(spec, J=j, ensemble="gue"),
         )
 

@@ -1,6 +1,10 @@
-"""Closed forms of the averaged channels, SFF, two-point functions, transfer
-and return probabilities, each an array with the shape of the time grid t;
-DiagnosticSeries is the record the CLI writes.
+"""The single-replica diagnostics of any noise model: SFF, two-point
+function, transfer and return probabilities, each one closed form over
+``(spec, model, t_grid)`` that returns an array shaped like the grid.  Each
+contracts U1: its A part is a rank-one phase sum under GUE noise and
+``_goe_contract`` under GOE, its populations one ``populations`` contraction.
+The ``_const`` names, which the CLI calls and the bench times, are these
+forms on the constant profile.  DiagnosticSeries is the record the CLI writes.
 Moments and Lanczos coefficients live in krylov.py, the two-replica
 observables in channel_two.py."""
 
@@ -12,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel_one import ChannelOne, goe_params
-from .noise import ConstantOverD, Ensemble, NoiseModel, goe_constant
+from .channel_one import ChannelOne, check_dims, goe_params, populations
+from .noise import Ensemble, NoiseModel, goe_constant, gue_constant
 from .spectra import Spectrum
 
 
@@ -64,17 +68,16 @@ class DiagnosticSeries:
             json.dump(payload, fh, indent=1, sort_keys=True)
 
 
-def sff_gue_const(spec: Spectrum, J: float, t_grid) -> np.ndarray:
-    """K_J(t) = e^{-Jt} K_0(t) + (1 - e^{-Jt})/D^2, normalized K_J(0) = 1,
-    with K_0(t) = |sum_i e^{-i E_i t}|^2 / D^2; J = 0 is the noiseless K_0."""
-    t = np.asarray(t_grid, dtype=float)
-    decay = np.exp(-J * t)
-    phases = np.exp(-1j * np.multiply.outer(t, spec.energies))
-    return decay * (np.abs(phases.sum(axis=-1)) ** 2 / spec.dim**2) + (1.0 - decay) / spec.dim**2
+def _phases(spec: Spectrum, model: NoiseModel, t: np.ndarray) -> np.ndarray:
+    """p_i(t) = e^{-(i E_i + J_i/2) t} on the grid, shape t.shape + (D,):
+    the GUE A part has rank one, A_ij = p_i conj(p_j)."""
+    rate = 1j * spec.energies + 0.5 * model.lambda_matrix().sum(axis=1)
+    p = np.multiply.outer(t, rate)
+    return np.exp(np.negative(p, out=p), out=p)
 
 
-def _goe_contract(spec: Spectrum, J: float, wa, wg: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_ij [wa o A(t) + wg o G(t)]_ij of the constant GOE channel on t.
+def _goe_contract(spec: Spectrum, model: NoiseModel, wa, wg, t: np.ndarray) -> np.ndarray:
+    """sum_ij [wa o A(t) + wg o G(t)]_ij of the GOE channel on t.
 
     The weights fold onto the exponentials, b+- = (wa c+- +- wg g)/2 on
     e^{z+- t}.  z+- are symmetric, so each exponent is taken once from the
@@ -88,7 +91,7 @@ def _goe_contract(spec: Spectrum, J: float, wa, wg: np.ndarray, t: np.ndarray) -
     other grid takes its step exactly per point.
     """
     d = spec.dim
-    params = goe_params(spec, goe_constant(J, d))
+    params = goe_params(spec, model)
     up = np.triu_indices(d)
     z = np.concatenate([params.z_plus[up], params.z_minus[up]])
     g, c_plus, c_minus = params.g, params.c_plus, params.c_minus
@@ -122,13 +125,56 @@ def _goe_contract(spec: Spectrum, J: float, wa, wg: np.ndarray, t: np.ndarray) -
     return out
 
 
-def sff_goe_const(spec: Spectrum, J: float, t_grid) -> np.ndarray:
-    """K_J(t) = (sum_ij A_ij + Tr G + Tr B)/D^2 of the constant GOE channel,
-    with Tr B = 1 - e^{-Jt/2}."""
+def sff(spec: Spectrum, model: NoiseModel, t_grid) -> np.ndarray:
+    """K(t) = (sum_ij A_ij + Tr G + Tr B)/D^2 of the channel of any profile,
+    normalized K(0) = 1.  Under GUE noise sum_ij A_ij = |sum_i p_i|^2."""
+    check_dims(spec, model)
     d = spec.dim
     t = np.asarray(t_grid, dtype=float)
-    total = _goe_contract(spec, J, 1.0, np.eye(d), t)
-    return (total.real - np.expm1(-J * t / 2.0)) / d**2
+    if model.ensemble is Ensemble.GUE:
+        a = np.abs(_phases(spec, model, t).sum(axis=-1)) ** 2
+    else:
+        a = _goe_contract(spec, model, 1.0, np.eye(d), t).real
+    return (a + populations(model, t, np.eye(d))) / d**2
+
+
+def two_point(spec: Spectrum, model: NoiseModel, O: np.ndarray, t_grid) -> np.ndarray:
+    """C(t) = (1/D) Tr(O+ U1(t)[O]) of the channel of any profile: A weighted
+    by O+_ij O_ji, G by O+_ji O_ji, and B by conj(O_ii) O_jj.  Under GUE
+    noise the A part is the row sum of (P W) o conj(P), P the phases p_i."""
+    check_dims(spec, model)
+    t = np.asarray(t_grid, dtype=float)
+    diag_o = np.diagonal(O)
+    b = populations(model, t, np.multiply.outer(diag_o.conj(), diag_o))
+    w_dir = O.conj().T * O.T  # O+_ij O_ji
+    if model.ensemble is Ensemble.GUE:
+        p = _phases(spec, model, t)
+        pw = p @ w_dir
+        a = np.multiply(pw, np.conjugate(p, out=p), out=pw).sum(axis=-1)
+    else:
+        w_exch = O.conj() * O.T  # entry (i, j): O+_ji O_ji = conj(O_ij) O_ji
+        a = _goe_contract(spec, model, w_dir, w_exch, t)
+    return (a + b) / spec.dim
+
+
+def sff_gue_const(spec: Spectrum, J: float, t_grid) -> np.ndarray:
+    """sff of constant GUE noise, e^{-Jt} K_0(t) + (1 - e^{-Jt})/D^2."""
+    return sff(spec, gue_constant(J, spec.dim), t_grid)
+
+
+def sff_goe_const(spec: Spectrum, J: float, t_grid) -> np.ndarray:
+    """sff of constant GOE noise."""
+    return sff(spec, goe_constant(J, spec.dim), t_grid)
+
+
+def two_point_gue_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> np.ndarray:
+    """two_point of constant GUE noise, e^{-Jt} C_0(t) + (1 - e^{-Jt}) |TrO/D|^2."""
+    return two_point(spec, gue_constant(J, spec.dim), O, t_grid)
+
+
+def two_point_goe_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> np.ndarray:
+    """two_point of constant GOE noise."""
+    return two_point(spec, goe_constant(J, spec.dim), O, t_grid)
 
 
 def sff_from_channel(ch: ChannelOne) -> float:
@@ -139,51 +185,22 @@ def sff_from_channel(ch: ChannelOne) -> float:
     return float(total.real) / d**2
 
 
-def two_point_gue_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> np.ndarray:
-    """C_J(t) = e^{-Jt} C_0(t) + (1 - e^{-Jt}) TrO TrO+ / D^2, where
-    C_0(t) = (1/D) sum_ij O+_ij O_ji e^{-i(E_i - E_j)t}; J = 0 is the
-    noiseless C_0.  The phase grid has rank one, so with P = exp(-i t E),
-    C_0 is the row sum of (P W) o conj(P)."""
-    t = np.asarray(t_grid, dtype=float)
-    decay = np.exp(-J * t)
-    tr_term = np.trace(O) * np.conj(np.trace(O)) / spec.dim**2
-    p = np.exp(-1j * np.multiply.outer(t, spec.energies))
-    pw = p @ (O.conj().T * O.T)  # weights (i, j): O+_ij O_ji
-    pw *= np.conjugate(p, out=p)
-    return decay * (pw.sum(axis=-1) / spec.dim) + (1.0 - decay) * tr_term
-
-
-def two_point_goe_const(spec: Spectrum, J: float, O: np.ndarray, t_grid) -> np.ndarray:
-    """C_J(t) = (1/D) Tr(O+ U1[O]): the A term weighted by O+_ij O_ji, the
-    exchange term G by O+_ji O_ji, and the universal trace term."""
-    d = spec.dim
-    t = np.asarray(t_grid, dtype=float)
-    w_dir = O.conj().T * O.T  # O+_ij O_ji
-    w_exch = O.conj() * O.T  # entry (i, j): O+_ji O_ji = conj(O_ij) O_ji
-    tr_term = np.trace(O) * np.conj(np.trace(O)) / d**2
-    return _goe_contract(spec, J, w_dir, w_exch, t) / d - np.expm1(-J * t / 2.0) * tr_term
-
-
-def transfer_probability(
-    spec: Spectrum, model: NoiseModel, i: int, j: int, t_grid
-) -> np.ndarray:
-    """E(P_{j<-i}) = delta_ij e^{-rt} + (1 - e^{-rt})/D, with r = J for GUE
-    constant noise and r = J/2 for GOE (the GOE case is the GUE case under
-    J -> 2J)."""
-    if not isinstance(model.profile, ConstantOverD):
-        raise ValueError("transfer_probability requires a constant profile")
+def transfer_probability(spec: Spectrum, model: NoiseModel, i: int, j: int, t_grid) -> np.ndarray:
+    """E(P_{j<-i}) = e^{sP}_ji, the Markov chain of the populations: the
+    channel's B_ji plus the e^{-J_i s} that A (and G) keep when i = j.  The
+    constant profile gives delta_ij e^{-Js} + (1 - e^{-Js})/D."""
+    check_dims(spec, model)
     d = spec.dim
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError(f"state indices ({i}, {j}) out of range for D={d}")
-    rate = model.profile.J if model.ensemble is Ensemble.GUE else model.profile.J / 2.0
-    t = np.asarray(t_grid, dtype=float)
-    decay = np.exp(-rate * t)
-    return (1.0 if i == j else 0.0) * decay + (1.0 - decay) / d
+    m = np.zeros((d, d))
+    m[j, i] = 1.0
+    return populations(model, t_grid, m, propagator=True)
 
 
-def return_probability(spec: Spectrum, J: float, t_grid) -> np.ndarray:
-    """Mean return probability of the eigenbasis rank-1 partition under
-    constant GUE noise, P_{S;J}(t) = e^{-Jt} + (1 - e^{-Jt})/D."""
-    t = np.asarray(t_grid, dtype=float)
-    decay = np.exp(-J * t)
-    return decay + (1.0 - decay) / spec.dim
+def return_probability(spec: Spectrum, model: NoiseModel, t_grid) -> np.ndarray:
+    """Mean return probability of the eigenbasis rank-1 partition,
+    Tr e^{sP} / D, the mean of e^{mu s} over the chain's modes; the constant
+    profile gives P_{S;J}(t) = e^{-Js} + (1 - e^{-Js})/D."""
+    check_dims(spec, model)
+    return populations(model, t_grid, np.eye(spec.dim), propagator=True) / spec.dim

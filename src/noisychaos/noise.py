@@ -72,13 +72,12 @@ Profile = Union[ConstantOverD, MatrixProfile, GibbsProfile]
 
 
 class PopulationModes(NamedTuple):
-    """Eigenmodes of the population system B' = P.B + f e^{nu_j t} of the
-    single-replica channel: P = V diag(mu) V^T, and vt_f = V^T f."""
+    """Eigenmodes of the Markov generator P = lambda - diag(J) = V diag(mu)
+    V^T of the single-replica channel's populations, with the row sums J."""
 
     mu: np.ndarray
     v: np.ndarray
-    vt_f: np.ndarray
-    nu: np.ndarray
+    j_row: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,9 @@ class NoiseModel:
 
     The profile's lambda matrix, a new array from every profile, is built
     and checked once, on construction, and every ``lambda_matrix()`` call
-    returns it, read-only.  The eigendecomposition of the channel's
-    population system, ``population_modes``, is taken once per model, on
-    first use; the constant profile's closed form never uses it.
+    returns it, read-only.  ``population_modes``, the eigendecomposition of
+    the Markov generator of the channel's populations, is taken once per
+    model, on first use; the constant profile's closed form never uses it.
     """
 
     ensemble: Ensemble
@@ -111,14 +110,13 @@ class NoiseModel:
 
     @functools.cached_property
     def population_modes(self) -> PopulationModes:
-        """The modes of P = lambda - diag(J), J_i = sum_j lambda_ij, with
-        forcing f = lambda at rates nu = -J, all read-only.  P is symmetric
-        and depends on the model alone, so one ``eigh`` serves every t and
-        both ensembles (the GOE system is the GUE one at t/2)."""
+        """The modes of P = lambda - diag(J), J_i = sum_j lambda_ij, all
+        read-only: one ``eigh`` serves every t and both ensembles.  P is
+        minus a graph Laplacian, so mu <= 0 up to roundoff."""
         lam = self._lam
         j_row = lam.sum(axis=1)
         mu, v = np.linalg.eigh(lam - np.diag(j_row))
-        modes = PopulationModes(mu, v, v.T @ lam, -j_row)
+        modes = PopulationModes(mu, v, j_row)
         for a in modes:
             a.setflags(write=False)
         return modes

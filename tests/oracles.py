@@ -1,5 +1,6 @@
 """Reference objects that only the tests use: the single-replica generator
-L1, the dense D^2 x D^2 superoperator and Choi matrix of a channel, the
+L1, the forced linear solve of the channel's populations, the dense
+D^2 x D^2 superoperator and Choi matrix of a channel, the
 8 x 8 two-replica generator M, one full Monte Carlo trajectory, the
 effective Hamiltonian, level-spacing statistics, the return probability
 of a general partition, and the Krylov moments and moment recursion in
@@ -77,6 +78,27 @@ def apply_generator(gen: GeneratorOne, rho: np.ndarray) -> np.ndarray:
     if gen.exch is not None:
         out = out + gen.exch * rho.T
     return out
+
+
+def forced_linear(p: np.ndarray, f: np.ndarray, nu: np.ndarray, t: float) -> np.ndarray:
+    """Exact B(t) for B' = p.B + f * exp(nu_j t) (column j), B(0) = 0, with
+    p symmetric: the populations as a forced linear system, independent of
+    the Markov form e^{tp} - diag(e^{nu t}) that the package evaluates.
+
+    With p = V diag(mu) V^T, B = V [phi(mu_k, nu_j; t) o (V^T f)] where
+    phi = int_0^t e^{mu (t-s) + nu s} ds, evaluated as
+    t e^{max(mu, nu) t} h(|mu - nu| t) with h(x) = -expm1(-x)/x, h(0) = 1:
+    h lies in (0, 1], so no factor outgrows phi itself (the textbook
+    e^{nu t} expm1((mu - nu) t)/(mu - nu) gives 0 * inf once (mu - nu) t
+    exceeds ~709), and mu = nu is exact.
+    """
+    mu, v = np.linalg.eigh(p)
+    x = np.abs(mu[:, None] - nu[None, :]) * t
+    h = np.ones_like(x)
+    nz = x > 0.0
+    h[nz] = -np.expm1(-x[nz]) / x[nz]
+    phi = t * np.exp(np.maximum(mu[:, None], nu[None, :]) * t) * h
+    return v @ (phi * (v.T @ f))
 
 
 def dense_superoperator(ch: ChannelOne) -> np.ndarray:

@@ -9,17 +9,18 @@ from noisychaos import (
     apply_channel,
     goe_constant,
     gue_constant,
+    return_probability,
     sample_gue_spectrum,
     u1_goe_const,
     u1_goe_general,
     u1_gue_const,
     u1_gue_general,
 )
-from noisychaos.channel_one import _forced_linear, goe_params
+from noisychaos.channel_one import goe_params
 from noisychaos.noise import Ensemble
 
 from conftest import random_density, random_hermitian
-from oracles import apply_generator, build_L1, choi_matrix, dense_superoperator
+from oracles import apply_generator, build_L1, choi_matrix, dense_superoperator, forced_linear
 
 
 def random_symmetric_lambda(dim, rng, scale=0.5):
@@ -280,7 +281,7 @@ class TestGeneralReductions:
         # The GOE system as derived: P/2, forcing lambda/2 at rate nu = -J/2.
         lam = goe_model.lambda_matrix()
         j_row = lam.sum(axis=1)
-        halved = _forced_linear((lam - np.diag(j_row)) / 2.0, lam / 2.0, -j_row / 2.0, t)
+        halved = forced_linear((lam - np.diag(j_row)) / 2.0, lam / 2.0, -j_row / 2.0, t)
         assert np.max(np.abs(goe - halved)) < 1e-14
 
     def test_gue_general_noiseless(self, spec4):
@@ -340,12 +341,14 @@ class TestPopulationModes:
     @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
     @pytest.mark.parametrize("profile", ["matrix", "gibbs"])
     def test_cold_and_warm_builds_match_one_shot(self, profile, ensemble):
+        # B = e^{sP} - diag(e^{-J s}) from a fresh eigh of P.
         spec, model, build, _ = general_case(6, profile, ensemble)
         t = 1.7
         s = t if ensemble is Ensemble.GUE else t / 2.0
         lam = model.lambda_matrix()
         j_row = lam.sum(axis=1)
-        reference = _forced_linear(lam - np.diag(j_row), lam, -j_row, s)
+        mu, v = np.linalg.eigh(lam - np.diag(j_row))
+        reference = (v * np.exp(mu * s)) @ v.T - np.diag(np.exp(-j_row * s))
         cold = build(spec, model, t).coeff_B
         warm = build(spec, model, t).coeff_B
         assert np.array_equal(cold, reference)
@@ -357,6 +360,42 @@ class TestPopulationModes:
         goe_model = NoiseModel(Ensemble.GOE, gue_model.profile, 6)
         for gue, goe in zip(gue_model.population_modes, goe_model.population_modes):
             assert np.array_equal(gue, goe)
+
+
+class TestMarkovIdentity:
+    """B = e^{sP} - diag(e^{-J s}) against the populations solved as a
+    forced linear system, B' = P.B + lambda e^{-J_j s}."""
+
+    CASES = [(6, "matrix"), (6, "gibbs"), (4, "degenerate")]
+
+    @staticmethod
+    def model(dim, profile, ensemble):
+        if profile == "degenerate":  # lambda_12 = 0
+            return NoiseModel(ensemble, MatrixProfile(TestDegenerateGoePair.LAM), 4)
+        return general_case(dim, profile, ensemble)[1]
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+    @pytest.mark.parametrize("dim, profile", CASES)
+    @pytest.mark.parametrize("t", [0.0, 1e-6, 0.3, 2.5, 40.0, 5000.0])
+    def test_builder_matches_forced_linear(self, dim, profile, ensemble, t):
+        model = self.model(dim, profile, ensemble)
+        spec = Spectrum(np.linspace(-1.0, 1.0, dim))
+        build = u1_gue_general if ensemble is Ensemble.GUE else u1_goe_general
+        s = t if ensemble is Ensemble.GUE else t / 2.0
+        lam = model.lambda_matrix()
+        j_row = lam.sum(axis=1)
+        reference = forced_linear(lam - np.diag(j_row), lam, -j_row, s)
+        assert np.max(np.abs(build(spec, model, t).coeff_B - reference)) <= 1e-14
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+    @pytest.mark.parametrize("dim, profile", CASES)
+    def test_return_probability_is_mean_mode_decay(self, dim, profile, ensemble):
+        model = self.model(dim, profile, ensemble)
+        spec = Spectrum(np.linspace(-1.0, 1.0, dim))
+        t = np.linspace(0.0, 40.0, 81)
+        s = t if ensemble is Ensemble.GUE else t / 2.0
+        mean = np.exp(np.multiply.outer(s, model.population_modes.mu)).mean(axis=1)
+        assert np.max(np.abs(return_probability(spec, model, t) - mean)) <= 1e-14
 
 
 def general_case(dim, profile, ensemble):

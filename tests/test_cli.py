@@ -188,6 +188,27 @@ class TestRunExperiments:
         assert not (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize(
+        "extra, flags, refused",
+        [({"dim": 64}, [], "spectrum.dim=64"),
+         ({"sample": "goe"}, [], "spectrum.sample='goe'"),
+         ({"seed": 3}, [], "spectrum.seed=3"),
+         ({"dim": 64, "sample": "goe", "seed": 3}, [], "spectrum.sample='goe'"),
+         ({}, ["--seed", "3"], "--seed=3")],
+        ids=["dim", "sample", "seed", "all", "seed-flag"],
+    )
+    def test_spectrum_file_refuses_what_it_would_ignore(self, tmp_path, capsys, spec4, extra,
+                                                        flags, refused):
+        # The file's D = 4 spectrum would run, and exit 0, whatever these say.
+        spec_path = tmp_path / "spec.json"
+        spec4.save(spec_path)
+        cfg = dict(SFF_CONFIG, spectrum={"file": str(spec_path), **extra})
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out), *flags]) == 1
+        assert f"error: {refused} is not read: spectrum.file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "content",
         [None, '{"dim": 3}', "[0.0, 1.0]", '{"energies": 5}', '{"dim": 3, "energies": [0.0, 1.0]}',
          '{"dim": 3, "energies": [NaN, 0.1, 0.5]}', '{"dim": 2, "energies": [0.1, Infinity]}',
@@ -265,7 +286,7 @@ def _expected_series(experiment, ensemble, cfg):
             out[f"transfer_J{j:g}"] = nc.transfer_probability(spec, model(j), 0, 1, t)
     elif experiment == "return_scan":
         for j in j_list:
-            out[f"return_J{j:g}"] = nc.return_probability(spec, j, t)
+            out[f"return_J{j:g}"] = nc.return_probability(spec, model(j), t)
     elif experiment == "sff_variance_scan":
         for j in j_list:
             moments = sff_variance(spec, j, t)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from noisychaos import (
+    ConstantOverD,
     DiagnosticSeries,
     Ensemble,
+    GibbsProfile,
     MatrixProfile,
     NoiseModel,
     Spectrum,
@@ -14,10 +16,12 @@ from noisychaos import (
     gue_constant,
     return_probability,
     sample_gue_spectrum,
+    sff,
     sff_from_channel,
     sff_goe_const,
     sff_gue_const,
     transfer_probability,
+    two_point,
     two_point_goe_const,
     two_point_gue_const,
     u1_goe_const,
@@ -26,6 +30,7 @@ from noisychaos import (
     u1_gue_general,
 )
 
+import test_channel_one
 from conftest import random_hermitian
 from oracles import effective_hamiltonian, level_statistics, partition_return_probability
 
@@ -81,7 +86,7 @@ CLOSED_FORMS = {
     "transfer_probability": lambda s, o, t: transfer_probability(
         s, gue_constant(0.7, s.dim), 0, 1, t
     ),
-    "return_probability": lambda s, o, t: return_probability(s, 0.7, t),
+    "return_probability": lambda s, o, t: return_probability(s, gue_constant(0.7, s.dim), t),
 }
 
 
@@ -216,18 +221,18 @@ class TestTransferReturn:
                 assert np.all(v >= -1e-12) and np.all(v <= 1 + 1e-12)
 
     def test_return_t0(self, spec5):
-        assert return_probability(spec5, 1.0, T_GRID)[0] == 1.0
+        assert return_probability(spec5, gue_constant(1.0, 5), T_GRID)[0] == 1.0
 
     def test_return_closed_form_scale(self):
         # At t = (1/J) log(D/2) with D=100: e^{-t} + (1 - e^{-t})/100.
         spec = sample_gue_spectrum(100, np.random.default_rng(0))
         t = np.log(50.0)
-        val = return_probability(spec, 1.0, [0.0, t])[1]
+        val = return_probability(spec, gue_constant(1.0, 100), [0.0, t])[1]
         assert abs(val - (np.exp(-t) + (1 - np.exp(-t)) / 100)) < 1e-12
         assert abs(val - 0.0298) < 5e-4
 
     def test_return_dominates_sff(self, spec5):
-        p = return_probability(spec5, 0.8, T_GRID)
+        p = return_probability(spec5, gue_constant(0.8, 5), T_GRID)
         k = sff_gue_const(spec5, 0.8, T_GRID)
         assert np.all(p >= k - 1e-12)
 
@@ -236,7 +241,7 @@ class TestTransferReturn:
         # the same curve as the closed form.
         projs = [np.diag((np.arange(4) == k).astype(float)) for k in range(4)]
         a = partition_return_probability(spec4, 0.9, projs, T_GRID)
-        b = return_probability(spec4, 0.9, T_GRID)
+        b = return_probability(spec4, gue_constant(0.9, 4), T_GRID)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_partition_validated(self, spec4):
@@ -292,3 +297,79 @@ class TestGridContraction:
             for t in t_grid
         ]
         assert np.max(np.abs(values - per_point)) < 1e-12
+
+    @staticmethod
+    def general_case(case, ensemble):
+        """Spectrum, noise model and builder of one non-constant case."""
+        if case == "degenerate":  # a degenerate level pair with lambda_12 = 0
+            spec = Spectrum(np.array([-1.0, 0.3, 0.3, 1.2]))
+            profile = MatrixProfile(test_channel_one.TestDegenerateGoePair.LAM)
+        else:
+            rng = np.random.default_rng(20)
+            spec = sample_gue_spectrum(6, rng)
+            lam = 0.5 * rng.random((6, 6))
+            profile = (GibbsProfile(1.2, 0.7, spec) if case == "gibbs"
+                       else MatrixProfile((lam + lam.T) / 2.0))
+        build = u1_gue_general if ensemble is Ensemble.GUE else u1_goe_general
+        return spec, NoiseModel(ensemble, profile, spec.dim), build
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("case", ["gibbs", "matrix", "degenerate"])
+    @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+    def test_general_profiles_every_point(self, grid, case, ensemble):
+        spec, model, build = self.general_case(case, ensemble)
+        d = spec.dim
+        o = random_hermitian(d, np.random.default_rng(30))
+        t_grid = self.GRIDS[grid]
+        channels = [build(spec, model, t) for t in t_grid]
+        states = [np.diag(np.arange(d) == k).astype(complex) for k in range(d)]
+        per_point = {
+            "sff": [sff_from_channel(ch) for ch in channels],
+            "two_point": [np.trace(o.conj().T @ apply_channel(ch, o)) / d for ch in channels],
+            "transfer": [apply_channel(ch, states[0])[2, 2] for ch in channels],
+            "survival": [apply_channel(ch, states[1])[1, 1] for ch in channels],
+            "return": [np.mean([apply_channel(ch, r)[k, k] for k, r in enumerate(states)])
+                       for ch in channels],
+        }
+        values = {
+            "sff": sff(spec, model, t_grid),
+            "two_point": two_point(spec, model, o, t_grid),
+            "transfer": transfer_probability(spec, model, 0, 2, t_grid),
+            "survival": transfer_probability(spec, model, 1, 1, t_grid),
+            "return": return_probability(spec, model, t_grid),
+        }
+        for key, expected in per_point.items():
+            assert np.max(np.abs(values[key] - expected)) < 1e-12, key
+
+
+class TestModelForms:
+    @pytest.mark.parametrize("model", [gue_constant(0.5, 8), goe_constant(0.5, 2)],
+                             ids=["larger", "smaller"])
+    @pytest.mark.parametrize("form", ["sff", "two_point", "transfer", "return"])
+    def test_refuse_a_model_of_another_dimension(self, spec4, model, form):
+        # D = 4 spectrum: an 8-level model, or a 2-level one where state 3
+        # does not exist, used to give the D = 4 plateau 0.25.
+        calls = {
+            "sff": lambda: sff(spec4, model, T_GRID),
+            "two_point": lambda: two_point(spec4, model, np.eye(4), T_GRID),
+            "transfer": lambda: transfer_probability(spec4, model, 0, 3, T_GRID),
+            "return": lambda: return_probability(spec4, model, T_GRID),
+        }
+        with pytest.raises(ValueError, match="spectrum dim 4 != noise model dim"):
+            calls[form]()
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+    @pytest.mark.parametrize("case", ["gibbs", "constant"])
+    def test_eigh_calls(self, monkeypatch, spec4, ensemble, case):
+        # Every grid form of one general model shares one eigh of its
+        # Markov generator; the constant profile takes none.
+        profile = GibbsProfile(1.2, 0.7, spec4) if case == "gibbs" else ConstantOverD(0.8)
+        model = NoiseModel(ensemble, profile, 4)
+        calls = test_channel_one.TestPopulationModes.count_eigh(monkeypatch)
+        o = np.diag([1.0, 2.0, 3.0, 4.0])
+        for _ in range(2):
+            sff(spec4, model, T_GRID)
+            two_point(spec4, model, o, T_GRID)
+            transfer_probability(spec4, model, 0, 1, T_GRID)
+            return_probability(spec4, model, T_GRID)
+        assert calls == ([(4, 4)] if case == "gibbs" else [])

@@ -2,11 +2,13 @@
 
 Each function takes a whole 400-point time grid at D = 128, and its traced
 peak, in D x D complex grids, must stay near what one time point needs.
-A GOE form peaks at 8-9.5 such grids while it takes the exponents' upper
+A GOE form peaks at 8.5-10.6 such grids while it takes the exponents' upper
 triangles next to goe_params' five output grids, which goe_params itself
 builds within 8, and folds its weights into those grids in place; the (T, D)
-phase matrices of the GUE forms take T/D ~ 3 grids each.  A (T, D, D) stack
-over the grid would take 400.
+phase matrices of the GUE forms take T/D ~ 3 grids each.  The Gibbs-model
+entries also build the model's lambda and the eigendecomposition of its
+Markov generator, under the same bounds.  A (T, D, D) stack over the grid
+would take 400.
 """
 
 import tracemalloc
@@ -15,15 +17,22 @@ import numpy as np
 import pytest
 
 from noisychaos import (
+    Ensemble,
+    GibbsProfile,
+    NoiseModel,
     f_coefficients,
     goe_constant,
+    gue_constant,
     otoc,
     return_probability,
     sample_gue_spectrum,
+    sff,
     sff_goe_const,
     sff_gue_const,
     sff_squared_mean,
     sff_variance,
+    transfer_probability,
+    two_point,
     two_point_goe_const,
     two_point_gue_const,
 )
@@ -37,14 +46,32 @@ BOUND = 16  # D x D complex grids
 GOE_PARAMS_BOUND = 8  # its five outputs and the temporaries of its arithmetic
 # The GOE forms hold goe_params' five grids, the exponents' upper triangles
 # and the caller's weights; their weights fold in place.
-GOE_BOUNDS = {"sff_goe_const": 10, "two_point_goe_const": 11.5}
+GOE_BOUNDS = {"sff_goe_const": 10, "two_point_goe_const": 11.5,
+              "sff_goe_gibbs": 10, "two_point_goe_gibbs": 11.5}
+
+GIBBS_FORMS = {
+    "sff": lambda s, m, o, t: sff(s, m, t),
+    "two_point": lambda s, m, o, t: two_point(s, m, o, t),
+    "transfer": lambda s, m, o, t: transfer_probability(s, m, 0, 1, t),
+    "return": lambda s, m, o, t: return_probability(s, m, t),
+}
 
 GRID_FUNCTIONS = {
     "sff_gue_const": lambda s, o, a, b, t: sff_gue_const(s, 0.5, t),
     "sff_goe_const": lambda s, o, a, b, t: sff_goe_const(s, 0.5, t),
     "two_point_gue_const": lambda s, o, a, b, t: two_point_gue_const(s, 0.5, o, t),
     "two_point_goe_const": lambda s, o, a, b, t: two_point_goe_const(s, 0.5, o, t),
-    "return_probability": lambda s, o, a, b, t: return_probability(s, 0.5, t),
+    "return_probability": lambda s, o, a, b, t: return_probability(s, gue_constant(0.5, D), t),
+    # A Gibbs model, built inside the traced call, adds its lambda matrix and
+    # the eigendecomposition of its Markov generator.
+    **{
+        f"{form}_{ensemble.value}_gibbs": (
+            lambda s, o, a, b, t, form=form, ensemble=ensemble: GIBBS_FORMS[form](
+                s, NoiseModel(ensemble, GibbsProfile(0.5, 0.5, s), D), o, t)
+        )
+        for form in ("sff", "two_point", "transfer", "return")
+        for ensemble in (Ensemble.GUE, Ensemble.GOE)
+    },
     # The test oracle of a general partition contracts the grid like the rest.
     "partition_return_probability": lambda s, o, a, b, t: partition_return_probability(
         s, 0.5, [np.diag(np.arange(D) < D // 2).astype(float),

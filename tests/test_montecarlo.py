@@ -23,6 +23,7 @@ from noisychaos import (
     otoc,
     otoc_observable,
     sample_gue_spectrum,
+    sff,
     sff_from_channel,
     sff_goe_const,
     sff_gue_const,
@@ -30,6 +31,7 @@ from noisychaos import (
     sff_squared_observable,
     transfer_observable,
     transfer_probability,
+    two_point,
     two_point_gue_const,
     two_point_observable,
     u1_goe_general,
@@ -221,10 +223,11 @@ class TestEstimators:
 
 
 class TestGeneralProfiles:
-    # The general-lambda channels against the oracle: SFF and transfer
-    # probability contracted from U1 at each time point.  The profiles are
-    # far from flat: the constant channel of the same mean rate misses the
-    # transfer estimates by 4-16 sigma.
+    # The general-lambda channels against the oracle: SFF, two-point
+    # function and transfer probability, both contracted from U1 at each
+    # time point and from the grid forms.  The profiles are far from flat:
+    # the constant channel of the same mean rate misses the transfer
+    # estimates by 4-16 sigma.
     T = np.array([0.25, 0.5, 0.75, 1.0])
     LAMBDA = np.array([
         [0.1, 1.2, 0.0, 0.3],
@@ -237,21 +240,30 @@ class TestGeneralProfiles:
         (Ensemble.GUE, u1_gue_general), (Ensemble.GOE, u1_goe_general),
     ])
     @pytest.mark.parametrize("kind", ["gibbs", "matrix"])
-    def test_sff_and_transfer_match_channel(self, spec4, ensemble, build, kind):
+    def test_observables_match_channel_and_grid_forms(self, spec4, ensemble, build, kind):
         profile = GibbsProfile(2.0, 1.0, spec4) if kind == "gibbs" else MatrixProfile(self.LAMBDA)
         model = NoiseModel(ensemble, profile, 4)
+        o = random_hermitian(4, np.random.default_rng(5))
         run = estimate_observables(spec4, model, small_cfg(), self.T, {
-            "sff": sff_observable(), "transfer": transfer_observable(0, 1),
+            "sff": sff_observable(), "two_point": two_point_observable(o),
+            "transfer": transfer_observable(0, 1),
         })
         channels = [build(spec4, model, t) for t in self.T]
         start = np.diag([1.0, 0.0, 0.0, 0.0])
-        exact = {
+        per_point = {
             "sff": [sff_from_channel(ch) for ch in channels],
+            "two_point": [np.trace(o @ apply_channel(ch, o)) / 4 for ch in channels],
             "transfer": [apply_channel(ch, start)[1, 1].real for ch in channels],
         }
-        for key, values in exact.items():
-            series = run.series[key]
-            assert np.all(np.abs(series.values - values) <= 4.0 * series.stderr), key
+        grid = {
+            "sff": sff(spec4, model, self.T),
+            "two_point": two_point(spec4, model, o, self.T),
+            "transfer": transfer_probability(spec4, model, 0, 1, self.T),
+        }
+        for exact in (per_point, grid):
+            for key, values in exact.items():
+                series = run.series[key]
+                assert np.all(np.abs(series.values - values) <= 4.0 * series.stderr), key
 
 
 class TestReproducibility:
