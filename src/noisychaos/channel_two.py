@@ -6,6 +6,8 @@ exponentials with rational coefficients.  The rationals are kept exact
 and the J = 0 limit hold exactly in floating point.  Graph groups are never
 materialized; observables supply their 8-component contraction vector.
 Every function of t takes a scalar or a whole time grid (numpy broadcasting).
+The OTOC's two traces take D phases and one GEMM per point, not D^2
+exponentials.
 """
 
 from __future__ import annotations
@@ -146,15 +148,24 @@ def _check_operator(name: str, op: np.ndarray, d: int) -> None:
 
 
 def _otoc_traces(spec: Spectrum, t, A: np.ndarray, B: np.ndarray):
-    """(1/D) Tr(A B_t A B_t) and Tr(A B_t) at each point of t, both from
-    M = A B_t, (B_t)_ij = e^{i E_ij t} B_ij: Tr(M M) = sum_ij M_ij M_ji."""
+    """(1/D) Tr(A B_t A B_t) and Tr(A B_t) at each point of t, any shape.
+
+    B_t = Phi B Phi*, Phi = diag(phi), phi_i = e^{i E_i t}, so
+    M = A B_t = ((A o phi^T) B) o phi*^T: scale A's columns, one GEMM,
+    scale the product's columns.  A point takes D phases, not D^2
+    exponentials, and Tr(M M) = sum_ij M_ij M_ji and Tr M are read from M
+    without a transposed copy.  Each point is its own product, so a grid
+    gives its scalar calls exactly.
+    """
     t = np.asarray(t, dtype=float)
-    gaps = spec.gaps()
-    out = np.empty(t.shape + (2,), dtype=complex)
-    for k in np.ndindex(t.shape):
-        m = A @ (np.exp(1j * gaps * t[k]) * B)
-        out[k] = (m * m.T).sum() / spec.dim, np.trace(m)
-    return out[..., 0], out[..., 1]
+    ts = t.reshape(-1)
+    out = np.empty((ts.size, 2), dtype=complex)
+    for k, tk in enumerate(ts):
+        phi = np.exp(1j * tk * spec.energies)
+        m = (A * phi) @ B
+        m *= phi.conj()
+        out[k] = np.einsum("ij,ji", m, m) / spec.dim, np.trace(m)
+    return out[:, 0].reshape(t.shape), out[:, 1].reshape(t.shape)
 
 
 def otoc(spec: Spectrum, J: float, t, A: np.ndarray, B: np.ndarray):

@@ -76,8 +76,13 @@ def _phases(spec: Spectrum, model: NoiseModel, t: np.ndarray) -> np.ndarray:
     return np.exp(np.negative(p, out=p), out=p)
 
 
+# Exponents per slice of the GOE recurrence: the slice's row, step and
+# weights (256 KiB each) stay in L2 while it runs along the whole grid.
+GOE_SLICE = 16384
+
+
 def _goe_contract(spec: Spectrum, model: NoiseModel, wa, wg, t: np.ndarray) -> np.ndarray:
-    """sum_ij [wa o A(t) + wg o G(t)]_ij of the GOE channel on t.
+    """sum_ij [wa o A(t) + wg o G(t)]_ij of the GOE channel, shaped like t.
 
     The weights fold onto the exponentials, b+- = (wa c+- +- wg g)/2 on
     e^{z+- t}.  z+- are symmetric, so each exponent is taken once from the
@@ -88,7 +93,9 @@ def _goe_contract(spec: Spectrum, model: NoiseModel, wa, wg, t: np.ndarray) -> n
     e^{z (t_{k+1} - t_k)}, in one row and one step buffer.  On a uniform
     grid (every t_k within 4 ulp of t_0 + k h, as np.linspace gives) the
     step e^{z h} is taken once, so the grid costs two rows of exp; any
-    other grid takes its step exactly per point.
+    other grid takes its step exactly per point.  The D(D+1) exponents run
+    in slices of GOE_SLICE, each along the whole grid, and the slices' dot
+    products add into the result.
     """
     d = spec.dim
     params = goe_params(spec, model)
@@ -109,20 +116,23 @@ def _goe_contract(spec: Spectrum, model: NoiseModel, wa, wg, t: np.ndarray) -> n
         c += np.tril(c, -1).T
     b = np.concatenate([c_plus[up], c_minus[up]])
     del c_plus, c_minus
-    out = np.empty(t.size, dtype=complex)
-    if t.size == 0:
-        return out
-    h = (t[-1] - t[0]) / max(t.size - 1, 1)
-    uniform = np.all(np.abs(t - (t[0] + h * np.arange(t.size))) <= 4 * np.spacing(abs(t[-1])))
-    row = np.exp(t[0] * z)
-    step = np.exp(h * z) if uniform else np.empty_like(z)
-    out[0] = row @ b
-    for k in range(1, t.size):
-        if not uniform:
-            np.exp(np.multiply(t[k] - t[k - 1], z, out=step), out=step)
-        row *= step
-        out[k] = row @ b
-    return out
+    ts = t.reshape(-1)
+    out = np.zeros(ts.size, dtype=complex)
+    if ts.size == 0:
+        return out.reshape(t.shape)
+    h = (ts[-1] - ts[0]) / max(ts.size - 1, 1)
+    uniform = np.all(np.abs(ts - (ts[0] + h * np.arange(ts.size))) <= 4 * np.spacing(abs(ts[-1])))
+    for s in range(0, z.size, GOE_SLICE):
+        zs, bs = z[s : s + GOE_SLICE], b[s : s + GOE_SLICE]
+        row = np.exp(ts[0] * zs)
+        step = np.exp(h * zs) if uniform else np.empty_like(zs)
+        out[0] += row @ bs
+        for k in range(1, ts.size):
+            if not uniform:
+                np.exp(np.multiply(ts[k] - ts[k - 1], zs, out=step), out=step)
+            row *= step
+            out[k] += row @ bs
+    return out.reshape(t.shape)
 
 
 def sff(spec: Spectrum, model: NoiseModel, t_grid) -> np.ndarray:

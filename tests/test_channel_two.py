@@ -151,6 +151,30 @@ class TestOtoc:
         with pytest.raises(ValueError):
             otoc(spec5, 1.0, 1.0, a, b)
 
+    @pytest.mark.parametrize("shape", [(15,), (3, 5)])
+    def test_phases_match_dense(self, shape):
+        # The traces take B_t from D phases per point.  At J = 0 the OTOC
+        # is (1/D) Tr(A B_t A B_t), B_t = U+ B U; at J = 1 the dense traces
+        # enter the closed form.
+        d = 100
+        rng = np.random.default_rng(8)
+        spec = sample_gue_spectrum(d, rng)
+        a = random_hermitian(d, rng, traceless=True) / np.sqrt(d)
+        b = random_hermitian(d, rng, traceless=True) / np.sqrt(d)
+        t = np.linspace(0.0, 12.0, 15).reshape(shape)
+        otoc0, tr_ab = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        for idx in np.ndindex(shape):
+            u = np.diag(np.exp(-1j * spec.energies * t[idx]))
+            b_t = u.conj().T @ b @ u
+            otoc0[idx] = np.trace(a @ b_t @ a @ b_t) / d
+            tr_ab[idx] = np.trace(a @ b_t)
+        f = f_coefficients(d, 1.0, t)
+        otoc1 = (f[..., 0] + f[..., 5]) * otoc0 + (2.0 / d) * f[..., 2] * tr_ab**2
+        for J, dense in ((0.0, otoc0), (1.0, otoc1)):
+            values = otoc(spec, J, t, a, b)
+            assert values.shape == shape
+            assert np.max(np.abs(values - dense)) < 1e-12
+
     def test_large_D_factorized_law(self):
         # |OTOC_J - e^{-2Jt} OTOC_0| <= C/D with C stable across D.
         # Operators are Pauli-normalized, Tr(A^2) = D, so OTOC_0 is O(1).

@@ -29,6 +29,7 @@ from noisychaos import (
     u1_gue_const,
     u1_gue_general,
 )
+from noisychaos.diagnostics import GOE_SLICE
 
 import test_channel_one
 from conftest import random_hermitian
@@ -97,8 +98,8 @@ class TestArrayContract:
         assert type(values) is np.ndarray
         assert values.shape == T_GRID.shape
 
-    @pytest.mark.parametrize("name", [n for n in CLOSED_FORMS if "goe" not in n])
-    def test_gue_forms_take_scalar_t(self, spec5, rng, name):
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_forms_take_scalar_t(self, spec5, rng, name):
         o = random_hermitian(5, rng)
         grid = CLOSED_FORMS[name](spec5, o, T_GRID)
         for k, t in enumerate(T_GRID):
@@ -297,6 +298,24 @@ class TestGridContraction:
             for t in t_grid
         ]
         assert np.max(np.abs(values - per_point)) < 1e-12
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_goe_slices_every_point(self, grid):
+        # D(D+1) exponents run in two slices of the GOE recurrence.  O is
+        # scaled to Tr(O+ O)/D ~ 1, so that 1e-12 is relative to C(0).
+        d = 150
+        assert GOE_SLICE < d * (d + 1) <= 2 * GOE_SLICE
+        rng = np.random.default_rng(40)
+        spec = sample_gue_spectrum(d, rng)
+        o = random_hermitian(d, rng) / np.sqrt(d)
+        t_grid = self.GRIDS[grid]
+        sff_point, two_point_point = [], []
+        for t in t_grid:
+            ch = u1_goe_const(spec, 0.8, t)
+            sff_point.append(sff_from_channel(ch))
+            two_point_point.append(np.trace(o.conj().T @ apply_channel(ch, o)) / d)
+        assert np.max(np.abs(sff_goe_const(spec, 0.8, t_grid) - sff_point)) < 1e-12
+        assert np.max(np.abs(two_point_goe_const(spec, 0.8, o, t_grid) - two_point_point)) < 1e-12
 
     @staticmethod
     def general_case(case, ensemble):
