@@ -5,7 +5,9 @@ grids A, B, G multiplying delta_{ii'}delta_{jj'}, delta_{ij}delta_{i'j'} and
 delta_{ij'}delta_{ji'} respectively, so memory is O(D^2) instead of O(D^4).
 Each ensemble has one builder for any variance profile; u1_gue_const and
 u1_goe_const are those builders on lambda_ij = J/D.  Every case is an exact
-closed form: A and G are entrywise exponentials, and the populations are a
+closed form.  Under GUE noise A is an entrywise exponential; under GOE noise
+each level pair i <= j is one 2 x 2 block with real kappa and q^2
+(``GoePairs``), so A and G are its cosh and sinh.  The populations are a
 Markov chain, so B is a matrix exponential, which ``populations`` evaluates
 at one t for the builders or contracted on a whole grid for the diagnostics.
 """
@@ -13,6 +15,7 @@ at one t for the builders or contracted on a whole grid for the diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,19 +40,26 @@ class ChannelOne:
     coeff_G: np.ndarray
 
 
-@dataclass(frozen=True)
-class GoeClosedFormParams:
-    """Entrywise parameters of the GOE closed form.
-
-    Identities (tested): c_plus + c_minus = 2, z_plus + z_minus = w_ij + w_ji,
-    (z_plus - z_minus)^2 = (w_ij - w_ji)^2 + lambda_ij^2.
+class GoePairs(NamedTuple):
+    """The GOE block of each level pair i <= j, real vectors over the
+    D(D+1)/2 pairs in np.triu_indices order.  rho_ij and rho_ji evolve by
+    [[w_ij, l], [l, w_ji]], w_ij = -i delta - kappa and l = lambda_ij/2,
+    whose traceless part squares to q^2 = l^2 - delta^2 times the identity.
+    q holds |q| with the sign of q^2, so it is 0 exactly where l = |delta|;
+    on the diagonal q = lambda_ii/2 and -kappa + q = -J_i/2.
     """
 
-    g: np.ndarray
-    c_plus: np.ndarray
-    c_minus: np.ndarray
-    z_plus: np.ndarray
-    z_minus: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    delta: np.ndarray  # E_i - E_j
+    kappa: np.ndarray  # (J_i + J_j + lambda_ii + lambda_jj)/4
+    half_lam: np.ndarray  # l = lambda_ij/2
+    q: np.ndarray
+
+    def root(self) -> np.ndarray:
+        """The root of q^2 per pair, q or i|q|: the pair's exponentials
+        are e^{(-kappa +- root) t}."""
+        return np.where(self.q < 0.0, -1j * self.q, self.q)
 
 
 def check_dims(spec: Spectrum, model: NoiseModel) -> None:
@@ -102,65 +112,40 @@ def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     return ChannelOne(d, np.exp(w * t), populations(model, t), np.zeros((d, d), dtype=complex))
 
 
-def goe_params(spec: Spectrum, model: NoiseModel) -> GoeClosedFormParams:
-    """Entrywise g, c+-, z+- for the GOE closed form.
-
-    The square root is the principal branch of
-    sqrt((w_ij - w_ji)^2 + lambda_ij^2); a global sign flip of the root
-    leaves the channel unchanged (tested).
-    """
+def goe_params(spec: Spectrum, model: NoiseModel) -> GoePairs:
+    """The GOE pair blocks.  |q| = sqrt|l - |delta|| sqrt(l + |delta|)
+    neither overflows for large lambda nor cancels near l = |delta|."""
     check_dims(spec, model)
     if model.ensemble is not Ensemble.GOE:
         raise ValueError("goe_params requires a GOE noise model")
     lam = model.lambda_matrix()
-    j_row = lam.sum(axis=1)
-    ld = np.diag(lam)
-    # In place where a buffer is free: 5 D x D complex outputs and at most
-    # 2 more grids alive at once.
-    w = -1j * spec.gaps()
-    w -= 0.25 * (j_row[:, None] + j_row[None, :] + ld[:, None] + ld[None, :])
-    diff = w - w.T
-    w += w.T  # numpy buffers the overlapping operand
-    root = np.square(diff)
-    root += np.square(lam.astype(complex))
-    np.sqrt(root, out=root)
-    # lambda_ii > 0 guarantees a nonzero root on the diagonal; off-diagonal
-    # zeros can only occur for degenerate levels with lambda_ij = 0, where
-    # g = 0/0 is taken as 0 (the exchange term carries weight lambda_ij).
-    nonzero = root != 0.0
-    g = np.zeros_like(root)
-    np.divide(lam, root, out=g, where=nonzero)
-    ratio = np.divide(diff, root, out=diff, where=nonzero)
-    ratio[~nonzero] = 0.0
-    c_plus = 1.0 + ratio
-    c_minus = np.subtract(1.0, ratio, out=ratio)
-    z_plus = w + root
-    z_plus *= 0.5
-    w -= root
-    z_minus = np.multiply(w, 0.5, out=w)
-    return GoeClosedFormParams(g, c_plus, c_minus, z_plus, z_minus)
+    i, j = np.triu_indices(spec.dim)
+    delta = spec.energies[i] - spec.energies[j]
+    quarter = (lam.sum(axis=1) + np.diag(lam)) / 4
+    half_lam, gap = lam[i, j] / 2, np.abs(delta)
+    q = np.sqrt(np.abs(half_lam - gap)) * np.sqrt(half_lam + gap)
+    return GoePairs(i, j, delta, quarter[i] + quarter[j], half_lam, np.copysign(q, half_lam - gap))
 
 
 def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
-    """GOE channel of any variance profile.  A = (c- e^{z- t} + c+ e^{z+ t})/2
-    and G = g (e^{z+ t} - e^{z- t})/2 entrywise, from goe_params.  B solves
-
-        B' = (w_ii + lambda_ii/2) B_ii' + (lambda/2).B
-             + (lambda_ii'/2)(C_i'i'(t) + G_i'i'(t)),  B(0) = 0,
-
-    where w_ii + lambda_ii/2 = -J_i/2 and C_jj + G_jj = e^{z+_jj t} = e^{-J_j t/2}:
-    the GUE populations' system halved, so ``populations`` takes it at t/2.
-    """
+    """GOE channel of any variance profile.  Per pair, with e+- =
+    e^{(-kappa +- q) t}, C = (e+ + e-)/2 and S = (e+ - e-)/(2q) (t e^{-kappa t}
+    where q = 0): A_ij = C - i delta S = conj(A_ji) and G_ij = G_ji = l S.
+    The populations feel the noise at half the GUE rate (A_jj + G_jj =
+    e^{-J_j t/2}), so ``populations`` takes B at t/2."""
     check_dims(spec, model)
     if model.ensemble is not Ensemble.GOE:
         raise ValueError("u1_goe_general requires a GOE noise model")
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    params = goe_params(spec, model)
-    ep = np.exp(params.z_plus * t)
-    em = np.exp(params.z_minus * t)
-    coeff_a = 0.5 * (params.c_minus * em + params.c_plus * ep)
-    coeff_g = 0.5 * params.g * (ep - em)
+    p = goe_params(spec, model)
+    root = p.root()
+    ep, em = np.exp((root - p.kappa) * t), np.exp((-root - p.kappa) * t)
+    c = ((ep + em) / 2).real
+    s = np.divide(ep - em, 2 * root, out=t * np.exp(-p.kappa * t) + 0j, where=root != 0.0).real
+    coeff_a, coeff_g = np.empty((2, spec.dim, spec.dim), dtype=complex)
+    coeff_a[p.i, p.j], coeff_a[p.j, p.i] = c - 1j * p.delta * s, c + 1j * p.delta * s
+    coeff_g[p.i, p.j] = coeff_g[p.j, p.i] = p.half_lam * s
     return ChannelOne(spec.dim, coeff_a, populations(model, t), coeff_g)
 
 

@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .diagnostics import sff_gue_const
+from .diagnostics import nonnegative_times, sff_gue_const
 from .spectra import Spectrum
 
 
@@ -91,9 +91,7 @@ def f_coefficients(D: int, J: float, t) -> np.ndarray:
     The exponent row sums vanish exactly in integer arithmetic, so both
     t = 0 and J = 0 give the identity coefficients without roundoff.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError(f"t must be nonnegative, got {t.min()}")
+    t = nonnegative_times(t)
     nums, dens = _integer_rows(D)
     exps = np.exp(np.multiply.outer(t, decay_rates(D, J)))
     return (exps[..., None, :] * nums).sum(axis=-1) / dens

@@ -220,11 +220,11 @@ class Inputs(NamedTuple):
 # Scans look up the names bench/tracer.py wraps when they call them: the
 # closed forms on diagnostics, the rest as globals of this module.
 
-def _realization_mean(inp: Inputs, stem: str, values):
+def _realization_mean(inp: Inputs, stem: str, j: float, values):
     """(stem, mean of values(spectrum) over the spectrum realizations)."""
     return stem, diag.DiagnosticSeries(
         stem, inp.t, np.mean([values(s) for s in inp.spectra], axis=0),
-        metadata={"n_realizations": len(inp.spectra)},
+        metadata={"n_realizations": len(inp.spectra), "J": j, "ensemble": inp.ensemble},
     )
 
 
@@ -232,7 +232,7 @@ def sff_scan(inp: Inputs):
     sff = getattr(diag, f"sff_{inp.ensemble}_const")
     for j in inp.j_list:
         stem = f"sff_{inp.ensemble}_J{j:g}"
-        yield _realization_mean(inp, stem, lambda s: sff(s, j, inp.t))
+        yield _realization_mean(inp, stem, j, lambda s: sff(s, j, inp.t))
 
 
 def two_point_scan(inp: Inputs):
@@ -240,14 +240,15 @@ def two_point_scan(inp: Inputs):
     two_point = getattr(diag, f"two_point_{inp.ensemble}_const")
     for j in inp.j_list:
         stem = f"two_point_J{j:g}"
-        yield _realization_mean(inp, stem, lambda s: two_point(s, j, o, inp.t))
+        yield _realization_mean(inp, stem, j, lambda s: two_point(s, j, o, inp.t))
 
 
 def otoc_scan(inp: Inputs):
     a = random_traceless_hermitian(inp.spectra[0].dim, inp.op_rng)
     b = random_traceless_hermitian(inp.spectra[0].dim, inp.op_rng)
     for j in inp.j_list:
-        yield _realization_mean(inp, f"otoc_J{j:g}", lambda s: otoc_closed(s, j, inp.t, a, b))
+        yield _realization_mean(inp, f"otoc_J{j:g}", j,
+                                lambda s: otoc_closed(s, j, inp.t, a, b))
 
 
 def _state_pair(inp: Inputs) -> tuple[int, int]:
@@ -278,7 +279,7 @@ def return_scan(inp: Inputs):
         model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
         yield f"return_J{j:g}", diag.DiagnosticSeries(
             "return_probability", inp.t, diag.return_probability(spec, model, inp.t),
-            metadata=_meta(spec, J=j, ensemble="gue"),
+            metadata=_meta(spec, J=j, ensemble=inp.ensemble),
         )
 
 
@@ -289,7 +290,8 @@ def sff_variance_scan(inp: Inputs):
         for stem, values in (("sff_squared", moments.second_moment),
                              ("sff_variance", moments.variance)):
             yield f"{stem}_J{j:g}", diag.DiagnosticSeries(
-                f"{stem}_J{j:g}", inp.t, values, metadata={"dim": spec.dim, "J": j},
+                f"{stem}_J{j:g}", inp.t, values,
+                metadata={"dim": spec.dim, "J": j, "ensemble": inp.ensemble},
             )
 
 
@@ -316,12 +318,18 @@ def lanczos_scan(inp: Inputs):
         )
 
 
-def _compare(name, analytic, mc, summary):
+def _compare(name, t, analytic, mc, summary):
+    """Record |analytic - mc| / stderr at each time point (0 where the
+    stderr is 0, where the two must agree within 1e-10 instead), its
+    maximum and the time where it peaks."""
     err = np.abs(np.asarray(analytic) - mc.values)
-    stderr = np.where(mc.stderr > 0, mc.stderr, np.inf)
-    sigma = float(np.max(err / stderr))
+    z = err / np.where(mc.stderr > 0, mc.stderr, np.inf)
+    sigma = float(np.max(z))
     ok = bool(sigma <= 3.0) and bool(np.all(err[mc.stderr == 0] < 1e-10))
-    summary["comparisons"].append({"name": name, "max_sigma": sigma, "pass": ok})
+    summary["comparisons"].append({
+        "name": name, "max_sigma": sigma, "pass": ok, "z": z.tolist(),
+        "worst_t": float(t[np.argmax(z)]), "n_points": int(t.size),
+    })
 
 
 def oracle_compare(inp: Inputs):
@@ -389,11 +397,11 @@ def oracle_compare(inp: Inputs):
             pair = {"i": state_i, "j": state_j} if key == "transfer" else {}
             yield f"mc_{key}_J{j:g}", diag.DiagnosticSeries(
                 f"mc_{key}", t, est.values, est.stderr, metadata=_meta(
-                    spec, noise=model.to_config(), dt=cfg.dt, n_traj=cfg.n_traj, seed=cfg.seed,
-                    **pair,
+                    spec, J=j, ensemble=inp.ensemble, noise=model.to_config(), dt=cfg.dt,
+                    n_traj=cfg.n_traj, seed=cfg.seed, **pair,
                 ),
             )
-            _compare(f"{key}_J{j:g}", analytic, est, inp.summary)
+            _compare(f"{key}_J{j:g}", t, analytic, est, inp.summary)
         inp.summary["mc_health"].append({
             "J": j,
             "max_unitarity_drift": mc.max_drift,

@@ -1,8 +1,10 @@
 """The single-replica diagnostics of any noise model: SFF, two-point
 function, transfer and return probabilities, each one closed form over
-``(spec, model, t_grid)`` that returns an array shaped like the grid.  Each
-contracts U1: its A part is a rank-one phase sum under GUE noise and
-``_goe_contract`` under GOE, its populations one ``populations`` contraction.
+``(spec, model, t_grid)`` that returns an array shaped like the grid and
+refuses a negative time.  Each contracts U1: its A part is a rank-one phase
+sum under GUE noise; under GOE noise A and G are a sum over the level pairs
+i <= j, two exponentials e^{(-kappa +- q) t} each (``_goe_contract``); its
+populations are one ``populations`` contraction.
 The ``_const`` names, which the CLI calls and the bench times, are these
 forms on the constant profile.  DiagnosticSeries is the record the CLI writes.
 Moments and Lanczos coefficients live in krylov.py, the two-replica
@@ -68,6 +70,15 @@ class DiagnosticSeries:
             json.dump(payload, fh, indent=1, sort_keys=True)
 
 
+def nonnegative_times(t_grid) -> np.ndarray:
+    """t_grid as a float array of any shape, refused if a time is negative:
+    each closed form takes it before it contracts anything."""
+    t = np.asarray(t_grid, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError(f"t must be nonnegative, got {t.min()}")
+    return t
+
+
 def _phases(spec: Spectrum, model: NoiseModel, t: np.ndarray) -> np.ndarray:
     """p_i(t) = e^{-(i E_i + J_i/2) t} on the grid, shape t.shape + (D,):
     the GUE A part has rank one, A_ij = p_i conj(p_j)."""
@@ -84,40 +95,41 @@ GOE_SLICE = 16384
 def _goe_contract(spec: Spectrum, model: NoiseModel, wa, wg, t: np.ndarray) -> np.ndarray:
     """sum_ij [wa o A(t) + wg o G(t)]_ij of the GOE channel, shaped like t.
 
-    The weights fold onto the exponentials, b+- = (wa c+- +- wg g)/2 on
-    e^{z+- t}.  z+- are symmetric, so each exponent is taken once from the
-    upper triangle with the weights of (i, j) and (j, i).  The weights fold
-    in place and the channel is dropped once folded.
+    A pair i <= j adds alpha C + beta S (see u1_goe_general), with alpha =
+    wa_ij + wa_ji and beta = -i delta (wa_ij - wa_ji) + l (wg_ij + wg_ji),
+    each weight counted once on the diagonal: (alpha +- beta/q)/2 on
+    e^{(-kappa +- q) t}, D(D+1) exponents z with weights b.  A pair with
+    q = 0 puts alpha/2 on each and adds beta t e^{-kappa t} instead.
 
     The exponentials run along t by recurrence, e^{z t_{k+1}} = e^{z t_k}
     e^{z (t_{k+1} - t_k)}, in one row and one step buffer.  On a uniform
     grid (every t_k within 4 ulp of t_0 + k h, as np.linspace gives) the
     step e^{z h} is taken once, so the grid costs two rows of exp; any
-    other grid takes its step exactly per point.  The D(D+1) exponents run
-    in slices of GOE_SLICE, each along the whole grid, and the slices' dot
+    other grid takes its step exactly per point.  The exponents run in
+    slices of GOE_SLICE, each along the whole grid, and the slices' dot
     products add into the result.
     """
     d = spec.dim
-    params = goe_params(spec, model)
-    up = np.triu_indices(d)
-    z = np.concatenate([params.z_plus[up], params.z_minus[up]])
-    g, c_plus, c_minus = params.g, params.c_plus, params.c_minus
-    del params
-    # In place on the parameter grids: g <- wg g, c+- <- (wa c+- +- g)/2
-    # plus the transpose of its strict lower triangle.
-    g *= wg
-    c_plus *= wa
-    c_plus += g
-    c_minus *= wa
-    c_minus -= g
-    del g
-    for c in (c_plus, c_minus):
-        c *= 0.5
-        c += np.tril(c, -1).T
-    b = np.concatenate([c_plus[up], c_minus[up]])
-    del c_plus, c_minus
+    p = goe_params(spec, model)
+    off = p.i != p.j
+    wa = np.broadcast_to(wa, (d, d))
+    upper, lower = wa[p.i, p.j], wa[p.j, p.i]
+    beta = -1j * p.delta * (upper - lower)
+    beta += p.half_lam * (wg[p.i, p.j] + off * wg[p.j, p.i])
+    alpha = upper + off * lower
+    del upper, lower
+    root = p.root()
+    zero = root == 0.0
+    late = zero & (beta != 0.0)  # only these need the t e^{-kappa t} term
     ts = t.reshape(-1)
-    out = np.zeros(ts.size, dtype=complex)
+    out = ts * (np.exp(np.multiply.outer(ts, -p.kappa[late])) @ beta[late])
+    np.divide(beta, root, out=beta, where=~zero)
+    beta[zero] = 0.0
+    z = np.concatenate([root - p.kappa, -root - p.kappa])
+    del p, root
+    b = np.concatenate([alpha + beta, alpha - beta])
+    b *= 0.5
+    del alpha, beta
     if ts.size == 0:
         return out.reshape(t.shape)
     h = (ts[-1] - ts[0]) / max(ts.size - 1, 1)
@@ -140,7 +152,7 @@ def sff(spec: Spectrum, model: NoiseModel, t_grid) -> np.ndarray:
     normalized K(0) = 1.  Under GUE noise sum_ij A_ij = |sum_i p_i|^2."""
     check_dims(spec, model)
     d = spec.dim
-    t = np.asarray(t_grid, dtype=float)
+    t = nonnegative_times(t_grid)
     if model.ensemble is Ensemble.GUE:
         a = np.abs(_phases(spec, model, t).sum(axis=-1)) ** 2
     else:
@@ -153,7 +165,7 @@ def two_point(spec: Spectrum, model: NoiseModel, O: np.ndarray, t_grid) -> np.nd
     by O+_ij O_ji, G by O+_ji O_ji, and B by conj(O_ii) O_jj.  Under GUE
     noise the A part is the row sum of (P W) o conj(P), P the phases p_i."""
     check_dims(spec, model)
-    t = np.asarray(t_grid, dtype=float)
+    t = nonnegative_times(t_grid)
     diag_o = np.diagonal(O)
     b = populations(model, t, np.multiply.outer(diag_o.conj(), diag_o))
     w_dir = O.conj().T * O.T  # O+_ij O_ji
@@ -205,7 +217,7 @@ def transfer_probability(spec: Spectrum, model: NoiseModel, i: int, j: int, t_gr
         raise ValueError(f"state indices ({i}, {j}) out of range for D={d}")
     m = np.zeros((d, d))
     m[j, i] = 1.0
-    return populations(model, t_grid, m, propagator=True)
+    return populations(model, nonnegative_times(t_grid), m, propagator=True)
 
 
 def return_probability(spec: Spectrum, model: NoiseModel, t_grid) -> np.ndarray:
@@ -213,4 +225,5 @@ def return_probability(spec: Spectrum, model: NoiseModel, t_grid) -> np.ndarray:
     Tr e^{sP} / D, the mean of e^{mu s} over the chain's modes; the constant
     profile gives P_{S;J}(t) = e^{-Js} + (1 - e^{-Js})/D."""
     check_dims(spec, model)
-    return populations(model, t_grid, np.eye(spec.dim), propagator=True) / spec.dim
+    t = nonnegative_times(t_grid)
+    return populations(model, t, np.eye(spec.dim), propagator=True) / spec.dim

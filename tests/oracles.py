@@ -1,5 +1,6 @@
 """Reference objects that only the tests use: the single-replica generator
-L1, the forced linear solve of the channel's populations, the dense
+L1 and its dense D^2 x D^2 matrix, a matrix exponential by scaling and
+squaring, the forced linear solve of the channel's populations, the dense
 D^2 x D^2 superoperator and Choi matrix of a channel, the
 8 x 8 two-replica generator M, one full Monte Carlo trajectory, the
 effective Hamiltonian, level-spacing statistics, the return probability
@@ -110,6 +111,30 @@ def dense_superoperator(ch: ChannelOne) -> np.ndarray:
     s[idx[:, None], idx[:, None], idx[None, :], idx[None, :]] += ch.coeff_B
     s[idx[:, None], idx[None, :], idx[None, :], idx[:, None]] += ch.coeff_G
     return s.reshape(d * d, d * d)
+
+
+def dense_generator(gen: GeneratorOne) -> np.ndarray:
+    """L1 as a D^2 x D^2 matrix on row-major vec(rho), the layout of
+    ``dense_superoperator``: column (i', j') is L1 applied to E_i'j'."""
+    d = gen.dim
+    basis = np.eye(d * d).reshape(d * d, d, d)
+    return np.stack([apply_generator(gen, e).ravel() for e in basis], axis=1)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scaling and squaring: a Taylor series on a / 2^s, whose
+    1-norm is at most 1/2, squared s times.  It needs no eigenvectors, so
+    it holds where a is not diagonalizable."""
+    norm = np.abs(a).sum(axis=0).max()
+    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0.0 else 0
+    a = a / 2.0**s
+    term = out = np.eye(a.shape[0], dtype=a.dtype)
+    for k in range(1, 25):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def choi_matrix(ch: ChannelOne) -> np.ndarray:

@@ -11,6 +11,8 @@ from noisychaos import (
     gue_constant,
     return_probability,
     sample_gue_spectrum,
+    sff_goe_const,
+    two_point_goe_const,
     u1_goe_const,
     u1_goe_general,
     u1_gue_const,
@@ -20,7 +22,15 @@ from noisychaos.channel_one import goe_params
 from noisychaos.noise import Ensemble
 
 from conftest import random_density, random_hermitian
-from oracles import apply_generator, build_L1, choi_matrix, dense_superoperator, forced_linear
+from oracles import (
+    apply_generator,
+    build_L1,
+    choi_matrix,
+    dense_generator,
+    dense_superoperator,
+    expm,
+    forced_linear,
+)
 
 
 def random_symmetric_lambda(dim, rng, scale=0.5):
@@ -124,78 +134,68 @@ class TestGueConst:
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def pair(p, i, j):
+    """Position of the level pair (i, j), i <= j, in goe_params' vectors."""
+    (k,) = np.flatnonzero((p.i == i) & (p.j == j))
+    return k
+
+
 class TestGoeParams:
     def test_identities(self, spec5):
         d = spec5.dim
         model = goe_constant(0.8, d)
         p = goe_params(spec5, model)
         gen = build_L1(spec5, model)
-        w, wt = gen.w, gen.w.T
-        lam = model.lambda_matrix()
-        assert np.max(np.abs(p.c_plus + p.c_minus - 2.0)) < 1e-12
-        assert np.max(np.abs(p.z_plus + p.z_minus - (w + wt))) < 1e-12
-        assert (
-            np.max(np.abs((p.z_plus - p.z_minus) ** 2 - ((w - wt) ** 2 + lam**2)))
-            < 1e-12
-        )
+        w, wt = gen.w[p.i, p.j], gen.w[p.j, p.i]
+        lam = model.lambda_matrix()[p.i, p.j]
+        assert np.array_equal(p.i, np.triu_indices(d)[0])
+        assert np.array_equal(p.j, np.triu_indices(d)[1])
+        assert np.max(np.abs(-2.0 * p.kappa - (w + wt))) < 1e-12
+        assert np.max(np.abs(p.q * np.abs(p.q) - ((w - wt) ** 2 + lam**2) / 4)) < 1e-12
 
     def test_diagonal_const_case(self, spec5):
         d = spec5.dim
         J = 0.8
         p = goe_params(spec5, goe_constant(J, d))
-        i = np.arange(d)
-        assert np.allclose(p.g[i, i], 1.0)
-        assert np.allclose(p.c_plus[i, i], 1.0)
-        assert np.allclose(p.c_minus[i, i], 1.0)
-        assert np.allclose(p.z_plus[i, i], -(d + 1) * J / (2 * d) + J / (2 * d))
-        assert np.allclose(p.z_minus[i, i], -(d + 1) * J / (2 * d) - J / (2 * d))
+        on = p.i == p.j
+        assert np.allclose(-p.kappa[on] + p.q[on], -J / 2)
+        assert np.allclose(p.q[on], J / (2 * d))
+        assert np.allclose(p.half_lam[on], J / (2 * d))
+        assert np.all(p.delta[on] == 0.0)
 
     def test_small_J_expansion(self, spec4):
-        # g ~ -iJ/(2 D|E_ij|); c± ~ 1 ∓ sgn(E_ij); z± ~ ±i|E_ij| - (D+1)J/(2D).
+        # q^2 < 0 with |q| ~ |E_ij|; l/|q| ~ J/(2D|E_ij|) (the old g);
+        # delta/|q| ~ sgn(E_ij) (the old c+- = 1 -+ sgn(E_ij)); kappa = (D+1)J/(2D).
         d = spec4.dim
-        gaps = spec4.gaps()
-        off = ~np.eye(d, dtype=bool)
-        J = 1e-3 * np.abs(gaps[off]).min()
+        J = 1e-3 * np.abs(spec4.gaps()[~np.eye(d, dtype=bool)]).min()
         p = goe_params(spec4, goe_constant(J, d))
-        absg = np.abs(gaps)[off]
-        g_exp = -1j * J / (2 * d * absg)
-        assert np.max(np.abs(p.g[off] - g_exp) / np.abs(g_exp)) < 1e-5
-        cp_exp = 1.0 - gaps[off] / absg
-        cm_exp = 1.0 + gaps[off] / absg
-        assert np.max(np.abs(p.c_plus[off] - cp_exp)) < 1e-5
-        assert np.max(np.abs(p.c_minus[off] - cm_exp)) < 1e-5
-        zp_exp = 1j * absg - (d + 1) * J / (2 * d)
-        zm_exp = -1j * absg - (d + 1) * J / (2 * d)
-        assert np.max(np.abs(p.z_plus[off] - zp_exp) / np.abs(zp_exp)) < 1e-5
-        assert np.max(np.abs(p.z_minus[off] - zm_exp) / np.abs(zm_exp)) < 1e-5
+        off = p.i != p.j
+        delta, q = p.delta[off], p.q[off]
+        assert np.all(q < 0.0)
+        absg = np.abs(delta)
+        assert np.max(np.abs(-q - absg) / absg) < 1e-5
+        g_exp = J / (2 * d * absg)
+        assert np.max(np.abs(p.half_lam[off] / -q - g_exp) / g_exp) < 1e-5
+        assert np.max(np.abs(delta / -q - np.sign(delta))) < 1e-5
+        assert np.allclose(p.kappa, (d + 1) * J / (2 * d))
 
     def test_large_J_expansion(self, spec4):
-        # g ~ 1; c± ~ 1 ∓ 2iDE_ij/J; z± ~ -(D+1)J/(2D) ± J/(2D).
+        # q -> lambda_ij/2 = J/(2D); l/q ~ 1 (the old g) up to (2 D E_ij/J)^2/2
+        # ~ 1e-4; delta/q ~ 2 D E_ij/J (the old c+- = 1 -+ 2iDE_ij/J).
         d = spec4.dim
-        gaps = spec4.gaps()
-        off = ~np.eye(d, dtype=bool)
-        J = 1e3 * np.abs(gaps[off]).max()
+        J = 1e3 * np.abs(spec4.gaps()[~np.eye(d, dtype=bool)]).max()
         p = goe_params(spec4, goe_constant(J, d))
-        # g = 1 + O(J^-2); the neglected term is (2 D E_ij / J)^2 / 2 ~ 1e-4
-        assert np.max(np.abs(p.g[off] - 1.0)) < 1e-4
-        assert np.max(np.abs(p.c_plus[off] - (1.0 - 2j * d * gaps[off] / J))) < 1e-5
-        assert np.max(np.abs(p.c_minus[off] - (1.0 + 2j * d * gaps[off] / J))) < 1e-5
-        z_scale = J
-        assert (
-            np.max(np.abs(p.z_plus[off] - (-(d + 1) * J / (2 * d) + J / (2 * d))))
-            / z_scale
-            < 1e-5
-        )
-        assert (
-            np.max(np.abs(p.z_minus[off] - (-(d + 1) * J / (2 * d) - J / (2 * d))))
-            / z_scale
-            < 1e-5
-        )
+        off = p.i != p.j
+        delta, q = p.delta[off], p.q[off]
+        assert np.all(q > 0.0)
+        assert np.max(np.abs(p.half_lam[off] / q - 1.0)) < 1e-4
+        assert np.max(np.abs(delta / q - 2 * d * delta / J)) < 1e-5
+        assert np.max(np.abs(q - J / (2 * d))) / J < 1e-5
 
 
 class TestDegenerateGoePair:
     """A degenerate level pair with lambda_12 = 0 makes the GOE root vanish
-    at (1, 2), where g and the ratio are taken as 0."""
+    at (1, 2), whose block is then -kappa times the identity."""
 
     # Dyadic entries keep every sum exact, so w_12 = w_21 and the root is 0.
     LAM = np.array([
@@ -211,11 +211,10 @@ class TestDegenerateGoePair:
 
     def test_params_finite_at_vanishing_root(self):
         p = goe_params(*self.case())
-        for grid in (p.g, p.c_plus, p.c_minus, p.z_plus, p.z_minus):
-            assert np.all(np.isfinite(grid))
-        for i, j in ((1, 2), (2, 1)):
-            assert p.g[i, j] == 0.0
-            assert p.c_plus[i, j] == 1.0 and p.c_minus[i, j] == 1.0
+        for field in p:
+            assert np.all(np.isfinite(field))
+        k = pair(p, 1, 2)
+        assert p.q[k] == 0.0 and p.delta[k] == 0.0 and p.half_lam[k] == 0.0
 
     def test_trace_preserving(self):
         ch = u1_goe_general(*self.case(), 50.0)
@@ -233,6 +232,80 @@ class TestDegenerateGoePair:
         expected = apply_generator(build_L1(spec, model), apply_channel(
             u1_goe_general(spec, model, t), rho))
         assert np.max(np.abs(deriv - expected)) < 1e-8
+
+
+class TestExceptionalGoePair:
+    """lambda_ij = 2|E_i - E_j| makes q vanish at a nondegenerate pair: its
+    block is not diagonalizable, and C, S become e^{-kappa t}, t e^{-kappa t}.
+    On E = (0, 1/8, 1/2, 1) the constant profile J = 1, D = 4 does it at
+    (0, 1); the dyadic matrix profile at (0, 1) and (2, 3)."""
+
+    SPEC = Spectrum(np.array([0.0, 0.125, 0.5, 1.0]))
+    LAM = np.array([
+        [0.5, 0.25, 0.125, 0.25],
+        [0.25, 0.375, 0.0, 0.125],
+        [0.125, 0.0, 0.625, 1.0],
+        [0.25, 0.125, 1.0, 0.5],
+    ])
+    CASES = {
+        "const": (goe_constant(1.0, 4), [(0, 1)]),
+        "matrix": (NoiseModel(Ensemble.GOE, MatrixProfile(LAM), 4), [(0, 1), (2, 3)]),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_q_vanishes_exactly(self, case):
+        model, pairs = self.CASES[case]
+        p = goe_params(self.SPEC, model)
+        assert [(int(p.i[k]), int(p.j[k])) for k in np.flatnonzero(p.q == 0.0)] == pairs
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("case", CASES)
+    def test_channel_at_the_pair(self, case, t):
+        model, pairs = self.CASES[case]
+        p = goe_params(self.SPEC, model)
+        ch = u1_goe_general(self.SPEC, model, t)
+        for i, j in pairs:
+            k = pair(p, i, j)
+            decay = np.exp(-p.kappa[k] * t)
+            assert abs(ch.coeff_A[i, j] - decay * (1 - 1j * p.delta[k] * t)) < 1e-14
+            assert abs(ch.coeff_A[j, i] - decay * (1 + 1j * p.delta[k] * t)) < 1e-14
+            for g in (ch.coeff_G[i, j], ch.coeff_G[j, i]):
+                assert abs(g - p.half_lam[k] * t * decay) < 1e-14
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_channel_is_exponential_of_generator(self, case):
+        model, _ = self.CASES[case]
+        dense = dense_generator(build_L1(self.SPEC, model))
+        for t in (0.5, 3.0):
+            ch = u1_goe_general(self.SPEC, model, t)
+            assert np.max(np.abs(dense_superoperator(ch) - expm(dense * t))) < 1e-13
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_generator_at_positive_time(self, case, rng):
+        model, _ = self.CASES[case]
+        rho = random_density(4, rng)
+        t, h = 0.5, 1e-5
+        deriv = (
+            apply_channel(u1_goe_general(self.SPEC, model, t + h), rho)
+            - apply_channel(u1_goe_general(self.SPEC, model, t - h), rho)
+        ) / (2 * h)
+        expected = apply_generator(build_L1(self.SPEC, model), apply_channel(
+            u1_goe_general(self.SPEC, model, t), rho))
+        assert np.max(np.abs(deriv - expected)) < 1e-8
+
+
+class TestLargeGoeJ:
+    def test_finite_at_huge_J(self, spec4, rng):
+        # lambda^2 overflows near J ~ 5e154 at D = 4; |q| is taken without it.
+        t = np.linspace(0.0, 2.0, 5)
+        o = random_hermitian(4, rng)
+        k = sff_goe_const(spec4, 1e200, t)
+        assert k[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(np.isfinite(k))
+        assert np.all(np.isfinite(two_point_goe_const(spec4, 1e200, o, t)))
+        ch = u1_goe_const(spec4, 1e200, 0.5)
+        for coeff in (ch.coeff_A, ch.coeff_B, ch.coeff_G):
+            assert np.all(np.isfinite(coeff))
 
 
 class TestGoeConst:

@@ -337,6 +337,10 @@ class TestExperimentTable:
             written = np.asarray(doc["values_re"]) + 1j * np.asarray(doc["values_im"])
             assert np.array_equal(written, values), stem
             assert doc["metadata"]["config_hash"] == config_hash(cfg), stem
+            # Every series of a spectrum experiment names its J and ensemble.
+            assert doc["metadata"]["J"] == float(stem.rpartition("_J")[2]), stem
+            if ensemble is not None:
+                assert doc["metadata"]["ensemble"] == ensemble, stem
 
 
 class TestOracleCompare:
@@ -352,6 +356,17 @@ class TestOracleCompare:
         assert 0.0 < health["max_unitarity_drift"] <= 1e-8
         # lambda_ij = J/D, so dt |lambda|_inf D = J dt.
         assert health["step_margin"] == pytest.approx(0.0025)
+
+    def test_comparisons_record_time_points(self, tmp_path):
+        summary = run(ORACLE_CONFIG, out_dir=tmp_path)
+        t = time_grid(ORACLE_CONFIG["t_grid"])
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["comparisons"] == summary["comparisons"]
+        for comp in doc["comparisons"]:
+            assert comp["n_points"] == t.size == len(comp["z"])
+            assert all(z >= 0.0 for z in comp["z"])
+            assert max(comp["z"]) == comp["max_sigma"]
+            assert comp["worst_t"] == t[int(np.argmax(comp["z"]))]
 
     def test_state_pair_is_compared(self, tmp_path):
         cfg = {**ORACLE_CONFIG, "state_i": 2, "state_j": 3,
@@ -384,7 +399,8 @@ class TestOracleCompare:
         for key in keys:
             doc = json.loads((tmp_path / f"mc_{key}_J1.json").read_text())
             assert doc["name"] == f"mc_{key}"
-            expected = {"dim", "spectrum_hash", "noise", "dt", "n_traj", "seed", "config_hash"}
+            expected = {"dim", "spectrum_hash", "J", "ensemble", "noise", "dt", "n_traj", "seed",
+                        "config_hash"}
             assert set(doc["metadata"]) == expected | ({"i", "j"} if key == "transfer" else set())
 
     def test_thread_invariance_byte_identical(self, tmp_path):

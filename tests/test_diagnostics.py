@@ -317,6 +317,25 @@ class TestGridContraction:
         assert np.max(np.abs(sff_goe_const(spec, 0.8, t_grid) - sff_point)) < 1e-12
         assert np.max(np.abs(two_point_goe_const(spec, 0.8, o, t_grid) - two_point_point)) < 1e-12
 
+    @pytest.mark.parametrize("grid", ["linear", "log"])
+    @pytest.mark.parametrize("case", ["const", "matrix"])
+    def test_exceptional_pair_every_point(self, grid, case):
+        # q = 0 at a nondegenerate pair: its beta t e^{-kappa t} term.
+        pairs = test_channel_one.TestExceptionalGoePair
+        spec, (model, _) = pairs.SPEC, pairs.CASES[case]
+        o = random_hermitian(4, np.random.default_rng(50))
+        t_grid = np.linspace(0.0, 8.0, 33) if grid == "linear" else np.geomspace(1e-3, 8.0, 25)
+        if case == "const":
+            values = sff_goe_const(spec, 1.0, t_grid), two_point_goe_const(spec, 1.0, o, t_grid)
+            channels = [u1_goe_const(spec, 1.0, t) for t in t_grid]
+        else:
+            values = sff(spec, model, t_grid), two_point(spec, model, o, t_grid)
+            channels = [u1_goe_general(spec, model, t) for t in t_grid]
+        per_point = ([sff_from_channel(ch) for ch in channels],
+                     [np.trace(o.conj().T @ apply_channel(ch, o)) / 4 for ch in channels])
+        for got, expected in zip(values, per_point):
+            assert np.max(np.abs(got - expected)) < 1e-12
+
     @staticmethod
     def general_case(case, ensemble):
         """Spectrum, noise model and builder of one non-constant case."""
@@ -375,6 +394,21 @@ class TestModelForms:
             "return": lambda: return_probability(spec4, model, T_GRID),
         }
         with pytest.raises(ValueError, match="spectrum dim 4 != noise model dim"):
+            calls[form]()
+
+    @pytest.mark.parametrize("t", [-2.0, np.array([0.0, 1.0, -1e-300])])
+    @pytest.mark.parametrize("model", [gue_constant(1.0, 4), goe_constant(1.0, 4)],
+                             ids=["gue", "goe"])
+    @pytest.mark.parametrize("form", ["sff", "two_point", "transfer", "return"])
+    def test_refuse_negative_times(self, spec4, model, form, t):
+        # Under GUE noise transfer_probability(spec, model, 0, 0, -2.0) gave 5.79.
+        calls = {
+            "sff": lambda: sff(spec4, model, t),
+            "two_point": lambda: two_point(spec4, model, np.eye(4), t),
+            "transfer": lambda: transfer_probability(spec4, model, 0, 0, t),
+            "return": lambda: return_probability(spec4, model, t),
+        }
+        with pytest.raises(ValueError, match="t must be nonnegative"):
             calls[form]()
 
     @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])

@@ -2,13 +2,13 @@
 
 Each function takes a whole 400-point time grid at D = 128, and its traced
 peak, in D x D complex grids, must stay near what one time point needs.
-A GOE form peaks at 8.5-10.6 such grids while it takes the exponents' upper
-triangles next to goe_params' five output grids, which goe_params itself
-builds within 8, and folds its weights into those grids in place; the (T, D)
-phase matrices of the GUE forms take T/D ~ 3 grids each.  The Gibbs-model
-entries also build the model's lambda and the eigendecomposition of its
-Markov generator, under the same bounds.  A (T, D, D) stack over the grid
-would take 400.
+A GOE form peaks at 6.1-8.2 such grids: goe_params' real vectors over the
+D(D+1)/2 level pairs (goe_params itself peaks at 2.3), the pair weights,
+the D(D+1) exponents with their weights, and the caller's weight grids.
+The (T, D) phase matrices of the GUE forms take T/D ~ 3 grids each.  The
+Gibbs-model entries also build the model's lambda and the
+eigendecomposition of its Markov generator, under the same bounds.  A
+(T, D, D) stack over the grid would take 400.
 """
 
 import tracemalloc
@@ -43,9 +43,9 @@ from oracles import partition_return_probability
 
 D, T = 128, 400
 BOUND = 16  # D x D complex grids
-GOE_PARAMS_BOUND = 8  # its five outputs and the temporaries of its arithmetic
-# The GOE forms hold goe_params' five grids, the exponents' upper triangles
-# and the caller's weights; their weights fold in place.
+GOE_PARAMS_BOUND = 8  # its pair vectors and the temporaries of its arithmetic
+# The GOE forms hold goe_params' pair vectors, the pair weights, the
+# exponents with their weights, and the caller's weight grids.
 GOE_BOUNDS = {"sff_goe_const": 10, "two_point_goe_const": 11.5,
               "sff_goe_gibbs": 10, "two_point_goe_gibbs": 11.5}
 
