@@ -131,18 +131,24 @@ def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     """GOE channel of any variance profile.  Per pair, with e+- =
     e^{(-kappa +- q) t}, C = (e+ + e-)/2 and S = (e+ - e-)/(2q) (t e^{-kappa t}
     where q = 0): A_ij = C - i delta S = conj(A_ji) and G_ij = G_ji = l S.
-    The populations feel the noise at half the GUE rate (A_jj + G_jj =
-    e^{-J_j t/2}), so ``populations`` takes B at t/2."""
+    Each root type is taken in real arithmetic: for real q > 0, S =
+    -e+ expm1(-2qt)/(2q), which neither cancels for q << lambda_ij nor
+    overflows; for imaginary roots C = e^{-kappa t} cos(|q|t) and S =
+    e^{-kappa t} sin(|q|t)/|q|.  The populations feel the noise at half the
+    GUE rate (A_jj + G_jj = e^{-J_j t/2}), so ``populations`` takes B at t/2."""
     check_dims(spec, model)
     if model.ensemble is not Ensemble.GOE:
         raise ValueError("u1_goe_general requires a GOE noise model")
     if t < 0.0:
         raise ValueError(f"t must be nonnegative, got {t}")
     p = goe_params(spec, model)
-    root = p.root()
-    ep, em = np.exp((root - p.kappa) * t), np.exp((-root - p.kappa) * t)
-    c = ((ep + em) / 2).real
-    s = np.divide(ep - em, 2 * root, out=t * np.exp(-p.kappa * t) + 0j, where=root != 0.0).real
+    q, decay = np.abs(p.q), np.exp(-p.kappa * t)
+    real = p.q > 0.0
+    grow = np.exp((np.where(real, q, 0.0) - p.kappa) * t)  # e+ of the real roots
+    c = np.where(real, (grow + np.exp((-q - p.kappa) * t)) / 2, decay * np.cos(q * t))
+    s = t * decay
+    np.divide(-grow * np.expm1(-2.0 * q * t), 2.0 * q, out=s, where=real)
+    np.divide(decay * np.sin(q * t), q, out=s, where=p.q < 0.0)
     coeff_a, coeff_g = np.empty((2, spec.dim, spec.dim), dtype=complex)
     coeff_a[p.i, p.j], coeff_a[p.j, p.i] = c - 1j * p.delta * s, c + 1j * p.delta * s
     coeff_g[p.i, p.j] = coeff_g[p.j, p.i] = p.half_lam * s

@@ -139,7 +139,7 @@ def sff_variance(spec: Spectrum, J: float, t) -> SffVariance:
 def _check_operator(name: str, op: np.ndarray, d: int) -> None:
     if op.shape != (d, d):
         raise ValueError(f"{name} shape {op.shape} != ({d}, {d})")
-    if not np.allclose(op, op.conj().T, atol=1e-10):
+    if not np.abs(op - op.conj().T).max() <= 1e-10:
         raise ValueError(f"{name} must be Hermitian")
     if abs(np.trace(op)) > 1e-10:
         raise ValueError(f"{name} must be traceless, got trace {np.trace(op)}")

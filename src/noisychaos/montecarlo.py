@@ -8,36 +8,53 @@ and squaring (``expm_hermitian_step``).  One simulation feeds every
 requested observable: ``estimate_observables`` records U on the time grid
 once per chunk of trajectories and reduces each observable from those same
 unitaries; the ``estimate_*`` functions are that path with a single
-observable.  A chunk draws its noise up front into a float64 buffer of
-K = ``noise_width(model)`` independent entries per slice, n_steps x K x 8
-bytes per trajectory (``chunk_bounds`` sizes the chunks by those bytes),
-and expands one step's slices at a time.  Trajectory k draws its noise from
-child k of the SeedSequence of the seed, and results land in per-trajectory
-slots before a fixed-order reduction, so estimates are bit-identical
-regardless of thread count, chunking, and which observables share the
+observable.
+
+Each worker runs its chunks in one workspace, a float64 buffer allocated
+once per call, that every chunk and step reuses, so the step loop allocates
+no array of the batch's size.  Per trajectory it holds the noise of one
+block of ``NOISE_BLOCK_STEPS`` steps with the scratch of its normal draws,
+one step's noise row of K = ``noise_width(model)`` entries, the step's
+slices, Taylor powers, block forms and next U, and the recorded U.  GUE
+noise also keeps the x half of its rows for every step, D(D+1)/2 of the
+K = D^2 entries: a trajectory's stream is all of its x draws, then all of
+its y draws, so each x must be drawn before the first y, and the block
+holds the y halves.  ``chunk_bounds`` sizes the chunks so that the
+workspaces of the chunks running at once, ``workspace_bytes`` per
+trajectory, fit ``WORKSPACE_BUDGET_BYTES``.  Trajectory k draws its noise
+from child k of the SeedSequence of the seed, a block at a time in the
+order of one up-front draw, and results land in per-trajectory slots
+before a fixed-order reduction, so estimates are bit-identical regardless
+of thread count, chunking, block length, and which observables share the
 simulation.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .noise import NoiseModel, noise_slices, noise_width, sample_noise_sequence
+from .noise import Ensemble, NoiseModel, noise_slices, noise_width, sample_noise_sequence
 from .spectra import Spectrum
 
 
-# Noise bytes, the float64 rows of K independent entries per slice that
-# sample_noise_sequence writes, that the chunks running at once may hold.
-# It stays below 32 MiB, glibc's cap on its dynamic mmap threshold: a larger
-# buffer is always mapped afresh and unmapped on free, so every call would
-# fault in every page of it again.
-NOISE_BUDGET_BYTES = 32e6
+# Workspace bytes that the chunks running at once may hold.  It stays below
+# 32 MiB, glibc's cap on its dynamic mmap threshold: a larger buffer is
+# always mapped afresh and unmapped on free, so every call would fault in
+# every page of it again.
+WORKSPACE_BUDGET_BYTES = 32e6
+# Steps whose noise a chunk draws at once.
+NOISE_BLOCK_STEPS = 10
+# Trajectories whose observables are reduced at once: each observable's
+# temporaries, (n, n_times, D, D) complex, then stay small in the worker
+# threads' malloc arenas, which keep what they once held.
+OBSERVABLE_BATCH = 16
 
 # The bound (2^-53 16!)^(1/16) on |X|_1 within which the degree-15 Taylor
 # remainder |X|^16 / 16! of exp(-iX) lies below double-precision roundoff.
@@ -95,58 +112,134 @@ def validate_step(model: NoiseModel, dt: float) -> None:
         )
 
 
-def _block(col: np.ndarray) -> np.ndarray:
+# A layout maps each array of a workspace to its shape per trajectory and
+# its dtype; the workspace of a batch puts the batch axis first.
+Layout = dict[str, tuple[tuple[int, ...], type]]
+
+
+def _floats(shape: tuple[int, ...], dtype: type) -> int:
+    return math.prod(shape) * np.dtype(dtype).itemsize // 8
+
+
+def _traj_floats(layout: Layout) -> int:
+    """float64 entries per trajectory of a layout, each array's rounded up
+    to even so that every array starts 16-byte aligned, as a fresh one does."""
+    return sum(n + n % 2 for n in (_floats(*a) for a in layout.values()))
+
+
+def _carve(buf: np.ndarray, layout: Layout, batch: int) -> SimpleNamespace:
+    """Consecutive C-contiguous views of the flat float64 ``buf``, one per
+    array of ``layout`` at ``batch`` trajectories."""
+    views, start = {}, 0
+    for name, (shape, dtype) in layout.items():
+        n = _floats(shape, dtype)
+        views[name] = buf[start:start + batch * n].view(dtype).reshape((batch,) + shape)
+        start += batch * (n + n % 2)
+    return SimpleNamespace(**views)
+
+
+def _block(col: np.ndarray, out: np.ndarray, where=True) -> np.ndarray:
     """The real form [[Re Z, -Im Z], [Im Z, Re Z]] of a complex matrix Z
-    from its block column [Re Z; Im Z] of shape (..., 2D, D)."""
+    from its block column [Re Z; Im Z] of shape (..., 2D, D), written into
+    ``out`` (..., 2D, 2D) where ``where`` holds."""
     d = col.shape[-1]
-    full = np.empty(col.shape[:-1] + (2 * d,))
-    full[..., :d] = col
-    full[..., :d, d:] = -col[..., d:, :]
-    full[..., d:, d:] = col[..., :d, :]
-    return full
+    np.copyto(out[..., :d], col, where=where)
+    np.negative(col[..., d:, :], out=out[..., :d, d:], where=where)
+    np.copyto(out[..., d:, d:], col[..., :d, :], where=where)
+    return out
 
 
-def _combine(coef: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """coef @ powers over the stacking axis -3 of (..., 4, m, n) powers, in
-    one small product per matrix of the batch."""
-    flat = powers.reshape(powers.shape[:-2] + (-1,))
-    return (coef @ flat).reshape(powers.shape)
+def _combine(coef: np.ndarray, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """coef @ powers over axis 1 of (batch, 4, m, n) powers, in one small
+    product per matrix of the batch, written into ``out``."""
+    flat = powers.reshape(powers.shape[:2] + (-1,))
+    np.matmul(coef, flat, out=out.reshape(flat.shape))
+    return out
 
 
-def _taylor_real(x: np.ndarray) -> np.ndarray:
+def _taylor_real(x: np.ndarray, w: SimpleNamespace) -> np.ndarray:
     """[cos X; -sin X], the block column of exp(-iX) for real symmetric X,
     from Y = X^2 .. Y^4: 7 real D x D products."""
     d = x.shape[-1]
-    y = np.empty(x.shape[:-2] + (4, d, d))
-    y[..., 0, :, :] = np.eye(d)
-    np.matmul(x, x, out=y[..., 1, :, :])
-    np.matmul(y[..., 1, :, :], y[..., 1, :, :], out=y[..., 2, :, :])
-    np.matmul(y[..., 1, :, :], y[..., 2, :, :], out=y[..., 3, :, :])
-    y4 = y[..., 2, :, :] @ y[..., 2, :, :]
-    p = _combine(COS_SIN_15, y)
-    p[..., ::2, :, :] += y4[..., None, :, :] @ p[..., 1::2, :, :]
-    return np.concatenate([p[..., 0, :, :], -(x @ p[..., 2, :, :])], axis=-2)
+    y, p = w.y, w.p
+    np.matmul(x, x, out=y[:, 1])
+    np.matmul(y[:, 1], y[:, 1], out=y[:, 2])
+    np.matmul(y[:, 1], y[:, 2], out=y[:, 3])
+    np.matmul(y[:, 2], y[:, 2], out=w.y4)
+    _combine(COS_SIN_15, y, out=p)
+    np.matmul(w.y4[:, None], p[:, 1::2], out=w.q)
+    p[:, ::2] += w.q
+    w.col[:, :d] = p[:, 0]
+    np.matmul(x, p[:, 2], out=w.col[:, d:])
+    np.negative(w.col[:, d:], out=w.col[:, d:])
+    return w.col
 
 
-def _taylor_complex(x: np.ndarray) -> np.ndarray:
+def _taylor_complex(x: np.ndarray, w: SimpleNamespace) -> np.ndarray:
     """[Re; Im], the block column of exp(-iX) for Hermitian X: exp(M) of
     the real form M = [[Im X, Re X], [-Re X, Im X]] of -iX, from M .. M^4
     and three Horner steps in M^4.  Each of the 6 products is a 2D x 2D
-    matrix times a 2D x D block column."""
+    matrix times a 2D x D block column.  M, then M^4, is formed in
+    ``w.r``, which the step's result overwrites."""
     d = x.shape[-1]
-    m = np.zeros(x.shape[:-2] + (4, 2 * d, d))
-    m[..., 0, :d, :] = np.eye(d)
-    m[..., 1, :d, :] = x.imag
-    m[..., 1, d:, :] = -x.real
-    m1 = _block(m[..., 1, :, :])
-    np.matmul(m1, m[..., 1, :, :], out=m[..., 2, :, :])
-    np.matmul(m1, m[..., 2, :, :], out=m[..., 3, :, :])
-    m4 = _block(m1 @ m[..., 3, :, :])
-    b = _combine(EXP_15, m)
-    col = b[..., 3, :, :]
+    m, b, mb = w.m, w.b, w.r
+    m[:, 1, :d] = x.imag
+    np.negative(x.real, out=m[:, 1, d:])
+    _block(m[:, 1], out=mb)
+    np.matmul(mb, m[:, 1], out=m[:, 2])
+    np.matmul(mb, m[:, 2], out=m[:, 3])
+    np.matmul(mb, m[:, 3], out=w.col)
+    _block(w.col, out=mb)
+    _combine(EXP_15, m, out=b)
     for i in (2, 1, 0):
-        col = b[..., i, :, :] + m4 @ col
-    return col
+        np.matmul(mb, b[:, i + 1], out=w.col)
+        np.add(b[:, i], w.col, out=b[:, i])
+    return b[:, 0]
+
+
+def _step_layout(d: int, real: bool) -> Layout:
+    """The arrays one step of a batch writes into: X, |X| and its column
+    sums, the Taylor powers and products of ``_taylor_real`` (Y^0 .. Y^3,
+    Y^4, the block polynomials and Y^4 times their high halves) or of
+    ``_taylor_complex`` (M^0 .. M^3 as block columns and the Horner
+    blocks), a block column, and the result."""
+    shapes = {"x": ((d, d), float if real else complex), "abs": ((d, d), float), "colsum": ((d,), float)}
+    if real:
+        shapes |= {"y": ((4, d, d), float), "y4": ((d, d), float), "p": ((4, d, d), float),
+                   "q": ((2, d, d), float)}
+    else:
+        shapes |= {"m": ((4, 2 * d, d), float), "b": ((4, 2 * d, d), float)}
+    return shapes | {"col": ((2 * d, d), float), "r": ((2 * d, 2 * d), float)}
+
+
+def _workspace(buf: np.ndarray, layout: Layout, batch: int) -> SimpleNamespace:
+    """``layout`` carved from ``buf`` at ``batch`` trajectories, with the
+    Taylor step's power 0, the identity, written in."""
+    w = _carve(buf, layout, batch)
+    d = w.x.shape[-1]
+    if hasattr(w, "y"):
+        w.y[:, 0] = np.eye(d)
+    else:
+        w.m[:, 0] = np.eye(2 * d, d)
+    return w
+
+
+def _exp_step(w: SimpleNamespace) -> np.ndarray:
+    """exp(-iX) of the batch X in ``w.x`` (scaled in place) into ``w.r``;
+    see ``expm_hermitian_step``."""
+    x = w.x
+    d = x.shape[-1]
+    np.abs(x, out=w.abs)
+    np.sum(w.abs, axis=-2, out=w.colsum)
+    norm = w.colsum.max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm / THETA_15, 1.0))).astype(int)
+    if s.any():
+        x *= np.exp2(-s)[:, None, None]
+    _block(_taylor_real(x, w) if np.isrealobj(x) else _taylor_complex(x, w), out=w.r)
+    for k in range(int(s.max(initial=0))):
+        np.matmul(w.r, w.r[..., :d], out=w.col)
+        _block(w.col, out=w.r, where=(s > k)[:, None, None])
+    return w.r
 
 
 def expm_hermitian_step(x: np.ndarray) -> np.ndarray:
@@ -159,19 +252,95 @@ def expm_hermitian_step(x: np.ndarray) -> np.ndarray:
     matrix (``_taylor_complex``).  Each X is scaled by its own 2^-s into
     |X|_1 <= THETA_15 and its result squared s times, so a matrix's result
     does not depend on its batch-mates; as |X|_2 <= |X|_1 for Hermitian X,
-    the Taylor remainder |X|^16 / 16! is below 2^-53.
+    the Taylor remainder |X|^16 / 16! is below 2^-53.  The step writes
+    every temporary into a workspace of ``_step_layout``, the one a Monte
+    Carlo worker reuses for all its steps; this call makes its own.
     """
-    norm = np.abs(x).sum(axis=-2).max(axis=-1)
-    s = np.ceil(np.log2(np.maximum(norm / THETA_15, 1.0))).astype(int)
-    if s.any():
-        x = x * np.exp2(-s)[..., None, None]
-    r = _block(_taylor_real(x) if np.isrealobj(x) else _taylor_complex(x))
+    x = np.asarray(x)
     d = x.shape[-1]
-    for k in range(int(s.max(initial=0))):
-        sq = s > k
-        rs = r[sq]
-        r[sq] = _block(rs @ rs[..., :d])
-    return r
+    n = math.prod(x.shape[:-2])
+    layout = _step_layout(d, np.isrealobj(x))
+    w = _workspace(np.empty(n * _traj_floats(layout)), layout, n)
+    w.x[...] = x.reshape(n, d, d)
+    return _exp_step(w).reshape(x.shape[:-2] + (2 * d, 2 * d))
+
+
+def _workspace_layout(model: NoiseModel, n_steps: int, n_record: int) -> Layout:
+    """One worker's workspace: under GUE the x half of every step's rows;
+    the rows of one block of steps (the y halves under GUE) and the
+    scratch of their normal draws; one step's rows, and the step's arrays;
+    U and the next U as block columns; and the recorded U."""
+    d = model.dim
+    k = noise_width(model)
+    block = max(1, min(NOISE_BLOCK_STEPS, n_steps))
+    gue = model.ensemble is Ensemble.GUE
+    layout = {"kept": ((n_steps * d * (d + 1) // 2,), float)} if gue else {}
+    return layout | {
+        "block": ((block * (d * (d - 1) // 2 if gue else k),), float),
+        "draws": ((block * d * d,), float),
+        "row": ((k,), float),
+        **_step_layout(d, not gue),
+        "u": ((2 * d, d), float),
+        "u_next": ((2 * d, d), float),
+        "record": ((n_record, d, d), complex),
+    }
+
+
+def workspace_bytes(model: NoiseModel, n_steps: int, n_record: int) -> int:
+    """Bytes per trajectory of a worker's workspace for ``n_steps`` steps
+    that records U at ``n_record`` times."""
+    return 8 * _traj_floats(_workspace_layout(model, n_steps, n_record))
+
+
+def _noise_rows(
+    model: NoiseModel, dt: float, n_steps: int, gens: list[np.random.Generator], w: SimpleNamespace
+) -> Iterator[np.ndarray]:
+    """Each step's noise rows, (n_batch, K) in ``w.row``, drawn a block of
+    steps at a time: per block, one normal draw per trajectory and one
+    gather and scale for the batch, into rows laid out (n_batch, steps,
+    width).  A trajectory's stream is its x draws for every step, then
+    under GUE its y draws, so GUE first draws the x halves of all blocks
+    into ``w.kept`` and then the y halves block by block."""
+    d, batch = model.dim, len(gens)
+    m = d * (d - 1) // 2
+    length = w.draws.shape[1] // (d * d)
+    draws = w.draws.reshape(-1)
+    gue = model.ensemble is Ensemble.GUE
+
+    def rows(buf: np.ndarray, s0: int, n: int, width: int) -> np.ndarray:
+        return buf.reshape(-1)[batch * s0 * width:batch * (s0 + n) * width].reshape(batch, n, width)
+
+    if gue:
+        for s0 in range(0, n_steps, length):
+            n = min(length, n_steps - s0)
+            sample_noise_sequence(model, dt, n, gens, rows(w.kept, s0, n, m + d),
+                                  half="x", scratch=draws)
+    for s0 in range(0, n_steps, length):
+        n = min(length, n_steps - s0)
+        block = rows(w.block, 0, n, m if gue else w.row.shape[1])
+        sample_noise_sequence(model, dt, n, gens, block, half="y" if gue else None, scratch=draws)
+        if gue:
+            kept = rows(w.kept, s0, n, m + d)
+        for j in range(n):
+            if gue:
+                w.row[:, :m] = kept[:, j, :m]
+                w.row[:, m:2 * m] = block[:, j]
+                w.row[:, 2 * m:] = kept[:, j, m:]
+            else:
+                w.row[:] = block[:, j]
+            yield w.row
+
+
+def _step(
+    model: NoiseModel, h0: np.ndarray, dt: float, rows: np.ndarray, u: np.ndarray,
+    w: SimpleNamespace, out: np.ndarray,
+) -> np.ndarray:
+    """exp(-i (H0 + eta) dt) U into ``out`` for the batch's noise rows (n_batch,
+    K), with U as block columns and every temporary in the workspace ``w``."""
+    x = noise_slices(model, rows, out=w.x)
+    np.add(h0, x, out=x)
+    np.multiply(x, dt, out=x)
+    return np.matmul(_exp_step(w), u, out=out)
 
 
 def _evolve_recorded(
@@ -180,39 +349,36 @@ def _evolve_recorded(
     dt: float,
     record_steps: np.ndarray,
     gens: list[np.random.Generator],
-    eta: np.ndarray,
+    w: SimpleNamespace,
 ) -> tuple[np.ndarray, float]:
-    """Evolve a batch of trajectories, returning U at the recorded step
-    indices with shape (n_batch, n_record, D, D) and the batch's largest
-    unitarity drift max |U+U - 1| at the last step.  The noise is drawn into
-    ``eta`` (at least n_batch x n_steps x K float64, K = ``noise_width(model)``,
-    overwritten) as rows of independent entries, and each step expands its
-    rows into the batch's full slices.  U is carried as its real block column
-    [Re U; Im U]."""
+    """Evolve a batch of trajectories in the workspace ``w`` (a
+    ``_workspace_layout`` at n_batch = len(gens) trajectories), returning U
+    at the recorded step indices, ``w.record`` of shape (n_batch, n_record,
+    D, D), and the batch's largest unitarity drift max |U+U - 1| at the last
+    step.  Each step expands its noise rows into the batch's full slices.  U
+    is carried as its real block column [Re U; Im U]."""
     d = energies.size
-    n_steps = int(record_steps.max())
-    batch = len(gens)
-    eta = eta[:batch, :n_steps]
-    for b, gen in enumerate(gens):
-        sample_noise_sequence(model, dt, n_steps, gen, out=eta[b])
-    u = np.zeros((batch, 2 * d, d))
-    u[:, :d] = np.eye(d)
-    out = np.empty((batch, record_steps.size, d, d), dtype=complex)
+    h0 = np.diag(energies).astype(w.x.dtype)
+    u, u_next = w.u, w.u_next
+    u[:] = np.eye(2 * d, d)
     rec = {step: k for k, step in enumerate(record_steps)}
-    h0 = np.diag(energies)
-    for n in range(n_steps + 1):
-        if n:
-            x = h0 + noise_slices(model, eta[:, n - 1])
-            x *= dt
-            u = expm_hermitian_step(x) @ u
+
+    def record(n):
         if n in rec:
-            out[:, rec[n]].real = u[:, :d]
-            out[:, rec[n]].imag = u[:, d:]
+            w.record[:, rec[n]].real = u[:, :d]
+            w.record[:, rec[n]].imag = u[:, d:]
+
+    record(0)
+    n_steps = int(record_steps.max())
+    for n, rows in enumerate(_noise_rows(model, dt, n_steps, gens, w), start=1):
+        _step(model, h0, dt, rows, u, w, out=u_next)
+        u, u_next = u_next, u
+        record(n)
     u = u[:, :d] + 1j * u[:, d:]
     drift = float(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)).max())
     if drift > 1e-8:
         raise UnitarityError(f"unitarity drift {drift:.2e} exceeds 1e-8")
-    return out, drift
+    return w.record, drift
 
 
 def grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
@@ -223,14 +389,13 @@ def grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
     return steps
 
 
-def chunk_bounds(n_traj: int, n_steps: int, width: int, threads: int = 1) -> list[tuple[int, int]]:
+def chunk_bounds(n_traj: int, traj_bytes: int, threads: int = 1) -> list[tuple[int, int]]:
     """Split trajectories 0..n_traj into chunks of equal size (to within one)
     whose count is a multiple of ``threads``, so every thread gets the same
-    work, and small enough that the noise of ``threads`` chunks running at
-    once, n_steps rows of ``width`` float64 entries per trajectory, fits
-    ``NOISE_BUDGET_BYTES``.  There are never more chunks than trajectories."""
-    per_traj = n_steps * width * 8
-    cap = max(1, int(NOISE_BUDGET_BYTES / (threads * per_traj)))
+    work, and small enough that the workspaces of ``threads`` chunks running
+    at once, ``traj_bytes`` per trajectory, fit ``WORKSPACE_BUDGET_BYTES``.
+    There are never more chunks than trajectories."""
+    cap = max(1, int(WORKSPACE_BUDGET_BYTES / (threads * traj_bytes)))
     n_chunks = min(n_traj, threads * -(-n_traj // (threads * cap)))
     return [(n_traj * k // n_chunks, n_traj * (k + 1) // n_chunks) for k in range(n_chunks)]
 
@@ -332,29 +497,31 @@ def estimate_observables(
     if steps.max() > cfg.n_steps:
         raise ValueError("t_grid extends beyond cfg.t_max")
     threads = max(1, threads)
-    n_steps = int(steps.max())
-    width = noise_width(model)
-    bounds = chunk_bounds(cfg.n_traj, max(n_steps, 1), width, threads)
+    layout = _workspace_layout(model, int(steps.max()), steps.size)
+    bounds = chunk_bounds(cfg.n_traj, 8 * _traj_floats(layout), threads)
     values = {key: np.empty((cfg.n_traj, steps.size), dtype=complex) for key in observables}
-    # Worker w runs chunks w, w + workers, ... in its own noise buffer.  The
-    # buffers are allocated here: were each worker to allocate its own,
+    # Worker w runs chunks w, w + workers, ... in its own workspace.  The
+    # workspaces are allocated here: were each worker to allocate its own,
     # every call's fresh pool threads would hold tens of MB in per-thread
     # malloc arenas, and a thread starting before the last call's threads
     # have released theirs gets a new arena, so peak memory would depend on
     # thread timing.
     workers = min(threads, len(bounds))
     largest = max(hi - lo for lo, hi in bounds)
-    buffers = [np.empty((largest, n_steps, width)) for _ in range(workers)]
+    buffers = [np.empty(largest * _traj_floats(layout)) for _ in range(workers)]
 
-    def run_share(w: int, eta: np.ndarray) -> float:
+    def run_share(w: int, buf: np.ndarray) -> float:
         drifts = []
         for lo, hi in bounds[w::workers]:
             # Trajectory k's seed is child k of SeedSequence(cfg.seed).spawn(n_traj).
             gens = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
                     for k in range(lo, hi)]
-            u_rec, drift = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens, eta)
+            work = _workspace(buf, layout, hi - lo)
+            u_rec, drift = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens, work)
             for key, value in observables.items():
-                values[key][lo:hi] = value(u_rec)
+                for a in range(lo, hi, OBSERVABLE_BATCH):
+                    b = min(a + OBSERVABLE_BATCH, hi)
+                    values[key][a:b] = value(u_rec[a - lo:b - lo])
             drifts.append(drift)
         return max(drifts)
 

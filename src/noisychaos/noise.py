@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple, Union
 
@@ -182,8 +183,11 @@ def sample_noise_sequence(
     model: NoiseModel,
     dt: float,
     n_steps: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     out: np.ndarray | None = None,
+    *,
+    half: str | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """n_steps independent time slices of the regularized noise matrix, each
     as its K = ``noise_width(model)`` independent entries.
@@ -194,36 +198,66 @@ def sample_noise_sequence(
     variance lambda_ij/(2 dt), GOE off-diagonals have variance
     lambda_ij/(2 dt), diagonals have variance lambda_ii/dt in both cases.
 
-    The rows are written into ``out`` (n_steps x K float64) when it is
-    given, else into a new array; ``noise_slices`` expands them.  A row
-    holds sigma_ij x_ij for i < j in ``np.triu_indices`` order, then under
-    GUE sigma_ij y_ij in the same order, then sigma_ii x_ii: the slice is
-    sigma_ij (x + i y)_ij above the diagonal and sigma_ii x_ii on it.  The
+    The rows are written into ``out`` (n_steps x K float64, of any strides)
+    when it is given, else into a new array; ``noise_slices`` expands them.
+    A row holds sigma_ij x_ij for i < j in ``np.triu_indices`` order, then
+    under GUE sigma_ij y_ij in the same order, then sigma_ii x_ii: the slice
+    is sigma_ij (x + i y)_ij above the diagonal and sigma_ii x_ii on it.  The
     stream is one full D x D normal draw x for all slices, then y for GUE;
     the entries below the diagonal are drawn and discarded, so the stream,
     and with it every Monte Carlo estimate at a given seed, is the one a
     sampler of full slices draws.
+
+    ``rng`` may also be a sequence of generators, each drawing its own
+    n_steps slices; ``out`` then has a leading axis over them.  Under GUE,
+    ``half="x"`` draws only x and writes the x half of each row, its upper
+    triangle then its diagonal (D(D+1)/2 entries), and ``half="y"`` draws
+    only y and writes the y half (D(D-1)/2 entries); a full GUE row is the
+    two halves.  A generator's consecutive calls continue its stream, so
+    all its x halves in pieces of steps, then its y halves in pieces, draw
+    the stream of one call.  The normal draws are made in ``scratch``,
+    float64 with room for n_generators x n_steps x D^2 entries, allocated
+    when not given; an ``out`` given with a half, or under GOE, is written
+    without a copy when it is C-contiguous.
     """
     if dt <= 0.0:
         raise InvalidStepError(f"dt must be positive, got {dt}")
+    gue = model.ensemble is Ensemble.GUE
+    if half not in ((None, "x", "y") if gue else (None,)):
+        raise ValueError(f"half={half!r} is not None, or 'x' or 'y' under GUE")
     d = model.dim
-    lam = model.lambda_matrix()
     iu, ju = np.triu_indices(d, k=1)
     m = iu.size
-    sig_up = np.sqrt(lam[iu, ju] / (2.0 * dt))
-    sig_diag = np.sqrt(np.diag(lam) / dt)
+    if gue and half is None:
+        x = sample_noise_sequence(model, dt, n_steps, rng, half="x", scratch=scratch)
+        y = sample_noise_sequence(model, dt, n_steps, rng, half="y", scratch=scratch)
+        if out is None:
+            out = np.empty(x.shape[:-1] + (d * d,))
+        out[..., :m] = x[..., :m]
+        out[..., m : 2 * m] = y
+        out[..., 2 * m :] = x[..., m:]
+        return out
+    single = isinstance(rng, np.random.Generator)
+    gens = [rng] if single else list(rng)
+    lam = model.lambda_matrix()
+    # Each slice's draw as a flat row: the upper triangle, then the diagonal
+    # every (D+1)-th entry, is one gather.
+    index = iu * d + ju
+    sigma = np.sqrt(lam[iu, ju] / (2.0 * dt))
+    if half != "y":
+        index = np.concatenate([index, np.arange(0, d * d, d + 1)])
+        sigma = np.concatenate([sigma, np.sqrt(np.diag(lam) / dt)])
     if out is None:
-        out = np.empty((n_steps, noise_width(model)))
-
-    # Each slice's draw as a flat row: the upper triangle is a gather, the
-    # diagonal every (D+1)-th entry.
-    upper = iu * d + ju
-    x = rng.standard_normal((n_steps, d * d))
-    np.multiply(np.take(x, upper, axis=1), sig_up, out=out[:, :m])
-    if model.ensemble is Ensemble.GUE:
-        y = rng.standard_normal((n_steps, d * d))
-        np.multiply(np.take(y, upper, axis=1), sig_up, out=out[:, m:2 * m])
-    np.multiply(x[:, :: d + 1], sig_diag, out=out[:, -d:])
+        out = np.empty(((n_steps,) if single else (len(gens), n_steps)) + (index.size,))
+    n = len(gens) * n_steps * d * d
+    if scratch is None:
+        scratch = np.empty(n)
+    draws = scratch[:n].reshape(len(gens), n_steps, d * d)
+    for gen, draw in zip(gens, draws):
+        gen.standard_normal(out=draw)
+    rows = out[None] if single else out
+    np.take(draws, index, axis=-1, out=rows, mode="wrap")
+    np.multiply(rows, sigma, out=rows)
     return out
 
 
@@ -247,16 +281,20 @@ def _expansion(dim: int, gue: bool) -> tuple[np.ndarray, np.ndarray | None]:
     return np.stack([real, imag], axis=-1).ravel(), sign.ravel()
 
 
-def noise_slices(model: NoiseModel, rows: np.ndarray) -> np.ndarray:
+def noise_slices(model: NoiseModel, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The full slices (..., D, D), complex Hermitian for GUE and real
     symmetric for GOE, of rows (..., K) laid out as ``sample_noise_sequence``
     writes them: one gather, and under GUE one sign product, which gives
-    the diagonal an imaginary part of zero (of either sign)."""
+    the diagonal an imaginary part of zero (of either sign).  They are
+    written into ``out`` (C-contiguous) when it is given; rows that are
+    C-contiguous are gathered without a copy."""
     d = model.dim
     gue = model.ensemble is Ensemble.GUE
     index, sign = _expansion(d, gue)
-    full = np.take(rows, index, axis=-1)
+    if out is None:
+        out = np.empty(rows.shape[:-1] + (d, d), dtype=complex if gue else float)
+    flat = out.view(float).reshape(rows.shape[:-1] + (-1,))
+    np.take(rows, index, axis=-1, out=flat, mode="wrap")
     if gue:
-        full *= sign
-        full = full.view(complex)
-    return full.reshape(rows.shape[:-1] + (d, d))
+        np.multiply(flat, sign, out=flat)
+    return out

@@ -2,7 +2,8 @@
 L1 and its dense D^2 x D^2 matrix, a matrix exponential by scaling and
 squaring, the forced linear solve of the channel's populations, the dense
 D^2 x D^2 superoperator and Choi matrix of a channel, the
-8 x 8 two-replica generator M, one full Monte Carlo trajectory, the
+8 x 8 two-replica generator M, one full Monte Carlo trajectory and the
+estimates of a whole run, each drawing its noise up front, the
 effective Hamiltonian, level-spacing statistics, the return probability
 of a general partition, and the Krylov moments and moment recursion in
 ``fractions.Fraction``.
@@ -29,8 +30,8 @@ from noisychaos import (
 )
 from noisychaos.channel_two import UnsupportedDimensionError
 from noisychaos.krylov import LanczosBreakdownError
-from noisychaos.montecarlo import _evolve_recorded, validate_step
-from noisychaos.noise import noise_width
+from noisychaos.montecarlo import expm_hermitian_step, grid_steps, validate_step
+from noisychaos.noise import noise_slices, sample_noise_sequence
 
 
 @dataclass(frozen=True)
@@ -166,15 +167,53 @@ def build_M(D: int, J: float, w: complex) -> np.ndarray:
     return m
 
 
+def _evolve_batch(
+    energies: np.ndarray, model: NoiseModel, dt: float, n_steps: int, gens: list
+) -> np.ndarray:
+    """U(t_n), n = 0..n_steps, of a batch of trajectories, shape (batch,
+    n_steps + 1, D, D): each draws its whole noise stream in one piece, as
+    one ``sample_noise_sequence`` call, before the batch steps by
+    ``expm_hermitian_step`` from the full slices."""
+    d = energies.size
+    eta = noise_slices(model, np.stack([sample_noise_sequence(model, dt, n_steps, g) for g in gens]))
+    h0 = np.diag(energies)
+    u = np.zeros((len(gens), 2 * d, d))
+    u[:, :d] = np.eye(d)
+    out = np.empty((len(gens), n_steps + 1, d, d), dtype=complex)
+    for n in range(n_steps + 1):
+        if n:
+            x = h0 + eta[:, n - 1]
+            x *= dt
+            u = expm_hermitian_step(x) @ u
+        out[:, n].real = u[:, :d]
+        out[:, n].imag = u[:, d:]
+    return out
+
+
 def evolve_trajectory(
     spec: Spectrum, model: NoiseModel, cfg: TrajectoryConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """One full trajectory: U(t_n) for n = 0..n_steps, shape (n+1, D, D)."""
     validate_step(model, cfg.dt)
-    steps = np.arange(cfg.n_steps + 1)
-    eta = np.empty((1, cfg.n_steps, noise_width(model)))
-    u_rec, _ = _evolve_recorded(spec.energies, model, cfg.dt, steps, [rng], eta)
-    return u_rec[0]
+    return _evolve_batch(spec.energies, model, cfg.dt, cfg.n_steps, [rng])[0]
+
+
+def reference_estimates(
+    spec: Spectrum, model: NoiseModel, cfg: TrajectoryConfig, t_grid, observables: dict
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The (mean, standard error) of each observable over all trajectories
+    in one batch, each drawing its whole stream up front from child k of
+    the seed: the reference for ``estimate_observables``."""
+    steps = grid_steps(t_grid, cfg.dt)
+    gens = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)]
+    u = _evolve_batch(spec.energies, model, cfg.dt, int(steps.max()), gens)[:, steps]
+    n = cfg.n_traj
+    out = {}
+    for key, value in observables.items():
+        v = np.empty((n, steps.size), dtype=complex)
+        v[:] = value(u)
+        out[key] = (v.mean(axis=0), v.std(axis=0, ddof=1) / np.sqrt(n))
+    return out
 
 
 def effective_hamiltonian(spec: Spectrum, J: float, t: float) -> Spectrum:

@@ -294,6 +294,23 @@ class TestExceptionalGoePair:
         assert np.max(np.abs(deriv - expected)) < 1e-8
 
 
+class TestNearExceptionalPair:
+    # E = (0, 1/8 - eps, 1/2, 1) under constant GOE noise, J = 1, D = 4:
+    # the pair (0, 1) has |delta| = lambda_01/2 - eps, so 0 < q^2 << lambda^2
+    # and (e+ - e-)/(2q) would cancel, by 2.4e-11 at eps = 1e-14.
+    @pytest.mark.parametrize("eps", [1e-14, 1e-9])
+    def test_channel_is_exponential_of_generator(self, eps):
+        spec = Spectrum(np.array([0.0, 0.125 - eps, 0.5, 1.0]))
+        model = goe_constant(1.0, 4)
+        p = goe_params(spec, model)
+        k = pair(p, 0, 1)
+        assert 0.0 < p.q[k] < 1e-3
+        dense = dense_generator(build_L1(spec, model))
+        for t in (0.5, 2.0, 8.0):
+            ch = u1_goe_general(spec, model, t)
+            assert np.max(np.abs(dense_superoperator(ch) - expm(dense * t))) <= 1e-13
+
+
 class TestLargeGoeJ:
     def test_finite_at_huge_J(self, spec4, rng):
         # lambda^2 overflows near J ~ 5e154 at D = 4; |q| is taken without it.

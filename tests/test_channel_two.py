@@ -151,6 +151,21 @@ class TestOtoc:
         with pytest.raises(ValueError):
             otoc(spec5, 1.0, 1.0, a, b)
 
+    @pytest.mark.parametrize("which", ["A", "B"])
+    def test_hermitian_precondition_is_absolute(self, spec5, rng, which):
+        # Each operator is refused once an entry of op - op+ exceeds 1e-10,
+        # the absolute rule of the trace check, whatever the operator's size.
+        ops = {k: 1e3 * random_hermitian(5, rng, traceless=True) for k in "AB"}
+        for skew, refused in ((2e-10, True), (5e-11, False)):
+            op = ops[which].astype(complex)
+            op[0, 1] += skew
+            args = {**ops, which: op}
+            if refused:
+                with pytest.raises(ValueError, match=f"{which} must be Hermitian"):
+                    otoc(spec5, 1.0, 1.0, args["A"], args["B"])
+            else:
+                assert np.isfinite(otoc(spec5, 1.0, 1.0, args["A"], args["B"]))
+
     @pytest.mark.parametrize("shape", [(15,), (3, 5)])
     def test_phases_match_dense(self, shape):
         # The traces take B_t from D phases per point.  At J = 0 the OTOC

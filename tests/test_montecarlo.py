@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,15 +40,17 @@ from noisychaos import (
 )
 from noisychaos import montecarlo
 from noisychaos.montecarlo import (
-    NOISE_BUDGET_BYTES,
     THETA_15,
+    WORKSPACE_BUDGET_BYTES,
     chunk_bounds,
     expm_hermitian_step,
     validate_step,
+    workspace_bytes,
 )
+from noisychaos.noise import noise_width
 
 from conftest import random_hermitian
-from oracles import evolve_trajectory
+from oracles import evolve_trajectory, reference_estimates
 
 T_GRID = np.linspace(0.0, 1.0, 5)
 
@@ -160,20 +163,48 @@ class TestPadeStep:
 
     @pytest.mark.parametrize("make, width", [(gue_constant, 16), (goe_constant, 10)])
     def test_noise_buffers_follow_ensemble(self, spec4, monkeypatch, make, width):
-        # The noise buffers hold only a slice's independent real entries:
-        # D^2 under GUE, D(D+1)/2 under GOE, as float64.
+        # The noise is drawn a block of 7 steps at a time for each chunk's
+        # batch, as float64 rows of a slice's independent real entries: the
+        # D^2 = 16 of a GUE row as its x half, upper triangle and diagonal
+        # (10), for every step first, then its y half (6) per block; the
+        # D(D+1)/2 = 10 of a GOE row per block.  6 trajectories on 2
+        # threads run as 2 chunks of 3, of 500 steps each.
         seen = []
         sample = montecarlo.sample_noise_sequence
 
-        def recording(model, dt, n_steps, rng, out=None):
-            seen.append((out.shape[1:], out.dtype))
-            return sample(model, dt, n_steps, rng, out=out)
+        def recording(model, dt, n_steps, rng, out=None, *, half=None, scratch=None):
+            seen.append((half, len(rng), out.shape, out.dtype))
+            return sample(model, dt, n_steps, rng, out, half=half, scratch=scratch)
 
         monkeypatch.setattr(montecarlo, "sample_noise_sequence", recording)
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_STEPS", 7)
         run = estimate_observables(spec4, make(1.0, 4), small_cfg(6), T_GRID,
                                    {"sff": sff_observable()}, threads=2)
-        assert seen == [((width,), np.dtype(float))] * 6
+        blocks = [7] * 71 + [3]
+        halves = [("x", (width + 4) // 2), ("y", (width - 4) // 2)] if make is gue_constant else [(None, width)]
+        per_chunk = [(half, 3, (3, n, width), np.dtype(float)) for half, width in halves for n in blocks]
+        assert sorted(seen, key=str) == sorted(per_chunk * 2, key=str)
         assert 0.0 < run.max_drift <= 1e-8
+
+    @pytest.mark.parametrize("block", [1, 4, 5, 7, 30])
+    @pytest.mark.parametrize("n_steps", [1, 20])
+    @pytest.mark.parametrize("make", [gue_constant, goe_constant])
+    def test_block_rows_equal_one_draw(self, monkeypatch, make, n_steps, block):
+        # The rows each step reads, drawn a block at a time for a batch,
+        # are those of one sample_noise_sequence call per trajectory, bit
+        # for bit: blocks that divide n_steps, that do not, and that are
+        # longer than it.
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_STEPS", block)
+        model = make(1.3, 5)
+        layout = montecarlo._workspace_layout(model, n_steps, 2)
+        work = montecarlo._workspace(np.full(3 * montecarlo.workspace_bytes(model, n_steps, 2) // 8, np.nan),
+                                     layout, 3)
+        gens = [np.random.default_rng(s) for s in (4, 5, 6)]
+        rows = [r.copy() for r in montecarlo._noise_rows(model, 0.01, n_steps, gens, work)]
+        assert len(rows) == n_steps
+        expected = [montecarlo.sample_noise_sequence(model, 0.01, n_steps, np.random.default_rng(s))
+                    for s in (4, 5, 6)]
+        assert np.array_equal(np.stack(rows, axis=1), np.stack(expected))
 
 
 class TestEstimators:
@@ -287,8 +318,9 @@ class TestReproducibility:
     def test_thread_count_invariant_uneven_chunks(self, spec4, rng):
         # 61 trajectories split unevenly over 2 and 3 threads.
         cfg = small_cfg(61)
+        traj_bytes = workspace_bytes(gue_constant(1.0, 4), cfg.n_steps, T_GRID.size)
         for threads in (2, 3):
-            assert len(chunk_bounds(cfg.n_traj, cfg.n_steps, 16, threads)) > 1
+            assert len(chunk_bounds(cfg.n_traj, traj_bytes, threads)) > 1
         a = random_hermitian(4, rng, traceless=True)
         b = random_hermitian(4, rng, traceless=True)
         observables = {"sff": sff_observable(), "otoc": otoc_observable(a, b)}
@@ -304,13 +336,14 @@ class TestReproducibility:
 
     def test_each_worker_reuses_its_noise_buffer(self, spec4, monkeypatch):
         # A one-byte budget makes every trajectory its own chunk, so each of
-        # the 4 workers reuses its own noise buffer for 3 one-trajectory
+        # the 4 workers reuses its own workspace for 3 one-trajectory
         # chunks; a short switch interval interleaves the workers as often as
-        # it can.  A buffer two workers shared would mix their noise.
-        monkeypatch.setattr(montecarlo, "NOISE_BUDGET_BYTES", 1.0)
+        # it can.  A workspace two workers shared would mix their noise.
+        monkeypatch.setattr(montecarlo, "WORKSPACE_BUDGET_BYTES", 1.0)
         cfg = small_cfg(12, dt=1e-2)
         model = gue_constant(1.0, 4)
-        assert len(chunk_bounds(cfg.n_traj, cfg.n_steps, 16, 4)) == 12
+        traj_bytes = workspace_bytes(model, cfg.n_steps, T_GRID.size)
+        assert len(chunk_bounds(cfg.n_traj, traj_bytes, 4)) == 12
         serial = estimate_sff(spec4, model, cfg, T_GRID, threads=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -369,28 +402,137 @@ class TestSharedSimulation:
             assert np.array_equal(shared.series[key].values, series.values)
             assert np.array_equal(shared.series[key].stderr, series.stderr)
 
-    # widths: GUE D = 4, 8, 32 (D^2) and GOE D = 16 (D(D+1)/2)
+    # widths: GUE D = 4, 8, 32 (D^2) and GOE D = 16 (D(D+1)/2), each
+    # recording U at 4 times
     @pytest.mark.parametrize("n_traj, n_steps, width, threads", [
         (61, 400, 16, 1), (61, 400, 16, 3), (256, 200, 64, 2), (128, 200, 136, 2),
         (1000, 1000, 1024, 4), (3, 10, 16, 8),
     ])
     def test_chunk_bounds_balanced_within_budget(self, n_traj, n_steps, width, threads):
-        bounds = chunk_bounds(n_traj, n_steps, width, threads)
+        model = {16: gue_constant(1.0, 4), 64: gue_constant(1.0, 8), 136: goe_constant(1.0, 16),
+                 1024: gue_constant(1.0, 32)}[width]
+        assert noise_width(model) == width
+        traj_bytes = workspace_bytes(model, n_steps, 4)
+        bounds = chunk_bounds(n_traj, traj_bytes, threads)
         assert bounds[0][0] == 0 and bounds[-1][1] == n_traj
         assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
         sizes = [hi - lo for lo, hi in bounds]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
         if n_traj >= threads:
             assert len(bounds) % threads == 0
-        concurrent = min(threads, len(bounds)) * max(sizes) * n_steps * width * 8
-        assert max(sizes) == 1 or concurrent <= NOISE_BUDGET_BYTES
+        concurrent = min(threads, len(bounds)) * max(sizes) * traj_bytes
+        assert max(sizes) == 1 or concurrent <= WORKSPACE_BUDGET_BYTES
+
+    @pytest.mark.parametrize("make, dim, n_traj, n_steps, n_record", [
+        (gue_constant, 3, 17, 97, 4), (gue_constant, 8, 256, 200, 4), (goe_constant, 5, 9, 50, 1),
+        (goe_constant, 16, 128, 200, 4),
+    ])
+    def test_workspace_bytes_count_every_array(self, make, dim, n_traj, n_steps, n_record):
+        # The budget counts all a workspace holds: under GUE the x half of
+        # every step's rows, a block's rows and the scratch of their draws,
+        # a step's rows, the step's arrays, U, the next U and the recorded U.  Each array
+        # of a chunk is a C-contiguous view of the buffer the worker
+        # allocated for its largest chunk, and no two overlap.
+        model = make(1.0, dim)
+        traj_bytes = workspace_bytes(model, n_steps, n_record)
+        d, k, block = dim, noise_width(model), min(montecarlo.NOISE_BLOCK_STEPS, n_steps)
+        gue = make is gue_constant
+        kept = n_steps * d * (d + 1) // 2 if gue else 0
+        noise = block * (d * (d - 1) // 2 if gue else k) + block * d * d + k
+        # X, |X| and its column sums, the Taylor arrays, a block column, the result
+        step = (2 + 1 + 8 + 8) * d * d if gue else (1 + 1 + 4 + 1 + 4 + 2) * d * d
+        step += d + (2 + 4) * d * d
+        floats = kept + noise + step + 2 * 2 * d * d + 2 * n_record * d * d
+        assert floats * 8 <= traj_bytes <= (floats + 16) * 8
+        buf = np.empty(traj_bytes // 8 * n_traj)
+        for batch in (n_traj, n_traj - 1):
+            work = montecarlo._workspace(buf, montecarlo._workspace_layout(model, n_steps, n_record), batch)
+            arrays = list(vars(work).values())
+            assert all(a.flags.c_contiguous and np.shares_memory(a, buf) for a in arrays)
+            assert not any(np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+            assert work.record.shape == (batch, n_record, d, d) and work.record.dtype == complex
+
+    def test_bench_chunking_unchanged(self):
+        # The oracle configs the benchmark runs on 2 threads: GUE D = 8 with
+        # 256 trajectories and GOE D = 16 with 128, 200 steps, U recorded at
+        # 4 times, in two chunks each.
+        for make, dim, n_traj, size in ((gue_constant, 8, 256, 128), (goe_constant, 16, 128, 64)):
+            bounds = chunk_bounds(n_traj, workspace_bytes(make(1.0, dim), 200, 4), 2)
+            assert [hi - lo for lo, hi in bounds] == [size, size]
 
     def test_single_thread_buffer_below_mmap_cap(self):
         # glibc maps an allocation above 32 MiB afresh on every call and
         # unmaps it on free, so such a buffer faults in every page each call
-        # (GUE D = 8, 512 trajectories of 200 steps: 52 MB in one chunk).
-        sizes = [hi - lo for lo, hi in chunk_bounds(512, 200, 64, 1)]
-        assert max(sizes) * 200 * 64 * 8 < 2**25
+        # (GUE D = 8, 512 trajectories of 200 steps: 57 MB in one chunk).
+        traj_bytes = workspace_bytes(gue_constant(1.0, 8), 200, 4)
+        sizes = [hi - lo for lo, hi in chunk_bounds(512, traj_bytes, 1)]
+        assert 512 * traj_bytes > 2**25
+        assert max(sizes) * traj_bytes < 2**25
+
+    @pytest.mark.parametrize("make", [gue_constant, goe_constant])
+    @pytest.mark.parametrize("block", [6, 25])
+    def test_estimates_equal_up_front_reference(self, spec4, rng, monkeypatch, make, block):
+        # Noise drawn a block at a time, in a workspace per worker, and
+        # observables reduced 16 trajectories at a time give the estimates
+        # of streams drawn in one piece and stepped and reduced in one
+        # batch, bit for bit, at every thread count; 37 steps of dt = 0.01
+        # to 0.37 leave a ragged last block, and chunks of 37, 19 and 13
+        # trajectories ragged last reductions.
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_STEPS", block)
+        model = make(1.0, 4)
+        cfg = TrajectoryConfig(dt=0.01, t_max=0.37, n_traj=37, seed=8)
+        t = np.array([0.0, 0.12, 0.25, 0.37])
+        o = random_hermitian(4, rng)
+        a = random_hermitian(4, rng, traceless=True)
+        b = random_hermitian(4, rng, traceless=True)
+        observables = {"sff": sff_observable(), "two_point": two_point_observable(o),
+                       "otoc": otoc_observable(a, b), "transfer": transfer_observable(0, 1)}
+        expected = reference_estimates(spec4, model, cfg, t, observables)
+        for threads in (1, 2, 3):
+            run = estimate_observables(spec4, model, cfg, t, observables, threads=threads)
+            for key, (values, stderr) in expected.items():
+                assert np.array_equal(run.series[key].values, values)
+                assert np.array_equal(run.series[key].stderr, stderr)
+
+    def test_traced_peak_of_oracle_call(self, monkeypatch):
+        # GOE D = 16, 128 trajectories of 200 steps on 2 threads: the two
+        # workspaces (12.3 MB) and the values, 13.4 MB; drawing each chunk's
+        # noise up front took 34 MB.
+        spec = sample_gue_spectrum(16, np.random.default_rng(1))
+        cfg = TrajectoryConfig(dt=0.005, t_max=1.0, n_traj=128, seed=3)
+        t = np.array([0.25, 0.5, 0.75, 1.0])
+        tracemalloc.start()
+        try:
+            estimate_observables(spec, goe_constant(1.0, 16), cfg, t, {"sff": sff_observable()}, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("make", [gue_constant, goe_constant])
+    def test_step_loop_does_not_allocate(self, make):
+        # Once a chunk's workspace is carved, its noise blocks and steps
+        # allocate no array of the batch's size, only numpy's iteration
+        # buffers of at most 64 KiB an operand: at 256 trajectories of D = 8
+        # the traced peak of 60 steps stays below half a (256, 2D, 2D) block
+        # form, 512 KiB.
+        model, batch = make(1.0, 8), 256
+        layout = montecarlo._workspace_layout(model, 60, 1)
+        work = montecarlo._workspace(np.empty(batch * workspace_bytes(model, 60, 1) // 8), layout, batch)
+        gens = [np.random.default_rng(s) for s in range(batch)]
+        h0 = np.diag(np.linspace(-1.0, 1.0, 8)).astype(work.x.dtype)
+        work.u[:] = np.eye(16, 8)
+        tracemalloc.start()
+        try:
+            for rows in montecarlo._noise_rows(model, 0.01, 60, gens, work):
+                montecarlo._step(model, h0, 0.01, rows, work.u, work, out=work.u_next)
+                work.u[:] = work.u_next
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < batch * 16 * 16 * 8 / 2, f"traced peak {peak} B"
+        u = work.u[:, :8] + 1j * work.u[:, 8:]
+        assert np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(8)).max() <= 1e-12
 
 
 class TestConvergence:

@@ -14,6 +14,7 @@ from noisychaos import (
     noise_slices,
     sample_noise_sequence,
 )
+from noisychaos.noise import noise_width
 
 
 def reference_noise_sequence(model, dt, n_steps, rng):
@@ -183,3 +184,39 @@ class TestFrozenStream:
         assert np.shares_memory(into, buf)
         assert np.array_equal(noise_slices(model, buf[1, :30]), expected)
         assert np.isnan(buf[0]).all() and np.isnan(buf[1, 30:]).all()
+
+    @pytest.mark.parametrize("pieces", [(4, 4, 4), (5, 5, 2), (12,), (1,)])
+    @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+    def test_pieces_of_a_batch_continue_the_stream(self, ensemble, pieces):
+        # A batch of generators drawing their rows in pieces of steps, under
+        # GUE all x halves first, then the y halves, draws each generator's
+        # stream of one call: the rows are those of one call per generator.
+        model = NoiseModel(ensemble, MatrixProfile(self.LAMBDA), 5)
+        gens = [np.random.default_rng(s) for s in (11, 12, 13)]
+        scratch = np.empty(3 * max(pieces) * 25)
+
+        def draw(half):
+            return np.concatenate([sample_noise_sequence(model, 0.01, n, gens, half=half, scratch=scratch)
+                                   for n in pieces], axis=1)
+
+        if ensemble is Ensemble.GUE:
+            x, y = draw("x"), draw("y")
+            assert x.shape == (3, sum(pieces), 15) and y.shape == (3, sum(pieces), 10)
+            rows = np.concatenate([x[..., :10], y, x[..., 10:]], axis=-1)
+        else:
+            rows = draw(None)
+        one_call = [sample_noise_sequence(model, 0.01, sum(pieces), np.random.default_rng(s))
+                    for s in (11, 12, 13)]
+        assert np.array_equal(rows, np.stack(one_call))
+        # a strided out, as a step-major layout would give, gets the same rows
+        strided = np.full((sum(pieces), 3, noise_width(model)), np.nan)
+        sample_noise_sequence(model, 0.01, sum(pieces), [np.random.default_rng(s) for s in (11, 12, 13)],
+                              strided.transpose(1, 0, 2))
+        assert np.array_equal(strided.transpose(1, 0, 2), rows)
+
+    def test_half_needs_gue(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="half"):
+            sample_noise_sequence(goe_constant(1.0, 3), 0.01, 2, rng, half="x")
+        with pytest.raises(ValueError, match="half"):
+            sample_noise_sequence(gue_constant(1.0, 3), 0.01, 2, rng, half="z")
