@@ -2,11 +2,14 @@
 Carlo pipelines, write series artifacts and a summary with any oracle
 comparisons.
 
+``CONFIG`` is the only config schema; ``resolve`` walks a config against it
+once, into the flat dict of values that the scan reads and summary.json records.
+
 ``EXPERIMENTS`` is the only list of experiments.  Each entry holds the
 noise ensembles the experiment computes, whether it averages over
 ``spectrum.n_realizations``, and its scan: a generator over ``J_list`` that
 yields ``(file stem, DiagnosticSeries)`` from the ``Inputs`` that ``run``
-parsed once.  ``run`` is the only writer: one loop stamps every series with
+built once.  ``run`` is the only writer: one loop stamps every series with
 the config hash, writes it in each ``output.formats`` entry and records the
 file names in ``summary.json``.
 
@@ -61,63 +64,157 @@ class ConfigError(ValueError):
     """Invalid experiment config; message carries the offending field path."""
 
 
-# The default of a field that must be present.
-_REQUIRED = object()
+_SPECTRUM = ("sff_scan", "two_point_scan", "otoc_scan", "transfer_scan", "return_scan",
+             "sff_variance_scan", "oracle_compare")
+_ALL = ("lanczos_scan", *_SPECTRUM)
+_STATES = ("transfer_scan", "oracle_compare")
+_LANCZOS, _ORACLE = ("lanczos_scan",), ("oracle_compare",)
 
-
-def _field(config: dict, path: str, kind: type, default=None, minimum=None):
-    """The value at the last key of the dotted ``path`` (``default`` when
-    absent), refused with a ConfigError naming ``path`` unless a ``kind``
-    of at least ``minimum``, if given, or, with ``default=_REQUIRED``, when
-    absent.  A float field also takes an int, returns it as a float and
-    refuses NaN and +-inf; only a bool field takes a bool."""
-    key = path.rpartition(".")[2]
-    if default is _REQUIRED and key not in config:
-        raise ConfigError(f"missing field {path}")
-    value = config.get(key, default)
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{path}={value!r} must be a {kind.__name__}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"{path}={value!r} must be finite")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}={value!r} must be at least {minimum}")
-    return float(value) if kind is float else value
-
-
-# Each config section, by dotted path ("" is the top level), and the keys
-# some experiment reads in it; run refuses any other key.  noise.profile's
-# beta and lambda are listed so a Gibbs or matrix profile is refused by its
-# type, not by its parameters.
-CONFIG_KEYS = {
-    "": ("experiment", "J_list", "spectrum", "noise", "t_grid", "operator_seed", "state_i",
-         "state_j", "lanczos", "montecarlo", "compare_otoc", "output"),
-    "spectrum": ("sample", "dim", "seed", "n_realizations", "file"),
-    "noise": ("ensemble", "profile"),
-    "noise.profile": ("type", "J", "beta", "lambda"),
-    "t_grid": ("t_min", "t_max", "n_points", "spacing"),
-    "lanczos": ("alpha", "n_max", "trace_ratio", "dps"),
-    "montecarlo": ("dt", "t_max", "n_traj", "seed"),
-    "output": ("dir", "formats"),
+# dotted path -> (type, default, bound, the experiments that read it).  A
+# default of ... marks a key the experiment must set.  The bound of a number
+# is its minimum, of a string the values it may take, and of a list the
+# (type, bound) of each entry.  A dict is a section: resolve records its keys.
+CONFIG = {
+    "experiment": (str, ..., None, _ALL),
+    "J_list": (list, ..., (float, 0.0), _ALL),
+    "operator_seed": (int, 7, 0, _SPECTRUM),
+    "state_i": (int, 0, 0, _STATES),
+    "state_j": (int, 1, 0, _STATES),
+    "compare_otoc": (bool, False, None, _ORACLE),
+    "spectrum": (dict, {}, None, _SPECTRUM),
+    "spectrum.sample": (str, None, ("gue", "goe"), _SPECTRUM),
+    "spectrum.dim": (int, None, 2, _SPECTRUM),
+    "spectrum.seed": (int, 0, 0, _SPECTRUM),
+    "spectrum.n_realizations": (int, 1, 1, _SPECTRUM),
+    "spectrum.file": (str, None, None, _SPECTRUM),
+    "noise": (dict, {}, None, _SPECTRUM),
+    "noise.ensemble": (str, "gue", ("gue", "goe"), _SPECTRUM),
+    "noise.profile": (dict, {}, None, _SPECTRUM),
+    "noise.profile.type": (str, "const", ("const",), _SPECTRUM),
+    "noise.profile.J": (float, None, None, _SPECTRUM),
+    # Read by no experiment: a Gibbs or matrix profile is refused by its type.
+    "noise.profile.beta": (float, None, None, ()),
+    "noise.profile.lambda": (list, None, (list, (float, 0.0)), ()),
+    "t_grid": (dict, ..., None, _SPECTRUM),
+    "t_grid.t_min": (float, ..., 0.0, _SPECTRUM),
+    "t_grid.t_max": (float, ..., None, _SPECTRUM),
+    "t_grid.n_points": (int, ..., 2, _SPECTRUM),
+    "t_grid.spacing": (str, "linear", ("linear", "log"), _SPECTRUM),
+    "lanczos": (dict, {}, None, _LANCZOS),
+    "lanczos.alpha": (float, 1.0, None, _LANCZOS),
+    "lanczos.n_max": (int, 30, 1, _LANCZOS),
+    "lanczos.trace_ratio": (float, 1.0, None, _LANCZOS),
+    # Only its type is checked: the exact recursion meets any precision.
+    "lanczos.dps": (int, 0, None, _LANCZOS),
+    "montecarlo": (dict, ..., None, _ORACLE),
+    "montecarlo.dt": (float, ..., None, _ORACLE),
+    "montecarlo.t_max": (float, ..., None, _ORACLE),
+    "montecarlo.n_traj": (int, ..., 2, _ORACLE),
+    "montecarlo.seed": (int, ..., 0, _ORACLE),
+    "output": (dict, {}, None, _ALL),
+    "output.dir": (str, ".", None, _ALL),
+    "output.formats": (list, FORMATS, (str, FORMATS), _ALL),
 }
 
 
-def _refuse_unknown_keys(config: dict) -> None:
-    """Refuse a key that CONFIG_KEYS does not list for its section by its
-    dotted path.  A section that is not an object is left to the field that
-    reads it."""
+def _value(path: str, value, kind: type, bound):
+    """``value`` as a ``kind`` within ``bound``, refused by ``path`` otherwise.  A float
+    also takes an int, returns a float and refuses NaN and +-inf; only a bool is a bool."""
+    if kind is list and isinstance(value, list):
+        return [_value(path, entry, *bound) for entry in value]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{path}={value!r} must be a {kind.__name__}")
+    if kind is float:
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}={value!r} must be finite")
+        value = float(value)
+    if isinstance(bound, tuple):
+        if value not in bound:
+            raise ConfigError(f"{path}={value!r} must be {' or '.join(map(repr, bound))}")
+    elif bound is not None and value < bound:
+        raise ConfigError(f"{path}={value!r} must be at least {bound}")
+    return value
+
+
+def _flatten(section: dict, prefix: str = ""):
+    """(dotted path, value) of each key in ``section``; refuses one CONFIG lacks."""
+    for key, value in section.items():
+        path = f"{prefix}{key}"
+        if path not in CONFIG:
+            keys = [p.rpartition(".")[2] for p in CONFIG if p.rpartition(".")[0] == prefix[:-1]]
+            raise ConfigError(f"{path}={value!r} is not a config key; "
+                              f"{prefix[:-1] or 'the top level'} takes {', '.join(keys)}")
+        yield path, value
+        if isinstance(value, dict) and CONFIG[path][0] is dict:
+            yield from _flatten(value, path + ".")
+
+
+def resolve(config: dict, seed: int | None = None) -> dict:
+    """Each key the experiment reads, by dotted path, with CONFIG's defaults and ``seed``
+    (``--seed``) as spectrum.seed; refuses by path any other key, bad value or setting."""
     if not isinstance(config, dict):
         raise ConfigError(f"config={config!r} must be a JSON object")
-    for path, keys in CONFIG_KEYS.items():
-        section = config
-        for part in path.split(".") if path else ():
-            section = section.get(part) if isinstance(section, dict) else None
-        for key in section if isinstance(section, dict) else ():
-            if key not in keys:
-                raise ConfigError(
-                    f"{path + '.' if path else ''}{key}={section[key]!r} is not a config key; "
-                    f"{path or 'the top level'} takes {', '.join(keys)}"
-                )
+    given = dict(_flatten(config))
+    if "experiment" not in given:
+        raise ConfigError("missing field experiment")
+    experiment = _value("experiment", given["experiment"], str, None).lower()
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {given['experiment']!r}")
+    values = {}
+    for path, (kind, default, bound, readers) in CONFIG.items():
+        if experiment not in readers:
+            if path in given:
+                raise ConfigError(f"{path}={given[path]!r} is not read by {experiment}")
+            continue
+        if path in given:
+            value = _value(path, given[path], kind, bound)
+        elif default is ...:
+            raise ConfigError(f"missing field {path}")
+        else:
+            value = default
+        if kind is not dict:
+            values[path] = value
+    values["experiment"] = experiment
+    # Adding 0.0 turns -0.0 into 0.0, so the two share one J and one stem.
+    j_list = values["J_list"] = [j + 0.0 for j in values["J_list"]]
+    if not j_list:
+        raise ConfigError("J_list=[] must be nonempty")
+    stems = [f"{j:g}" for j in j_list]
+    shared = [stem for k, stem in enumerate(stems) if stem in stems[:k]]
+    if shared:
+        raise ConfigError(f"J_list={j_list!r} gives two entries the file stem J{shared[0]}")
+    ensembles, averages, _ = EXPERIMENTS[experiment]
+    if not ensembles:
+        if seed is not None:
+            raise ConfigError(f"--seed={seed} is not read: {experiment} reads no spectrum")
+        return values
+    if values["noise.ensemble"] not in ensembles:
+        raise ConfigError(f"noise.ensemble={values['noise.ensemble']!r} is not supported by "
+                          f"{experiment} (supported: {', '.join(ensembles)})")
+    if values["noise.profile.J"] not in (None, *j_list):
+        raise ConfigError(f"noise.profile.J={given['noise.profile.J']!r} is not in "
+                          f"J_list={given['J_list']!r}, which sets J")
+    n_real = values["spectrum.n_realizations"]
+    if n_real > 1 and not averages:
+        raise ConfigError(f"spectrum.n_realizations={n_real} is not supported by {experiment}, "
+                          "which evaluates one spectrum")
+    sampled = ("spectrum.sample", "spectrum.dim", "spectrum.seed")
+    if values["spectrum.file"] is not None:
+        unread = [f"{path}={given[path]!r}" for path in sampled if path in given]
+        unread += [f"--seed={seed}"] if seed is not None else []
+        unread += [f"spectrum.n_realizations={n_real}"] if n_real > 1 else []
+        if unread:
+            raise ConfigError(f"{unread[0]} is not read: spectrum.file holds the spectrum")
+        for path in sampled:
+            del values[path]
+        return values
+    for path in sampled[:2]:
+        if values[path] is None:
+            raise ConfigError(f"missing field {path}")
+    if seed is not None:
+        values["spectrum.seed"] = seed
+    return values
 
 
 def config_hash(config: dict) -> str:
@@ -127,32 +224,22 @@ def config_hash(config: dict) -> str:
 
 
 def time_grid(config: dict) -> np.ndarray:
-    t_min = _field(config, "t_grid.t_min", float, _REQUIRED)
-    t_max = _field(config, "t_grid.t_max", float, _REQUIRED)
-    n = _field(config, "t_grid.n_points", int, _REQUIRED)
-    spacing = config.get("spacing", "linear")
-    if not (t_max > t_min >= 0.0 and n >= 2):
-        raise ConfigError("t_grid requires 0 <= t_min < t_max and n_points >= 2")
-    if spacing == "linear":
+    """The t_grid of the resolved ``config``."""
+    t_min, t_max, n = (config[f"t_grid.{key}"] for key in ("t_min", "t_max", "n_points"))
+    if not t_max > t_min:
+        raise ConfigError(f"t_grid.t_max={t_max!r} must exceed t_grid.t_min={t_min!r}")
+    if config["t_grid.spacing"] == "linear":
         return np.linspace(t_min, t_max, n)
-    if spacing == "log":
-        if t_min <= 0.0:
-            raise ConfigError("t_grid.spacing=log requires t_min > 0")
-        return np.geomspace(t_min, t_max, n)
-    raise ConfigError(f"unknown t_grid.spacing {spacing!r}")
+    if t_min <= 0.0:
+        raise ConfigError("t_grid.spacing=log requires t_min > 0")
+    return np.geomspace(t_min, t_max, n)
 
 
-def sample_spectra(config: dict, seed_override: int | None, n_real: int = 1) -> list[Spectrum]:
-    """``n_real`` spectra from the spectrum section ``config``, whose
-    n_realizations ``run`` reads."""
-    if "file" in config:
-        if n_real > 1:
-            raise ConfigError(f"spectrum.n_realizations={n_real} needs sampled, not file, spectra")
-        unread = [f"spectrum.{k}={config[k]!r}" for k in ("sample", "dim", "seed") if k in config]
-        if unread or seed_override is not None:
-            setting = unread[0] if unread else f"--seed={seed_override}"
-            raise ConfigError(f"{setting} is not read: spectrum.file holds the spectrum")
-        path = Path(_field(config, "spectrum.file", str))
+def sample_spectra(config: dict) -> list[Spectrum]:
+    """The spectra of the resolved ``config``: the one in spectrum.file, or
+    spectrum.n_realizations sampled ones."""
+    if config["spectrum.file"] is not None:
+        path = Path(config["spectrum.file"])
         if not path.exists():
             raise ConfigError(f"spectrum.file {path} does not exist")
         try:
@@ -161,15 +248,9 @@ def sample_spectra(config: dict, seed_override: int | None, n_real: int = 1) -> 
             raise ConfigError(
                 f"spectrum.file {path} is not a spectrum: {type(exc).__name__}: {exc}"
             ) from exc
-    kind = _field(config, "spectrum.sample", str, _REQUIRED)
-    dim = _field(config, "spectrum.dim", int, _REQUIRED, minimum=2)
-    seed = (_field(config, "spectrum.seed", int, 0, minimum=0) if seed_override is None
-            else seed_override)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sampler = {"gue": sample_gue_spectrum, "goe": sample_goe_spectrum}.get(kind)
-    if sampler is None:
-        raise ConfigError(f"unknown spectrum.sample {kind!r}")
-    return [sampler(dim, rng) for _ in range(n_real)]
+    rng = np.random.default_rng(np.random.SeedSequence(config["spectrum.seed"]))
+    sampler = {"gue": sample_gue_spectrum, "goe": sample_goe_spectrum}[config["spectrum.sample"]]
+    return [sampler(config["spectrum.dim"], rng) for _ in range(config["spectrum.n_realizations"])]
 
 
 def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,9 +284,10 @@ def _meta(spec: Spectrum, **extra) -> dict:
 
 
 class Inputs(NamedTuple):
-    """A config as ``run`` parsed it, handed to the experiment's scan.
-    lanczos_scan reads neither spectrum nor noise, so it gets only the
-    config, J_list, threads and summary."""
+    """A config as ``resolve`` resolved it, and what ``run`` built from it,
+    handed to the experiment's scan; ``j_list`` and ``ensemble`` are its
+    J_list and noise.ensemble.  lanczos_scan reads neither spectrum nor
+    noise, so it gets only the config, J_list, threads and summary."""
 
     config: dict
     j_list: list[float]
@@ -251,22 +333,16 @@ def otoc_scan(inp: Inputs):
                                 lambda s: otoc_closed(s, j, inp.t, a, b))
 
 
-def _state_pair(inp: Inputs) -> tuple[int, int]:
-    """(state_i, state_j) of the transfer probability, 0 -> min(1, D - 1)
-    unless the config names them."""
-    d = inp.spectra[0].dim
-    i = _field(inp.config, "state_i", int, 0)
-    k = _field(inp.config, "state_j", int, min(1, d - 1))
-    if not (0 <= i < d and 0 <= k < d):
-        raise ConfigError(f"state_i={i} and state_j={k} must lie in [0, {d})")
-    return i, k
+def _noise_model(inp: Inputs, j: float) -> NoiseModel:
+    """The model of J_list entry ``j``: the constant profile under noise.ensemble."""
+    return NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), inp.spectra[0].dim)
 
 
 def transfer_scan(inp: Inputs):
     spec = inp.spectra[0]
-    i, k = _state_pair(inp)
+    i, k = inp.config["state_i"], inp.config["state_j"]
     for j in inp.j_list:
-        model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
+        model = _noise_model(inp, j)
         yield f"transfer_J{j:g}", diag.DiagnosticSeries(
             "transfer_probability", inp.t, diag.transfer_probability(spec, model, i, k, inp.t),
             metadata=_meta(spec, J=j, ensemble=inp.ensemble, i=i, j=k),
@@ -276,7 +352,7 @@ def transfer_scan(inp: Inputs):
 def return_scan(inp: Inputs):
     spec = inp.spectra[0]
     for j in inp.j_list:
-        model = NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
+        model = _noise_model(inp, j)
         yield f"return_J{j:g}", diag.DiagnosticSeries(
             "return_probability", inp.t, diag.return_probability(spec, model, inp.t),
             metadata=_meta(spec, J=j, ensemble=inp.ensemble),
@@ -296,16 +372,11 @@ def sff_variance_scan(inp: Inputs):
 
 
 def lanczos_scan(inp: Inputs):
-    lz = _field(inp.config, "lanczos", dict, {})
-    alpha = _field(lz, "lanczos.alpha", float, 1.0)
-    n_max = _field(lz, "lanczos.n_max", int, 30, minimum=1)
+    alpha, n_max = inp.config["lanczos.alpha"], inp.config["lanczos.n_max"]
     # By Cauchy-Schwarz r = |TrO|^2/D^2 <= Tr(O+O)/D, which is C(0) = 1.
-    ratio = _field(lz, "lanczos.trace_ratio", float, 1.0)
+    ratio = inp.config["lanczos.trace_ratio"]
     if not 0.0 <= ratio <= 1.0:
         raise ConfigError(f"lanczos.trace_ratio={ratio!r} must lie in [0, 1]")
-    # Only the type of dps is checked: the recursion is exact, so it meets
-    # any precision a config asks for.
-    _field(lz, "lanczos.dps", int, 0)
     mu = krylov.sech_moments(n_max, alpha=alpha)
     n = np.arange(1, n_max + 1, dtype=float)
     for j in inp.j_list:
@@ -333,19 +404,12 @@ def _compare(name, t, analytic, mc, summary):
 
 
 def oracle_compare(inp: Inputs):
-    mc_cfg = _field(inp.config, "montecarlo", dict, {})
-    fields = {
-        "dt": _field(mc_cfg, "montecarlo.dt", float, _REQUIRED),
-        "t_max": _field(mc_cfg, "montecarlo.t_max", float, _REQUIRED),
-        # One trajectory gives no error bar to compare against.
-        "n_traj": _field(mc_cfg, "montecarlo.n_traj", int, _REQUIRED, minimum=2),
-        "seed": _field(mc_cfg, "montecarlo.seed", int, _REQUIRED, minimum=0),
-    }
     try:
-        cfg = TrajectoryConfig(**fields)
+        cfg = TrajectoryConfig(**{key: inp.config[f"montecarlo.{key}"]
+                                  for key in ("dt", "t_max", "n_traj", "seed")})
     except ValueError as exc:  # its messages begin with the field name
         raise ConfigError(f"montecarlo.{exc}") from None
-    compare_otoc = _field(inp.config, "compare_otoc", bool, False)
+    compare_otoc = inp.config["compare_otoc"]
     spec, t, gue = inp.spectra[0], inp.t, inp.ensemble == "gue"
     if compare_otoc and not gue:
         raise ConfigError(f"compare_otoc=True needs noise.ensemble 'gue', got {inp.ensemble!r}")
@@ -359,8 +423,7 @@ def oracle_compare(inp: Inputs):
         raise ConfigError(
             f"t_grid.t_max={float(t[-1])!r} lies past montecarlo.t_max={cfg.t_max!r}"
         )
-    models = [NoiseModel(Ensemble(inp.ensemble), ConstantOverD(j), spec.dim)
-              for j in inp.j_list]
+    models = [_noise_model(inp, j) for j in inp.j_list]
     for j, model in zip(inp.j_list, models):
         margin = step_margin(model, cfg.dt)
         if margin > 1.0:
@@ -370,7 +433,7 @@ def oracle_compare(inp: Inputs):
             )
     sff = getattr(diag, f"sff_{inp.ensemble}_const")
     two_point = getattr(diag, f"two_point_{inp.ensemble}_const")
-    state_i, state_j = _state_pair(inp)
+    state_i, state_j = inp.config["state_i"], inp.config["state_j"]
     o = random_traceless_hermitian(spec.dim, inp.op_rng)
     inp.summary["mc_health"] = []
     for j, model in zip(inp.j_list, models):
@@ -431,79 +494,40 @@ def run(config: dict, out_dir: Path | None = None, threads: int = 1,
         raise ConfigError(f"--threads={threads} must be at least 1")
     if seed is not None and seed < 0:
         raise ConfigError(f"--seed={seed} must be at least 0")
-    _refuse_unknown_keys(config)
-    experiment = _field(config, "experiment", str, _REQUIRED).lower()
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {config['experiment']!r}")
-    ensembles, averages, scan = EXPERIMENTS[experiment]
-    output = _field(config, "output", dict, {})
-    default_dir = _field(output, "output.dir", str, ".")
-    formats = output.get("formats", FORMATS)
-    if not isinstance(formats, (list, tuple)) or any(f not in FORMATS for f in formats):
-        raise ConfigError(f"output.formats={formats!r} may list only {', '.join(FORMATS)}")
-    # Each entry is read as a float field, so a bool or a string is refused;
-    # adding 0.0 turns -0.0 into 0.0, so the two share one J and one stem.
-    j_list = [_field({"J_list": j}, "J_list", float) + 0.0
-              for j in _field(config, "J_list", list)]
-    if not j_list or not all(0.0 <= j < np.inf for j in j_list):
-        raise ConfigError(f"J_list={j_list!r} must be a nonempty list of finite J >= 0")
-    stems = [f"{j:g}" for j in j_list]
-    shared = [stem for k, stem in enumerate(stems) if stem in stems[:k]]
-    if shared:
-        raise ConfigError(f"J_list={j_list!r} gives two entries the file stem J{shared[0]}")
+    values = resolve(config, seed)
+    experiment, j_list = values["experiment"], values["J_list"]
+    ensembles, _, scan = EXPERIMENTS[experiment]
     spectra, t, ensemble, op_rng = [], None, None, None
     if ensembles:
-        noise = _field(config, "noise", dict, {})
-        ensemble = noise.get("ensemble", "gue")
-        if ensemble not in ensembles:
-            raise ConfigError(
-                f"noise.ensemble={ensemble!r} is not supported by {experiment} "
-                f"(supported: {', '.join(ensembles)})"
-            )
-        profile = _field(noise, "noise.profile", dict, {})
-        if profile.get("type", "const") != "const":
-            raise ConfigError(
-                f"noise.profile.type={profile['type']!r} is not supported by {experiment}: "
-                "J comes from J_list with the constant profile"
-            )
-        if "J" in profile and _field(profile, "noise.profile.J", float) not in j_list:
-            raise ConfigError(
-                f"noise.profile.J={profile['J']!r} is not in J_list={config['J_list']!r}, "
-                "which sets J"
-            )
-        spectrum = _field(config, "spectrum", dict, {})
-        n_real = _field(spectrum, "spectrum.n_realizations", int, 1, minimum=1)
-        if n_real > 1 and not averages:
-            raise ConfigError(
-                f"spectrum.n_realizations={n_real} is not supported by {experiment}, "
-                "which evaluates one spectrum"
-            )
-        spectra = sample_spectra(spectrum, seed, n_real)
-        t = time_grid(_field(config, "t_grid", dict, {}))
-        op_seed = _field(config, "operator_seed", int, 7, minimum=0)
-        op_rng = np.random.default_rng(np.random.SeedSequence(op_seed))
+        ensemble = values["noise.ensemble"]
+        spectra = sample_spectra(values)
+        d = spectra[0].dim
+        if "state_i" in values and max(values["state_i"], values["state_j"]) >= d:
+            raise ConfigError(f"state_i={values['state_i']} and state_j={values['state_j']} "
+                              f"must lie in [0, {d})")
+        t = time_grid(values)
+        op_rng = np.random.default_rng(np.random.SeedSequence(values["operator_seed"]))
     chash = config_hash(config)
-    summary: dict = {"experiment": experiment, "config_hash": chash, "files": [], "comparisons": [],
-                     "environment": environment(threads)}
+    summary: dict = {"experiment": experiment, "config_hash": chash, "config": values,
+                     "files": [], "comparisons": [], "environment": environment(threads)}
     # Every series is computed before the first file is written, so a run
     # that fails leaves nothing behind.  The two-replica channel U2 refuses
     # D < 3 before any scan that needs it simulates or writes.
-    inputs = Inputs(config, j_list, spectra, t, ensemble, op_rng, threads, summary)
+    inputs = Inputs(values, j_list, spectra, t, ensemble, op_rng, threads, summary)
     try:
         computed = list(scan(inputs))
     except UnsupportedDimensionError:
-        d, spectrum = spectra[0].dim, config["spectrum"]
-        setting = (f"spectrum.file={spectrum['file']!r} holds D={d}" if "file" in spectrum
-                   else f"spectrum.dim={d}")
+        file = values["spectrum.file"]
+        setting = f"spectrum.file={file!r} holds D={d}" if file else f"spectrum.dim={d}"
         raise ConfigError(
             f"{setting}; {experiment} needs D >= 3 for the two-replica channel"
         ) from None
-    out = Path(default_dir if out_dir is None else out_dir)
+    out = Path(values["output.dir"] if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for stem, series in computed:
         series.metadata["config_hash"] = chash
         for fmt in FORMATS:
-            if fmt in formats:
+            if fmt in values["output.formats"]:
                 path = out / f"{stem}.{fmt}"
                 getattr(series, f"write_{fmt}")(path)
                 summary["files"].append(path.name)

@@ -10,16 +10,22 @@ import pytest
 import noisychaos as nc
 from noisychaos import cli, sff_variance
 from noisychaos.cli import (
-    CONFIG_KEYS,
+    CONFIG,
     EXPERIMENTS,
     ConfigError,
     config_hash,
     main,
     random_traceless_hermitian,
+    resolve,
     run,
     sample_spectra,
     time_grid,
 )
+
+
+def reads(experiment, config):
+    """The keys of ``config`` that ``experiment`` reads."""
+    return {key: value for key, value in config.items() if experiment in CONFIG[key][-1]}
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -48,16 +54,18 @@ ORACLE_CONFIG = {
 
 class TestConfigParsing:
     def test_time_grid_linear(self):
-        t = time_grid({"t_min": 0.0, "t_max": 1.0, "n_points": 5})
+        grid = {"t_min": 0.0, "t_max": 1.0, "n_points": 5}
+        t = time_grid(resolve(dict(SFF_CONFIG, t_grid=grid)))
         assert np.allclose(t, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_time_grid_log_requires_positive(self):
         with pytest.raises(ConfigError):
-            time_grid({"t_min": 0.0, "t_max": 1.0, "n_points": 5, "spacing": "log"})
+            time_grid(resolve(dict(SFF_CONFIG, t_grid={"t_min": 0.0, "t_max": 1.0, "n_points": 5,
+                                                       "spacing": "log"})))
 
     def test_missing_field_path_in_message(self):
         with pytest.raises(ConfigError, match="t_grid.t_max"):
-            time_grid({"t_min": 0.0, "n_points": 5})
+            resolve(dict(SFF_CONFIG, t_grid={"t_min": 0.0, "n_points": 5}))
 
     def test_unknown_experiment(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -317,7 +325,7 @@ class TestExperimentTable:
     @pytest.mark.parametrize("experiment, ensemble", list(_scan_cases()))
     def test_series_match_library(self, tmp_path, experiment, ensemble):
         averages = EXPERIMENTS[experiment][1]
-        cfg = {
+        cfg = reads(experiment, {
             "experiment": experiment,
             "spectrum": {"sample": "gue", "dim": 5, "seed": 3,
                          "n_realizations": 2 if averages else 1},
@@ -328,7 +336,7 @@ class TestExperimentTable:
             "lanczos": {"alpha": 0.75, "n_max": 6},
             "montecarlo": {"dt": 0.05, "t_max": 1.0, "n_traj": 6, "seed": 2},
             "compare_otoc": ensemble != "goe",
-        }
+        })
         summary = run(cfg, out_dir=tmp_path, threads=2)
         expected = _expected_series(experiment, ensemble, cfg)
         assert summary["files"] == [f"{stem}.{ext}" for stem in expected for ext in ("csv", "json")]
@@ -359,7 +367,7 @@ class TestOracleCompare:
 
     def test_comparisons_record_time_points(self, tmp_path):
         summary = run(ORACLE_CONFIG, out_dir=tmp_path)
-        t = time_grid(ORACLE_CONFIG["t_grid"])
+        t = time_grid(resolve(ORACLE_CONFIG))
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["comparisons"] == summary["comparisons"]
         for comp in doc["comparisons"]:
@@ -374,12 +382,12 @@ class TestOracleCompare:
         run(cfg, out_dir=tmp_path)
         doc = json.loads((tmp_path / "mc_transfer_J1.json").read_text())
         assert (doc["metadata"]["i"], doc["metadata"]["j"]) == (2, 3)
-        spec = sample_spectra(cfg["spectrum"], None)[0]
+        spec = sample_spectra(resolve(cfg))[0]
         mc = cfg["montecarlo"]
         expected = nc.estimate_transfer(
             spec, nc.gue_constant(1.0, spec.dim),
             nc.TrajectoryConfig(mc["dt"], mc["t_max"], mc["n_traj"], mc["seed"]),
-            2, 3, time_grid(cfg["t_grid"]),
+            2, 3, time_grid(resolve(cfg)),
         )
         assert np.array_equal(doc["values_re"], expected.values.real)
 
@@ -480,6 +488,11 @@ class TestUnsupportedSettings:
     MATRIX = {"ensemble": "gue", "profile": {"type": "matrix", "lambda": [[0.25] * 4] * 4}}
     MANY = {"sample": "gue", "dim": 4, "seed": 3, "n_realizations": 2}
 
+    @classmethod
+    def config(cls, experiment, **override):
+        """The keys of BASE that ``experiment`` reads, with ``override``."""
+        return {**reads(experiment, cls.BASE), "experiment": experiment, **override}
+
     @pytest.mark.parametrize(
         "experiment, override, field",
         [
@@ -498,7 +511,7 @@ class TestUnsupportedSettings:
         ],
     )
     def test_config_error_names_field(self, tmp_path, experiment, override, field):
-        cfg = {**self.BASE, "experiment": experiment, **override}
+        cfg = self.config(experiment, **override)
         with pytest.raises(ConfigError, match=field):
             run(cfg, out_dir=tmp_path)
         assert not (tmp_path / "summary.json").exists()
@@ -582,7 +595,7 @@ class TestUnsupportedSettings:
         ],
     )
     def test_malformed_type_names_field(self, tmp_path, experiment, override, field):
-        cfg = {**self.BASE, "experiment": experiment, **override}
+        cfg = self.config(experiment, **override)
         with pytest.raises(ConfigError, match=f"^{re.escape(field)}="):
             run(cfg, out_dir=tmp_path)
         assert not (tmp_path / "summary.json").exists()
@@ -601,7 +614,7 @@ class TestUnsupportedSettings:
     )
     def test_transfer_state_out_of_range(self, tmp_path, states, field):
         spectrum = {"sample": "gue", "dim": 6, "seed": 3}
-        cfg = {**self.BASE, "experiment": "transfer_scan", "spectrum": spectrum, **states}
+        cfg = self.config("transfer_scan", spectrum=spectrum, **states)
         with pytest.raises(ConfigError, match=re.escape(field)):
             run(cfg, out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
@@ -609,7 +622,7 @@ class TestUnsupportedSettings:
     def test_two_replica_file_spectrum_names_file(self, tmp_path):
         spec_path = tmp_path / "spec2.json"
         nc.Spectrum(np.array([-0.5, 0.5])).save(spec_path)
-        cfg = {**self.BASE, "experiment": "otoc_scan", "spectrum": {"file": str(spec_path)}}
+        cfg = self.config("otoc_scan", spectrum={"file": str(spec_path)})
         with pytest.raises(ConfigError, match="^spectrum.file=.* holds D=2; otoc_scan"):
             run(cfg, out_dir=tmp_path)
 
@@ -669,14 +682,126 @@ class TestUnsupportedSettings:
         assert "mc_sff_J1.json" in run(cfg, out_dir=tmp_path)["files"]
 
     def test_supported_settings_still_run(self, tmp_path):
-        cfg = {**self.BASE, "experiment": "two_point_scan", "noise": self.GOE,
-               "spectrum": self.MANY}
+        cfg = self.config("two_point_scan", noise=self.GOE, spectrum=self.MANY)
         assert run(cfg, out_dir=tmp_path)["pass"] is True
 
 
+class TestUnreadSettings:
+    """A key or flag that the chosen experiment does not read is refused by
+    its path, not ignored."""
+
+    @pytest.mark.parametrize(
+        "experiment, override, field",
+        [
+            ("sff_scan", {"lanczos": {"n_max": "x"}}, "lanczos"),
+            ("sff_scan", {"montecarlo": {"dt": -1}}, "montecarlo"),
+            ("sff_scan", {"compare_otoc": "yes"}, "compare_otoc"),
+            ("sff_scan", {"state_j": 99}, "state_j"),
+            ("return_scan", {"state_i": 0}, "state_i"),
+            ("transfer_scan", {"lanczos": {"dps": 30}}, "lanczos"),
+            ("two_point_scan", {"compare_otoc": False}, "compare_otoc"),
+            ("lanczos_scan", {"spectrum": {"sample": "gue", "dim": 4}}, "spectrum"),
+            ("lanczos_scan", {"noise": {"ensemble": "gue"}}, "noise"),
+            ("lanczos_scan", {"t_grid": {"t_min": 0.0, "t_max": 1.0, "n_points": 3}}, "t_grid"),
+            ("lanczos_scan", {"operator_seed": 7}, "operator_seed"),
+            ("lanczos_scan", {"state_i": 0}, "state_i"),
+            ("sff_scan", {"noise": {"profile": {"type": "const", "beta": 0.5}}},
+             "noise.profile.beta"),
+        ],
+    )
+    def test_key_not_read_names_path(self, tmp_path, capsys, experiment, override, field):
+        cfg = TestUnsupportedSettings.config(experiment, **override)
+        message = f"^{re.escape(field)}=.* is not read by {experiment}$"
+        with pytest.raises(ConfigError, match=message):
+            run(cfg, out_dir=tmp_path / "out")
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {field}=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [({}, "--seed=5 is not read: lanczos_scan reads no spectrum"),
+         ({"t_grid": {"t_min": 0.0, "t_max": 1.0, "n_points": 3},
+           "montecarlo": {"dt": 0.01, "t_max": 1.0, "n_traj": 4, "seed": 1}, "state_i": 0},
+          "state_i=0 is not read by lanczos_scan")],
+        ids=["plain", "extra-keys"],
+    )
+    def test_lanczos_scan_refuses_seed_flag(self, tmp_path, capsys, extra, message):
+        # lanczos_scan reads no spectrum, so --seed would change nothing.
+        cfg = {"experiment": "lanczos_scan", "J_list": [0.5], **extra}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg_path), "--out", str(out), "--seed", "5"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_union_config_refused(self, tmp_path, capsys):
+        # Every key here is read by some experiment, and none by sff_scan.
+        cfg = {**SFF_CONFIG, "lanczos": {"n_max": "x"}, "montecarlo": {"dt": -1},
+               "compare_otoc": "yes", "state_j": 99}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "is not read by sff_scan" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestSummaryConfig:
+    """summary.json's config: every key the experiment read, defaults filled in."""
+
+    def test_sampled_spectrum_with_seed_flag(self, tmp_path):
+        run(SFF_CONFIG, out_dir=tmp_path, seed=9)
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["config"] == {
+            "experiment": "sff_scan", "J_list": [0.0, 1.0], "operator_seed": 7,
+            "spectrum.sample": "gue", "spectrum.dim": 8, "spectrum.seed": 9,
+            "spectrum.n_realizations": 3, "spectrum.file": None,
+            "noise.ensemble": "gue", "noise.profile.type": "const", "noise.profile.J": 1.0,
+            "t_grid.t_min": 0.1, "t_grid.t_max": 2.0, "t_grid.n_points": 12,
+            "t_grid.spacing": "log", "output.dir": ".", "output.formats": ["csv", "json"],
+        }
+
+    def test_lanczos_defaults(self, tmp_path):
+        run({"experiment": "LANCZOS_SCAN", "J_list": [-0.0]}, out_dir=tmp_path)
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        assert doc["config"] == {
+            "experiment": "lanczos_scan", "J_list": [0.0], "lanczos.alpha": 1.0,
+            "lanczos.n_max": 30, "lanczos.trace_ratio": 1.0, "lanczos.dps": 0,
+            "output.dir": ".", "output.formats": ["csv", "json"],
+        }
+        assert math.copysign(1.0, doc["config"]["J_list"][0]) == 1.0
+
+    def test_file_spectrum_and_state_pair(self, tmp_path, spec4):
+        spec_path = tmp_path / "spec.json"
+        spec4.save(spec_path)
+        cfg = {"experiment": "transfer_scan", "spectrum": {"file": str(spec_path)},
+               "t_grid": {"t_min": 0, "t_max": 1, "n_points": 3}, "J_list": [1],
+               "output": {"formats": ["json"]}}
+        run(cfg, out_dir=tmp_path / "out")
+        doc = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert doc["config"] == {
+            "experiment": "transfer_scan", "J_list": [1.0], "operator_seed": 7,
+            "state_i": 0, "state_j": 1, "spectrum.n_realizations": 1,
+            "spectrum.file": str(spec_path), "noise.ensemble": "gue",
+            "noise.profile.type": "const", "noise.profile.J": None, "t_grid.t_min": 0.0,
+            "t_grid.t_max": 1.0, "t_grid.n_points": 3, "t_grid.spacing": "linear",
+            "output.dir": ".", "output.formats": ["json"],
+        }
+        assert doc["files"] == ["transfer_J1.json"]
+
+
+def _readers(cell):
+    """The experiments a README "read by" cell names."""
+    names = set(re.findall(r"`(\w+)`", cell))
+    return set(EXPERIMENTS) - names if cell.startswith("all") else names
+
+
 def test_readme_lists_every_config_key():
+    # README's key table lists exactly CONFIG's keys, each with its readers.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    for section, keys in CONFIG_KEYS.items():
-        for key in keys:
-            path = f"{section}.{key}" if section else key
-            assert f"`{path}`" in readme, path
+    section = readme.partition("## Config keys")[2].partition("\n## ")[0]
+    rows = [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in section.splitlines() if line.startswith("| `")]
+    listed = {row[0].strip("`"): _readers(row[3]) for row in rows}
+    assert len(listed) == len(rows)
+    assert listed == {path: set(row[-1]) for path, row in CONFIG.items()}
