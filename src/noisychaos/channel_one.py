@@ -1,19 +1,25 @@
 """Single-replica noise-averaged channel U1(t) = E[U_t (x) U_t*].
 
 The channel is stored in the delta-structure basis: three D x D coefficient
-grids A, B, G multiplying delta_{ii'}delta_{jj'}, delta_{ij}delta_{i'j'} and
+arrays A, B, G multiplying delta_{ii'}delta_{jj'}, delta_{ij}delta_{i'j'} and
 delta_{ij'}delta_{ji'} respectively, so memory is O(D^2) instead of O(D^4).
 Each ensemble has one builder for any variance profile; u1_gue_const and
 u1_goe_const are those builders on lambda_ij = J/D.  Every case is an exact
-closed form.  Under GUE noise A is an entrywise exponential; under GOE noise
-each level pair i <= j is one 2 x 2 block with real kappa and q^2
-(``GoePairs``), so A and G are its cosh and sinh.  The populations are a
-Markov chain, so B is a matrix exponential, which ``populations`` evaluates
-at one t for the builders or contracted on a whole grid for the diagnostics.
+closed form.  Under GUE noise A has rank one, A_ij = p_i conj(p_j) with the
+phases p_i = e^{-(i E_i + J_i/2) t} (``gue_phases``), and G is zero; under GOE
+noise each level pair i <= j is one 2 x 2 block with real kappa and q^2
+(``GoePairs``), so A and G are its cosh and sinh, and G is real.  The
+populations are a Markov chain, so B is a matrix exponential, which
+``populations`` evaluates at one t for the builders or contracted on a whole
+grid for the diagnostics; under the constant profile it is one number.
+A builder stores only what its ensemble and profile produce: a zero G and a
+constant B are read-only broadcasts of one value, and every array of a
+``ChannelOne`` is read-only, so a broadcast and a dense grid behave alike.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,13 +37,23 @@ class ChannelOne:
 
         rho'_ij = A_ij rho_ij + delta_ij sum_k B_ik rho_kk + G_ij rho_ji
 
-    (G is identically zero for GUE noise).
+    Each coefficient is a read-only array that broadcasts as D x D: A is a
+    complex grid; B is a real grid, or under the constant profile a
+    broadcast of its one value; G is a broadcast zero under GUE noise and a
+    real grid under GOE noise.  The arrays are stored as read-only views,
+    so the caller's arrays keep their own flags.
     """
 
     dim: int
     coeff_A: np.ndarray
     coeff_B: np.ndarray
     coeff_G: np.ndarray
+
+    def __post_init__(self):
+        for name in ("coeff_A", "coeff_B", "coeff_G"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
 class GoePairs(NamedTuple):
@@ -67,6 +83,32 @@ def check_dims(spec: Spectrum, model: NoiseModel) -> None:
         raise ValueError(f"spectrum dim {spec.dim} != noise model dim {model.dim}")
 
 
+def nonnegative_times(t_grid) -> np.ndarray:
+    """t_grid as a float array of any shape, refused if a time is negative
+    or NaN: each closed form and builder takes it before it computes
+    anything."""
+    t = np.asarray(t_grid, dtype=float)
+    bad = ~(t >= 0.0)
+    if bad.any():
+        raise ValueError(f"t must be nonnegative, got {t[bad].flat[0]}")
+    return t
+
+
+def _one_time(t) -> float:
+    """A builder's t: one nonnegative time."""
+    if np.ndim(t) != 0:
+        raise ValueError(f"t must be one time, got an array of shape {np.shape(t)}")
+    return float(nonnegative_times(t))
+
+
+def gue_phases(spec: Spectrum, model: NoiseModel, t) -> np.ndarray:
+    """p_i(t) = e^{-(i E_i + J_i/2) t} on the times t, shape t.shape + (D,):
+    the GUE A part has rank one, A_ij = p_i conj(p_j)."""
+    rate = 1j * spec.energies + 0.5 * model.lambda_matrix().sum(axis=1)
+    p = np.multiply.outer(t, rate)
+    return np.exp(np.negative(p, out=p), out=p)
+
+
 def populations(model: NoiseModel, t, m=None, propagator: bool = False) -> np.ndarray:
     """The population block B, the delta_ij delta_i'j' coefficients, of
     either ensemble: B(t) at one t without weights m, and with D x D weights
@@ -78,7 +120,8 @@ def populations(model: NoiseModel, t, m=None, propagator: bool = False) -> np.nd
     evolve by e^{sP}, with s = t under GUE noise and s = t/2 under GOE (its
     generator is the GUE one halved).  The diagonal of A (+ G) carries the
     e^{-J s} of it that never left its state, so B = e^{sP} - diag(e^{-J s}).
-    The constant profile gives B = -expm1(-Js)/D everywhere; any other takes
+    The constant profile gives B = -expm1(-Js)/D everywhere, returned at one
+    t as a read-only broadcast of that number; any other takes
     the model's modes, e^{sP} = V diag(e^{mu s}) V^T, and a contraction needs
     only diag(V^T m V): O(T D) on T points.  P is minus a graph Laplacian,
     negative semidefinite, so e^{mu s} <= 1 and no t overflows.
@@ -88,7 +131,7 @@ def populations(model: NoiseModel, t, m=None, propagator: bool = False) -> np.nd
     if isinstance(model.profile, ConstantOverD):
         flat = -np.expm1(-model.profile.J * s) / d
         if m is None:
-            return np.full((d, d), flat)
+            return np.broadcast_to(flat, (d, d))
         kept = np.exp(-model.profile.J * s) * np.trace(m) if propagator else 0.0
         return flat * np.sum(m) + kept
     mu, v, j_row = model.population_modes
@@ -100,16 +143,25 @@ def populations(model: NoiseModel, t, m=None, propagator: bool = False) -> np.nd
 
 def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     """GUE channel of any variance profile: A_ij = exp(w_ij t) with
-    w_ij = -i(E_i - E_j) - (J_i + J_j)/2, B from populations, G = 0."""
+    w_ij = -i(E_i - E_j) - (J_i + J_j)/2, taken as the rank-one p_i conj(p_j)
+    of the D phases, B from populations, and G a read-only broadcast zero."""
     check_dims(spec, model)
     if model.ensemble is not Ensemble.GUE:
         raise ValueError("u1_gue_general requires a GUE noise model")
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    t = _one_time(t)
     d = spec.dim
-    j_row = model.lambda_matrix().sum(axis=1)
-    w = -1j * spec.gaps() - 0.5 * (j_row[:, None] + j_row[None, :])
-    return ChannelOne(d, np.exp(w * t), populations(model, t), np.zeros((d, d), dtype=complex))
+    p = gue_phases(spec, model, t)
+    coeff_a = np.multiply.outer(p, p.conj())
+    return ChannelOne(d, coeff_a, populations(model, t), np.broadcast_to(0.0, (d, d)))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(dim), read-only: the level pairs i <= j."""
+    i, j = np.triu_indices(dim)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 def goe_params(spec: Spectrum, model: NoiseModel) -> GoePairs:
@@ -119,7 +171,7 @@ def goe_params(spec: Spectrum, model: NoiseModel) -> GoePairs:
     if model.ensemble is not Ensemble.GOE:
         raise ValueError("goe_params requires a GOE noise model")
     lam = model.lambda_matrix()
-    i, j = np.triu_indices(spec.dim)
+    i, j = _pair_indices(spec.dim)
     delta = spec.energies[i] - spec.energies[j]
     quarter = (lam.sum(axis=1) + np.diag(lam)) / 4
     half_lam, gap = lam[i, j] / 2, np.abs(delta)
@@ -135,12 +187,12 @@ def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     -e+ expm1(-2qt)/(2q), which neither cancels for q << lambda_ij nor
     overflows; for imaginary roots C = e^{-kappa t} cos(|q|t) and S =
     e^{-kappa t} sin(|q|t)/|q|.  The populations feel the noise at half the
-    GUE rate (A_jj + G_jj = e^{-J_j t/2}), so ``populations`` takes B at t/2."""
+    GUE rate (A_jj + G_jj = e^{-J_j t/2}), so ``populations`` takes B at t/2.
+    A is a complex grid and G a real one."""
     check_dims(spec, model)
     if model.ensemble is not Ensemble.GOE:
         raise ValueError("u1_goe_general requires a GOE noise model")
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    t = _one_time(t)
     p = goe_params(spec, model)
     q, decay = np.abs(p.q), np.exp(-p.kappa * t)
     real = p.q > 0.0
@@ -149,21 +201,24 @@ def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     s = t * decay
     np.divide(-grow * np.expm1(-2.0 * q * t), 2.0 * q, out=s, where=real)
     np.divide(decay * np.sin(q * t), q, out=s, where=p.q < 0.0)
-    coeff_a, coeff_g = np.empty((2, spec.dim, spec.dim), dtype=complex)
+    coeff_a = np.empty((spec.dim, spec.dim), dtype=complex)
+    coeff_g = np.empty((spec.dim, spec.dim))
     coeff_a[p.i, p.j], coeff_a[p.j, p.i] = c - 1j * p.delta * s, c + 1j * p.delta * s
     coeff_g[p.i, p.j] = coeff_g[p.j, p.i] = p.half_lam * s
     return ChannelOne(spec.dim, coeff_a, populations(model, t), coeff_g)
 
 
 def u1_gue_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
-    """u1_gue_general of the constant profile lambda_ij = J/D.  The name
-    stays because bench/workloads.py builds it and bench/tracer.py times it."""
+    """u1_gue_general of the constant profile lambda_ij = J/D, whose B is
+    one number broadcast.  The name stays because bench/workloads.py builds
+    it and bench/tracer.py times it."""
     return u1_gue_general(spec, gue_constant(J, spec.dim), t)
 
 
 def u1_goe_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
-    """u1_goe_general of the constant profile lambda_ij = J/D.  The name
-    stays because bench/workloads.py builds it and bench/tracer.py times it."""
+    """u1_goe_general of the constant profile lambda_ij = J/D, whose B is
+    one number broadcast.  The name stays because bench/workloads.py builds
+    it and bench/tracer.py times it."""
     return u1_goe_general(spec, goe_constant(J, spec.dim), t)
 
 

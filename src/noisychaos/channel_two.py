@@ -19,7 +19,8 @@ from functools import cache
 
 import numpy as np
 
-from .diagnostics import nonnegative_times, sff_gue_const
+from .channel_one import nonnegative_times
+from .diagnostics import sff_gue_const
 from .spectra import Spectrum
 
 

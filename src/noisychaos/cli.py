@@ -244,6 +244,8 @@ def sample_spectra(config: dict) -> list[Spectrum]:
             raise ConfigError(f"spectrum.file {path} does not exist")
         try:
             return [Spectrum.load(path)]
+        except OSError as exc:
+            raise ConfigError(f"spectrum.file {path} cannot be read: {exc.strerror}") from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
                 f"spectrum.file {path} is not a spectrum: {type(exc).__name__}: {exc}"

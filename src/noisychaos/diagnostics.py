@@ -1,8 +1,8 @@
 """The single-replica diagnostics of any noise model: SFF, two-point
 function, transfer and return probabilities, each one closed form over
 ``(spec, model, t_grid)`` that returns an array shaped like the grid and
-refuses a negative time.  Each contracts U1: its A part is a rank-one phase
-sum under GUE noise; under GOE noise A and G are a sum over the level pairs
+refuses a negative or NaN time.  Each contracts U1: its A part is a
+rank-one phase sum under GUE noise; under GOE noise A and G are a sum over the level pairs
 i <= j, two exponentials e^{(-kappa +- q) t} each (``_goe_contract``); its
 populations are one ``populations`` contraction.
 The ``_const`` names, which the CLI calls and the bench times, are these
@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel_one import ChannelOne, check_dims, goe_params, populations
+from .channel_one import (
+    ChannelOne,
+    check_dims,
+    goe_params,
+    gue_phases,
+    nonnegative_times,
+    populations,
+)
 from .noise import Ensemble, NoiseModel, goe_constant, gue_constant
 from .spectra import Spectrum
 
@@ -68,23 +75,6 @@ class DiagnosticSeries:
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
-
-
-def nonnegative_times(t_grid) -> np.ndarray:
-    """t_grid as a float array of any shape, refused if a time is negative:
-    each closed form takes it before it contracts anything."""
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError(f"t must be nonnegative, got {t.min()}")
-    return t
-
-
-def _phases(spec: Spectrum, model: NoiseModel, t: np.ndarray) -> np.ndarray:
-    """p_i(t) = e^{-(i E_i + J_i/2) t} on the grid, shape t.shape + (D,):
-    the GUE A part has rank one, A_ij = p_i conj(p_j)."""
-    rate = 1j * spec.energies + 0.5 * model.lambda_matrix().sum(axis=1)
-    p = np.multiply.outer(t, rate)
-    return np.exp(np.negative(p, out=p), out=p)
 
 
 # Exponents per slice of the GOE recurrence: the slice's row, step and
@@ -154,7 +144,7 @@ def sff(spec: Spectrum, model: NoiseModel, t_grid) -> np.ndarray:
     d = spec.dim
     t = nonnegative_times(t_grid)
     if model.ensemble is Ensemble.GUE:
-        a = np.abs(_phases(spec, model, t).sum(axis=-1)) ** 2
+        a = np.abs(gue_phases(spec, model, t).sum(axis=-1)) ** 2
     else:
         a = _goe_contract(spec, model, 1.0, np.eye(d), t).real
     return (a + populations(model, t, np.eye(d))) / d**2
@@ -170,7 +160,7 @@ def two_point(spec: Spectrum, model: NoiseModel, O: np.ndarray, t_grid) -> np.nd
     b = populations(model, t, np.multiply.outer(diag_o.conj(), diag_o))
     w_dir = O.conj().T * O.T  # O+_ij O_ji
     if model.ensemble is Ensemble.GUE:
-        p = _phases(spec, model, t)
+        p = gue_phases(spec, model, t)
         pw = p @ w_dir
         a = np.multiply(pw, np.conjugate(p, out=p), out=pw).sum(axis=-1)
     else:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from noisychaos import (
+    ChannelOne,
+    ConstantOverD,
     GibbsProfile,
     MatrixProfile,
     NoiseModel,
@@ -141,6 +143,13 @@ def pair(p, i, j):
 
 
 class TestGoeParams:
+    def test_pair_indices_shared_and_read_only(self, spec5):
+        a, b = goe_params(spec5, goe_constant(0.5, 5)), goe_params(spec5, goe_constant(1.5, 5))
+        assert a.i is b.i and a.j is b.j
+        for k, want in zip((a.i, a.j), np.triu_indices(5)):
+            assert np.array_equal(k, want)
+            assert not k.flags.writeable
+
     def test_identities(self, spec5):
         d = spec5.dim
         model = goe_constant(0.8, d)
@@ -489,11 +498,13 @@ class TestMarkovIdentity:
 
 
 def general_case(dim, profile, ensemble):
-    """Spectrum, non-constant noise model and builder for one general case."""
+    """Spectrum, noise model and builder for one case of a profile."""
     rng = np.random.default_rng(100 + dim)
     spec = sample_gue_spectrum(dim, rng)
     if profile == "matrix":
         prof = MatrixProfile(random_symmetric_lambda(dim, rng))
+    elif profile == "const":
+        prof = ConstantOverD(1.2)
     else:
         prof = GibbsProfile(1.2, 0.7, spec)
     build = u1_gue_general if ensemble is Ensemble.GUE else u1_goe_general
@@ -562,3 +573,105 @@ class TestChannelInvariants:
         with pytest.raises(ValueError):
             apply_channel(ch, np.eye(3))
 
+
+
+@pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+@pytest.mark.parametrize("profile", ["const", "gibbs", "matrix"])
+class TestStorage:
+    """A ChannelOne holds only the arrays its ensemble and profile produce:
+    a constant B is a broadcast of one number, G is a broadcast zero under
+    GUE noise and real under GOE noise, and every array is read-only."""
+
+    def test_dtypes_and_shapes(self, profile, ensemble):
+        spec, model, build, _ = general_case(6, profile, ensemble)
+        ch = build(spec, model, 0.9)
+        assert (ch.coeff_A.dtype, ch.coeff_A.shape) == (np.complex128, (6, 6))
+        assert (ch.coeff_B.dtype, ch.coeff_B.shape) == (np.float64, (6, 6))
+        assert (ch.coeff_G.dtype, ch.coeff_G.shape) == (np.float64, (6, 6))
+        assert ch.coeff_A.strides == (96, 16)
+        assert ch.coeff_B.strides == ((0, 0) if profile == "const" else (48, 8))
+        if ensemble is Ensemble.GUE:
+            assert ch.coeff_G.strides == (0, 0)
+            assert not np.any(ch.coeff_G)
+        else:
+            assert ch.coeff_G.strides == (48, 8)
+
+    def test_read_only(self, profile, ensemble):
+        spec, model, build, _ = general_case(6, profile, ensemble)
+        ch = build(spec, model, 0.9)
+        for coeff in (ch.coeff_A, ch.coeff_B, ch.coeff_G):
+            assert not coeff.flags.writeable
+            with pytest.raises(ValueError):
+                coeff[0, 1] = 1.0
+
+    @pytest.mark.parametrize("t", [0.0, 0.9, 30.0])
+    def test_apply_matches_dense_contraction(self, profile, ensemble, t):
+        # The coefficients as dense complex grids, contracted as a D^2 x D^2
+        # superoperator, against apply_channel on the compact storage.
+        spec, model, build, _ = general_case(6, profile, ensemble)
+        ch = build(spec, model, t)
+        dense = ChannelOne(6, *(np.array(np.broadcast_to(c, (6, 6)), dtype=complex)
+                                for c in (ch.coeff_A, ch.coeff_B, ch.coeff_G)))
+        rho = np.random.default_rng(7).standard_normal((6, 6, 2)) @ [1.0, 1j]
+        want = (dense_superoperator(dense) @ rho.reshape(-1)).reshape(6, 6)
+        assert np.max(np.abs(apply_channel(ch, rho) - want)) <= 1e-14
+
+
+def test_channel_views_leave_the_callers_arrays_writable():
+    a, b, g = np.ones((2, 2), dtype=complex), np.zeros((2, 2)), np.zeros((2, 2))
+    ch = ChannelOne(2, a, b, g)
+    assert a.flags.writeable and not ch.coeff_A.flags.writeable
+    assert np.shares_memory(a, ch.coeff_A)
+
+
+class TestGuePhases:
+    """The GUE A as the rank-one p_i conj(p_j) of D phases, against the
+    entrywise exponential of the gap grid."""
+
+    @pytest.mark.parametrize("profile", ["const", "gibbs", "matrix"])
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_rank_one_matches_gap_exponential(self, dim, profile):
+        spec, model, _, _ = general_case(dim, profile, Ensemble.GUE)
+        j_row = model.lambda_matrix().sum(axis=1)
+        w = -1j * spec.gaps() - 0.5 * (j_row[:, None] + j_row[None, :])
+        for t in (0.0, 1e-6, 0.3, 2.5, 40.0, 5000.0):
+            a = u1_gue_general(spec, model, t).coeff_A
+            assert np.max(np.abs(a - np.exp(w * t))) <= 1e-15
+
+    def test_finite_at_huge_J(self, spec4):
+        assert np.all(u1_gue_const(spec4, 1e200, 0.0).coeff_A == 1.0)
+        for t in (0.0, 1e-6, 0.5):
+            ch = u1_gue_const(spec4, 1e200, t)
+            for coeff in (ch.coeff_A, ch.coeff_B, ch.coeff_G):
+                assert np.all(np.isfinite(coeff))
+
+
+ENSEMBLE_OF = {u1_gue_general: Ensemble.GUE, u1_goe_general: Ensemble.GOE}
+
+
+@pytest.mark.parametrize("build", [u1_gue_general, u1_goe_general])
+class TestBuilderTimes:
+    """Each builder takes one nonnegative time through the check the
+    diagnostics use."""
+
+    @pytest.mark.parametrize("t", [-0.1, -1e-300, np.nan, -np.inf],
+                             ids=["negative", "tiny", "nan", "-inf"])
+    def test_refuses_negative_or_nan(self, build, t):
+        spec, model, _, _ = general_case(4, "const", ENSEMBLE_OF[build])
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            build(spec, model, t)
+
+    @pytest.mark.parametrize("t", [np.array([0.0, 1.0]), [0.5], np.zeros((2, 2))],
+                             ids=["array", "list", "grid"])
+    def test_refuses_an_array(self, build, t):
+        spec, model, _, _ = general_case(4, "const", ENSEMBLE_OF[build])
+        with pytest.raises(ValueError, match=r"t must be one time, got an array of shape \("):
+            build(spec, model, t)
+
+    def test_zero_dimensional_times(self, build):
+        spec, model, _, _ = general_case(4, "gibbs", ENSEMBLE_OF[build])
+        want = build(spec, model, 0.7)
+        for t in (np.float64(0.7), np.array(0.7)):
+            got = build(spec, model, t)
+            for name in ("coeff_A", "coeff_B", "coeff_G"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))

@@ -35,6 +35,23 @@ class TestFCoefficients:
         expected[0] = 1.0
         assert np.max(np.abs(f - expected)) < 1e-12
 
+    @pytest.mark.parametrize("t", [-0.5, np.nan, np.array([0.0, np.nan])],
+                             ids=["negative", "nan", "nan-in-grid"])
+    @pytest.mark.parametrize("form", ["f_coefficients", "sff_squared_mean", "sff_variance",
+                                      "otoc"])
+    def test_refuse_negative_or_nan_times(self, form, t):
+        spec = sample_gue_spectrum(4, np.random.default_rng(3))
+        a = np.diag([1.0, -1.0, 1.0, -1.0])
+        b = np.roll(np.eye(4), 1, axis=0) + np.roll(np.eye(4), -1, axis=0)
+        calls = {
+            "f_coefficients": lambda: f_coefficients(4, 1.0, t),
+            "sff_squared_mean": lambda: sff_squared_mean(spec, 1.0, t),
+            "sff_variance": lambda: sff_variance(spec, 1.0, t),
+            "otoc": lambda: otoc(spec, 1.0, t, a, b),
+        }
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            calls[form]()
+
     @pytest.mark.parametrize("D", [1, 2])
     def test_small_dims_rejected(self, D):
         with pytest.raises(UnsupportedDimensionError):

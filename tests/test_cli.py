@@ -235,6 +235,16 @@ class TestRunExperiments:
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_spectrum_file_that_is_a_directory(self, tmp_path, capsys):
+        # open() raised IsADirectoryError, which main printed without the key.
+        cfg = dict(SFF_CONFIG, spectrum={"file": str(tmp_path)})
+        with pytest.raises(ConfigError, match="^spectrum.file .* cannot be read: Is a directory"):
+            run(cfg, out_dir=tmp_path / "out")
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "error: spectrum.file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_return_scan(self, tmp_path):
         cfg = {
             "experiment": "return_scan",

@@ -396,12 +396,14 @@ class TestModelForms:
         with pytest.raises(ValueError, match="spectrum dim 4 != noise model dim"):
             calls[form]()
 
-    @pytest.mark.parametrize("t", [-2.0, np.array([0.0, 1.0, -1e-300])])
+    @pytest.mark.parametrize("t", [-2.0, np.array([0.0, 1.0, -1e-300]), np.nan,
+                                   np.array([0.0, np.nan, 1.0])])
     @pytest.mark.parametrize("model", [gue_constant(1.0, 4), goe_constant(1.0, 4)],
                              ids=["gue", "goe"])
     @pytest.mark.parametrize("form", ["sff", "two_point", "transfer", "return"])
     def test_refuse_negative_times(self, spec4, model, form, t):
-        # Under GUE noise transfer_probability(spec, model, 0, 0, -2.0) gave 5.79.
+        # Under GUE noise transfer_probability(spec, model, 0, 0, -2.0) gave 5.79,
+        # and a NaN time gave NaN.
         calls = {
             "sff": lambda: sff(spec4, model, t),
             "two_point": lambda: two_point(spec4, model, np.eye(4), t),

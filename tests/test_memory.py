@@ -9,6 +9,11 @@ The (T, D) phase matrices of the GUE forms take T/D ~ 3 grids each.  The
 Gibbs-model entries also build the model's lambda and the
 eigendecomposition of its Markov generator, under the same bounds.  A
 (T, D, D) stack over the grid would take 400.
+
+A built ChannelOne keeps only what its ensemble and profile produce: the
+complex A (1 grid), a real B unless the profile is constant (0.5) and a
+real G under GOE noise (0.5).  Dense grids for all three, with A and G
+complex, would keep 2.5 in every case.
 """
 
 import tracemalloc
@@ -17,8 +22,10 @@ import numpy as np
 import pytest
 
 from noisychaos import (
+    ConstantOverD,
     Ensemble,
     GibbsProfile,
+    MatrixProfile,
     NoiseModel,
     f_coefficients,
     goe_constant,
@@ -35,6 +42,8 @@ from noisychaos import (
     two_point,
     two_point_goe_const,
     two_point_gue_const,
+    u1_goe_general,
+    u1_gue_general,
 )
 from noisychaos.channel_one import goe_params
 
@@ -111,3 +120,28 @@ def test_grid_peak_stays_near_one_point(inputs, name):
 def test_goe_params_works_in_place(inputs):
     grids = traced_peak_grids(goe_params, inputs[0], goe_constant(0.5, D))
     assert grids <= GOE_PARAMS_BOUND, f"goe_params peaked at {grids:.1f} D x D grids"
+
+
+# D x D complex grids a built channel keeps, by ensemble and profile.
+KEPT_BOUNDS = {("gue", "const"): 1.05, ("gue", "gibbs"): 1.55, ("gue", "matrix"): 1.55,
+               ("goe", "const"): 1.55, ("goe", "gibbs"): 2.05, ("goe", "matrix"): 2.05}
+
+
+@pytest.mark.parametrize("ensemble, profile", KEPT_BOUNDS)
+def test_channel_keeps_only_its_arrays(inputs, ensemble, profile):
+    spec = inputs[0]
+    rng = np.random.default_rng(5)
+    lam = rng.random((D, D))
+    prof = {"const": ConstantOverD(0.5), "gibbs": GibbsProfile(0.5, 0.5, spec),
+            "matrix": MatrixProfile((lam + lam.T) / (4 * D))}[profile]
+    model = NoiseModel(Ensemble(ensemble), prof, D)
+    build = u1_gue_general if model.ensemble is Ensemble.GUE else u1_goe_general
+    build(spec, model, 1.0)  # the model's modes and the pair indices, taken once
+    tracemalloc.start()
+    try:
+        channel = build(spec, model, 1.3)
+        grids = tracemalloc.get_traced_memory()[0] / (D * D * 16)
+    finally:
+        tracemalloc.stop()
+    assert channel.dim == D
+    assert grids <= KEPT_BOUNDS[ensemble, profile], f"the channel keeps {grids:.2f} D x D grids"
