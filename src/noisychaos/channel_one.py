@@ -84,18 +84,18 @@ def check_dims(spec: Spectrum, model: NoiseModel) -> None:
 
 
 def nonnegative_times(t_grid) -> np.ndarray:
-    """t_grid as a float array of any shape, refused if a time is negative
-    or NaN: each closed form and builder takes it before it computes
-    anything."""
+    """t_grid as a float array of any shape, refused if a time is negative,
+    infinite or NaN: each closed form and builder takes it before it
+    computes anything."""
     t = np.asarray(t_grid, dtype=float)
-    bad = ~(t >= 0.0)
+    bad = ~((t >= 0.0) & (t < np.inf))
     if bad.any():
-        raise ValueError(f"t must be nonnegative, got {t[bad].flat[0]}")
+        raise ValueError(f"t must be nonnegative and finite, got {t[bad].flat[0]}")
     return t
 
 
 def _one_time(t) -> float:
-    """A builder's t: one nonnegative time."""
+    """A builder's t: one nonnegative finite time."""
     if np.ndim(t) != 0:
         raise ValueError(f"t must be one time, got an array of shape {np.shape(t)}")
     return float(nonnegative_times(t))

@@ -10,8 +10,10 @@ once per chunk of trajectories and reduces each observable from those same
 unitaries; the ``estimate_*`` functions are that path with a single
 observable.
 
-Each worker runs its chunks in one workspace, a float64 buffer allocated
-once per call, that every chunk and step reuses, so the step loop allocates
+Each worker runs its chunks in one workspace: one array per entry of its
+layout, batch axis first, allocated once per call in the calling thread
+for the worker's largest chunk.  Each chunk takes the leading trajectories
+of every array, and every step reuses them, so the step loop allocates
 no array of the batch's size.  Per trajectory it holds the noise of one
 block of ``NOISE_BLOCK_STEPS`` steps with the scratch of its normal draws,
 one step's noise row of K = ``noise_width(model)`` entries, the step's
@@ -45,7 +47,7 @@ from .spectra import Spectrum
 
 
 # Workspace bytes that the chunks running at once may hold.  It stays below
-# 32 MiB, glibc's cap on its dynamic mmap threshold: a larger buffer is
+# 32 MiB, glibc's cap on its dynamic mmap threshold: a larger array is
 # always mapped afresh and unmapped on free, so every call would fault in
 # every page of it again.
 WORKSPACE_BUDGET_BYTES = 32e6
@@ -115,27 +117,6 @@ def validate_step(model: NoiseModel, dt: float) -> None:
 # A layout maps each array of a workspace to its shape per trajectory and
 # its dtype; the workspace of a batch puts the batch axis first.
 Layout = dict[str, tuple[tuple[int, ...], type]]
-
-
-def _floats(shape: tuple[int, ...], dtype: type) -> int:
-    return math.prod(shape) * np.dtype(dtype).itemsize // 8
-
-
-def _traj_floats(layout: Layout) -> int:
-    """float64 entries per trajectory of a layout, each array's rounded up
-    to even so that every array starts 16-byte aligned, as a fresh one does."""
-    return sum(n + n % 2 for n in (_floats(*a) for a in layout.values()))
-
-
-def _carve(buf: np.ndarray, layout: Layout, batch: int) -> SimpleNamespace:
-    """Consecutive C-contiguous views of the flat float64 ``buf``, one per
-    array of ``layout`` at ``batch`` trajectories."""
-    views, start = {}, 0
-    for name, (shape, dtype) in layout.items():
-        n = _floats(shape, dtype)
-        views[name] = buf[start:start + batch * n].view(dtype).reshape((batch,) + shape)
-        start += batch * (n + n % 2)
-    return SimpleNamespace(**views)
 
 
 def _block(col: np.ndarray, out: np.ndarray, where=True) -> np.ndarray:
@@ -212,16 +193,23 @@ def _step_layout(d: int, real: bool) -> Layout:
     return shapes | {"col": ((2 * d, d), float), "r": ((2 * d, 2 * d), float)}
 
 
-def _workspace(buf: np.ndarray, layout: Layout, batch: int) -> SimpleNamespace:
-    """``layout`` carved from ``buf`` at ``batch`` trajectories, with the
+def _workspace(layout: Layout, batch: int) -> SimpleNamespace:
+    """One array per entry of ``layout`` at ``batch`` trajectories, with the
     Taylor step's power 0, the identity, written in."""
-    w = _carve(buf, layout, batch)
+    w = SimpleNamespace(**{name: np.empty((batch,) + shape, dtype)
+                           for name, (shape, dtype) in layout.items()})
     d = w.x.shape[-1]
     if hasattr(w, "y"):
         w.y[:, 0] = np.eye(d)
     else:
         w.m[:, 0] = np.eye(2 * d, d)
     return w
+
+
+def _chunk(w: SimpleNamespace, n: int) -> SimpleNamespace:
+    """The first ``n`` trajectories of the workspace ``w``: C-contiguous
+    views, as the batch axis comes first."""
+    return SimpleNamespace(**{name: a[:n] for name, a in vars(w).items()})
 
 
 def _exp_step(w: SimpleNamespace) -> np.ndarray:
@@ -260,7 +248,7 @@ def expm_hermitian_step(x: np.ndarray) -> np.ndarray:
     d = x.shape[-1]
     n = math.prod(x.shape[:-2])
     layout = _step_layout(d, np.isrealobj(x))
-    w = _workspace(np.empty(n * _traj_floats(layout)), layout, n)
+    w = _workspace(layout, n)
     w.x[...] = x.reshape(n, d, d)
     return _exp_step(w).reshape(x.shape[:-2] + (2 * d, 2 * d))
 
@@ -288,8 +276,9 @@ def _workspace_layout(model: NoiseModel, n_steps: int, n_record: int) -> Layout:
 
 def workspace_bytes(model: NoiseModel, n_steps: int, n_record: int) -> int:
     """Bytes per trajectory of a worker's workspace for ``n_steps`` steps
-    that records U at ``n_record`` times."""
-    return 8 * _traj_floats(_workspace_layout(model, n_steps, n_record))
+    that records U at ``n_record`` times: the sum of its arrays' bytes."""
+    layout = _workspace_layout(model, n_steps, n_record)
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout.values())
 
 
 def _noise_rows(
@@ -497,8 +486,8 @@ def estimate_observables(
     if steps.max() > cfg.n_steps:
         raise ValueError("t_grid extends beyond cfg.t_max")
     threads = max(1, threads)
-    layout = _workspace_layout(model, int(steps.max()), steps.size)
-    bounds = chunk_bounds(cfg.n_traj, 8 * _traj_floats(layout), threads)
+    n_steps = int(steps.max())
+    bounds = chunk_bounds(cfg.n_traj, workspace_bytes(model, n_steps, steps.size), threads)
     values = {key: np.empty((cfg.n_traj, steps.size), dtype=complex) for key in observables}
     # Worker w runs chunks w, w + workers, ... in its own workspace.  The
     # workspaces are allocated here: were each worker to allocate its own,
@@ -508,15 +497,16 @@ def estimate_observables(
     # thread timing.
     workers = min(threads, len(bounds))
     largest = max(hi - lo for lo, hi in bounds)
-    buffers = [np.empty(largest * _traj_floats(layout)) for _ in range(workers)]
+    layout = _workspace_layout(model, n_steps, steps.size)
+    spaces = [_workspace(layout, largest) for _ in range(workers)]
 
-    def run_share(w: int, buf: np.ndarray) -> float:
+    def run_share(w: int, space: SimpleNamespace) -> float:
         drifts = []
         for lo, hi in bounds[w::workers]:
             # Trajectory k's seed is child k of SeedSequence(cfg.seed).spawn(n_traj).
             gens = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
                     for k in range(lo, hi)]
-            work = _workspace(buf, layout, hi - lo)
+            work = _chunk(space, hi - lo)
             u_rec, drift = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens, work)
             for key, value in observables.items():
                 for a in range(lo, hi, OBSERVABLE_BATCH):
@@ -526,7 +516,7 @@ def estimate_observables(
         return max(drifts)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        max_drift = max(pool.map(run_share, range(workers), buffers))
+        max_drift = max(pool.map(run_share, range(workers), spaces))
     n = cfg.n_traj
     series = {
         key: Estimate(v.mean(axis=0),

@@ -651,11 +651,11 @@ ENSEMBLE_OF = {u1_gue_general: Ensemble.GUE, u1_goe_general: Ensemble.GOE}
 
 @pytest.mark.parametrize("build", [u1_gue_general, u1_goe_general])
 class TestBuilderTimes:
-    """Each builder takes one nonnegative time through the check the
+    """Each builder takes one nonnegative finite time through the check the
     diagnostics use."""
 
-    @pytest.mark.parametrize("t", [-0.1, -1e-300, np.nan, -np.inf],
-                             ids=["negative", "tiny", "nan", "-inf"])
+    @pytest.mark.parametrize("t", [-0.1, -1e-300, np.nan, -np.inf, np.inf],
+                             ids=["negative", "tiny", "nan", "-inf", "inf"])
     def test_refuses_negative_or_nan(self, build, t):
         spec, model, _, _ = general_case(4, "const", ENSEMBLE_OF[build])
         with pytest.raises(ValueError, match="t must be nonnegative"):

@@ -35,8 +35,9 @@ class TestFCoefficients:
         expected[0] = 1.0
         assert np.max(np.abs(f - expected)) < 1e-12
 
-    @pytest.mark.parametrize("t", [-0.5, np.nan, np.array([0.0, np.nan])],
-                             ids=["negative", "nan", "nan-in-grid"])
+    @pytest.mark.parametrize("t", [-0.5, np.nan, np.array([0.0, np.nan]), np.inf,
+                                   np.array([0.0, np.inf])],
+                             ids=["negative", "nan", "nan-in-grid", "inf", "inf-in-grid"])
     @pytest.mark.parametrize("form", ["f_coefficients", "sff_squared_mean", "sff_variance",
                                       "otoc"])
     def test_refuse_negative_or_nan_times(self, form, t):

@@ -47,10 +47,10 @@ from noisychaos.montecarlo import (
     validate_step,
     workspace_bytes,
 )
-from noisychaos.noise import noise_width
+from noisychaos.noise import noise_width, sample_noise_sequence
 
 from conftest import random_hermitian
-from oracles import evolve_trajectory, reference_estimates
+from oracles import evolve_trajectory, reference_estimates, scheme_superoperator
 
 T_GRID = np.linspace(0.0, 1.0, 5)
 
@@ -196,9 +196,9 @@ class TestPadeStep:
         # longer than it.
         monkeypatch.setattr(montecarlo, "NOISE_BLOCK_STEPS", block)
         model = make(1.3, 5)
-        layout = montecarlo._workspace_layout(model, n_steps, 2)
-        work = montecarlo._workspace(np.full(3 * montecarlo.workspace_bytes(model, n_steps, 2) // 8, np.nan),
-                                     layout, 3)
+        work = montecarlo._workspace(montecarlo._workspace_layout(model, n_steps, 2), 3)
+        for a in vars(work).values():
+            a.fill(np.nan)
         gens = [np.random.default_rng(s) for s in (4, 5, 6)]
         rows = [r.copy() for r in montecarlo._noise_rows(model, 0.01, n_steps, gens, work)]
         assert len(rows) == n_steps
@@ -428,11 +428,12 @@ class TestSharedSimulation:
         (goe_constant, 16, 128, 200, 4),
     ])
     def test_workspace_bytes_count_every_array(self, make, dim, n_traj, n_steps, n_record):
-        # The budget counts all a workspace holds: under GUE the x half of
-        # every step's rows, a block's rows and the scratch of their draws,
-        # a step's rows, the step's arrays, U, the next U and the recorded U.  Each array
-        # of a chunk is a C-contiguous view of the buffer the worker
-        # allocated for its largest chunk, and no two overlap.
+        # The budget counts all a workspace holds, exactly: under GUE the x
+        # half of every step's rows, a block's rows and the scratch of their
+        # draws, a step's rows, the step's arrays, U, the next U and the
+        # recorded U.  Each array of a chunk is a C-contiguous view of the
+        # array the worker allocated for its largest chunk, and no two
+        # overlap.
         model = make(1.0, dim)
         traj_bytes = workspace_bytes(model, n_steps, n_record)
         d, k, block = dim, noise_width(model), min(montecarlo.NOISE_BLOCK_STEPS, n_steps)
@@ -443,12 +444,16 @@ class TestSharedSimulation:
         step = (2 + 1 + 8 + 8) * d * d if gue else (1 + 1 + 4 + 1 + 4 + 2) * d * d
         step += d + (2 + 4) * d * d
         floats = kept + noise + step + 2 * 2 * d * d + 2 * n_record * d * d
-        assert floats * 8 <= traj_bytes <= (floats + 16) * 8
-        buf = np.empty(traj_bytes // 8 * n_traj)
+        assert traj_bytes == floats * 8
+        space = montecarlo._workspace(montecarlo._workspace_layout(model, n_steps, n_record), n_traj)
+        assert sum(a.nbytes for a in vars(space).values()) == n_traj * traj_bytes
         for batch in (n_traj, n_traj - 1):
-            work = montecarlo._workspace(buf, montecarlo._workspace_layout(model, n_steps, n_record), batch)
+            work = montecarlo._chunk(space, batch)
+            assert vars(work).keys() == vars(space).keys()
+            for name, a in vars(work).items():
+                assert a.flags.c_contiguous and a.shape[0] == batch
+                assert np.shares_memory(a, getattr(space, name))
             arrays = list(vars(work).values())
-            assert all(a.flags.c_contiguous and np.shares_memory(a, buf) for a in arrays)
             assert not any(np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
             assert work.record.shape == (batch, n_record, d, d) and work.record.dtype == complex
 
@@ -511,14 +516,15 @@ class TestSharedSimulation:
 
     @pytest.mark.parametrize("make", [gue_constant, goe_constant])
     def test_step_loop_does_not_allocate(self, make):
-        # Once a chunk's workspace is carved, its noise blocks and steps
-        # allocate no array of the batch's size, only numpy's iteration
-        # buffers of at most 64 KiB an operand: at 256 trajectories of D = 8
-        # the traced peak of 60 steps stays below half a (256, 2D, 2D) block
-        # form, 512 KiB.
+        # Once a worker's workspace is allocated, a chunk's noise blocks and
+        # steps allocate no array of the batch's size, only numpy's
+        # iteration buffers of at most 64 KiB an operand: at 256
+        # trajectories of D = 8, in a workspace sized for 257, the traced
+        # peak of 60 steps stays below half a (256, 2D, 2D) block form,
+        # 256 KiB.
         model, batch = make(1.0, 8), 256
-        layout = montecarlo._workspace_layout(model, 60, 1)
-        work = montecarlo._workspace(np.empty(batch * workspace_bytes(model, 60, 1) // 8), layout, batch)
+        space = montecarlo._workspace(montecarlo._workspace_layout(model, 60, 1), batch + 1)
+        work = montecarlo._chunk(space, batch)
         gens = [np.random.default_rng(s) for s in range(batch)]
         h0 = np.diag(np.linspace(-1.0, 1.0, 8)).astype(work.x.dtype)
         work.u[:] = np.eye(16, 8)
@@ -569,3 +575,93 @@ class TestConvergence:
         (b, s), (b_half, s_half) = biases
         assert b < -4.0 * s
         assert abs(2.0 * b_half - b) <= 3.0 * np.hypot(2.0 * s_half, s)
+
+
+# The scheme oracle's cases: the spectrum and noise of
+# test_weak_first_order_in_dt under GUE and GOE noise at D = 2, and GOE at
+# D = 3, with the Gauss-Hermite nodes per noise entry that its superoperator
+# takes.
+SCHEME_CASES = {
+    "gue-2": (np.array([-0.5, 0.7]), gue_constant, 6),
+    "goe-2": (np.array([-0.5, 0.7]), goe_constant, 6),
+    "goe-3": (np.array([-0.6, 0.1, 0.8]), goe_constant, 5),
+}
+
+
+def scheme_means(spec, model, dt, nodes, t):
+    """The scheme's exact SFF and 0 -> 1 transfer probability at the times
+    t, from S^N."""
+    d = spec.dim
+    s = scheme_superoperator(spec, model, dt, nodes)
+    powers = [np.linalg.matrix_power(s, n) for n in montecarlo.grid_steps(t, dt)]
+    return {"sff": np.array([np.trace(p).real / d**2 for p in powers]),
+            "transfer": np.array([p[d + 1, 0].real for p in powers])}
+
+
+def scaled_rows(model, dt, n_steps, rng, out=None, *, half=None, scratch=None):
+    """The sampler with every row entry 3% too large."""
+    out = sample_noise_sequence(model, dt, n_steps, rng, out, half=half, scratch=scratch)
+    out *= 1.03
+    return out
+
+
+def rows_without_diagonal(model, dt, n_steps, rng, out=None, *, half=None, scratch=None):
+    """The sampler with the diagonal entries, the last D of a row or of its
+    x half, dropped."""
+    out = sample_noise_sequence(model, dt, n_steps, rng, out, half=half, scratch=scratch)
+    if half != "y":
+        out[..., -model.dim:] = 0.0
+    return out
+
+
+class TestSchemeOracle:
+    """The Monte Carlo scheme's exact means E[U_N (x) conj(U_N)] = S^N, with
+    no sampling: its weak bias against the closed forms, and the sampler
+    against them at the same dt."""
+
+    @pytest.mark.parametrize("case", SCHEME_CASES)
+    def test_nodes_converged(self, case):
+        # n and n + 4 nodes per entry agree at the widest noise, dt = 0.04.
+        energies, make, nodes = SCHEME_CASES[case]
+        spec, model = Spectrum(energies), make(1.0, energies.size)
+        s = scheme_superoperator(spec, model, 0.04, nodes)
+        assert np.abs(s - scheme_superoperator(spec, model, 0.04, nodes + 4)).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", SCHEME_CASES)
+    def test_weak_first_order_exact(self, case):
+        # The scheme's bias at t = 1 halves with dt: GUE D = 2 reads
+        # -1.889760e-3, -9.475476e-4, -4.744239e-4 on the SFF at dt = 0.04,
+        # 0.02, 0.01.
+        energies, make, nodes = SCHEME_CASES[case]
+        spec, model = Spectrum(energies), make(1.0, energies.size)
+        t = np.array([1.0])
+        closed = {"sff": sff(spec, model, t).real, "transfer": transfer_probability(spec, model, 0, 1, t)}
+        biases = [{key: v - closed[key] for key, v in scheme_means(spec, model, dt, nodes, t).items()}
+                  for dt in (0.04, 0.02, 0.01)]
+        for key in closed:
+            b = [bias[key][0] for bias in biases]
+            assert 1.9 <= b[0] / b[1] <= 2.1 and 1.9 <= b[1] / b[2] <= 2.1, (key, b)
+
+    # 12000 trajectories put the 3% mutation's shift at 6.4 (GUE) and 8.4
+    # (GOE) sigma on its most visible comparison, from the exact means of
+    # the mutated variance, and the dropped diagonal's at 38 and 59 sigma.
+    @pytest.mark.parametrize("sampler, passes", [
+        (None, True), (scaled_rows, False), (rows_without_diagonal, False),
+    ], ids=["real", "scaled", "no-diagonal"])
+    @pytest.mark.parametrize("case", ["gue-2", "goe-3"])
+    def test_sampler_matches_scheme(self, monkeypatch, case, sampler, passes):
+        # The estimates at dt = 0.04 carry no discretization bias against
+        # S^N at the same dt, so the 3-sigma gate tests the sampler itself:
+        # the stream, the sigma scaling, the row expansion and the step.
+        energies, make, nodes = SCHEME_CASES[case]
+        spec, model = Spectrum(energies), make(1.0, energies.size)
+        t = np.array([0.4, 1.0])
+        exact = scheme_means(spec, model, 0.04, nodes, t)
+        if sampler is not None:
+            monkeypatch.setattr(montecarlo, "sample_noise_sequence", sampler)
+        cfg = TrajectoryConfig(dt=0.04, t_max=1.0, n_traj=12000, seed=1)
+        run = estimate_observables(spec, model, cfg, t,
+                                   {"sff": sff_observable(), "transfer": transfer_observable(0, 1)})
+        z = max(np.max(np.abs(run.series[key].values - exact[key]) / run.series[key].stderr)
+                for key in exact)
+        assert (z <= 3.0) == passes, z
