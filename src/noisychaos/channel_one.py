@@ -179,28 +179,36 @@ def goe_params(spec: Spectrum, model: NoiseModel) -> GoePairs:
     return GoePairs(i, j, delta, quarter[i] + quarter[j], half_lam, np.copysign(q, half_lam - gap))
 
 
-def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
-    """GOE channel of any variance profile.  Per pair, with e+- =
-    e^{(-kappa +- q) t}, C = (e+ + e-)/2 and S = (e+ - e-)/(2q) (t e^{-kappa t}
-    where q = 0): A_ij = C - i delta S = conj(A_ji) and G_ij = G_ji = l S.
+def goe_cos_sin(q: np.ndarray, kappa: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """C = (e+ + e-)/2 and S = (e+ - e-)/(2q), e+- = e^{(-kappa +- q) t}, of
+    GOE pairs with the roots q (signed as ``GoePairs.q``) and decays kappa,
+    at times t that broadcast against them; S = t e^{-kappa t} where q = 0.
     Each root type is taken in real arithmetic: for real q > 0, S =
     -e+ expm1(-2qt)/(2q), which neither cancels for q << lambda_ij nor
     overflows; for imaginary roots C = e^{-kappa t} cos(|q|t) and S =
-    e^{-kappa t} sin(|q|t)/|q|.  The populations feel the noise at half the
-    GUE rate (A_jj + G_jj = e^{-J_j t/2}), so ``populations`` takes B at t/2.
-    A is a complex grid and G a real one."""
+    e^{-kappa t} sin(|q|t)/|q|."""
+    aq, decay = np.abs(q), np.exp(-kappa * t)
+    real = q > 0.0
+    grow = np.exp((np.where(real, aq, 0.0) - kappa) * t)  # e+ of the real roots
+    c = np.where(real, (grow + np.exp((-aq - kappa) * t)) / 2, decay * np.cos(aq * t))
+    s = t * decay
+    np.divide(-grow * np.expm1(-2.0 * aq * t), 2.0 * aq, out=s, where=real)
+    np.divide(decay * np.sin(aq * t), aq, out=s, where=q < 0.0)
+    return c, s
+
+
+def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
+    """GOE channel of any variance profile.  Per pair, with C and S of
+    ``goe_cos_sin``: A_ij = C - i delta S = conj(A_ji) and G_ij = G_ji = l S.
+    The populations feel the noise at half the GUE rate (A_jj + G_jj =
+    e^{-J_j t/2}), so ``populations`` takes B at t/2.  A is a complex grid
+    and G a real one."""
     check_dims(spec, model)
     if model.ensemble is not Ensemble.GOE:
         raise ValueError("u1_goe_general requires a GOE noise model")
     t = _one_time(t)
     p = goe_params(spec, model)
-    q, decay = np.abs(p.q), np.exp(-p.kappa * t)
-    real = p.q > 0.0
-    grow = np.exp((np.where(real, q, 0.0) - p.kappa) * t)  # e+ of the real roots
-    c = np.where(real, (grow + np.exp((-q - p.kappa) * t)) / 2, decay * np.cos(q * t))
-    s = t * decay
-    np.divide(-grow * np.expm1(-2.0 * q * t), 2.0 * q, out=s, where=real)
-    np.divide(decay * np.sin(q * t), q, out=s, where=p.q < 0.0)
+    c, s = goe_cos_sin(p.q, p.kappa, t)
     coeff_a = np.empty((spec.dim, spec.dim), dtype=complex)
     coeff_g = np.empty((spec.dim, spec.dim))
     coeff_a[p.i, p.j], coeff_a[p.j, p.i] = c - 1j * p.delta * s, c + 1j * p.delta * s

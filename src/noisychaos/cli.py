@@ -417,10 +417,8 @@ def oracle_compare(inp: Inputs):
         raise ConfigError(f"compare_otoc=True needs noise.ensemble 'gue', got {inp.ensemble!r}")
     try:
         steps = grid_steps(t, cfg.dt)
-    except ValueError:
-        raise ConfigError(
-            f"t_grid.* gives times that are not integer multiples of montecarlo.dt={cfg.dt!r}"
-        ) from None
+    except ValueError as exc:
+        raise ConfigError(f"t_grid.* at montecarlo.dt={cfg.dt!r}: {exc}") from None
     if steps.max() > cfg.n_steps:
         raise ConfigError(
             f"t_grid.t_max={float(t[-1])!r} lies past montecarlo.t_max={cfg.t_max!r}"

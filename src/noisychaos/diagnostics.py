@@ -21,6 +21,7 @@ import numpy as np
 from .channel_one import (
     ChannelOne,
     check_dims,
+    goe_cos_sin,
     goe_params,
     gue_phases,
     nonnegative_times,
@@ -85,11 +86,12 @@ GOE_SLICE = 16384
 def _goe_contract(spec: Spectrum, model: NoiseModel, wa, wg, t: np.ndarray) -> np.ndarray:
     """sum_ij [wa o A(t) + wg o G(t)]_ij of the GOE channel, shaped like t.
 
-    A pair i <= j adds alpha C + beta S (see u1_goe_general), with alpha =
+    A pair i <= j adds alpha C + beta S (see goe_cos_sin), with alpha =
     wa_ij + wa_ji and beta = -i delta (wa_ij - wa_ji) + l (wg_ij + wg_ji),
     each weight counted once on the diagonal: (alpha +- beta/q)/2 on
-    e^{(-kappa +- q) t}, D(D+1) exponents z with weights b.  A pair with
-    q = 0 puts alpha/2 on each and adds beta t e^{-kappa t} instead.
+    e^{(-kappa +- q) t}, D(D+1) exponents z with weights b.  A pair whose
+    |q| is tiny against l + |delta|, q = 0 included, puts alpha/2 on each
+    and adds beta S at each point instead, S from ``goe_cos_sin``.
 
     The exponentials run along t by recurrence, e^{z t_{k+1}} = e^{z t_k}
     e^{z (t_{k+1} - t_k)}, in one row and one step buffer.  On a uniform
@@ -109,12 +111,14 @@ def _goe_contract(spec: Spectrum, model: NoiseModel, wa, wg, t: np.ndarray) -> n
     alpha = upper + off * lower
     del upper, lower
     root = p.root()
-    zero = root == 0.0
-    late = zero & (beta != 0.0)  # only these need the t e^{-kappa t} term
+    # beta/q cancels to about ulp/|q| of beta; such pairs are rare away
+    # from l = |delta|.
+    near = np.abs(p.q) <= 1e-2 * (p.half_lam + np.abs(p.delta))
+    late = near & (beta != 0.0)  # only these need the S term
     ts = t.reshape(-1)
-    out = ts * (np.exp(np.multiply.outer(ts, -p.kappa[late])) @ beta[late])
-    np.divide(beta, root, out=beta, where=~zero)
-    beta[zero] = 0.0
+    out = goe_cos_sin(p.q[late], p.kappa[late], ts[:, None])[1] @ beta[late]
+    np.divide(beta, root, out=beta, where=~near)
+    beta[near] = 0.0
     z = np.concatenate([root - p.kappa, -root - p.kappa])
     del p, root
     b = np.concatenate([alpha + beta, alpha - beta])

@@ -17,18 +17,18 @@ of every array, and every step reuses them, so the step loop allocates
 no array of the batch's size.  Per trajectory it holds the noise of one
 block of ``NOISE_BLOCK_STEPS`` steps with the scratch of its normal draws,
 one step's noise row of K = ``noise_width(model)`` entries, the step's
-slices, Taylor powers, block forms and next U, and the recorded U.  GUE
-noise also keeps the x half of its rows for every step, D(D+1)/2 of the
-K = D^2 entries: a trajectory's stream is all of its x draws, then all of
-its y draws, so each x must be drawn before the first y, and the block
-holds the y halves.  ``chunk_bounds`` sizes the chunks so that the
-workspaces of the chunks running at once, ``workspace_bytes`` per
-trajectory, fit ``WORKSPACE_BUDGET_BYTES``.  Trajectory k draws its noise
-from child k of the SeedSequence of the seed, a block at a time in the
-order of one up-front draw, and results land in per-trajectory slots
-before a fixed-order reduction, so estimates are bit-identical regardless
-of thread count, chunking, block length, and which observables share the
-simulation.
+slices, Taylor powers, block forms and next U, and the recorded U.  A GUE
+row is its x half, D(D+1)/2 entries laid out as a whole GOE row, then its
+y half.  GUE noise keeps the x halves of every step: a trajectory's stream
+is all of its x draws, then all of its y draws, so each x must be drawn
+before the first y, and the block holds the y halves.  ``chunk_bounds``
+sizes the chunks so that the workspaces of the chunks running at once,
+``workspace_bytes`` per trajectory, fit ``WORKSPACE_BUDGET_BYTES``.
+Trajectory k draws its noise from child k of the SeedSequence of the seed,
+a block at a time in the order of one up-front draw, and results land in
+per-trajectory slots before a fixed-order reduction, so estimates are
+bit-identical regardless of thread count, chunking, block length, and which
+observables share the simulation.
 """
 
 from __future__ import annotations
@@ -289,12 +289,13 @@ def _noise_rows(
     gather and scale for the batch, into rows laid out (n_batch, steps,
     width).  A trajectory's stream is its x draws for every step, then
     under GUE its y draws, so GUE first draws the x halves of all blocks
-    into ``w.kept`` and then the y halves block by block."""
+    into ``w.kept`` and then the y halves block by block; a GUE row is its
+    x half then its y half."""
     d, batch = model.dim, len(gens)
-    m = d * (d - 1) // 2
     length = w.draws.shape[1] // (d * d)
     draws = w.draws.reshape(-1)
     gue = model.ensemble is Ensemble.GUE
+    x = d * (d + 1) // 2 if gue else 0  # the width of the kept x halves
 
     def rows(buf: np.ndarray, s0: int, n: int, width: int) -> np.ndarray:
         return buf.reshape(-1)[batch * s0 * width:batch * (s0 + n) * width].reshape(batch, n, width)
@@ -302,21 +303,17 @@ def _noise_rows(
     if gue:
         for s0 in range(0, n_steps, length):
             n = min(length, n_steps - s0)
-            sample_noise_sequence(model, dt, n, gens, rows(w.kept, s0, n, m + d),
-                                  half="x", scratch=draws)
+            sample_noise_sequence(model, dt, n, gens, rows(w.kept, s0, n, x), draws)
     for s0 in range(0, n_steps, length):
         n = min(length, n_steps - s0)
-        block = rows(w.block, 0, n, m if gue else w.row.shape[1])
-        sample_noise_sequence(model, dt, n, gens, block, half="y" if gue else None, scratch=draws)
+        block = rows(w.block, 0, n, w.row.shape[1] - x)
+        sample_noise_sequence(model, dt, n, gens, block, draws, "y" if gue else "x")
         if gue:
-            kept = rows(w.kept, s0, n, m + d)
+            kept = rows(w.kept, s0, n, x)
         for j in range(n):
             if gue:
-                w.row[:, :m] = kept[:, j, :m]
-                w.row[:, m:2 * m] = block[:, j]
-                w.row[:, 2 * m:] = kept[:, j, m:]
-            else:
-                w.row[:] = block[:, j]
+                w.row[:, :x] = kept[:, j]
+            w.row[:, x:] = block[:, j]
             yield w.row
 
 
@@ -342,23 +339,26 @@ def _evolve_recorded(
 ) -> tuple[np.ndarray, float]:
     """Evolve a batch of trajectories in the workspace ``w`` (a
     ``_workspace_layout`` at n_batch = len(gens) trajectories), returning U
-    at the recorded step indices, ``w.record`` of shape (n_batch, n_record,
-    D, D), and the batch's largest unitarity drift max |U+U - 1| at the last
-    step.  Each step expands its noise rows into the batch's full slices.  U
-    is carried as its real block column [Re U; Im U]."""
+    at the recorded steps, strictly increasing as ``grid_steps`` gives them,
+    in ``w.record`` of shape (n_batch, n_record, D, D), and the batch's
+    largest unitarity drift max |U+U - 1| at the last step.  Each step
+    expands its noise rows into the batch's full slices.  U is carried as
+    its real block column [Re U; Im U]."""
     d = energies.size
     h0 = np.diag(energies).astype(w.x.dtype)
     u, u_next = w.u, w.u_next
     u[:] = np.eye(2 * d, d)
-    rec = {step: k for k, step in enumerate(record_steps)}
+    k = 0  # the next slot to record
 
     def record(n):
-        if n in rec:
-            w.record[:, rec[n]].real = u[:, :d]
-            w.record[:, rec[n]].imag = u[:, d:]
+        nonlocal k
+        if n == record_steps[k]:
+            w.record[:, k].real = u[:, :d]
+            w.record[:, k].imag = u[:, d:]
+            k += 1
 
     record(0)
-    n_steps = int(record_steps.max())
+    n_steps = int(record_steps[-1])
     for n, rows in enumerate(_noise_rows(model, dt, n_steps, gens, w), start=1):
         _step(model, h0, dt, rows, u, w, out=u_next)
         u, u_next = u_next, u
@@ -371,10 +371,15 @@ def _evolve_recorded(
 
 
 def grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
-    """The step index n of each grid time t = n dt."""
-    steps = np.round(np.asarray(t_grid, dtype=float) / dt).astype(int)
-    if not np.allclose(steps * dt, t_grid, atol=1e-9):
-        raise ValueError("t_grid times must be integer multiples of dt")
+    """The step index n of each grid time t = n dt, each within 1e-9 of its
+    lattice point whatever its size; the steps must be nonnegative and
+    strictly increasing, so that each records its own slot."""
+    t = np.asarray(t_grid, dtype=float)
+    steps = np.round(t / dt).astype(int)
+    if np.any(np.abs(steps * dt - t) > 1e-9):
+        raise ValueError("times must be integer multiples of dt")
+    if np.any(steps < 0) or np.any(np.diff(steps) <= 0):
+        raise ValueError("times must fall on nonnegative, strictly increasing steps")
     return steps
 
 

@@ -3,10 +3,10 @@
 Shared between the analytic channels and the Monte Carlo trajectory oracle.
 The white-noise variance is regularized on a time grid as lambda/dt per step.
 The oracle's noise slices are sampled as float64 rows of their K independent
-entries (``sample_noise_sequence``, K = ``noise_width``) and expanded into
-full Hermitian or symmetric slices (``noise_slices``) one step at a time;
-the draws are those of full D x D slices, so the stream at a seed does not
-depend on the layout.
+entries (K = ``noise_width``), a half at a time (``sample_noise_sequence``),
+and expanded into full Hermitian or symmetric slices (``noise_slices``) one
+step at a time; the draws are those of full D x D slices, so the stream at a
+seed does not depend on the layout.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ def goe_constant(J: float, dim: int) -> NoiseModel:
 
 
 def noise_width(model: NoiseModel) -> int:
-    """K, the independent real entries of one noise slice: D^2 for GUE
-    (upper-triangle real parts, upper-triangle imaginary parts, diagonal),
-    D(D+1)/2 for GOE (upper triangle, diagonal)."""
+    """K, the independent real entries of one noise slice: D^2 for GUE (the
+    x half, upper-triangle real parts then the diagonal, then the y half,
+    upper-triangle imaginary parts), D(D+1)/2 for GOE (the x half alone)."""
     d = model.dim
     return d * d if model.ensemble is Ensemble.GUE else d * (d + 1) // 2
 
@@ -183,14 +183,15 @@ def sample_noise_sequence(
     model: NoiseModel,
     dt: float,
     n_steps: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    out: np.ndarray | None = None,
-    *,
-    half: str | None = None,
-    scratch: np.ndarray | None = None,
+    gens: Sequence[np.random.Generator],
+    out: np.ndarray,
+    scratch: np.ndarray,
+    half: str = "x",
 ) -> np.ndarray:
-    """n_steps independent time slices of the regularized noise matrix, each
-    as its K = ``noise_width(model)`` independent entries.
+    """n_steps independent time slices of the regularized noise matrix for
+    each generator of ``gens``, as one half of their rows of K =
+    ``noise_width(model)`` entries, written into ``out`` (n_gens x n_steps
+    x width float64, of any strides, unbuffered when C-contiguous).
 
     Each slice is Hermitian (GUE) or real symmetric (GOE) with second
     moments matching the delta-regularized variance lambda/dt:
@@ -198,66 +199,37 @@ def sample_noise_sequence(
     variance lambda_ij/(2 dt), GOE off-diagonals have variance
     lambda_ij/(2 dt), diagonals have variance lambda_ii/dt in both cases.
 
-    The rows are written into ``out`` (n_steps x K float64, of any strides)
-    when it is given, else into a new array; ``noise_slices`` expands them.
-    A row holds sigma_ij x_ij for i < j in ``np.triu_indices`` order, then
-    under GUE sigma_ij y_ij in the same order, then sigma_ii x_ii: the slice
-    is sigma_ij (x + i y)_ij above the diagonal and sigma_ii x_ii on it.  The
-    stream is one full D x D normal draw x for all slices, then y for GUE;
-    the entries below the diagonal are drawn and discarded, so the stream,
-    and with it every Monte Carlo estimate at a given seed, is the one a
-    sampler of full slices draws.
-
-    ``rng`` may also be a sequence of generators, each drawing its own
-    n_steps slices; ``out`` then has a leading axis over them.  Under GUE,
-    ``half="x"`` draws only x and writes the x half of each row, its upper
-    triangle then its diagonal (D(D+1)/2 entries), and ``half="y"`` draws
-    only y and writes the y half (D(D-1)/2 entries); a full GUE row is the
-    two halves.  A generator's consecutive calls continue its stream, so
-    all its x halves in pieces of steps, then its y halves in pieces, draw
-    the stream of one call.  The normal draws are made in ``scratch``,
-    float64 with room for n_generators x n_steps x D^2 entries, allocated
-    when not given; an ``out`` given with a half, or under GOE, is written
-    without a copy when it is C-contiguous.
+    ``half="x"`` draws x and writes sigma_ij x_ij for i < j in
+    ``np.triu_indices`` order, then sigma_ii x_ii: the whole row under GOE.
+    Under GUE ``half="y"`` draws y and writes sigma_ij y_ij in the same
+    order; a row is its x half then its y half, and its slice is sigma_ij
+    (x + i y)_ij above the diagonal and sigma_ii x_ii on it.  Each slice
+    draws one full D x D normal matrix in ``scratch`` (room for n_gens x
+    n_steps x D^2 floats) and discards the entries below the diagonal, so
+    the stream, and with it every Monte Carlo estimate at a seed, is that
+    of a sampler of full slices.  A generator's consecutive calls continue
+    its stream: its x halves in pieces of steps, then its y halves, draw
+    the stream of all its x slices followed by all its y slices.
     """
     if dt <= 0.0:
         raise InvalidStepError(f"dt must be positive, got {dt}")
-    gue = model.ensemble is Ensemble.GUE
-    if half not in ((None, "x", "y") if gue else (None,)):
-        raise ValueError(f"half={half!r} is not None, or 'x' or 'y' under GUE")
+    if half not in (("x", "y") if model.ensemble is Ensemble.GUE else ("x",)):
+        raise ValueError(f"half={half!r} is not 'x', or 'y' under GUE")
     d = model.dim
     iu, ju = np.triu_indices(d, k=1)
-    m = iu.size
-    if gue and half is None:
-        x = sample_noise_sequence(model, dt, n_steps, rng, half="x", scratch=scratch)
-        y = sample_noise_sequence(model, dt, n_steps, rng, half="y", scratch=scratch)
-        if out is None:
-            out = np.empty(x.shape[:-1] + (d * d,))
-        out[..., :m] = x[..., :m]
-        out[..., m : 2 * m] = y
-        out[..., 2 * m :] = x[..., m:]
-        return out
-    single = isinstance(rng, np.random.Generator)
-    gens = [rng] if single else list(rng)
     lam = model.lambda_matrix()
     # Each slice's draw as a flat row: the upper triangle, then the diagonal
     # every (D+1)-th entry, is one gather.
     index = iu * d + ju
     sigma = np.sqrt(lam[iu, ju] / (2.0 * dt))
-    if half != "y":
+    if half == "x":
         index = np.concatenate([index, np.arange(0, d * d, d + 1)])
         sigma = np.concatenate([sigma, np.sqrt(np.diag(lam) / dt)])
-    if out is None:
-        out = np.empty(((n_steps,) if single else (len(gens), n_steps)) + (index.size,))
-    n = len(gens) * n_steps * d * d
-    if scratch is None:
-        scratch = np.empty(n)
-    draws = scratch[:n].reshape(len(gens), n_steps, d * d)
+    draws = scratch[:len(gens) * n_steps * d * d].reshape(len(gens), n_steps, d * d)
     for gen, draw in zip(gens, draws):
         gen.standard_normal(out=draw)
-    rows = out[None] if single else out
-    np.take(draws, index, axis=-1, out=rows, mode="wrap")
-    np.multiply(rows, sigma, out=rows)
+    np.take(draws, index, axis=-1, out=out, mode="wrap")
+    np.multiply(out, sigma, out=out)
     return out
 
 
@@ -270,11 +242,11 @@ def _expansion(dim: int, gue: bool) -> tuple[np.ndarray, np.ndarray | None]:
     m = iu.size
     real = np.empty((dim, dim), dtype=np.intp)
     real[iu, ju] = real[ju, iu] = np.arange(m)
-    np.fill_diagonal(real, (2 * m if gue else m) + np.arange(dim))
+    np.fill_diagonal(real, m + np.arange(dim))
     if not gue:
         return real.ravel(), None
     imag = np.zeros((dim, dim), dtype=np.intp)
-    imag[iu, ju] = imag[ju, iu] = m + np.arange(m)
+    imag[iu, ju] = imag[ju, iu] = m + dim + np.arange(m)
     sign = np.zeros((dim, dim, 2))
     sign[..., 0] = 1.0
     sign[iu, ju, 1], sign[ju, iu, 1] = 1.0, -1.0

@@ -2,8 +2,9 @@
 L1 and its dense D^2 x D^2 matrix, a matrix exponential by scaling and
 squaring, the forced linear solve of the channel's populations, the dense
 D^2 x D^2 superoperator and Choi matrix of a channel, the
-8 x 8 two-replica generator M, one full Monte Carlo trajectory and the
-estimates of a whole run, each drawing its noise up front, the averaged
+8 x 8 two-replica generator M, one generator's full noise rows, one full
+Monte Carlo trajectory and the estimates of a whole run, each drawing its
+noise up front, the averaged
 one-step superoperator of the Monte Carlo scheme, the effective
 Hamiltonian, level-spacing statistics, the return probability
 of a general partition, and the Krylov moments and moment recursion in
@@ -168,15 +169,33 @@ def build_M(D: int, J: float, w: complex) -> np.ndarray:
     return m
 
 
+def noise_rows(
+    model: NoiseModel, dt: float, n_steps: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One generator's n_steps full noise rows, (n_steps, K), from the
+    program's own ``sample_noise_sequence`` calls: the x halves of all
+    steps in one piece, then under GUE the y halves.  They are written into
+    ``out`` when it is given."""
+    d = model.dim
+    if out is None:
+        out = np.empty((n_steps, noise_width(model)))
+    x = d * (d + 1) // 2
+    scratch = np.empty(n_steps * d * d)
+    sample_noise_sequence(model, dt, n_steps, [rng], out[None, :, :x], scratch)
+    if model.ensemble is Ensemble.GUE:
+        sample_noise_sequence(model, dt, n_steps, [rng], out[None, :, x:], scratch, "y")
+    return out
+
+
 def _evolve_batch(
     energies: np.ndarray, model: NoiseModel, dt: float, n_steps: int, gens: list
 ) -> np.ndarray:
     """U(t_n), n = 0..n_steps, of a batch of trajectories, shape (batch,
-    n_steps + 1, D, D): each draws its whole noise stream in one piece, as
-    one ``sample_noise_sequence`` call, before the batch steps by
-    ``expm_hermitian_step`` from the full slices."""
+    n_steps + 1, D, D): each draws its whole noise stream in one piece
+    (``noise_rows``) before the batch steps by ``expm_hermitian_step`` from
+    the full slices."""
     d = energies.size
-    eta = noise_slices(model, np.stack([sample_noise_sequence(model, dt, n_steps, g) for g in gens]))
+    eta = noise_slices(model, np.stack([noise_rows(model, dt, n_steps, g) for g in gens]))
     h0 = np.diag(energies)
     u = np.zeros((len(gens), 2 * d, d))
     u[:, :d] = np.eye(d)
@@ -226,8 +245,9 @@ def scheme_superoperator(spec: Spectrum, model: NoiseModel, dt: float, nodes: in
 
     eta is ``noise_slices`` of the row of nodes scaled by the standard
     deviations ``sample_noise_sequence`` gives its entries: sqrt(lambda_ij
-    / (2 dt)) above the diagonal (real parts, then under GUE imaginary
-    parts) and sqrt(lambda_ii / dt) on it.  u is ``expm_hermitian_step``,
+    / (2 dt)) on the real parts above the diagonal, sqrt(lambda_ii / dt) on
+    the diagonal, then under GUE sqrt(lambda_ij / (2 dt)) on the imaginary
+    parts above the diagonal.  u is ``expm_hermitian_step``,
     the Monte Carlo's own step; its degree-15 Taylor remainder is below
     2^-53 per step, so S^N differs from the same average of the exact
     exponential only by roundoff, far below the scheme's O(dt) bias (at
@@ -240,8 +260,9 @@ def scheme_superoperator(spec: Spectrum, model: NoiseModel, dt: float, nodes: in
     lam = model.lambda_matrix()
     iu, ju = np.triu_indices(d, k=1)
     off = np.sqrt(lam[iu, ju] / (2.0 * dt))
-    sigma = np.concatenate([off, off] if model.ensemble is Ensemble.GUE else [off])
-    sigma = np.concatenate([sigma, np.sqrt(np.diag(lam) / dt)])
+    sigma = np.concatenate([off, np.sqrt(np.diag(lam) / dt)])
+    if model.ensemble is Ensemble.GUE:
+        sigma = np.concatenate([sigma, off])
     x, w = np.polynomial.hermite_e.hermegauss(nodes)
     w = w / np.sqrt(2.0 * np.pi)
     h0 = np.diag(spec.energies)

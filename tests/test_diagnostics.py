@@ -33,7 +33,14 @@ from noisychaos.diagnostics import GOE_SLICE
 
 import test_channel_one
 from conftest import random_hermitian
-from oracles import effective_hamiltonian, level_statistics, partition_return_probability
+from oracles import (
+    build_L1,
+    dense_generator,
+    effective_hamiltonian,
+    expm,
+    level_statistics,
+    partition_return_probability,
+)
 
 T_GRID = np.linspace(0.0, 3.0, 7)
 
@@ -335,6 +342,24 @@ class TestGridContraction:
                      [np.trace(o.conj().T @ apply_channel(ch, o)) / 4 for ch in channels])
         for got, expected in zip(values, per_point):
             assert np.max(np.abs(got - expected)) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-14, 1e-9, 0.0])
+    def test_near_exceptional_pair_matches_generator(self, eps):
+        # E = (0, 1/8 - eps, 1/2, 1) under constant GOE noise, J = 1, D = 4:
+        # the pair (0, 1) has 0 <= q^2 << lambda_01^2, where the weights
+        # (alpha +- beta/q)/2 of its exponentials cancel.  O_01 = 1 gives
+        # that pair a beta of order 1: the two-point function missed
+        # e^{L1 t} by 7.5e-11 at eps = 1e-14 and 6.1e-13 at eps = 1e-9.
+        spec = Spectrum(np.array([0.0, 0.125 - eps, 0.5, 1.0]))
+        o = random_hermitian(4, np.random.default_rng(50))
+        o[0, 1] = o[1, 0] = 1.0
+        t_grid = np.linspace(0.0, 8.0, 33)
+        dense = dense_generator(build_L1(spec, goe_constant(1.0, 4)))
+        channels = [expm(dense * t) for t in t_grid]
+        two_point_exact = [np.trace(o.conj().T @ (ch @ o.ravel()).reshape(4, 4)) / 4 for ch in channels]
+        sff_exact = [np.trace(ch).real / 16 for ch in channels]
+        assert np.max(np.abs(two_point_goe_const(spec, 1.0, o, t_grid) - two_point_exact)) <= 1e-13
+        assert np.max(np.abs(sff_goe_const(spec, 1.0, t_grid) - sff_exact)) <= 1e-13
 
     @staticmethod
     def general_case(case, ensemble):

@@ -50,7 +50,7 @@ from noisychaos.montecarlo import (
 from noisychaos.noise import noise_width, sample_noise_sequence
 
 from conftest import random_hermitian
-from oracles import evolve_trajectory, reference_estimates, scheme_superoperator
+from oracles import evolve_trajectory, noise_rows, reference_estimates, scheme_superoperator
 
 T_GRID = np.linspace(0.0, 1.0, 5)
 
@@ -71,6 +71,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             validate_step(gue_constant(100.0, 4), 0.05)
         validate_step(gue_constant(1.0, 4), 0.01)
+
+    def test_grid_off_the_lattice_refused(self):
+        # 40.0003 lies 0.3 steps off the dt = 0.001 lattice; a tolerance
+        # relative to t would take it as step 40000.
+        with pytest.raises(ValueError, match="integer multiples of dt"):
+            montecarlo.grid_steps([0.0, 40.0003], 0.001)
+        assert np.array_equal(montecarlo.grid_steps(np.linspace(0.0, 0.97, 98), 0.01), np.arange(98))
+
+    @pytest.mark.parametrize("t_grid", [
+        [0.0, 0.05, 0.05], [0.0, 0.05, 0.04], [0.0, 0.05, 0.05 + 1e-12], [-0.01, 0.05],
+    ])
+    def test_grid_steps_must_increase(self, spec4, t_grid):
+        # A repeated step (of equal times or not), an unordered one or a
+        # negative one would leave a record slot unwritten: [0, 0.05, 0.05]
+        # returned an SFF of 0 at t = 0.05.
+        with pytest.raises(ValueError, match="strictly increasing steps"):
+            montecarlo.grid_steps(t_grid, 0.01)
+        with pytest.raises(ValueError, match="strictly increasing steps"):
+            estimate_observables(spec4, gue_constant(1.0, 4), small_cfg(4, dt=0.01), t_grid,
+                                 {"sff": sff_observable()})
 
 
 class TestTrajectory:
@@ -154,8 +174,7 @@ class TestPadeStep:
         model = make(1.0, 4)
         cfg = TrajectoryConfig(dt=0.01, t_max=0.3, n_traj=1, seed=0)
         us = evolve_trajectory(spec4, model, cfg, np.random.default_rng(21))
-        rows = montecarlo.sample_noise_sequence(model, cfg.dt, cfg.n_steps, np.random.default_rng(21))
-        eta = montecarlo.noise_slices(model, rows)
+        eta = montecarlo.noise_slices(model, noise_rows(model, cfg.dt, cfg.n_steps, np.random.default_rng(21)))
         u = np.eye(4, dtype=complex)
         for n in range(cfg.n_steps):
             u = eigh_exp(cfg.dt * (np.diag(spec4.energies) + eta[n])) @ u
@@ -167,21 +186,21 @@ class TestPadeStep:
         # batch, as float64 rows of a slice's independent real entries: the
         # D^2 = 16 of a GUE row as its x half, upper triangle and diagonal
         # (10), for every step first, then its y half (6) per block; the
-        # D(D+1)/2 = 10 of a GOE row per block.  6 trajectories on 2
-        # threads run as 2 chunks of 3, of 500 steps each.
+        # D(D+1)/2 = 10 of a GOE row, its x half, per block.  6 trajectories
+        # on 2 threads run as 2 chunks of 3, of 500 steps each.
         seen = []
         sample = montecarlo.sample_noise_sequence
 
-        def recording(model, dt, n_steps, rng, out=None, *, half=None, scratch=None):
-            seen.append((half, len(rng), out.shape, out.dtype))
-            return sample(model, dt, n_steps, rng, out, half=half, scratch=scratch)
+        def recording(model, dt, n_steps, gens, out, scratch, half="x"):
+            seen.append((half, len(gens), out.shape, out.dtype))
+            return sample(model, dt, n_steps, gens, out, scratch, half)
 
         monkeypatch.setattr(montecarlo, "sample_noise_sequence", recording)
         monkeypatch.setattr(montecarlo, "NOISE_BLOCK_STEPS", 7)
         run = estimate_observables(spec4, make(1.0, 4), small_cfg(6), T_GRID,
                                    {"sff": sff_observable()}, threads=2)
         blocks = [7] * 71 + [3]
-        halves = [("x", (width + 4) // 2), ("y", (width - 4) // 2)] if make is gue_constant else [(None, width)]
+        halves = [("x", (width + 4) // 2), ("y", (width - 4) // 2)] if make is gue_constant else [("x", width)]
         per_chunk = [(half, 3, (3, n, width), np.dtype(float)) for half, width in halves for n in blocks]
         assert sorted(seen, key=str) == sorted(per_chunk * 2, key=str)
         assert 0.0 < run.max_drift <= 1e-8
@@ -202,8 +221,7 @@ class TestPadeStep:
         gens = [np.random.default_rng(s) for s in (4, 5, 6)]
         rows = [r.copy() for r in montecarlo._noise_rows(model, 0.01, n_steps, gens, work)]
         assert len(rows) == n_steps
-        expected = [montecarlo.sample_noise_sequence(model, 0.01, n_steps, np.random.default_rng(s))
-                    for s in (4, 5, 6)]
+        expected = [noise_rows(model, 0.01, n_steps, np.random.default_rng(s)) for s in (4, 5, 6)]
         assert np.array_equal(np.stack(rows, axis=1), np.stack(expected))
 
 
@@ -598,18 +616,18 @@ def scheme_means(spec, model, dt, nodes, t):
             "transfer": np.array([p[d + 1, 0].real for p in powers])}
 
 
-def scaled_rows(model, dt, n_steps, rng, out=None, *, half=None, scratch=None):
+def scaled_rows(model, dt, n_steps, gens, out, scratch, half="x"):
     """The sampler with every row entry 3% too large."""
-    out = sample_noise_sequence(model, dt, n_steps, rng, out, half=half, scratch=scratch)
+    sample_noise_sequence(model, dt, n_steps, gens, out, scratch, half)
     out *= 1.03
     return out
 
 
-def rows_without_diagonal(model, dt, n_steps, rng, out=None, *, half=None, scratch=None):
-    """The sampler with the diagonal entries, the last D of a row or of its
-    x half, dropped."""
-    out = sample_noise_sequence(model, dt, n_steps, rng, out, half=half, scratch=scratch)
-    if half != "y":
+def rows_without_diagonal(model, dt, n_steps, gens, out, scratch, half="x"):
+    """The sampler with the diagonal entries, the last D of the x half,
+    dropped."""
+    sample_noise_sequence(model, dt, n_steps, gens, out, scratch, half)
+    if half == "x":
         out[..., -model.dim:] = 0.0
     return out
 

@@ -16,6 +16,8 @@ from noisychaos import (
 )
 from noisychaos.noise import noise_width
 
+from oracles import noise_rows
+
 
 def reference_noise_sequence(model, dt, n_steps, rng):
     """The noise stream as first written: full D x D draws x (then y for
@@ -108,18 +110,18 @@ class TestConfig:
 class TestSampling:
     def test_invalid_step(self):
         with pytest.raises(InvalidStepError):
-            sample_noise_sequence(gue_constant(1.0, 2), 0.0, 1, np.random.default_rng(0))
+            noise_rows(gue_constant(1.0, 2), 0.0, 1, np.random.default_rng(0))
 
     def test_zero_noise_is_zero(self):
         model = gue_constant(0.0, 3)
-        eta = noise_slices(model, sample_noise_sequence(model, 0.01, 1, np.random.default_rng(0)))[0]
+        eta = noise_slices(model, noise_rows(model, 0.01, 1, np.random.default_rng(0)))[0]
         assert np.array_equal(eta, np.zeros((3, 3)))
 
     def test_gue_hermitian_goe_symmetric(self, rng):
         gue, goe = gue_constant(1.0, 4), goe_constant(1.0, 4)
-        eta = noise_slices(gue, sample_noise_sequence(gue, 0.01, 1, rng))[0]
+        eta = noise_slices(gue, noise_rows(gue, 0.01, 1, rng))[0]
         assert np.array_equal(eta, eta.conj().T)
-        etag = noise_slices(goe, sample_noise_sequence(goe, 0.01, 1, rng))[0]
+        etag = noise_slices(goe, noise_rows(goe, 0.01, 1, rng))[0]
         assert np.isrealobj(etag)
         assert np.array_equal(etag, etag.T)
 
@@ -128,7 +130,7 @@ class TestSampling:
         rng = np.random.default_rng(5)
         dt, n = 0.01, 100_000
         model = gue_constant(1.0, 2)
-        eta = noise_slices(model, sample_noise_sequence(model, dt, n, rng))
+        eta = noise_slices(model, noise_rows(model, dt, n, rng))
         m_abs = np.mean(np.abs(eta[:, 0, 1]) ** 2) * dt
         assert abs(m_abs - 0.5) < 3 * 0.5 / np.sqrt(n)
         # E[eta_12 eta_12] = 0 for the complex entry
@@ -143,7 +145,7 @@ class TestSampling:
         rng = np.random.default_rng(6)
         dt, n = 0.01, 100_000
         model = goe_constant(1.0, 2)
-        eta = noise_slices(model, sample_noise_sequence(model, dt, n, rng))
+        eta = noise_slices(model, noise_rows(model, dt, n, rng))
         m_off = np.mean(eta[:, 0, 1] ** 2) * dt
         assert abs(m_off - 0.25) < 3 * np.sqrt(2) * 0.25 / np.sqrt(n)
         m_d = np.mean(eta[:, 0, 0] ** 2) * dt
@@ -152,7 +154,7 @@ class TestSampling:
     def test_mean_zero(self):
         rng = np.random.default_rng(7)
         model = gue_constant(1.0, 3)
-        eta = noise_slices(model, sample_noise_sequence(model, 0.01, 50_000, rng))
+        eta = noise_slices(model, noise_rows(model, 0.01, 50_000, rng))
         assert np.max(np.abs(eta.mean(axis=0))) < 0.6  # sigma ~ 10/sqrt(5e4) ~ 0.045*10
 
 
@@ -172,7 +174,7 @@ class TestFrozenStream:
     def test_stream_matches_reference(self, ensemble, profile):
         model = NoiseModel(ensemble, profile, 5)
         expected = reference_noise_sequence(model, 0.01, 30, np.random.default_rng(11))
-        fresh = sample_noise_sequence(model, 0.01, 30, np.random.default_rng(11))
+        fresh = noise_rows(model, 0.01, 30, np.random.default_rng(11))
         width = 25 if ensemble is Ensemble.GUE else 15
         assert fresh.shape == (30, width) and fresh.dtype == np.float64
         slices = noise_slices(model, fresh)
@@ -180,7 +182,7 @@ class TestFrozenStream:
         assert np.array_equal(slices, expected)
         # into a slice of a larger worker buffer, as the Monte Carlo does
         buf = np.full((2, 40, width), np.nan)
-        into = sample_noise_sequence(model, 0.01, 30, np.random.default_rng(11), out=buf[1, :30])
+        into = noise_rows(model, 0.01, 30, np.random.default_rng(11), out=buf[1, :30])
         assert np.shares_memory(into, buf)
         assert np.array_equal(noise_slices(model, buf[1, :30]), expected)
         assert np.isnan(buf[0]).all() and np.isnan(buf[1, 30:]).all()
@@ -194,29 +196,31 @@ class TestFrozenStream:
         model = NoiseModel(ensemble, MatrixProfile(self.LAMBDA), 5)
         gens = [np.random.default_rng(s) for s in (11, 12, 13)]
         scratch = np.empty(3 * max(pieces) * 25)
+        halves = {"x": slice(0, 15), "y": slice(15, 25)}
+        if ensemble is Ensemble.GOE:
+            del halves["y"]
 
-        def draw(half):
-            return np.concatenate([sample_noise_sequence(model, 0.01, n, gens, half=half, scratch=scratch)
+        def draw(half, cols):
+            return np.concatenate([sample_noise_sequence(model, 0.01, n, gens, np.empty((3, n, cols.stop - cols.start)),
+                                                         scratch, half)
                                    for n in pieces], axis=1)
 
-        if ensemble is Ensemble.GUE:
-            x, y = draw("x"), draw("y")
-            assert x.shape == (3, sum(pieces), 15) and y.shape == (3, sum(pieces), 10)
-            rows = np.concatenate([x[..., :10], y, x[..., 10:]], axis=-1)
-        else:
-            rows = draw(None)
-        one_call = [sample_noise_sequence(model, 0.01, sum(pieces), np.random.default_rng(s))
-                    for s in (11, 12, 13)]
+        rows = np.concatenate([draw(half, cols) for half, cols in halves.items()], axis=-1)
+        assert rows.shape == (3, sum(pieces), noise_width(model))
+        one_call = [noise_rows(model, 0.01, sum(pieces), np.random.default_rng(s)) for s in (11, 12, 13)]
         assert np.array_equal(rows, np.stack(one_call))
         # a strided out, as a step-major layout would give, gets the same rows
         strided = np.full((sum(pieces), 3, noise_width(model)), np.nan)
-        sample_noise_sequence(model, 0.01, sum(pieces), [np.random.default_rng(s) for s in (11, 12, 13)],
-                              strided.transpose(1, 0, 2))
+        gens = [np.random.default_rng(s) for s in (11, 12, 13)]
+        for half, cols in halves.items():
+            sample_noise_sequence(model, 0.01, sum(pieces), gens, strided.transpose(1, 0, 2)[..., cols],
+                                  np.empty(3 * sum(pieces) * 25), half)
         assert np.array_equal(strided.transpose(1, 0, 2), rows)
 
     def test_half_needs_gue(self):
+        # "x" is a whole GOE row, so GOE has no "y" half.
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="half"):
-            sample_noise_sequence(goe_constant(1.0, 3), 0.01, 2, rng, half="x")
+            sample_noise_sequence(goe_constant(1.0, 3), 0.01, 2, [rng], np.empty((1, 2, 3)), np.empty(18), "y")
         with pytest.raises(ValueError, match="half"):
-            sample_noise_sequence(gue_constant(1.0, 3), 0.01, 2, rng, half="z")
+            sample_noise_sequence(gue_constant(1.0, 3), 0.01, 2, [rng], np.empty((1, 2, 6)), np.empty(18), "z")
