@@ -279,10 +279,10 @@ def environment(threads: int) -> dict:
     }
 
 
-def _meta(spec: Spectrum, **extra) -> dict:
-    """Series metadata: D, a hash of the energies, then ``extra``."""
-    spectrum_hash = hashlib.sha256(spec.energies.tobytes()).hexdigest()[:16]
-    return {"dim": spec.dim, "spectrum_hash": spectrum_hash, **extra}
+def _meta(*spectra: Spectrum, **extra) -> dict:
+    """Series metadata: D, a hash of every spectrum's energies in order, then ``extra``."""
+    spectrum_hash = hashlib.sha256(b"".join(s.energies.tobytes() for s in spectra)).hexdigest()[:16]
+    return {"dim": spectra[0].dim, "spectrum_hash": spectrum_hash, **extra}
 
 
 class Inputs(NamedTuple):
@@ -308,7 +308,7 @@ def _realization_mean(inp: Inputs, stem: str, j: float, values):
     """(stem, mean of values(spectrum) over the spectrum realizations)."""
     return stem, diag.DiagnosticSeries(
         stem, inp.t, np.mean([values(s) for s in inp.spectra], axis=0),
-        metadata={"n_realizations": len(inp.spectra), "J": j, "ensemble": inp.ensemble},
+        metadata=_meta(*inp.spectra, n_realizations=len(inp.spectra), J=j, ensemble=inp.ensemble),
     )
 
 
@@ -369,7 +369,7 @@ def sff_variance_scan(inp: Inputs):
                              ("sff_variance", moments.variance)):
             yield f"{stem}_J{j:g}", diag.DiagnosticSeries(
                 f"{stem}_J{j:g}", inp.t, values,
-                metadata={"dim": spec.dim, "J": j, "ensemble": inp.ensemble},
+                metadata=_meta(spec, J=j, ensemble=inp.ensemble),
             )
 
 

@@ -5,30 +5,31 @@ drawn from the regularized noise model, entirely in real arithmetic: U is
 carried as its real block column [Re U; Im U], and each step is the real
 form of exp(-iX) from a degree-15 Taylor polynomial with per-matrix scaling
 and squaring (``expm_hermitian_step``).  One simulation feeds every
-requested observable: ``estimate_observables`` records U on the time grid
-once per chunk of trajectories and reduces each observable from those same
-unitaries; the ``estimate_*`` functions are that path with a single
-observable.
+requested observable: ``estimate_observables`` evolves each chunk of
+trajectories once and, at each step on the time grid, evaluates every
+observable on the chunk's U at that step; the ``estimate_*`` functions are
+that path with a single observable.
 
 Each worker runs its chunks in one workspace: one array per entry of its
-layout, batch axis first, allocated once per call in the calling thread
-for the worker's largest chunk.  Each chunk takes the leading trajectories
-of every array, and every step reuses them, so the step loop allocates
-no array of the batch's size.  Per trajectory it holds the noise of one
-block of ``NOISE_BLOCK_STEPS`` steps with the scratch of its normal draws,
-one step's noise row of K = ``noise_width(model)`` entries, the step's
-slices, Taylor powers, block forms and next U, and the recorded U.  A GUE
-row is its x half, D(D+1)/2 entries laid out as a whole GOE row, then its
-y half.  GUE noise keeps the x halves of every step: a trajectory's stream
-is all of its x draws, then all of its y draws, so each x must be drawn
-before the first y, and the block holds the y halves.  ``chunk_bounds``
-sizes the chunks so that the workspaces of the chunks running at once,
-``workspace_bytes`` per trajectory, fit ``WORKSPACE_BUDGET_BYTES``.
-Trajectory k draws its noise from child k of the SeedSequence of the seed,
-a block at a time in the order of one up-front draw, and results land in
-per-trajectory slots before a fixed-order reduction, so estimates are
-bit-identical regardless of thread count, chunking, block length, and which
-observables share the simulation.
+layout, batch axis first, allocated once per call in the calling thread for
+the worker's largest chunk.  Each chunk takes the leading trajectories of
+every array, and every step reuses them, so only the observables, at a
+recorded step, allocate arrays of the batch's size.  Per trajectory it
+holds the noise of one block of ``NOISE_BLOCK_STEPS`` steps with the
+scratch of its normal draws, one step's noise row of K = ``noise_width``
+entries, the step's slices, Taylor powers, block forms and next U, and U at
+a recorded step, which the observables read.  A GUE row is its x half,
+D(D+1)/2 entries laid out as a whole GOE row, then its y half.  GUE noise
+keeps the x halves of every step: a trajectory's stream is all of its x
+draws, then all of its y draws, so each x must be drawn before the first y,
+and the block holds the y halves.  ``chunk_bounds`` sizes the chunks so
+that the workspaces of the chunks running at once, ``workspace_bytes`` per
+trajectory, fit ``WORKSPACE_BUDGET_BYTES``.  Trajectory k draws its noise
+from child k of the SeedSequence of the seed, a block at a time in the
+order of one up-front draw, and results land in per-trajectory slots before
+a fixed-order reduction, so estimates are bit-identical regardless of
+thread count, chunking, block length, and which observables share the
+simulation.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ from .spectra import Spectrum
 WORKSPACE_BUDGET_BYTES = 32e6
 # Steps whose noise a chunk draws at once.
 NOISE_BLOCK_STEPS = 10
-# Trajectories whose observables are reduced at once: each observable's
-# temporaries, (n, n_times, D, D) complex, then stay small in the worker
-# threads' malloc arenas, which keep what they once held.
-OBSERVABLE_BATCH = 16
 
 # The bound (2^-53 16!)^(1/16) on |X|_1 within which the degree-15 Taylor
 # remainder |X|^16 / 16! of exp(-iX) lies below double-precision roundoff.
@@ -253,11 +250,12 @@ def expm_hermitian_step(x: np.ndarray) -> np.ndarray:
     return _exp_step(w).reshape(x.shape[:-2] + (2 * d, 2 * d))
 
 
-def _workspace_layout(model: NoiseModel, n_steps: int, n_record: int) -> Layout:
+def _workspace_layout(model: NoiseModel, n_steps: int) -> Layout:
     """One worker's workspace: under GUE the x half of every step's rows;
     the rows of one block of steps (the y halves under GUE) and the
     scratch of their normal draws; one step's rows, and the step's arrays;
-    U and the next U as block columns; and the recorded U."""
+    U and the next U as block columns; and U at a recorded step, however
+    many steps are recorded."""
     d = model.dim
     k = noise_width(model)
     block = max(1, min(NOISE_BLOCK_STEPS, n_steps))
@@ -270,14 +268,14 @@ def _workspace_layout(model: NoiseModel, n_steps: int, n_record: int) -> Layout:
         **_step_layout(d, not gue),
         "u": ((2 * d, d), float),
         "u_next": ((2 * d, d), float),
-        "record": ((n_record, d, d), complex),
+        "record": ((d, d), complex),
     }
 
 
-def workspace_bytes(model: NoiseModel, n_steps: int, n_record: int) -> int:
-    """Bytes per trajectory of a worker's workspace for ``n_steps`` steps
-    that records U at ``n_record`` times: the sum of its arrays' bytes."""
-    layout = _workspace_layout(model, n_steps, n_record)
+def workspace_bytes(model: NoiseModel, n_steps: int) -> int:
+    """Bytes per trajectory of a worker's workspace for ``n_steps`` steps:
+    the sum of its arrays' bytes, whatever the number of recorded steps."""
+    layout = _workspace_layout(model, n_steps)
     return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout.values())
 
 
@@ -336,38 +334,34 @@ def _evolve_recorded(
     record_steps: np.ndarray,
     gens: list[np.random.Generator],
     w: SimpleNamespace,
-) -> tuple[np.ndarray, float]:
+    observe: Callable[[int, np.ndarray], None],
+) -> float:
     """Evolve a batch of trajectories in the workspace ``w`` (a
-    ``_workspace_layout`` at n_batch = len(gens) trajectories), returning U
-    at the recorded steps, strictly increasing as ``grid_steps`` gives them,
-    in ``w.record`` of shape (n_batch, n_record, D, D), and the batch's
+    ``_workspace_layout`` at n_batch = len(gens) trajectories); at the k-th
+    recorded step, as ``grid_steps`` gives them, copy U into ``w.record``,
+    (n_batch, D, D), and call ``observe(k, w.record)``.  Returns the batch's
     largest unitarity drift max |U+U - 1| at the last step.  Each step
-    expands its noise rows into the batch's full slices.  U is carried as
+    expands its noise rows into the batch's full slices; U is carried as
     its real block column [Re U; Im U]."""
     d = energies.size
     h0 = np.diag(energies).astype(w.x.dtype)
     u, u_next = w.u, w.u_next
     u[:] = np.eye(2 * d, d)
-    k = 0  # the next slot to record
-
-    def record(n):
-        nonlocal k
-        if n == record_steps[k]:
-            w.record[:, k].real = u[:, :d]
-            w.record[:, k].imag = u[:, d:]
-            k += 1
-
-    record(0)
-    n_steps = int(record_steps[-1])
-    for n, rows in enumerate(_noise_rows(model, dt, n_steps, gens, w), start=1):
-        _step(model, h0, dt, rows, u, w, out=u_next)
-        u, u_next = u_next, u
-        record(n)
+    rows = _noise_rows(model, dt, int(record_steps[-1]), gens, w)
+    n = 0  # the steps taken
+    for k, stop in enumerate(record_steps):
+        for _ in range(stop - n):
+            _step(model, h0, dt, next(rows), u, w, out=u_next)
+            u, u_next = u_next, u
+        n = stop
+        w.record.real = u[:, :d]
+        w.record.imag = u[:, d:]
+        observe(k, w.record)
     u = u[:, :d] + 1j * u[:, d:]
     drift = float(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(d)).max())
     if drift > 1e-8:
         raise UnitarityError(f"unitarity drift {drift:.2e} exceeds 1e-8")
-    return w.record, drift
+    return drift
 
 
 def grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
@@ -375,6 +369,8 @@ def grid_steps(t_grid: np.ndarray, dt: float) -> np.ndarray:
     lattice point whatever its size; the steps must be nonnegative and
     strictly increasing, so that each records its own slot."""
     t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError(f"times must form a nonempty 1-d grid, got shape {t.shape}")
     steps = np.round(t / dt).astype(int)
     if np.any(np.abs(steps * dt - t) > 1e-9):
         raise ValueError("times must be integer multiples of dt")
@@ -394,18 +390,18 @@ def chunk_bounds(n_traj: int, traj_bytes: int, threads: int = 1) -> list[tuple[i
     return [(n_traj * k // n_chunks, n_traj * (k + 1) // n_chunks) for k in range(n_chunks)]
 
 
-# A per-trajectory observable of the recorded unitaries: it maps U of shape
-# (batch, n_times, D, D) to values of shape (batch, n_times), each
-# trajectory's from its own unitaries only.
+# A per-trajectory observable of U at a recorded step: it maps unitaries of
+# any leading shape (..., D, D), such as (batch, D, D) at one step, to
+# values of shape (...), each from its own unitary only.
 Observable = Callable[[np.ndarray], np.ndarray]
 
 
 def sff_observable() -> Observable:
     """|TrU|^2 / D^2, whose mean is the SFF K_J(t)."""
 
-    def value(u_rec):
-        d = u_rec.shape[-1]
-        tr = np.trace(u_rec, axis1=-2, axis2=-1)
+    def value(u):
+        d = u.shape[-1]
+        tr = np.trace(u, axis1=-2, axis2=-1)
         return np.abs(tr) ** 2 / d**2
 
     return value
@@ -414,8 +410,8 @@ def sff_observable() -> Observable:
 def sff_squared_observable() -> Observable:
     """(TrU TrU+)^2 = |TrU|^4."""
 
-    def value(u_rec):
-        tr = np.trace(u_rec, axis1=-2, axis2=-1)
+    def value(u):
+        tr = np.trace(u, axis1=-2, axis2=-1)
         return np.abs(tr) ** 4
 
     return value
@@ -425,9 +421,9 @@ def two_point_observable(O: np.ndarray) -> Observable:
     """(1/D) Tr(O+ U+ O U), whose mean is the two-point function C_J(t)."""
     o_dag = O.conj().T
 
-    def value(u_rec):
-        d = u_rec.shape[-1]
-        o_t = u_rec.conj().transpose(0, 1, 3, 2) @ O @ u_rec
+    def value(u):
+        d = u.shape[-1]
+        o_t = u.conj().swapaxes(-1, -2) @ O @ u
         return np.trace(o_dag @ o_t, axis1=-2, axis2=-1) / d
 
     return value
@@ -436,9 +432,9 @@ def two_point_observable(O: np.ndarray) -> Observable:
 def otoc_observable(A: np.ndarray, B: np.ndarray) -> Observable:
     """(1/D) Tr(A B_t A B_t) with B_t = U+ B U, whose mean is OTOC_J(t)."""
 
-    def value(u_rec):
-        d = u_rec.shape[-1]
-        b_t = u_rec.conj().transpose(0, 1, 3, 2) @ B @ u_rec
+    def value(u):
+        d = u.shape[-1]
+        b_t = u.conj().swapaxes(-1, -2) @ B @ u
         ab = A @ b_t
         return np.trace(ab @ ab, axis1=-2, axis2=-1) / d
 
@@ -448,8 +444,8 @@ def otoc_observable(A: np.ndarray, B: np.ndarray) -> Observable:
 def transfer_observable(i: int, j: int) -> Observable:
     """|U_ji|^2, whose mean is the transfer probability i -> j."""
 
-    def value(u_rec):
-        return np.abs(u_rec[:, :, j, i]) ** 2
+    def value(u):
+        return np.abs(u[..., j, i]) ** 2
 
     return value
 
@@ -481,10 +477,10 @@ def estimate_observables(
 ) -> OracleRun:
     """Monte Carlo estimates of several observables from one simulation.
 
-    Each chunk of trajectories (see ``chunk_bounds``) is evolved once and
-    every observable fills its own (n_traj, n_times) slots from the same
-    recorded unitaries, so each estimate equals the one a separate estimate
-    of that observable alone would give.
+    Each chunk of trajectories (see ``chunk_bounds``) is evolved once, and
+    at each grid step every observable fills its own column of (n_traj,
+    n_times) slots from the chunk's U at that step, so each estimate equals
+    the one a separate estimate of that observable alone would give.
     """
     validate_step(model, cfg.dt)
     steps = grid_steps(t_grid, cfg.dt)
@@ -492,7 +488,7 @@ def estimate_observables(
         raise ValueError("t_grid extends beyond cfg.t_max")
     threads = max(1, threads)
     n_steps = int(steps.max())
-    bounds = chunk_bounds(cfg.n_traj, workspace_bytes(model, n_steps, steps.size), threads)
+    bounds = chunk_bounds(cfg.n_traj, workspace_bytes(model, n_steps), threads)
     values = {key: np.empty((cfg.n_traj, steps.size), dtype=complex) for key in observables}
     # Worker w runs chunks w, w + workers, ... in its own workspace.  The
     # workspaces are allocated here: were each worker to allocate its own,
@@ -502,7 +498,7 @@ def estimate_observables(
     # thread timing.
     workers = min(threads, len(bounds))
     largest = max(hi - lo for lo, hi in bounds)
-    layout = _workspace_layout(model, n_steps, steps.size)
+    layout = _workspace_layout(model, n_steps)
     spaces = [_workspace(layout, largest) for _ in range(workers)]
 
     def run_share(w: int, space: SimpleNamespace) -> float:
@@ -511,13 +507,13 @@ def estimate_observables(
             # Trajectory k's seed is child k of SeedSequence(cfg.seed).spawn(n_traj).
             gens = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
                     for k in range(lo, hi)]
-            work = _chunk(space, hi - lo)
-            u_rec, drift = _evolve_recorded(spec.energies, model, cfg.dt, steps, gens, work)
-            for key, value in observables.items():
-                for a in range(lo, hi, OBSERVABLE_BATCH):
-                    b = min(a + OBSERVABLE_BATCH, hi)
-                    values[key][a:b] = value(u_rec[a - lo:b - lo])
-            drifts.append(drift)
+
+            def observe(k, u):
+                for key, value in observables.items():
+                    values[key][lo:hi, k] = value(u)
+
+            drifts.append(_evolve_recorded(spec.energies, model, cfg.dt, steps, gens,
+                                           _chunk(space, hi - lo), observe))
         return max(drifts)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import platform
@@ -359,6 +360,33 @@ class TestExperimentTable:
             assert doc["metadata"]["J"] == float(stem.rpartition("_J")[2]), stem
             if ensemble is not None:
                 assert doc["metadata"]["ensemble"] == ensemble, stem
+
+    def test_spectrum_series_name_their_spectrum(self, tmp_path, spec5):
+        # Every series written from a spectrum carries its D and the hash of
+        # its energies; one spectrum file gives every scan the hash of a
+        # transfer_scan, and a mean over realizations hashes them in order.
+        spec_path = tmp_path / "spec.json"
+        spec5.save(spec_path)
+        hashes = {}
+        for experiment in ("transfer_scan", "sff_scan", "two_point_scan", "otoc_scan", "return_scan",
+                           "sff_variance_scan"):
+            out = tmp_path / experiment
+            run(reads(experiment, {
+                "experiment": experiment, "spectrum": {"file": str(spec_path)},
+                "noise": {"ensemble": "gue"}, "t_grid": {"t_min": 0.0, "t_max": 1.0, "n_points": 3},
+                "J_list": [0.5],
+            }), out_dir=out)
+            for path in sorted(out.glob("*_J0.5.json")):
+                meta = json.loads(path.read_text())["metadata"]
+                assert meta["dim"] == 5, path.name
+                hashes[path.name] = meta["spectrum_hash"]
+        assert len(hashes) == 7
+        assert set(hashes.values()) == {hashes["transfer_J0.5.json"]}
+        run(SFF_CONFIG, out_dir=tmp_path / "mean")
+        meta = json.loads((tmp_path / "mean" / "sff_gue_J1.json").read_text())["metadata"]
+        energies = b"".join(s.energies.tobytes() for s in sample_spectra(resolve(SFF_CONFIG)))
+        assert meta["n_realizations"] == 3 and meta["dim"] == 8
+        assert meta["spectrum_hash"] == hashlib.sha256(energies).hexdigest()[:16]
 
 
 class TestOracleCompare:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 
@@ -81,14 +82,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("t_grid", [
         [0.0, 0.05, 0.05], [0.0, 0.05, 0.04], [0.0, 0.05, 0.05 + 1e-12], [-0.01, 0.05],
+        [], [[0.0, 0.05]],
     ])
     def test_grid_steps_must_increase(self, spec4, t_grid):
         # A repeated step (of equal times or not), an unordered one or a
         # negative one would leave a record slot unwritten: [0, 0.05, 0.05]
-        # returned an SFF of 0 at t = 0.05.
-        with pytest.raises(ValueError, match="strictly increasing steps"):
+        # returned an SFF of 0 at t = 0.05.  An empty grid, or one not 1-d,
+        # is refused by its shape, not by numpy's reductions.
+        shape = np.shape(t_grid)
+        match = "strictly increasing steps" if shape[0] and len(shape) == 1 else re.escape(f"shape {shape}")
+        with pytest.raises(ValueError, match=match):
             montecarlo.grid_steps(t_grid, 0.01)
-        with pytest.raises(ValueError, match="strictly increasing steps"):
+        with pytest.raises(ValueError, match=match):
             estimate_observables(spec4, gue_constant(1.0, 4), small_cfg(4, dt=0.01), t_grid,
                                  {"sff": sff_observable()})
 
@@ -215,7 +220,7 @@ class TestPadeStep:
         # longer than it.
         monkeypatch.setattr(montecarlo, "NOISE_BLOCK_STEPS", block)
         model = make(1.3, 5)
-        work = montecarlo._workspace(montecarlo._workspace_layout(model, n_steps, 2), 3)
+        work = montecarlo._workspace(montecarlo._workspace_layout(model, n_steps), 3)
         for a in vars(work).values():
             a.fill(np.nan)
         gens = [np.random.default_rng(s) for s in (4, 5, 6)]
@@ -336,7 +341,7 @@ class TestReproducibility:
     def test_thread_count_invariant_uneven_chunks(self, spec4, rng):
         # 61 trajectories split unevenly over 2 and 3 threads.
         cfg = small_cfg(61)
-        traj_bytes = workspace_bytes(gue_constant(1.0, 4), cfg.n_steps, T_GRID.size)
+        traj_bytes = workspace_bytes(gue_constant(1.0, 4), cfg.n_steps)
         for threads in (2, 3):
             assert len(chunk_bounds(cfg.n_traj, traj_bytes, threads)) > 1
         a = random_hermitian(4, rng, traceless=True)
@@ -360,7 +365,7 @@ class TestReproducibility:
         monkeypatch.setattr(montecarlo, "WORKSPACE_BUDGET_BYTES", 1.0)
         cfg = small_cfg(12, dt=1e-2)
         model = gue_constant(1.0, 4)
-        traj_bytes = workspace_bytes(model, cfg.n_steps, T_GRID.size)
+        traj_bytes = workspace_bytes(model, cfg.n_steps)
         assert len(chunk_bounds(cfg.n_traj, traj_bytes, 4)) == 12
         serial = estimate_sff(spec4, model, cfg, T_GRID, threads=1)
         interval = sys.getswitchinterval()
@@ -420,8 +425,7 @@ class TestSharedSimulation:
             assert np.array_equal(shared.series[key].values, series.values)
             assert np.array_equal(shared.series[key].stderr, series.stderr)
 
-    # widths: GUE D = 4, 8, 32 (D^2) and GOE D = 16 (D(D+1)/2), each
-    # recording U at 4 times
+    # widths: GUE D = 4, 8, 32 (D^2) and GOE D = 16 (D(D+1)/2)
     @pytest.mark.parametrize("n_traj, n_steps, width, threads", [
         (61, 400, 16, 1), (61, 400, 16, 3), (256, 200, 64, 2), (128, 200, 136, 2),
         (1000, 1000, 1024, 4), (3, 10, 16, 8),
@@ -430,7 +434,7 @@ class TestSharedSimulation:
         model = {16: gue_constant(1.0, 4), 64: gue_constant(1.0, 8), 136: goe_constant(1.0, 16),
                  1024: gue_constant(1.0, 32)}[width]
         assert noise_width(model) == width
-        traj_bytes = workspace_bytes(model, n_steps, 4)
+        traj_bytes = workspace_bytes(model, n_steps)
         bounds = chunk_bounds(n_traj, traj_bytes, threads)
         assert bounds[0][0] == 0 and bounds[-1][1] == n_traj
         assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
@@ -448,12 +452,13 @@ class TestSharedSimulation:
     def test_workspace_bytes_count_every_array(self, make, dim, n_traj, n_steps, n_record):
         # The budget counts all a workspace holds, exactly: under GUE the x
         # half of every step's rows, a block's rows and the scratch of their
-        # draws, a step's rows, the step's arrays, U, the next U and the
-        # recorded U.  Each array of a chunk is a C-contiguous view of the
-        # array the worker allocated for its largest chunk, and no two
-        # overlap.
+        # draws, a step's rows, the step's arrays, U, the next U and one
+        # recorded U, however many steps are recorded.  Each array of a
+        # chunk is a C-contiguous view of the array the worker allocated for
+        # its largest chunk, and no two overlap.  The step loop hands U at
+        # each of n_record steps to its observer in that one recorded U.
         model = make(1.0, dim)
-        traj_bytes = workspace_bytes(model, n_steps, n_record)
+        traj_bytes = workspace_bytes(model, n_steps)
         d, k, block = dim, noise_width(model), min(montecarlo.NOISE_BLOCK_STEPS, n_steps)
         gue = make is gue_constant
         kept = n_steps * d * (d + 1) // 2 if gue else 0
@@ -461,9 +466,9 @@ class TestSharedSimulation:
         # X, |X| and its column sums, the Taylor arrays, a block column, the result
         step = (2 + 1 + 8 + 8) * d * d if gue else (1 + 1 + 4 + 1 + 4 + 2) * d * d
         step += d + (2 + 4) * d * d
-        floats = kept + noise + step + 2 * 2 * d * d + 2 * n_record * d * d
+        floats = kept + noise + step + 2 * 2 * d * d + 2 * d * d
         assert traj_bytes == floats * 8
-        space = montecarlo._workspace(montecarlo._workspace_layout(model, n_steps, n_record), n_traj)
+        space = montecarlo._workspace(montecarlo._workspace_layout(model, n_steps), n_traj)
         assert sum(a.nbytes for a in vars(space).values()) == n_traj * traj_bytes
         for batch in (n_traj, n_traj - 1):
             work = montecarlo._chunk(space, batch)
@@ -473,21 +478,28 @@ class TestSharedSimulation:
                 assert np.shares_memory(a, getattr(space, name))
             arrays = list(vars(work).values())
             assert not any(np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
-            assert work.record.shape == (batch, n_record, d, d) and work.record.dtype == complex
+            assert work.record.shape == (batch, d, d) and work.record.dtype == complex
+        seen = []
+        gens = [np.random.default_rng(s) for s in range(n_traj - 1)]
+        record_steps = np.arange(n_steps - n_record + 1, n_steps + 1)
+        montecarlo._evolve_recorded(np.linspace(-1.0, 1.0, d), model, 0.01, record_steps, gens, work,
+                                    lambda k, u: seen.append((k, u)))
+        assert [k for k, _ in seen] == list(range(n_record))
+        assert all(u is work.record for _, u in seen)
 
     def test_bench_chunking_unchanged(self):
         # The oracle configs the benchmark runs on 2 threads: GUE D = 8 with
-        # 256 trajectories and GOE D = 16 with 128, 200 steps, U recorded at
-        # 4 times, in two chunks each.
+        # 256 trajectories and GOE D = 16 with 128, 200 steps, in two chunks
+        # each.
         for make, dim, n_traj, size in ((gue_constant, 8, 256, 128), (goe_constant, 16, 128, 64)):
-            bounds = chunk_bounds(n_traj, workspace_bytes(make(1.0, dim), 200, 4), 2)
+            bounds = chunk_bounds(n_traj, workspace_bytes(make(1.0, dim), 200), 2)
             assert [hi - lo for lo, hi in bounds] == [size, size]
 
     def test_single_thread_buffer_below_mmap_cap(self):
         # glibc maps an allocation above 32 MiB afresh on every call and
         # unmaps it on free, so such a buffer faults in every page each call
         # (GUE D = 8, 512 trajectories of 200 steps: 57 MB in one chunk).
-        traj_bytes = workspace_bytes(gue_constant(1.0, 8), 200, 4)
+        traj_bytes = workspace_bytes(gue_constant(1.0, 8), 200)
         sizes = [hi - lo for lo, hi in chunk_bounds(512, traj_bytes, 1)]
         assert 512 * traj_bytes > 2**25
         assert max(sizes) * traj_bytes < 2**25
@@ -496,11 +508,11 @@ class TestSharedSimulation:
     @pytest.mark.parametrize("block", [6, 25])
     def test_estimates_equal_up_front_reference(self, spec4, rng, monkeypatch, make, block):
         # Noise drawn a block at a time, in a workspace per worker, and
-        # observables reduced 16 trajectories at a time give the estimates
-        # of streams drawn in one piece and stepped and reduced in one
-        # batch, bit for bit, at every thread count; 37 steps of dt = 0.01
-        # to 0.37 leave a ragged last block, and chunks of 37, 19 and 13
-        # trajectories ragged last reductions.
+        # observables evaluated on each chunk at each recorded step give the
+        # estimates of streams drawn in one piece, stepped in one batch and
+        # reduced over all recorded U at once, bit for bit, at every thread
+        # count; 37 steps of dt = 0.01 to 0.37 leave a ragged last block,
+        # and 2 and 3 threads chunks of 19 and 13 trajectories.
         monkeypatch.setattr(montecarlo, "NOISE_BLOCK_STEPS", block)
         model = make(1.0, 4)
         cfg = TrajectoryConfig(dt=0.01, t_max=0.37, n_traj=37, seed=8)
@@ -519,7 +531,7 @@ class TestSharedSimulation:
 
     def test_traced_peak_of_oracle_call(self, monkeypatch):
         # GOE D = 16, 128 trajectories of 200 steps on 2 threads: the two
-        # workspaces (12.3 MB) and the values, 13.4 MB; drawing each chunk's
+        # workspaces (10.7 MB) and the values, 11.9 MB; drawing each chunk's
         # noise up front took 34 MB.
         spec = sample_gue_spectrum(16, np.random.default_rng(1))
         cfg = TrajectoryConfig(dt=0.005, t_max=1.0, n_traj=128, seed=3)
@@ -532,6 +544,35 @@ class TestSharedSimulation:
             tracemalloc.stop()
         assert peak <= 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
+    def test_traced_peak_of_dense_grid(self, monkeypatch):
+        # The same call recording U at all 200 steps: the workspace holds
+        # one recorded U per trajectory whatever the grid, so the chunks are
+        # those of the 4-point grid and the peak stays under the same bound.
+        # Stacking U for the whole grid cut 8 chunks of 16 and peaked at
+        # 29.75 MB.
+        spec = sample_gue_spectrum(16, np.random.default_rng(1))
+        cfg = TrajectoryConfig(dt=0.005, t_max=1.0, n_traj=128, seed=3)
+        model = goe_constant(1.0, 16)
+        chunk, sizes = montecarlo._chunk, []
+
+        def spy(w, n):
+            sizes.append(n)
+            return chunk(w, n)
+
+        monkeypatch.setattr(montecarlo, "_chunk", spy)
+        estimate_observables(spec, model, cfg, [0.25, 0.5, 0.75, 1.0], {"sff": sff_observable()}, threads=2)
+        assert sizes == [64, 64]
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            estimate_observables(spec, model, cfg, cfg.dt * np.arange(1, cfg.n_steps + 1),
+                                 {"sff": sff_observable()}, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == [64, 64]
+        assert peak <= 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
     @pytest.mark.parametrize("make", [gue_constant, goe_constant])
     def test_step_loop_does_not_allocate(self, make):
         # Once a worker's workspace is allocated, a chunk's noise blocks and
@@ -541,7 +582,7 @@ class TestSharedSimulation:
         # peak of 60 steps stays below half a (256, 2D, 2D) block form,
         # 256 KiB.
         model, batch = make(1.0, 8), 256
-        space = montecarlo._workspace(montecarlo._workspace_layout(model, 60, 1), batch + 1)
+        space = montecarlo._workspace(montecarlo._workspace_layout(model, 60), batch + 1)
         work = montecarlo._chunk(space, batch)
         gens = [np.random.default_rng(s) for s in range(batch)]
         h0 = np.diag(np.linspace(-1.0, 1.0, 8)).astype(work.x.dtype)
