@@ -258,10 +258,12 @@ def sample_spectra(config: dict) -> list[Spectrum]:
 def random_traceless_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Pauli-like normalization Tr(A^2) = D, with Tr(A^2) = sum_ij |A_ij|^2
     for Hermitian A."""
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    a = (x + x.conj().T) / 2.0
-    a -= np.trace(a).real / dim * np.eye(dim)
-    return a * np.sqrt(dim / np.vdot(a, a).real)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a += a.conj().T
+    a /= 2.0
+    a.flat[:: dim + 1] -= np.trace(a).real / dim
+    a *= np.sqrt(dim / np.vdot(a, a).real)
+    return a
 
 
 def environment(threads: int) -> dict:

@@ -2,8 +2,9 @@
 function, transfer and return probabilities, each one closed form over
 ``(spec, model, t_grid)`` that returns an array shaped like the grid and
 refuses a negative or NaN time.  Each contracts U1: its A part is a
-rank-one phase sum under GUE noise; under GOE noise A and G are a sum over the level pairs
-i <= j, two exponentials e^{(-kappa +- q) t} each (``_goe_contract``); its
+rank-one phase sum under GUE noise; under GOE noise A and G are a sum over
+the exponentials e^{(-kappa +- q) t} of the level pairs i <= j, which on a
+uniform grid factor into one blocked GEMM (``_goe_contract``); its
 populations are one ``populations`` contraction.
 The ``_const`` names, which the CLI calls and the bench times, are these
 forms on the constant profile.  DiagnosticSeries is the record the CLI writes.
@@ -20,6 +21,7 @@ import numpy as np
 
 from .channel_one import (
     ChannelOne,
+    GoePairs,
     check_dims,
     goe_cos_sin,
     goe_params,
@@ -54,91 +56,137 @@ class DiagnosticSeries:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
+    def _columns(self) -> tuple[list, list, list, list | None]:
+        """Times, real and imaginary parts, and stderr as lists of Python
+        floats, whose repr the files write."""
+        re = np.real(self.values).astype(float).tolist()
+        im = np.imag(self.values).astype(float).tolist()
+        err = None if self.stderr is None else np.asarray(self.stderr, dtype=float).tolist()
+        return self.times.tolist(), re, im, err
+
     def write_csv(self, path) -> None:
+        times, re, im, err = self._columns()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "re", "im", "stderr"])
-            for k, t in enumerate(self.times):
-                v = complex(self.values[k])
-                err = "" if self.stderr is None else repr(float(self.stderr[k]))
-                writer.writerow([repr(float(t)), repr(v.real), repr(v.imag), err])
+            for k, t in enumerate(times):
+                e = "" if err is None else repr(err[k])
+                writer.writerow([repr(t), repr(re[k]), repr(im[k]), e])
 
     def write_json(self, path) -> None:
+        times, re, im, err = self._columns()
         payload = {
             "name": self.name,
-            "times": [float(t) for t in self.times],
-            "values_re": [float(np.real(v)) for v in self.values],
-            "values_im": [float(np.imag(v)) for v in self.values],
-            "stderr": None
-            if self.stderr is None
-            else [float(s) for s in self.stderr],
+            "times": times,
+            "values_re": re,
+            "values_im": im,
+            "stderr": err,
             "metadata": self.metadata,
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
 
 
-# Exponents per slice of the GOE recurrence: the slice's row, step and
-# weights (256 KiB each) stay in L2 while it runs along the whole grid.
-GOE_SLICE = 16384
+# Complex entries that one block's factors W and V hold together: 512 KiB,
+# half a D x D grid at D = 256, small enough that both stay in L2 through
+# their GEMM.
+GOE_BLOCK = 1 << 15
 
 
-def _goe_contract(spec: Spectrum, model: NoiseModel, wa, wg, t: np.ndarray) -> np.ndarray:
-    """sum_ij [wa o A(t) + wg o G(t)]_ij of the GOE channel, shaped like t.
+def _grid_factors(ts: np.ndarray) -> tuple[int, int] | None:
+    """(rows, m) of a uniform grid, every t_k within 4 ulp of t_0 + k h (as
+    np.linspace gives), so that t_{a m + c} = t_0 + a m h + c h for a < rows
+    and c < m, with m = ceil(sqrt(T)); None for any other grid."""
+    n = ts.size
+    h = (ts[-1] - ts[0]) / max(n - 1, 1)
+    if np.any(np.abs(ts - (ts[0] + h * np.arange(n))) > 4 * np.spacing(abs(ts[-1]))):
+        return None
+    m = int(np.ceil(np.sqrt(n)))
+    return -(-n // m), m
 
-    A pair i <= j adds alpha C + beta S (see goe_cos_sin), with alpha =
-    wa_ij + wa_ji and beta = -i delta (wa_ij - wa_ji) + l (wg_ij + wg_ji),
-    each weight counted once on the diagonal: (alpha +- beta/q)/2 on
-    e^{(-kappa +- q) t}, D(D+1) exponents z with weights b.  A pair whose
-    |q| is tiny against l + |delta|, q = 0 included, puts alpha/2 on each
-    and adds beta S at each point instead, S from ``goe_cos_sin``.
 
-    The exponentials run along t by recurrence, e^{z t_{k+1}} = e^{z t_k}
-    e^{z (t_{k+1} - t_k)}, in one row and one step buffer.  On a uniform
-    grid (every t_k within 4 ulp of t_0 + k h, as np.linspace gives) the
-    step e^{z h} is taken once, so the grid costs two rows of exp; any
-    other grid takes its step exactly per point.  The exponents run in
-    slices of GOE_SLICE, each along the whole grid, and the slices' dot
-    products add into the result.
+def _powers(out: np.ndarray, step: np.ndarray, first=1.0) -> None:
+    """Fill out[..., r, :] with first * step**r by doubling: rows [k, 2k)
+    are rows [0, k) times step**k, and step squares."""
+    n = out.shape[-2]
+    out[..., 0, :] = first
+    done = 1
+    while done < n:
+        k = min(done, n - done)
+        np.multiply(out[..., :k, :], step, out=out[..., done : done + k, :])
+        done += k
+        if done < n:
+            step = step * step
+
+
+def _goe_contract(p: GoePairs, alpha: np.ndarray, beta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The sums over the level pairs of alpha C(t) + beta S(t), C and S of
+    ``goe_cos_sin``, for K rows of real pair weights alpha and beta of
+    shape (K, D(D+1)/2); shape (K,) + t.shape.
+
+    Each row is Re sum_n y_n e^{z_n t} over N ~ D(D+1)/2 exponents.  A pair
+    with an imaginary root has one, z = -kappa + i|q| with y = alpha -
+    i beta/|q|: its two exponents are conjugates, so C and S are the real
+    and imaginary parts of one exponential.  A pair with a real root has
+    two, z = -kappa +- q with y = (alpha +- beta/q)/2.  A pair whose |q| is
+    tiny against l + |delta|, q = 0 included, keeps only alpha there, as
+    beta/q would cancel, and adds beta S at each point instead.
+
+    On a uniform grid, t_{a m + c} = t_0 + (a m + c) h (``_grid_factors``),
+    and e^{z t} factors as W[a] V[c], with W[a] = y e^{z (t_0 + a m h)} and
+    V[c] = e^{z c h}.  Both come from e^{z h} by doubling products
+    (``_powers``), so the grid costs one complex exp per exponent, and the
+    sum over n is one real GEMM, Re(W V^T) = W.view(float) @
+    conj(V).view(float).T over interleaved real and imaginary parts.  Any
+    other grid takes the exact e^{z t} at each point as W, with V = 1: an
+    exp, then a GEMV.  The exponents run in blocks whose W and V hold at
+    most GOE_BLOCK complex entries together (at least one exponent), and
+    the blocks' products add into the result.
     """
-    d = spec.dim
-    p = goe_params(spec, model)
-    off = p.i != p.j
-    wa = np.broadcast_to(wa, (d, d))
-    upper, lower = wa[p.i, p.j], wa[p.j, p.i]
-    beta = -1j * p.delta * (upper - lower)
-    beta += p.half_lam * (wg[p.i, p.j] + off * wg[p.j, p.i])
-    alpha = upper + off * lower
-    del upper, lower
-    root = p.root()
+    ts = t.reshape(-1)
+    aq = np.abs(p.q)
     # beta/q cancels to about ulp/|q| of beta; such pairs are rare away
     # from l = |delta|.
-    near = np.abs(p.q) <= 1e-2 * (p.half_lam + np.abs(p.delta))
-    late = near & (beta != 0.0)  # only these need the S term
-    ts = t.reshape(-1)
-    out = goe_cos_sin(p.q[late], p.kappa[late], ts[:, None])[1] @ beta[late]
-    np.divide(beta, root, out=beta, where=~near)
-    beta[near] = 0.0
-    z = np.concatenate([root - p.kappa, -root - p.kappa])
-    del p, root
-    b = np.concatenate([alpha + beta, alpha - beta])
-    b *= 0.5
-    del alpha, beta
+    near = aq <= 1e-2 * (p.half_lam + np.abs(p.delta))
+    late = near & beta.any(axis=0)  # only these need the S term
+    out = beta[:, late] @ goe_cos_sin(p.q[late], p.kappa[late], ts[:, None])[1].T
+    g = np.divide(beta, aq, out=np.zeros_like(beta), where=~near)
+    real = p.q >= 0.0
+    k_rows, n_pairs = alpha.shape
+    # The exponents z: -kappa + root of every pair, then -kappa - q of the
+    # real roots, each with its weights y.
+    z = np.zeros(n_pairs + np.count_nonzero(real), dtype=complex)
+    np.subtract(np.maximum(p.q, 0.0), p.kappa, out=z.real[:n_pairs])
+    np.maximum(-p.q, 0.0, out=z.imag[:n_pairs])
+    np.negative(p.kappa[real] + p.q[real], out=z.real[n_pairs:])
+    y = np.zeros((k_rows, z.size), dtype=complex)
+    y.real[:, :n_pairs] = np.where(real, 0.5 * (alpha + g), alpha)
+    np.negative(g, out=y.imag[:, :n_pairs])
+    y.real[:, n_pairs:] = 0.5 * (alpha[:, real] - g[:, real])
+    del aq, near, g, real
     if ts.size == 0:
-        return out.reshape(t.shape)
+        return out.reshape((k_rows,) + t.shape)
+    factors = _grid_factors(ts)
+    rows, m = factors or (ts.size, 1)
     h = (ts[-1] - ts[0]) / max(ts.size - 1, 1)
-    uniform = np.all(np.abs(ts - (ts[0] + h * np.arange(ts.size))) <= 4 * np.spacing(abs(ts[-1])))
-    for s in range(0, z.size, GOE_SLICE):
-        zs, bs = z[s : s + GOE_SLICE], b[s : s + GOE_SLICE]
-        row = np.exp(ts[0] * zs)
-        step = np.exp(h * zs) if uniform else np.empty_like(zs)
-        out[0] += row @ bs
-        for k in range(1, ts.size):
-            if not uniform:
-                np.exp(np.multiply(ts[k] - ts[k - 1], zs, out=step), out=step)
-            row *= step
-            out[k] += row @ bs
-    return out.reshape(t.shape)
+    width = max(1, GOE_BLOCK // (k_rows * rows + m))
+    w_block = np.empty((k_rows, rows, min(width, z.size)), dtype=complex)
+    v_block = np.ones((m, w_block.shape[-1]), dtype=complex)
+    acc = np.zeros((k_rows * rows, m))
+    for s in range(0, z.size, width):
+        zs, first = z[s : s + width], y[:, s : s + width]
+        w, v = w_block[..., : zs.size], v_block[:, : zs.size]
+        if factors is None:
+            np.multiply(first[:, None, :], np.exp(np.multiply.outer(ts, zs)), out=w)
+        else:
+            step = np.exp(h * zs)
+            if ts[0] != 0.0:
+                first = first * np.exp(ts[0] * zs)
+            _powers(v, step.conj())
+            _powers(w, step * v[-1].conj(), first)
+        acc += w.view(float).reshape(k_rows * rows, -1) @ v.view(float).T
+    out += acc.reshape(k_rows, -1)[:, : ts.size]
+    return out.reshape((k_rows,) + t.shape)
 
 
 def sff(spec: Spectrum, model: NoiseModel, t_grid) -> np.ndarray:
@@ -150,26 +198,46 @@ def sff(spec: Spectrum, model: NoiseModel, t_grid) -> np.ndarray:
     if model.ensemble is Ensemble.GUE:
         a = np.abs(gue_phases(spec, model, t).sum(axis=-1)) ** 2
     else:
-        a = _goe_contract(spec, model, 1.0, np.eye(d), t).real
+        # A pair i < j adds A_ij + A_ji = 2C, and the diagonal A_ii + G_ii =
+        # C + l S.
+        p = goe_params(spec, model)
+        on_diag = p.i == p.j
+        a = _goe_contract(p, (2.0 - on_diag)[None], (p.half_lam * on_diag)[None], t)[0]
     return (a + populations(model, t, np.eye(d))) / d**2
 
 
 def two_point(spec: Spectrum, model: NoiseModel, O: np.ndarray, t_grid) -> np.ndarray:
-    """C(t) = (1/D) Tr(O+ U1(t)[O]) of the channel of any profile: A weighted
-    by O+_ij O_ji, G by O+_ji O_ji, and B by conj(O_ii) O_jj.  Under GUE
-    noise the A part is the row sum of (P W) o conj(P), P the phases p_i."""
+    """C(t) = (1/D) Tr(O+ U1(t)[O]) = (1/D) sum_ij conj(O_ij) U1(t)[O]_ij
+    of the channel of any profile: A_ij weighted by |O_ij|^2, G_ij by
+    conj(O_ij) O_ji, and B by conj(O_ii) O_jj.  Under GUE noise the A part
+    is the row sum of (P W) o conj(P), P the phases p_i."""
     check_dims(spec, model)
     t = nonnegative_times(t_grid)
     diag_o = np.diagonal(O)
     b = populations(model, t, np.multiply.outer(diag_o.conj(), diag_o))
-    w_dir = O.conj().T * O.T  # O+_ij O_ji
     if model.ensemble is Ensemble.GUE:
         p = gue_phases(spec, model, t)
-        pw = p @ w_dir
+        # W_ij = |O_ji|^2 is the transpose of A's weights: the same for
+        # Hermitian O, while for any other O the A part comes out conjugated.
+        pw = p @ (O.conj().T * O.T)
         a = np.multiply(pw, np.conjugate(p, out=p), out=pw).sum(axis=-1)
     else:
-        w_exch = O.conj() * O.T  # entry (i, j): O+_ji O_ji = conj(O_ij) O_ji
-        a = _goe_contract(spec, model, w_dir, w_exch, t)
+        # A pair i < j weighs C by |O_ij|^2 + |O_ji|^2 and S by
+        # 2 l Re(conj(O_ij) O_ji) + i delta (|O_ji|^2 - |O_ij|^2); the
+        # diagonal counts each once and has delta = 0.  The imaginary row
+        # vanishes for Hermitian O and is then skipped.
+        p = goe_params(spec, model)
+        on_diag = p.i == p.j
+        sq = O.real**2 + O.imag**2
+        lo, hi = sq[p.i, p.j], sq[p.j, p.i]
+        cross = (O.real * O.real.T + O.imag * O.imag.T)[p.i, p.j]
+        alpha = np.where(on_diag, hi, hi + lo)
+        beta = np.stack([p.half_lam * np.where(on_diag, cross, 2.0 * cross), p.delta * (hi - lo)])
+        if beta[1].any():
+            re, im = _goe_contract(p, np.stack([alpha, np.zeros_like(alpha)]), beta, t)
+            a = re + 1j * im
+        else:
+            a = _goe_contract(p, alpha[None], beta[:1], t)[0]
     return (a + b) / spec.dim
 
 

@@ -29,7 +29,7 @@ from noisychaos import (
     u1_gue_const,
     u1_gue_general,
 )
-from noisychaos.diagnostics import GOE_SLICE
+from noisychaos.diagnostics import GOE_BLOCK, _grid_factors
 
 import test_channel_one
 from conftest import random_hermitian
@@ -307,15 +307,18 @@ class TestGridContraction:
         assert np.max(np.abs(values - per_point)) < 1e-12
 
     @pytest.mark.parametrize("grid", GRIDS)
-    def test_goe_slices_every_point(self, grid):
-        # D(D+1) exponents run in two slices of the GOE recurrence.  O is
-        # scaled to Tr(O+ O)/D ~ 1, so that 1e-12 is relative to C(0).
+    def test_goe_blocks_every_point(self, grid):
+        # The D(D+1)/2 pairs' exponents run in at least three blocks of the
+        # GOE contraction, on the mixed grid's exact exponentials and on
+        # the uniform grid's factors.  O is scaled to Tr(O+ O)/D ~ 1, so
+        # that 1e-12 is relative to C(0).
         d = 150
-        assert GOE_SLICE < d * (d + 1) <= 2 * GOE_SLICE
+        t_grid = self.GRIDS[grid]
+        rows, m = _grid_factors(t_grid) or (t_grid.size, 1)
+        assert d * (d + 1) // 2 > 2 * (GOE_BLOCK // (rows + m))
         rng = np.random.default_rng(40)
         spec = sample_gue_spectrum(d, rng)
         o = random_hermitian(d, rng) / np.sqrt(d)
-        t_grid = self.GRIDS[grid]
         sff_point, two_point_point = [], []
         for t in t_grid:
             ch = u1_goe_const(spec, 0.8, t)
@@ -323,6 +326,38 @@ class TestGridContraction:
             two_point_point.append(np.trace(o.conj().T @ apply_channel(ch, o)) / d)
         assert np.max(np.abs(sff_goe_const(spec, 0.8, t_grid) - sff_point)) < 1e-12
         assert np.max(np.abs(two_point_goe_const(spec, 0.8, o, t_grid) - two_point_point)) < 1e-12
+
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 196, 199])
+    @pytest.mark.parametrize("t0", [0.0, 0.7])
+    @pytest.mark.parametrize("case", ["const", "gibbs"])
+    def test_goe_grid_factors_every_point(self, n_points, t0, case):
+        # A uniform grid of T points is rows x m coarse and fine steps,
+        # m = ceil(sqrt(T)): 196 points fill 14 x 14, and 199 leave the last
+        # of 14 rows of 15 ragged.  At D = 70 the 196- and 199-point grids
+        # run several blocks.  O is not Hermitian, so the two-point
+        # function's imaginary weight row runs too; it is scaled to
+        # Tr(O+ O)/D ~ 1.
+        d = 70
+        t_grid = np.linspace(t0, 30.0, n_points)
+        rows, m = _grid_factors(t_grid)
+        assert m == np.ceil(np.sqrt(n_points)) and (rows - 1) * m < n_points <= rows * m
+        if n_points > 100:
+            assert d * (d + 1) // 2 > GOE_BLOCK // (2 * rows + m)
+        rng = np.random.default_rng(60)
+        spec = sample_gue_spectrum(d, rng)
+        o = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2 * d)
+        if case == "const":
+            values = sff_goe_const(spec, 0.8, t_grid), two_point_goe_const(spec, 0.8, o, t_grid)
+            channels = [u1_goe_const(spec, 0.8, t) for t in t_grid]
+        else:
+            model = NoiseModel(Ensemble.GOE, GibbsProfile(1.2, 0.7, spec), d)
+            values = sff(spec, model, t_grid), two_point(spec, model, o, t_grid)
+            channels = [u1_goe_general(spec, model, t) for t in t_grid]
+        per_point = ([sff_from_channel(ch) for ch in channels],
+                     [np.trace(o.conj().T @ apply_channel(ch, o)) / d for ch in channels])
+        for got, expected in zip(values, per_point):
+            assert got.shape == t_grid.shape
+            assert np.max(np.abs(got - expected)) < 1e-12
 
     @pytest.mark.parametrize("grid", ["linear", "log"])
     @pytest.mark.parametrize("case", ["const", "matrix"])

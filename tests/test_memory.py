@@ -2,9 +2,10 @@
 
 Each function takes a whole 400-point time grid at D = 128, and its traced
 peak, in D x D complex grids, must stay near what one time point needs.
-A GOE form peaks at 6.1-8.2 such grids: goe_params' real vectors over the
+A GOE form peaks at 6.7-8.7 such grids: goe_params' real vectors over the
 D(D+1)/2 level pairs (goe_params itself peaks at 2.3), the pair weights,
-the D(D+1) exponents with their weights, and the caller's weight grids.
+the ~D(D+1)/2 exponents with their weights, one block's factors (2 grids at
+D = 128), and the caller's weight grids.
 The (T, D) phase matrices of the GUE forms take T/D ~ 3 grids each.  The
 Gibbs-model entries also build the model's lambda and the
 eigendecomposition of its Markov generator, under the same bounds.  A
