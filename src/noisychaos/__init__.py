@@ -72,7 +72,6 @@ from .noise import (
     NoiseModel,
     goe_constant,
     gue_constant,
-    model_from_config,
     noise_slices,
     sample_noise_sequence,
 )

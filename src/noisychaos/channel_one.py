@@ -72,11 +72,6 @@ class GoePairs(NamedTuple):
     half_lam: np.ndarray  # l = lambda_ij/2
     q: np.ndarray
 
-    def root(self) -> np.ndarray:
-        """The root of q^2 per pair, q or i|q|: the pair's exponentials
-        are e^{(-kappa +- root) t}."""
-        return np.where(self.q < 0.0, -1j * self.q, self.q)
-
 
 def check_dims(spec: Spectrum, model: NoiseModel) -> None:
     if spec.dim != model.dim:

@@ -210,16 +210,16 @@ def two_point(spec: Spectrum, model: NoiseModel, O: np.ndarray, t_grid) -> np.nd
     """C(t) = (1/D) Tr(O+ U1(t)[O]) = (1/D) sum_ij conj(O_ij) U1(t)[O]_ij
     of the channel of any profile: A_ij weighted by |O_ij|^2, G_ij by
     conj(O_ij) O_ji, and B by conj(O_ii) O_jj.  Under GUE noise the A part
-    is the row sum of (P W) o conj(P), P the phases p_i."""
+    is the row sum of (P W) o conj(P), P the phases p_i and W_ij =
+    |O_ij|^2."""
     check_dims(spec, model)
     t = nonnegative_times(t_grid)
     diag_o = np.diagonal(O)
     b = populations(model, t, np.multiply.outer(diag_o.conj(), diag_o))
+    sq = O.real**2 + O.imag**2
     if model.ensemble is Ensemble.GUE:
         p = gue_phases(spec, model, t)
-        # W_ij = |O_ji|^2 is the transpose of A's weights: the same for
-        # Hermitian O, while for any other O the A part comes out conjugated.
-        pw = p @ (O.conj().T * O.T)
+        pw = p @ sq
         a = np.multiply(pw, np.conjugate(p, out=p), out=pw).sum(axis=-1)
     else:
         # A pair i < j weighs C by |O_ij|^2 + |O_ji|^2 and S by
@@ -228,7 +228,6 @@ def two_point(spec: Spectrum, model: NoiseModel, O: np.ndarray, t_grid) -> np.nd
         # vanishes for Hermitian O and is then skipped.
         p = goe_params(spec, model)
         on_diag = p.i == p.j
-        sq = O.real**2 + O.imag**2
         lo, hi = sq[p.i, p.j], sq[p.j, p.i]
         cross = (O.real * O.real.T + O.imag * O.imag.T)[p.i, p.j]
         alpha = np.where(on_diag, hi, hi + lo)

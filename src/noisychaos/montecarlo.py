@@ -19,10 +19,11 @@ holds the noise of one block of ``NOISE_BLOCK_STEPS`` steps with the
 scratch of its normal draws, one step's noise row of K = ``noise_width``
 entries, the step's slices, Taylor powers, block forms and next U, and U at
 a recorded step, which the observables read.  A GUE row is its x half,
-D(D+1)/2 entries laid out as a whole GOE row, then its y half.  GUE noise
-keeps the x halves of every step: a trajectory's stream is all of its x
-draws, then all of its y draws, so each x must be drawn before the first y,
-and the block holds the y halves.  ``chunk_bounds`` sizes the chunks so
+D(D+1)/2 entries laid out as a whole GOE row, then its y half.  One walker
+serves both ensembles: a trajectory's stream is all of its x draws, then
+all of its y draws, so GUE keeps the x halves of every step, each drawn
+before the first y, and the block holds the y halves; GOE keeps none, and
+its block holds whole rows.  ``chunk_bounds`` sizes the chunks so
 that the workspaces of the chunks running at once, ``workspace_bytes`` per
 trajectory, fit ``WORKSPACE_BUDGET_BYTES``.  Trajectory k draws its noise
 from child k of the SeedSequence of the seed, a block at a time in the
@@ -251,18 +252,19 @@ def expm_hermitian_step(x: np.ndarray) -> np.ndarray:
 
 
 def _workspace_layout(model: NoiseModel, n_steps: int) -> Layout:
-    """One worker's workspace: under GUE the x half of every step's rows;
-    the rows of one block of steps (the y halves under GUE) and the
-    scratch of their normal draws; one step's rows, and the step's arrays;
-    U and the next U as block columns; and U at a recorded step, however
-    many steps are recorded."""
+    """One worker's workspace: the kept x halves of every step's rows, x =
+    D(D+1)/2 entries under GUE and 0 under GOE; the rest of one block of
+    steps' rows (whole rows under GOE) and the scratch of their normal
+    draws; one step's rows, and the step's arrays; U and the next U as
+    block columns; and U at a recorded step, however many are recorded."""
     d = model.dim
     k = noise_width(model)
     block = max(1, min(NOISE_BLOCK_STEPS, n_steps))
     gue = model.ensemble is Ensemble.GUE
-    layout = {"kept": ((n_steps * d * (d + 1) // 2,), float)} if gue else {}
-    return layout | {
-        "block": ((block * (d * (d - 1) // 2 if gue else k),), float),
+    x = d * (d + 1) // 2 if gue else 0
+    return {
+        "kept": ((n_steps * x,), float),
+        "block": ((block * (k - x),), float),
         "draws": ((block * d * d,), float),
         "row": ((k,), float),
         **_step_layout(d, not gue),
@@ -286,31 +288,29 @@ def _noise_rows(
     steps at a time: per block, one normal draw per trajectory and one
     gather and scale for the batch, into rows laid out (n_batch, steps,
     width).  A trajectory's stream is its x draws for every step, then
-    under GUE its y draws, so GUE first draws the x halves of all blocks
-    into ``w.kept`` and then the y halves block by block; a GUE row is its
-    x half then its y half."""
+    under GUE its y draws, so the x halves that ``_workspace_layout``
+    keeps (none under GOE) are drawn for all blocks into ``w.kept`` first,
+    then the rest of the rows, whole under GOE, block by block.  A row is
+    its kept x half, then the rest."""
     d, batch = model.dim, len(gens)
     length = w.draws.shape[1] // (d * d)
     draws = w.draws.reshape(-1)
-    gue = model.ensemble is Ensemble.GUE
-    x = d * (d + 1) // 2 if gue else 0  # the width of the kept x halves
+    x = w.row.shape[1] - w.block.shape[1] // length  # the width of the kept x halves
 
     def rows(buf: np.ndarray, s0: int, n: int, width: int) -> np.ndarray:
         return buf.reshape(-1)[batch * s0 * width:batch * (s0 + n) * width].reshape(batch, n, width)
 
-    if gue:
+    if x:
         for s0 in range(0, n_steps, length):
             n = min(length, n_steps - s0)
             sample_noise_sequence(model, dt, n, gens, rows(w.kept, s0, n, x), draws)
     for s0 in range(0, n_steps, length):
         n = min(length, n_steps - s0)
+        kept = rows(w.kept, s0, n, x)
         block = rows(w.block, 0, n, w.row.shape[1] - x)
-        sample_noise_sequence(model, dt, n, gens, block, draws, "y" if gue else "x")
-        if gue:
-            kept = rows(w.kept, s0, n, x)
+        sample_noise_sequence(model, dt, n, gens, block, draws)
         for j in range(n):
-            if gue:
-                w.row[:, :x] = kept[:, j]
+            w.row[:, :x] = kept[:, j]
             w.row[:, x:] = block[:, j]
             yield w.row
 
@@ -482,11 +482,12 @@ def estimate_observables(
     n_times) slots from the chunk's U at that step, so each estimate equals
     the one a separate estimate of that observable alone would give.
     """
+    if threads < 1:
+        raise ValueError(f"threads={threads!r} must be positive")
     validate_step(model, cfg.dt)
     steps = grid_steps(t_grid, cfg.dt)
     if steps.max() > cfg.n_steps:
         raise ValueError("t_grid extends beyond cfg.t_max")
-    threads = max(1, threads)
     n_steps = int(steps.max())
     bounds = chunk_bounds(cfg.n_traj, workspace_bytes(model, n_steps), threads)
     values = {key: np.empty((cfg.n_traj, steps.size), dtype=complex) for key in observables}

@@ -3,10 +3,10 @@
 Shared between the analytic channels and the Monte Carlo trajectory oracle.
 The white-noise variance is regularized on a time grid as lambda/dt per step.
 The oracle's noise slices are sampled as float64 rows of their K independent
-entries (K = ``noise_width``), a half at a time (``sample_noise_sequence``),
-and expanded into full Hermitian or symmetric slices (``noise_slices``) one
-step at a time; the draws are those of full D x D slices, so the stream at a
-seed does not depend on the layout.
+entries (K = ``noise_width``), a half at a time, which the output's width
+names (``sample_noise_sequence``), and expanded into full Hermitian or
+symmetric slices (``noise_slices``) one step at a time; the draws are those
+of full D x D slices, so the stream at a seed does not depend on the layout.
 """
 
 from __future__ import annotations
@@ -140,29 +140,6 @@ class NoiseModel:
         return out
 
 
-def model_from_config(
-    config: dict, dim: int, spectrum: Spectrum | None = None
-) -> NoiseModel:
-    """Build a NoiseModel from its JSON descriptor.
-
-    A Gibbs profile needs the spectrum the variance is weighted by.
-    """
-    ensemble = Ensemble(config["ensemble"])
-    prof = config["profile"]
-    kind = prof["type"]
-    if kind == "const":
-        profile: Profile = ConstantOverD(float(prof["J"]))
-    elif kind == "matrix":
-        profile = MatrixProfile(np.asarray(prof["lambda"], dtype=float))
-    elif kind == "gibbs":
-        if spectrum is None:
-            raise ValueError("gibbs profile requires a spectrum")
-        profile = GibbsProfile(float(prof["J"]), float(prof["beta"]), spectrum)
-    else:
-        raise ValueError(f"unknown profile type {kind!r}")
-    return NoiseModel(ensemble=ensemble, profile=profile, dim=dim)
-
-
 def gue_constant(J: float, dim: int) -> NoiseModel:
     return NoiseModel(Ensemble.GUE, ConstantOverD(J), dim)
 
@@ -186,7 +163,6 @@ def sample_noise_sequence(
     gens: Sequence[np.random.Generator],
     out: np.ndarray,
     scratch: np.ndarray,
-    half: str = "x",
 ) -> np.ndarray:
     """n_steps independent time slices of the regularized noise matrix for
     each generator of ``gens``, as one half of their rows of K =
@@ -199,30 +175,33 @@ def sample_noise_sequence(
     variance lambda_ij/(2 dt), GOE off-diagonals have variance
     lambda_ij/(2 dt), diagonals have variance lambda_ii/dt in both cases.
 
-    ``half="x"`` draws x and writes sigma_ij x_ij for i < j in
-    ``np.triu_indices`` order, then sigma_ii x_ii: the whole row under GOE.
-    Under GUE ``half="y"`` draws y and writes sigma_ij y_ij in the same
-    order; a row is its x half then its y half, and its slice is sigma_ij
-    (x + i y)_ij above the diagonal and sigma_ii x_ii on it.  Each slice
-    draws one full D x D normal matrix in ``scratch`` (room for n_gens x
-    n_steps x D^2 floats) and discards the entries below the diagonal, so
-    the stream, and with it every Monte Carlo estimate at a seed, is that
-    of a sampler of full slices.  A generator's consecutive calls continue
-    its stream: its x halves in pieces of steps, then its y halves, draw
-    the stream of all its x slices followed by all its y slices.
+    The width of ``out`` says which half a call fills.  D(D+1)/2 is the x
+    half: x is drawn and sigma_ij x_ij written for i < j in
+    ``np.triu_indices`` order, then sigma_ii x_ii, the whole row under
+    GOE.  Under GUE, D(D-1)/2 is the y half: y is drawn and sigma_ij y_ij
+    written in the same order; a row is its x half then its y half, and
+    its slice is sigma_ij (x + i y)_ij above the diagonal and sigma_ii
+    x_ii on it.  Each slice draws one full D x D normal matrix in
+    ``scratch`` (room for n_gens x n_steps x D^2 floats) and discards the
+    entries below the diagonal, so the stream, and with it every Monte
+    Carlo estimate at a seed, is that of a sampler of full slices.  A
+    generator's consecutive calls continue its stream: its x halves in
+    pieces of steps, then its y halves, draw the stream of all its x
+    slices followed by all its y slices.
     """
     if dt <= 0.0:
         raise InvalidStepError(f"dt must be positive, got {dt}")
-    if half not in (("x", "y") if model.ensemble is Ensemble.GUE else ("x",)):
-        raise ValueError(f"half={half!r} is not 'x', or 'y' under GUE")
     d = model.dim
+    x_half = out.shape[-1] == d * (d + 1) // 2
+    if not x_half and (out.shape[-1] != d * (d - 1) // 2 or model.ensemble is not Ensemble.GUE):
+        raise ValueError(f"out width {out.shape[-1]} is not the x half, or under GUE the y half, of a D = {d} row")
     iu, ju = np.triu_indices(d, k=1)
     lam = model.lambda_matrix()
     # Each slice's draw as a flat row: the upper triangle, then the diagonal
     # every (D+1)-th entry, is one gather.
     index = iu * d + ju
     sigma = np.sqrt(lam[iu, ju] / (2.0 * dt))
-    if half == "x":
+    if x_half:
         index = np.concatenate([index, np.arange(0, d * d, d + 1)])
         sigma = np.concatenate([sigma, np.sqrt(np.diag(lam) / dt)])
     draws = scratch[:len(gens) * n_steps * d * d].reshape(len(gens), n_steps, d * d)

@@ -183,7 +183,7 @@ def noise_rows(
     scratch = np.empty(n_steps * d * d)
     sample_noise_sequence(model, dt, n_steps, [rng], out[None, :, :x], scratch)
     if model.ensemble is Ensemble.GUE:
-        sample_noise_sequence(model, dt, n_steps, [rng], out[None, :, x:], scratch, "y")
+        sample_noise_sequence(model, dt, n_steps, [rng], out[None, :, x:], scratch)
     return out
 
 

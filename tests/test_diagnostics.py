@@ -182,6 +182,21 @@ class TestTwoPoint:
         closed = two_point(spec4, J, o, [0.0, t])[1]
         assert abs(direct - closed) < 1e-12
 
+    @pytest.mark.parametrize("beta", [None, 0.5])
+    def test_gue_non_hermitian_operator(self, beta):
+        # Tr(O+ U1[O]) weighs A_ij by |O_ij|^2, which for a non-Hermitian O
+        # is not |O_ji|^2: the closed form matches the channel under GUE
+        # noise of the constant and a Gibbs profile, as an imaginary part
+        # of about 0.5 at t = 1 shows.
+        rng = np.random.default_rng(60)
+        spec = sample_gue_spectrum(5, rng)
+        o = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        profile = ConstantOverD(0.8) if beta is None else GibbsProfile(0.8, beta, spec)
+        model = NoiseModel(Ensemble.GUE, profile, 5)
+        t = np.array([0.0, 0.3, 1.0, 2.5])
+        direct = [np.trace(o.conj().T @ apply_channel(u1_gue_general(spec, model, s), o)) / 5 for s in t]
+        assert np.max(np.abs(two_point(spec, model, o, t) - direct)) <= 1e-12
+
 
 class TestEffectiveHamiltonian:
     def test_t0_unchanged(self, spec5):

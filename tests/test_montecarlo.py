@@ -196,17 +196,18 @@ class TestPadeStep:
         seen = []
         sample = montecarlo.sample_noise_sequence
 
-        def recording(model, dt, n_steps, gens, out, scratch, half="x"):
-            seen.append((half, len(gens), out.shape, out.dtype))
-            return sample(model, dt, n_steps, gens, out, scratch, half)
+        def recording(model, dt, n_steps, gens, out, scratch):
+            seen.append((len(gens), out.shape, out.dtype))
+            return sample(model, dt, n_steps, gens, out, scratch)
 
         monkeypatch.setattr(montecarlo, "sample_noise_sequence", recording)
         monkeypatch.setattr(montecarlo, "NOISE_BLOCK_STEPS", 7)
         run = estimate_observables(spec4, make(1.0, 4), small_cfg(6), T_GRID,
                                    {"sff": sff_observable()}, threads=2)
         blocks = [7] * 71 + [3]
-        halves = [("x", (width + 4) // 2), ("y", (width - 4) // 2)] if make is gue_constant else [("x", width)]
-        per_chunk = [(half, 3, (3, n, width), np.dtype(float)) for half, width in halves for n in blocks]
+        # the widths of the halves: x, then under GUE y
+        halves = [(width + 4) // 2, (width - 4) // 2] if make is gue_constant else [width]
+        per_chunk = [(3, (3, n, half), np.dtype(float)) for half in halves for n in blocks]
         assert sorted(seen, key=str) == sorted(per_chunk * 2, key=str)
         assert 0.0 < run.max_drift <= 1e-8
 
@@ -327,6 +328,11 @@ class TestReproducibility:
         b = estimate_sff(spec4, model, small_cfg(60), T_GRID, threads=1)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.stderr, b.stderr)
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_bad_thread_count_refused(self, spec4, threads):
+        with pytest.raises(ValueError, match="threads"):
+            estimate_sff(spec4, gue_constant(1.0, 4), small_cfg(4), T_GRID, threads=threads)
 
     def test_thread_count_invariant(self, spec4):
         model = goe_constant(0.8, 4)
@@ -450,12 +456,14 @@ class TestSharedSimulation:
         (goe_constant, 16, 128, 200, 4),
     ])
     def test_workspace_bytes_count_every_array(self, make, dim, n_traj, n_steps, n_record):
-        # The budget counts all a workspace holds, exactly: under GUE the x
-        # half of every step's rows, a block's rows and the scratch of their
-        # draws, a step's rows, the step's arrays, U, the next U and one
-        # recorded U, however many steps are recorded.  Each array of a
-        # chunk is a C-contiguous view of the array the worker allocated for
-        # its largest chunk, and no two overlap.  The step loop hands U at
+        # The budget counts all a workspace holds, exactly: the kept x
+        # halves of every step's rows (none under GOE, whose kept array has
+        # width 0), a block's rows and the scratch of their draws, a step's
+        # rows, the step's arrays, U, the next U and one recorded U, however
+        # many steps are recorded.  Each array of a chunk is a C-contiguous
+        # view of the array the worker allocated for its largest chunk (its
+        # base, which a zero-width array shares no memory with), and no two
+        # overlap.  The step loop hands U at
         # each of n_record steps to its observer in that one recorded U.
         model = make(1.0, dim)
         traj_bytes = workspace_bytes(model, n_steps)
@@ -470,12 +478,13 @@ class TestSharedSimulation:
         assert traj_bytes == floats * 8
         space = montecarlo._workspace(montecarlo._workspace_layout(model, n_steps), n_traj)
         assert sum(a.nbytes for a in vars(space).values()) == n_traj * traj_bytes
+        assert space.kept.shape == (n_traj, kept)
         for batch in (n_traj, n_traj - 1):
             work = montecarlo._chunk(space, batch)
             assert vars(work).keys() == vars(space).keys()
             for name, a in vars(work).items():
                 assert a.flags.c_contiguous and a.shape[0] == batch
-                assert np.shares_memory(a, getattr(space, name))
+                assert a.base is getattr(space, name)
             arrays = list(vars(work).values())
             assert not any(np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
             assert work.record.shape == (batch, d, d) and work.record.dtype == complex
@@ -657,18 +666,18 @@ def scheme_means(spec, model, dt, nodes, t):
             "transfer": np.array([p[d + 1, 0].real for p in powers])}
 
 
-def scaled_rows(model, dt, n_steps, gens, out, scratch, half="x"):
+def scaled_rows(model, dt, n_steps, gens, out, scratch):
     """The sampler with every row entry 3% too large."""
-    sample_noise_sequence(model, dt, n_steps, gens, out, scratch, half)
+    sample_noise_sequence(model, dt, n_steps, gens, out, scratch)
     out *= 1.03
     return out
 
 
-def rows_without_diagonal(model, dt, n_steps, gens, out, scratch, half="x"):
+def rows_without_diagonal(model, dt, n_steps, gens, out, scratch):
     """The sampler with the diagonal entries, the last D of the x half,
     dropped."""
-    sample_noise_sequence(model, dt, n_steps, gens, out, scratch, half)
-    if half == "x":
+    sample_noise_sequence(model, dt, n_steps, gens, out, scratch)
+    if out.shape[-1] == model.dim * (model.dim + 1) // 2:
         out[..., -model.dim:] = 0.0
     return out
 

@@ -10,7 +10,6 @@ from noisychaos import (
     NoiseModel,
     goe_constant,
     gue_constant,
-    model_from_config,
     noise_slices,
     sample_noise_sequence,
 )
@@ -86,25 +85,19 @@ class TestProfiles:
 
 
 class TestConfig:
-    def test_round_trip_const(self):
-        model = goe_constant(0.7, 5)
-        back = model_from_config(model.to_config(), 5)
-        assert back.ensemble is Ensemble.GOE
-        assert np.array_equal(back.lambda_matrix(), model.lambda_matrix())
+    # The descriptor the Monte Carlo series metadata writes, and the bench's
+    # tracer keys its trajectories on, exactly.
+    def test_to_config_const(self):
+        assert goe_constant(0.7, 5).to_config() == {"ensemble": "goe", "profile": {"type": "const", "J": 0.7}}
 
-    def test_round_trip_matrix(self, rng):
-        lam = rng.random((3, 3))
-        lam = (lam + lam.T) / 2
-        model = NoiseModel(Ensemble.GUE, MatrixProfile(lam), 3)
-        back = model_from_config(model.to_config(), 3)
-        assert np.allclose(back.lambda_matrix(), lam)
+    def test_to_config_matrix(self):
+        lam = np.array([[0.5, 0.25], [0.25, 1.0]])
+        assert NoiseModel(Ensemble.GUE, MatrixProfile(lam), 2).to_config() == {
+            "ensemble": "gue", "profile": {"type": "matrix", "lambda": [[0.5, 0.25], [0.25, 1.0]]}}
 
-    def test_gibbs_needs_spectrum(self, spec4):
-        cfg = {"ensemble": "gue", "profile": {"type": "gibbs", "J": 1.0, "beta": 0.5}}
-        with pytest.raises(ValueError):
-            model_from_config(cfg, 4)
-        model = model_from_config(cfg, 4, spectrum=spec4)
-        assert model.lambda_matrix().shape == (4, 4)
+    def test_to_config_gibbs(self, spec4):
+        model = NoiseModel(Ensemble.GUE, GibbsProfile(1.0, 0.5, spec4), 4)
+        assert model.to_config() == {"ensemble": "gue", "profile": {"type": "gibbs", "J": 1.0, "beta": 0.5}}
 
 
 class TestSampling:
@@ -196,31 +189,32 @@ class TestFrozenStream:
         model = NoiseModel(ensemble, MatrixProfile(self.LAMBDA), 5)
         gens = [np.random.default_rng(s) for s in (11, 12, 13)]
         scratch = np.empty(3 * max(pieces) * 25)
-        halves = {"x": slice(0, 15), "y": slice(15, 25)}
-        if ensemble is Ensemble.GOE:
-            del halves["y"]
+        # the x half's columns, then under GUE the y half's
+        halves = [slice(0, 15), slice(15, 25)][:2 if ensemble is Ensemble.GUE else 1]
 
-        def draw(half, cols):
+        def draw(cols):
             return np.concatenate([sample_noise_sequence(model, 0.01, n, gens, np.empty((3, n, cols.stop - cols.start)),
-                                                         scratch, half)
+                                                         scratch)
                                    for n in pieces], axis=1)
 
-        rows = np.concatenate([draw(half, cols) for half, cols in halves.items()], axis=-1)
+        rows = np.concatenate([draw(cols) for cols in halves], axis=-1)
         assert rows.shape == (3, sum(pieces), noise_width(model))
         one_call = [noise_rows(model, 0.01, sum(pieces), np.random.default_rng(s)) for s in (11, 12, 13)]
         assert np.array_equal(rows, np.stack(one_call))
         # a strided out, as a step-major layout would give, gets the same rows
         strided = np.full((sum(pieces), 3, noise_width(model)), np.nan)
         gens = [np.random.default_rng(s) for s in (11, 12, 13)]
-        for half, cols in halves.items():
+        for cols in halves:
             sample_noise_sequence(model, 0.01, sum(pieces), gens, strided.transpose(1, 0, 2)[..., cols],
-                                  np.empty(3 * sum(pieces) * 25), half)
+                                  np.empty(3 * sum(pieces) * 25))
         assert np.array_equal(strided.transpose(1, 0, 2), rows)
 
-    def test_half_needs_gue(self):
-        # "x" is a whole GOE row, so GOE has no "y" half.
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="half"):
-            sample_noise_sequence(goe_constant(1.0, 3), 0.01, 2, [rng], np.empty((1, 2, 3)), np.empty(18), "y")
-        with pytest.raises(ValueError, match="half"):
-            sample_noise_sequence(gue_constant(1.0, 3), 0.01, 2, [rng], np.empty((1, 2, 6)), np.empty(18), "z")
+    @pytest.mark.parametrize("make, width", [(gue_constant, w) for w in (0, 2, 4, 5, 7, 9)]
+                             + [(goe_constant, w) for w in (0, 3, 5, 9)])
+    def test_width_names_half(self, make, width):
+        # The width of out says which half a call fills: at D = 3 the x
+        # half's 6, the whole GOE row, or under GUE the y half's 3.  GOE
+        # has no y half, and no other width is either half.
+        with pytest.raises(ValueError, match=f"out width {width} "):
+            sample_noise_sequence(make(1.0, 3), 0.01, 2, [np.random.default_rng(0)], np.empty((1, 2, width)),
+                                  np.empty(18))
