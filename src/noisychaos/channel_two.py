@@ -4,7 +4,10 @@ The eight graph-group coefficients f_a are linear combinations of five
 exponentials with rational coefficients.  The rationals are kept exact
 (integer numerators over a common denominator) so that f(0) = (1, 0, ..., 0)
 and the J = 0 limit hold exactly in floating point.  Graph groups are never
-materialized; observables supply their 8-component contraction vector.
+materialized; observables supply their 8-component contraction vector (the
+SFF's from one pass of D phases per point).  The SFF variance is that vector
+contracted with rows h = f - g, g those of (D^2 K_J)^2; each h row sums to 0,
+so h sums expm1 terms and is exactly 0 at J = 0 and t = 0, with no subtraction.
 Every function of t takes a scalar or a whole time grid (numpy broadcasting).
 The OTOC's two traces take D phases and one GEMM per point, not D^2
 exponentials.
@@ -12,7 +15,6 @@ exponentials.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -20,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .channel_one import nonnegative_times
-from .diagnostics import sff_gue_const
+from .krylov import _integer_row
 from .spectra import Spectrum
 
 
@@ -73,15 +75,14 @@ def decay_rates(D: int, J: float) -> np.ndarray:
 
 @cache
 def _integer_rows(D: int):
-    """Per-row integer numerators and common denominator of f_matrix (shared, read-only)."""
-    rows = f_matrix(D)
-    nums = np.zeros((8, 5), dtype=float)
-    dens = np.zeros(8)
-    for a, row in enumerate(rows):
-        q = math.lcm(*[frac.denominator for frac in row])
-        dens[a] = q
-        for b, frac in enumerate(row):
-            nums[a, b] = frac.numerator * (q // frac.denominator)
+    """Integer rows and per-row denominators of f_matrix and of h = f - g, g the rows of
+    (D^2 K_J)^2 = e^{-2x} V1 + (e^{-x} - e^{-2x}) V4/4 + (1 - e^{-x})^2 V5/(2D^2), x = Jt."""
+    f, q, s = f_matrix(D), Fraction(1, 4), Fraction(1, 2 * D * D)
+    g = {0: [0, 0, 0, 1, 0], 3: [0, q, 0, -q, 0], 4: [s, -2 * s, 0, s, 0]}
+    h = [[a - b for a, b in zip(row, g.get(i, [0] * 5))] for i, row in enumerate(f)]
+    rows = [_integer_row(row) for row in f + h]
+    nums = np.array([n for n, _ in rows], dtype=float).reshape(2, 8, 5)
+    dens = np.array([den for _, den in rows], dtype=float).reshape(2, 8)
     nums.flags.writeable = dens.flags.writeable = False
     return nums, dens
 
@@ -95,7 +96,7 @@ def f_coefficients(D: int, J: float, t) -> np.ndarray:
     t = nonnegative_times(t)
     nums, dens = _integer_rows(D)
     exps = np.exp(np.multiply.outer(t, decay_rates(D, J)))
-    return (exps[..., None, :] * nums).sum(axis=-1) / dens
+    return (exps[..., None, :] * nums[0]).sum(axis=-1) / dens[0]
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,8 @@ def sff_contraction_vector(spec: Spectrum, t) -> np.ndarray:
     """V_a(SFF), shape t.shape + (8,): the eight graph groups contracted for
     the squared SFF, built from the noiseless traces."""
     d = spec.dim
-    et = np.multiply.outer(np.asarray(t, dtype=float), spec.energies)
-    tr1 = np.exp(-1j * et).sum(axis=-1)
-    tr2 = np.exp(-2j * et).sum(axis=-1)
+    p = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), spec.energies))
+    tr1, tr2 = p.sum(axis=-1), (p * p).sum(axis=-1)
     # Real arithmetic rounds numpy scalars and arrays alike (complex abs does not).
     x, y = tr1.real, tr1.imag
     k1 = (x * x + y * y) / d**2
@@ -132,9 +132,12 @@ def sff_squared_mean(spec: Spectrum, J: float, t):
 
 def sff_variance(spec: Spectrum, J: float, t) -> SffVariance:
     """Second moment of TrU TrU+ and its variance against the squared mean
-    E[TrU TrU+] = D^2 K_J(t), with K_J from diagnostics.sff_gue_const."""
-    second = sff_squared_mean(spec, J, t)
-    return SffVariance(second, second - (spec.dim**2 * sff_gue_const(spec, J, t)) ** 2)
+    E[TrU TrU+] = D^2 K_J(t): sum_a f_a V_a and sum_a h_a V_a of one V."""
+    t, d = nonnegative_times(t), spec.dim
+    v, (nums, dens) = sff_contraction_vector(spec, t), _integer_rows(d)
+    expm1s = np.expm1(np.multiply.outer(t, decay_rates(d, J)))
+    h = (expm1s[..., None, :] * nums[1]).sum(axis=-1) / dens[1]
+    return SffVariance((f_coefficients(d, J, t) * v).sum(axis=-1), (h * v).sum(axis=-1))
 
 
 def _check_operator(name: str, op: np.ndarray, d: int) -> None:
@@ -168,15 +171,17 @@ def _otoc_traces(spec: Spectrum, t, A: np.ndarray, B: np.ndarray):
 
 
 def otoc(spec: Spectrum, J: float, t, A: np.ndarray, B: np.ndarray):
-    """Noise-averaged infinite-temperature OTOC for traceless Hermitian A, B.
-
-    Only the groups 1, 3 and 6 survive the traceless contraction:
+    """Noise-averaged infinite-temperature OTOC for traceless Hermitian A, B:
 
         OTOC_J = (f1 + f6) OTOC_{J=0} + (2/D) f3 Tr(A B_t)^2
 
     with f1 + f6 = e^{-2Jt} cosh(2Jt/D) and
     2 f3 = -e^{-2Jt} sinh(2Jt/D), derived from the coefficient matrix rows.
-    At J = 0, f1 + f6 = 1 and f3 = 0 exactly: J = 0 gives the noiseless OTOC.
+    The form omits (4/D) f4 Tr(A^2 B_t^2) + (1/D) f7 Tr(A^2) Tr(B^2).  It is exact
+    at t = 0 and at J = 0 (f1 + f6 = 1, f3 = f4 = f7 = 0: the noiseless OTOC).
+    For J > 0 it misses an exact diagram reference by up to 0.125 at D = 3 and
+    tends to 0, not to the Haar value -<A^2><B^2>/(D^2 - 1), <X> = Tr X / D; its
+    fix waits until bench/reference/analytic_grid.json is recorded again.
     """
     d = spec.dim
     _check_operator("A", A, d)

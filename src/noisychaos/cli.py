@@ -426,8 +426,8 @@ def oracle_compare(inp: Inputs):
             f"t_grid.t_max={float(t[-1])!r} lies past montecarlo.t_max={cfg.t_max!r}"
         )
     models = [_noise_model(inp, j) for j in inp.j_list]
-    for j, model in zip(inp.j_list, models):
-        margin = step_margin(model, cfg.dt)
+    margins = [step_margin(model, cfg.dt) for model in models]
+    for j, margin in zip(inp.j_list, margins):
         if margin > 1.0:
             raise ConfigError(
                 f"montecarlo.dt={cfg.dt!r} gives J_list entry {j!r} the step margin "
@@ -438,7 +438,7 @@ def oracle_compare(inp: Inputs):
     state_i, state_j = inp.config["state_i"], inp.config["state_j"]
     o = random_traceless_hermitian(spec.dim, inp.op_rng)
     inp.summary["mc_health"] = []
-    for j, model in zip(inp.j_list, models):
+    for j, model, margin in zip(inp.j_list, models, margins):
         # key -> (observable, analytic values); one simulation serves them all.
         cases = {
             "sff": (sff_observable(), sff(spec, j, t)),
@@ -470,7 +470,7 @@ def oracle_compare(inp: Inputs):
         inp.summary["mc_health"].append({
             "J": j,
             "max_unitarity_drift": mc.max_drift,
-            "step_margin": step_margin(model, cfg.dt),
+            "step_margin": margin,
         })
 
 

@@ -2,7 +2,8 @@
 L1 and its dense D^2 x D^2 matrix, a matrix exponential by scaling and
 squaring, the forced linear solve of the channel's populations, the dense
 D^2 x D^2 superoperator and Choi matrix of a channel, the
-8 x 8 two-replica generator M, one generator's full noise rows, one full
+8 x 8 two-replica generator M at any D, the SFF's second moment and
+variance in 60-digit arithmetic, one generator's full noise rows, one full
 Monte Carlo trajectory and the estimates of a whole run, each drawing its
 noise up front, the averaged
 one-step superoperator of the Monte Carlo scheme, the effective
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from noisychaos import (
@@ -28,6 +30,7 @@ from noisychaos import (
     NoiseModel,
     Spectrum,
     TrajectoryConfig,
+    f_matrix,
     two_point_gue_const,
 )
 from noisychaos.channel_two import UnsupportedDimensionError
@@ -147,26 +150,59 @@ def choi_matrix(ch: ChannelOne) -> np.ndarray:
     return s.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
+def generator_rows(D: int, J) -> list[list]:
+    """The 8 x 8 generator on graph-group coefficients at w = 0, as nested
+    lists in J's own arithmetic (a Fraction J gives exact entries), at any D."""
+    j = J / D
+    return [
+        [0, 0, -2 * j, 0, 0, 0, 0, 0],
+        [j, J, 0, 0, 0, 0, 0, 0],
+        [-j, 0, 0, 0, 0, -j, 0, 0],
+        [0, 0, j, J, 0, 0, 0, 0],
+        [0, 2 * j, 0, 0, 2 * J, 0, 0, 2 * j],
+        [0, 0, -2 * j, 0, 0, 0, 0, 0],
+        [0, 0, 0, 4 * j, 0, 0, 2 * J, 0],
+        [0, 0, 0, 0, 0, j, 0, J],
+    ]
+
+
 def build_M(D: int, J: float, w: complex) -> np.ndarray:
     """The 8 x 8 generator on graph-group coefficients: L2.F_a = M_ba F_b."""
     if D < 3:
         raise UnsupportedDimensionError(f"need D >= 3, got {D}")
-    j = J / D
-    m = np.array(
-        [
-            [0, 0, -2 * j, 0, 0, 0, 0, 0],
-            [j, J, 0, 0, 0, 0, 0, 0],
-            [-j, 0, 0, 0, 0, -j, 0, 0],
-            [0, 0, j, J, 0, 0, 0, 0],
-            [0, 2 * j, 0, 0, 2 * J, 0, 0, 2 * j],
-            [0, 0, -2 * j, 0, 0, 0, 0, 0],
-            [0, 0, 0, 4 * j, 0, 0, 2 * J, 0],
-            [0, 0, 0, 0, 0, j, 0, J],
-        ],
-        dtype=complex,
-    )
+    m = np.array(generator_rows(D, J), dtype=complex)
     m += w * np.eye(8)
     return m
+
+
+def sff_moments_reference(spec: Spectrum, J: float, t, dps: int = 60):
+    """E|TrU|^4 and Var|TrU|^2 of constant GUE noise at each time of t, in
+    dps-digit arithmetic: f_matrix's exact rows on the five rates, contracted
+    with the SFF's graph-group vector from dps-digit traces, minus the square
+    of D^2 K_J = e^{-Jt} |TrU_0|^2 + 1 - e^{-Jt}.  Returns two float arrays
+    of t's shape."""
+    t = np.asarray(t, dtype=float)
+    d = spec.dim
+    out = np.empty((2,) + t.shape)
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in f_matrix(d)]
+        energies = [mpmath.mpf(float(e)) for e in spec.energies]
+        jm = mpmath.mpf(J)
+        rates = [0, -jm, -(2 - mpmath.mpf(2) / d) * jm, -2 * jm, -(2 + mpmath.mpf(2) / d) * jm]
+        for idx in np.ndindex(t.shape):
+            tm = mpmath.mpf(float(t[idx]))
+            tr1 = mpmath.fsum(mpmath.expj(-e * tm) for e in energies)
+            tr2 = mpmath.fsum(mpmath.expj(-2 * e * tm) for e in energies)
+            z1, z2 = abs(tr1) ** 2, abs(tr2) ** 2
+            v = [z1**2, 4 * d * z1, 2 * mpmath.re(tr2 * mpmath.conj(tr1) ** 2), 8 * z1,
+                 2 * d**2, z2, 2 * d, 4 * d]
+            exps = [mpmath.exp(r * tm) for r in rates]
+            second = mpmath.fsum(
+                va * mpmath.fsum(c * e for c, e in zip(row, exps)) for va, row in zip(v, rows)
+            )
+            mean = mpmath.exp(-jm * tm) * z1 + 1 - mpmath.exp(-jm * tm)
+            out[(0,) + idx], out[(1,) + idx] = float(second), float(second - mean**2)
+    return out[0], out[1]
 
 
 def noise_rows(

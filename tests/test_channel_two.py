@@ -17,7 +17,7 @@ from noisychaos import (
 from noisychaos.diagnostics import sff_gue_const
 
 from conftest import random_hermitian
-from oracles import build_M
+from oracles import build_M, generator_rows, sff_moments_reference
 
 
 class TestFCoefficients:
@@ -88,6 +88,23 @@ class TestFCoefficients:
 
 
 class TestBuildM:
+    def test_dimension_two_is_not_diagonalizable(self):
+        # With build_M's guard lifted, the generator of f (M at w = -2J) at
+        # D = 2 has only four distinct rates, {0, -1, -2, -3} at J = 1, and
+        # prod (M - r) over them is not 0: f then carries x e^{-x} terms,
+        # which no rows over the five exponentials give.  At D >= 3 the five
+        # rates are distinct and the product vanishes.
+        J = Fraction(1)
+        for D, vanishes in ((2, False), (3, True), (5, True)):
+            m = np.array(generator_rows(D, J), dtype=object) - 2 * J * np.eye(8, dtype=int)
+            rates = {Fraction(0), -J, -(2 - Fraction(2, D)) * J, -2 * J, -(2 + Fraction(2, D)) * J}
+            assert len(rates) == (4 if D == 2 else 5)
+            product = np.eye(8, dtype=int).astype(object)
+            for r in rates:
+                product = product @ (m - r * np.eye(8, dtype=int))
+            assert all(isinstance(x, Fraction) for x in product.flat)
+            assert max(abs(x) for x in product.flat) == (0 if vanishes else 1)
+
     def test_zero_noise_is_scalar(self):
         w = -0.3 + 0.2j
         assert np.allclose(build_M(9, 0.0, w), w * np.eye(8))
@@ -112,12 +129,15 @@ class TestSffVariance:
         assert sff_squared_mean(spec5, 0.9, 0.0) == spec5.dim**4
 
     def test_zero_noise_deterministic(self, spec5):
-        # J=0: E[(TrU TrU+)^2] = (TrU0 TrU0+)^2 exactly, zero variance.
+        # J=0: E[(TrU TrU+)^2] = (TrU0 TrU0+)^2, and the variance is exactly 0
+        # on a whole grid, as it is at t = 0 under noise.
         t = 1.3
         phases = np.exp(-1j * spec5.energies * t)
         tr2 = np.abs(phases.sum()) ** 2
         assert abs(sff_squared_mean(spec5, 0.0, t) - tr2**2) < 1e-10
-        assert abs(sff_variance(spec5, 0.0, t).variance) < 1e-9
+        grid = np.linspace(0.0, 20.0, 101)
+        assert np.all(sff_variance(spec5, 0.0, grid).variance == 0.0)
+        assert sff_variance(spec5, 0.9, 0.0).variance == 0.0
 
     @pytest.mark.parametrize("t", [0.4, 1.1, 2.6])
     def test_variance_nonnegative(self, spec5, t):
@@ -131,13 +151,16 @@ class TestSffVariance:
         d = spec5.dim
         assert abs(sv.second_moment - sv.variance - (d**2 * k) ** 2) < 1e-9
 
-    @pytest.mark.parametrize("J", [1e-6, 1e-3, 0.1])
-    def test_variance_against_sff_gue_const_bit_for_bit(self, spec5, J):
-        # Small J t is where 1 - e^{-Jt} and -expm1(-Jt) round apart.
+    @pytest.mark.parametrize("J", [1e-6, 1e-3, 0.1, 1.0])
+    def test_variance_against_reference(self, spec5, J):
+        # A 60-digit evaluation of E|TrU|^4 - (D^2 K_J)^2.  Small J t is where
+        # subtracting the two moments in floating point loses digits.
         t = np.linspace(0.0, 20.0, 101)
-        mean = spec5.dim**2 * sff_gue_const(spec5, J, t)
-        expected = sff_squared_mean(spec5, J, t) - mean**2
-        assert np.array_equal(sff_variance(spec5, J, t).variance, expected)
+        _, expected = sff_moments_reference(spec5, J, t)
+        variance = sff_variance(spec5, J, t).variance
+        nonzero = expected != 0.0
+        assert np.all(variance[~nonzero] == 0.0)
+        assert np.max(np.abs(variance - expected)[nonzero] / np.abs(expected[nonzero])) <= 1e-12
 
 
 class TestOtoc:
