@@ -141,11 +141,15 @@ def sff_variance(spec: Spectrum, J: float, t) -> SffVariance:
 
 
 def _check_operator(name: str, op: np.ndarray, d: int) -> None:
+    """Refuse ``op`` unless it is D x D, Hermitian and traceless, each to
+    1e-10 of its largest entry: an entry of op - op+, or the mean of its
+    diagonal, Tr op / D, may be at most that large."""
     if op.shape != (d, d):
         raise ValueError(f"{name} shape {op.shape} != ({d}, {d})")
-    if not np.abs(op - op.conj().T).max() <= 1e-10:
+    scale = np.abs(op).max()
+    if not np.abs(op - op.conj().T).max() <= 1e-10 * scale:
         raise ValueError(f"{name} must be Hermitian")
-    if abs(np.trace(op)) > 1e-10:
+    if not abs(np.trace(op)) <= 1e-10 * d * scale:
         raise ValueError(f"{name} must be traceless, got trace {np.trace(op)}")
 
 

@@ -471,6 +471,8 @@ def oracle_compare(inp: Inputs):
             "J": j,
             "max_unitarity_drift": mc.max_drift,
             "step_margin": margin,
+            "chunks": mc.chunks,
+            "workspace_bytes": mc.workspace_bytes,
         })
 
 

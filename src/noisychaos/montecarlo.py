@@ -11,26 +11,28 @@ observable on the chunk's U at that step; the ``estimate_*`` functions are
 that path with a single observable.
 
 Each worker runs its chunks in one workspace: one array per entry of its
-layout, batch axis first, allocated once per call in the calling thread for
-the worker's largest chunk.  Each chunk takes the leading trajectories of
-every array, and every step reuses them, so only the observables, at a
-recorded step, allocate arrays of the batch's size.  Per trajectory it
-holds the noise of one block of ``NOISE_BLOCK_STEPS`` steps with the
-scratch of its normal draws, one step's noise row of K = ``noise_width``
-entries, the step's slices, Taylor powers, block forms and next U, and U at
-a recorded step, which the observables read.  A GUE row is its x half,
-D(D+1)/2 entries laid out as a whole GOE row, then its y half.  One walker
-serves both ensembles: a trajectory's stream is all of its x draws, then
-all of its y draws, so GUE keeps the x halves of every step, each drawn
-before the first y, and the block holds the y halves; GOE keeps none, and
-its block holds whole rows.  ``chunk_bounds`` sizes the chunks so
-that the workspaces of the chunks running at once, ``workspace_bytes`` per
-trajectory, fit ``WORKSPACE_BUDGET_BYTES``.  Trajectory k draws its noise
-from child k of the SeedSequence of the seed, a block at a time in the
-order of one up-front draw, and results land in per-trajectory slots before
-a fixed-order reduction, so estimates are bit-identical regardless of
-thread count, chunking, block length, and which observables share the
-simulation.
+layout, allocated once per call in the calling thread for the worker's
+largest chunk, whatever the number of steps.  The batch axis comes first,
+except in the Taylor powers, which lie power-major, (power, batch, ...), so
+that each power is one contiguous slab.  Each chunk takes the leading
+trajectories of every array, and every step reuses them, so only the
+observables, at a recorded step, allocate arrays of the batch's size.  Per
+trajectory it holds the noise rows of one block of ``NOISE_BLOCK_STEPS``
+steps with the scratch of their normal draws, one step's noise row of K =
+``noise_width`` entries, the step's slices, Taylor powers, block forms and
+next U, and U at a recorded step, which the observables read.  A GUE row
+is its x half, D(D+1)/2 entries laid out as a whole GOE row, then its y
+half.  A trajectory's stream is all of its x draws, then under GUE all of
+its y draws; GUE walks it with two generators from the same seed, one for
+the x halves and one that first draws past every x half, so each block
+draws its own steps' x and y halves and nothing is kept between blocks.
+``chunk_bounds`` sizes the chunks so that the workspaces of the chunks
+running at once, ``workspace_bytes`` per trajectory, fit
+``WORKSPACE_BUDGET_BYTES``.  Trajectory k draws its noise from child k of
+the SeedSequence of the seed, a block at a time in the order of one
+up-front draw, and results land in per-trajectory slots before a
+fixed-order reduction, so estimates are bit-identical regardless of thread
+count, chunking, block length, and which observables share the simulation.
 """
 
 from __future__ import annotations
@@ -113,8 +115,10 @@ def validate_step(model: NoiseModel, dt: float) -> None:
 
 
 # A layout maps each array of a workspace to its shape per trajectory and
-# its dtype; the workspace of a batch puts the batch axis first.
+# its dtype; the workspace of a batch puts the batch axis first, except in
+# the Taylor powers, which put it after the power.
 Layout = dict[str, tuple[tuple[int, ...], type]]
+POWERS = frozenset({"y", "p", "q", "m", "b"})
 
 
 def _block(col: np.ndarray, out: np.ndarray, where=True) -> np.ndarray:
@@ -129,9 +133,9 @@ def _block(col: np.ndarray, out: np.ndarray, where=True) -> np.ndarray:
 
 
 def _combine(coef: np.ndarray, powers: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """coef @ powers over axis 1 of (batch, 4, m, n) powers, in one small
-    product per matrix of the batch, written into ``out``."""
-    flat = powers.reshape(powers.shape[:2] + (-1,))
+    """coef @ powers over axis 0 of power-major (4, batch, m, n) powers, as
+    one product over each power's flat slab, written into ``out``."""
+    flat = powers.reshape(powers.shape[0], -1)
     np.matmul(coef, flat, out=out.reshape(flat.shape))
     return out
 
@@ -141,15 +145,15 @@ def _taylor_real(x: np.ndarray, w: SimpleNamespace) -> np.ndarray:
     from Y = X^2 .. Y^4: 7 real D x D products."""
     d = x.shape[-1]
     y, p = w.y, w.p
-    np.matmul(x, x, out=y[:, 1])
-    np.matmul(y[:, 1], y[:, 1], out=y[:, 2])
-    np.matmul(y[:, 1], y[:, 2], out=y[:, 3])
-    np.matmul(y[:, 2], y[:, 2], out=w.y4)
+    np.matmul(x, x, out=y[1])
+    np.matmul(y[1], y[1], out=y[2])
+    np.matmul(y[1], y[2], out=y[3])
+    np.matmul(y[2], y[2], out=w.y4)
     _combine(COS_SIN_15, y, out=p)
-    np.matmul(w.y4[:, None], p[:, 1::2], out=w.q)
-    p[:, ::2] += w.q
-    w.col[:, :d] = p[:, 0]
-    np.matmul(x, p[:, 2], out=w.col[:, d:])
+    np.matmul(w.y4, p[1::2], out=w.q)
+    p[::2] += w.q
+    w.col[:, :d] = p[0]
+    np.matmul(x, p[2], out=w.col[:, d:])
     np.negative(w.col[:, d:], out=w.col[:, d:])
     return w.col
 
@@ -162,18 +166,18 @@ def _taylor_complex(x: np.ndarray, w: SimpleNamespace) -> np.ndarray:
     ``w.r``, which the step's result overwrites."""
     d = x.shape[-1]
     m, b, mb = w.m, w.b, w.r
-    m[:, 1, :d] = x.imag
-    np.negative(x.real, out=m[:, 1, d:])
-    _block(m[:, 1], out=mb)
-    np.matmul(mb, m[:, 1], out=m[:, 2])
-    np.matmul(mb, m[:, 2], out=m[:, 3])
-    np.matmul(mb, m[:, 3], out=w.col)
+    m[1, :, :d] = x.imag
+    np.negative(x.real, out=m[1, :, d:])
+    _block(m[1], out=mb)
+    np.matmul(mb, m[1], out=m[2])
+    np.matmul(mb, m[2], out=m[3])
+    np.matmul(mb, m[3], out=w.col)
     _block(w.col, out=mb)
     _combine(EXP_15, m, out=b)
     for i in (2, 1, 0):
-        np.matmul(mb, b[:, i + 1], out=w.col)
-        np.add(b[:, i], w.col, out=b[:, i])
-    return b[:, 0]
+        np.matmul(mb, b[i + 1], out=w.col)
+        np.add(b[i], w.col, out=b[i])
+    return b[0]
 
 
 def _step_layout(d: int, real: bool) -> Layout:
@@ -181,7 +185,8 @@ def _step_layout(d: int, real: bool) -> Layout:
     sums, the Taylor powers and products of ``_taylor_real`` (Y^0 .. Y^3,
     Y^4, the block polynomials and Y^4 times their high halves) or of
     ``_taylor_complex`` (M^0 .. M^3 as block columns and the Horner
-    blocks), a block column, and the result."""
+    blocks), a block column, and the result.  The arrays of ``POWERS``
+    hold one matrix per power, their leading axis."""
     shapes = {"x": ((d, d), float if real else complex), "abs": ((d, d), float), "colsum": ((d,), float)}
     if real:
         shapes |= {"y": ((4, d, d), float), "y4": ((d, d), float), "p": ((4, d, d), float),
@@ -192,22 +197,26 @@ def _step_layout(d: int, real: bool) -> Layout:
 
 
 def _workspace(layout: Layout, batch: int) -> SimpleNamespace:
-    """One array per entry of ``layout`` at ``batch`` trajectories, with the
-    Taylor step's power 0, the identity, written in."""
-    w = SimpleNamespace(**{name: np.empty((batch,) + shape, dtype)
-                           for name, (shape, dtype) in layout.items()})
+    """One array per entry of ``layout`` at ``batch`` trajectories, the
+    batch axis first but second in ``POWERS``, with the Taylor step's
+    power 0, the identity, written in."""
+    w = SimpleNamespace(**{
+        name: np.empty(shape[:1] + (batch,) + shape[1:] if name in POWERS else (batch,) + shape, dtype)
+        for name, (shape, dtype) in layout.items()
+    })
     d = w.x.shape[-1]
     if hasattr(w, "y"):
-        w.y[:, 0] = np.eye(d)
+        w.y[0] = np.eye(d)
     else:
-        w.m[:, 0] = np.eye(2 * d, d)
+        w.m[0] = np.eye(2 * d, d)
     return w
 
 
 def _chunk(w: SimpleNamespace, n: int) -> SimpleNamespace:
     """The first ``n`` trajectories of the workspace ``w``: C-contiguous
-    views, as the batch axis comes first."""
-    return SimpleNamespace(**{name: a[:n] for name, a in vars(w).items()})
+    views, or in ``POWERS`` views whose every power is a C-contiguous
+    slab."""
+    return SimpleNamespace(**{name: a[:, :n] if name in POWERS else a[:n] for name, a in vars(w).items()})
 
 
 def _exp_step(w: SimpleNamespace) -> np.ndarray:
@@ -216,7 +225,7 @@ def _exp_step(w: SimpleNamespace) -> np.ndarray:
     x = w.x
     d = x.shape[-1]
     np.abs(x, out=w.abs)
-    np.sum(w.abs, axis=-2, out=w.colsum)
+    np.einsum("nij->nj", w.abs, out=w.colsum)
     norm = w.colsum.max(axis=-1)
     s = np.ceil(np.log2(np.maximum(norm / THETA_15, 1.0))).astype(int)
     if s.any():
@@ -252,22 +261,18 @@ def expm_hermitian_step(x: np.ndarray) -> np.ndarray:
 
 
 def _workspace_layout(model: NoiseModel, n_steps: int) -> Layout:
-    """One worker's workspace: the kept x halves of every step's rows, x =
-    D(D+1)/2 entries under GUE and 0 under GOE; the rest of one block of
-    steps' rows (whole rows under GOE) and the scratch of their normal
-    draws; one step's rows, and the step's arrays; U and the next U as
-    block columns; and U at a recorded step, however many are recorded."""
+    """One worker's workspace: one block of steps' rows and the scratch of
+    their normal draws; one step's rows, and the step's arrays; U and the
+    next U as block columns; and U at a recorded step, however many are
+    recorded.  Only a run shorter than a block holds less."""
     d = model.dim
     k = noise_width(model)
     block = max(1, min(NOISE_BLOCK_STEPS, n_steps))
-    gue = model.ensemble is Ensemble.GUE
-    x = d * (d + 1) // 2 if gue else 0
     return {
-        "kept": ((n_steps * x,), float),
-        "block": ((block * (k - x),), float),
+        "block": ((block * k,), float),
         "draws": ((block * d * d,), float),
         "row": ((k,), float),
-        **_step_layout(d, not gue),
+        **_step_layout(d, model.ensemble is Ensemble.GOE),
         "u": ((2 * d, d), float),
         "u_next": ((2 * d, d), float),
         "record": ((d, d), complex),
@@ -276,42 +281,54 @@ def _workspace_layout(model: NoiseModel, n_steps: int) -> Layout:
 
 def workspace_bytes(model: NoiseModel, n_steps: int) -> int:
     """Bytes per trajectory of a worker's workspace for ``n_steps`` steps:
-    the sum of its arrays' bytes, whatever the number of recorded steps."""
+    the sum of its arrays' bytes, whatever the number of recorded steps,
+    and the same for every run of at least a block of steps."""
     layout = _workspace_layout(model, n_steps)
     return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout.values())
 
 
+def _generators(model: NoiseModel, seed: int, lo: int, hi: int) -> list[list[np.random.Generator]]:
+    """For each half of a noise row, x and under GUE y, a generator per
+    trajectory lo .. hi - 1, each of trajectory k's from child k of
+    SeedSequence(seed).spawn(n_traj)."""
+    halves = 2 if model.ensemble is Ensemble.GUE else 1
+    return [[np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))) for k in range(lo, hi)]
+            for _ in range(halves)]
+
+
 def _noise_rows(
-    model: NoiseModel, dt: float, n_steps: int, gens: list[np.random.Generator], w: SimpleNamespace
+    model: NoiseModel, dt: float, n_steps: int, gens: list[list[np.random.Generator]],
+    w: SimpleNamespace,
 ) -> Iterator[np.ndarray]:
     """Each step's noise rows, (n_batch, K) in ``w.row``, drawn a block of
-    steps at a time: per block, one normal draw per trajectory and one
-    gather and scale for the batch, into rows laid out (n_batch, steps,
-    width).  A trajectory's stream is its x draws for every step, then
-    under GUE its y draws, so the x halves that ``_workspace_layout``
-    keeps (none under GOE) are drawn for all blocks into ``w.kept`` first,
-    then the rest of the rows, whole under GOE, block by block.  A row is
-    its kept x half, then the rest."""
-    d, batch = model.dim, len(gens)
-    length = w.draws.shape[1] // (d * d)
+    steps at a time: per block and half of a row, one normal draw per
+    trajectory and one gather and scale for the batch, into rows laid out
+    (n_batch, steps, width), the x halves then the y halves, in
+    ``w.block``.  ``gens`` holds a generator per trajectory for each half
+    (see ``_generators``).  A trajectory's stream is its x draws for every
+    step, then under GUE its y draws, so before the first block the y
+    generators draw past the x draws of all n_steps steps, each in pieces
+    of the whole batch's ``w.draws``.  A row is its x half, then its y
+    half."""
+    d = model.dim
+    batch, length = len(gens[0]), w.draws.shape[1] // (d * d)
     draws = w.draws.reshape(-1)
-    x = w.row.shape[1] - w.block.shape[1] // length  # the width of the kept x halves
-
-    def rows(buf: np.ndarray, s0: int, n: int, width: int) -> np.ndarray:
-        return buf.reshape(-1)[batch * s0 * width:batch * (s0 + n) * width].reshape(batch, n, width)
-
-    if x:
-        for s0 in range(0, n_steps, length):
-            n = min(length, n_steps - s0)
-            sample_noise_sequence(model, dt, n, gens, rows(w.kept, s0, n, x), draws)
+    x = d * (d + 1) // 2
+    widths = (x, w.row.shape[1] - x)  # under GOE, zip with gens keeps the x half alone
+    for half, half_gens in enumerate(gens):
+        skip = half * n_steps * d * d  # the normals of the x halves, which the y generators pass
+        for gen in half_gens:
+            for s0 in range(0, skip, draws.size):
+                gen.standard_normal(out=draws[:min(draws.size, skip - s0)])
     for s0 in range(0, n_steps, length):
         n = min(length, n_steps - s0)
-        kept = rows(w.kept, s0, n, x)
-        block = rows(w.block, 0, n, w.row.shape[1] - x)
-        sample_noise_sequence(model, dt, n, gens, block, draws)
+        halves, start = [], 0
+        for half_gens, width in zip(gens, widths):
+            out = w.block.reshape(-1)[start:start + batch * n * width].reshape(batch, n, width)
+            halves.append(sample_noise_sequence(model, dt, n, half_gens, out, draws))
+            start += out.size
         for j in range(n):
-            w.row[:, :x] = kept[:, j]
-            w.row[:, x:] = block[:, j]
+            np.concatenate([rows[:, j] for rows in halves], axis=1, out=w.row)
             yield w.row
 
 
@@ -332,17 +349,19 @@ def _evolve_recorded(
     model: NoiseModel,
     dt: float,
     record_steps: np.ndarray,
-    gens: list[np.random.Generator],
+    gens: list[list[np.random.Generator]],
     w: SimpleNamespace,
     observe: Callable[[int, np.ndarray], None],
 ) -> float:
     """Evolve a batch of trajectories in the workspace ``w`` (a
-    ``_workspace_layout`` at n_batch = len(gens) trajectories); at the k-th
-    recorded step, as ``grid_steps`` gives them, copy U into ``w.record``,
-    (n_batch, D, D), and call ``observe(k, w.record)``.  Returns the batch's
-    largest unitarity drift max |U+U - 1| at the last step.  Each step
-    expands its noise rows into the batch's full slices; U is carried as
-    its real block column [Re U; Im U]."""
+    ``_workspace_layout`` at n_batch trajectories), drawing their noise
+    from ``gens``, n_batch generators for each half of a row (see
+    ``_generators``); at the k-th recorded step, as ``grid_steps`` gives
+    them, copy U into ``w.record``, (n_batch, D, D), and call
+    ``observe(k, w.record)``.  Returns the batch's largest unitarity drift
+    max |U+U - 1| at the last step.  Each step expands its noise rows into
+    the batch's full slices; U is carried as its real block column
+    [Re U; Im U]."""
     d = energies.size
     h0 = np.diag(energies).astype(w.x.dtype)
     u, u_next = w.u, w.u_next
@@ -460,11 +479,15 @@ class Estimate(NamedTuple):
 
 @dataclass(frozen=True)
 class OracleRun:
-    """The estimates of one simulation, keyed as the observables were, and
-    the largest unitarity drift over all its trajectories."""
+    """The estimates of one simulation, keyed as the observables were, the
+    largest unitarity drift over all its trajectories, the number of
+    chunks its trajectories ran in, and the bytes of each worker's
+    workspace."""
 
     series: dict[str, Estimate]
     max_drift: float
+    chunks: int
+    workspace_bytes: int
 
 
 def estimate_observables(
@@ -489,7 +512,8 @@ def estimate_observables(
     if steps.max() > cfg.n_steps:
         raise ValueError("t_grid extends beyond cfg.t_max")
     n_steps = int(steps.max())
-    bounds = chunk_bounds(cfg.n_traj, workspace_bytes(model, n_steps), threads)
+    traj_bytes = workspace_bytes(model, n_steps)
+    bounds = chunk_bounds(cfg.n_traj, traj_bytes, threads)
     values = {key: np.empty((cfg.n_traj, steps.size), dtype=complex) for key in observables}
     # Worker w runs chunks w, w + workers, ... in its own workspace.  The
     # workspaces are allocated here: were each worker to allocate its own,
@@ -505,9 +529,7 @@ def estimate_observables(
     def run_share(w: int, space: SimpleNamespace) -> float:
         drifts = []
         for lo, hi in bounds[w::workers]:
-            # Trajectory k's seed is child k of SeedSequence(cfg.seed).spawn(n_traj).
-            gens = [np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
-                    for k in range(lo, hi)]
+            gens = _generators(model, cfg.seed, lo, hi)
 
             def observe(k, u):
                 for key, value in observables.items():
@@ -525,7 +547,7 @@ def estimate_observables(
                       v.std(axis=0, ddof=1) / np.sqrt(n) if n >= 2 else np.zeros(steps.size))
         for key, v in values.items()
     }
-    return OracleRun(series, max_drift)
+    return OracleRun(series, max_drift, len(bounds), largest * traj_bytes)
 
 
 def _estimate_one(spec, model, cfg, t_grid, key, obs, threads) -> Estimate:

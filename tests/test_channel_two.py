@@ -192,20 +192,39 @@ class TestOtoc:
         with pytest.raises(ValueError):
             otoc(spec5, 1.0, 1.0, a, b)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e3, 1e7])
     @pytest.mark.parametrize("which", ["A", "B"])
-    def test_hermitian_precondition_is_absolute(self, spec5, rng, which):
-        # Each operator is refused once an entry of op - op+ exceeds 1e-10,
-        # the absolute rule of the trace check, whatever the operator's size.
-        ops = {k: 1e3 * random_hermitian(5, rng, traceless=True) for k in "AB"}
+    def test_hermitian_precondition_is_relative(self, spec5, rng, which, scale):
+        # Each operator is refused once an entry of op - op+ exceeds 1e-10
+        # of its largest entry, whatever the operator's size.
+        ops = {k: scale * random_hermitian(5, rng, traceless=True) for k in "AB"}
+        top = np.abs(ops[which]).max()
         for skew, refused in ((2e-10, True), (5e-11, False)):
             op = ops[which].astype(complex)
-            op[0, 1] += skew
+            op[0, 1] += skew * top
             args = {**ops, which: op}
             if refused:
                 with pytest.raises(ValueError, match=f"{which} must be Hermitian"):
                     otoc(spec5, 1.0, 1.0, args["A"], args["B"])
             else:
                 assert np.isfinite(otoc(spec5, 1.0, 1.0, args["A"], args["B"]))
+
+    def test_traceless_precondition_is_relative(self, rng):
+        # At D = 64 a traceless operator scaled by 1e7 keeps a roundoff
+        # trace of about 1e-9, above an absolute 1e-10, and is accepted;
+        # 1e-12 (I + A), whose trace 6.4e-11 is below it, has a diagonal
+        # mean as large as its entries and is refused.
+        d = 64
+        spec = sample_gue_spectrum(d, np.random.default_rng(2))
+        a = random_hermitian(d, rng, traceless=True)
+        b = random_hermitian(d, rng, traceless=True)
+        big = 1e7 * a
+        assert abs(np.trace(big)) > 1e-10
+        assert np.isfinite(otoc(spec, 1.0, 0.5, big, b))
+        small = 1e-12 * (np.eye(d) + a)
+        assert abs(np.trace(small)) < 1e-10
+        with pytest.raises(ValueError, match="A must be traceless"):
+            otoc(spec, 1.0, 0.5, small, b)
 
     @pytest.mark.parametrize("shape", [(15,), (3, 5)])
     def test_phases_match_dense(self, shape):

@@ -402,6 +402,11 @@ class TestOracleCompare:
         assert 0.0 < health["max_unitarity_drift"] <= 1e-8
         # lambda_ij = J/D, so dt |lambda|_inf D = J dt.
         assert health["step_margin"] == pytest.approx(0.0025)
+        # The trajectories run as one chunk per thread, each worker in a
+        # workspace sized for its chunk, whatever the horizon.
+        model = nc.gue_constant(1.0, ORACLE_CONFIG["spectrum"]["dim"])
+        assert health["chunks"] == 2
+        assert health["workspace_bytes"] == 100 * nc.montecarlo.workspace_bytes(model, 400)
 
     def test_comparisons_record_time_points(self, tmp_path):
         summary = run(ORACLE_CONFIG, out_dir=tmp_path)
@@ -458,10 +463,16 @@ class TestOracleCompare:
         for name in sorted(p.name for p in outs[0].iterdir()):
             first, second = ((out / name).read_bytes() for out in outs)
             if name == "summary.json":
-                # The environment record names the thread count; nothing else may differ.
+                # The environment record names the thread count, and each
+                # mc_health record the chunks the threads ran; nothing else
+                # may differ.
                 first, second = (json.loads(doc) for doc in (first, second))
                 assert (first["environment"].pop("threads"),
                         second["environment"].pop("threads")) == (1, 4)
+                assert [[h.pop("chunks") for h in doc["mc_health"]] for doc in (first, second)] == [[1], [4]]
+                for doc in (first, second):
+                    for h in doc["mc_health"]:
+                        h.pop("workspace_bytes")
             assert first == second, name
 
 

@@ -190,9 +190,9 @@ class TestPadeStep:
         # The noise is drawn a block of 7 steps at a time for each chunk's
         # batch, as float64 rows of a slice's independent real entries: the
         # D^2 = 16 of a GUE row as its x half, upper triangle and diagonal
-        # (10), for every step first, then its y half (6) per block; the
-        # D(D+1)/2 = 10 of a GOE row, its x half, per block.  6 trajectories
-        # on 2 threads run as 2 chunks of 3, of 500 steps each.
+        # (10), then its y half (6), per block; the D(D+1)/2 = 10 of a GOE
+        # row, its x half, per block.  6 trajectories on 2 threads run as 2
+        # chunks of 3, of 500 steps each.
         seen = []
         sample = montecarlo.sample_noise_sequence
 
@@ -224,7 +224,10 @@ class TestPadeStep:
         work = montecarlo._workspace(montecarlo._workspace_layout(model, n_steps), 3)
         for a in vars(work).values():
             a.fill(np.nan)
-        gens = [np.random.default_rng(s) for s in (4, 5, 6)]
+        # One generator per trajectory for each half of a row, all of a
+        # trajectory's from the same seed; the oracle draws from one.
+        halves = 2 if make is gue_constant else 1
+        gens = [[np.random.default_rng(s) for s in (4, 5, 6)] for _ in range(halves)]
         rows = [r.copy() for r in montecarlo._noise_rows(model, 0.01, n_steps, gens, work)]
         assert len(rows) == n_steps
         expected = [noise_rows(model, 0.01, n_steps, np.random.default_rng(s)) for s in (4, 5, 6)]
@@ -456,40 +459,42 @@ class TestSharedSimulation:
         (goe_constant, 16, 128, 200, 4),
     ])
     def test_workspace_bytes_count_every_array(self, make, dim, n_traj, n_steps, n_record):
-        # The budget counts all a workspace holds, exactly: the kept x
-        # halves of every step's rows (none under GOE, whose kept array has
-        # width 0), a block's rows and the scratch of their draws, a step's
-        # rows, the step's arrays, U, the next U and one recorded U, however
-        # many steps are recorded.  Each array of a chunk is a C-contiguous
-        # view of the array the worker allocated for its largest chunk (its
-        # base, which a zero-width array shares no memory with), and no two
-        # overlap.  The step loop hands U at
-        # each of n_record steps to its observer in that one recorded U.
+        # The budget counts all a workspace holds, exactly: a block's rows
+        # and the scratch of their draws, a step's rows, the step's arrays,
+        # U, the next U and one recorded U, however many steps are recorded
+        # or run.  Each array of a chunk is a view of the array the worker
+        # allocated for its largest chunk (its base), C-contiguous, or in
+        # the power-major Taylor arrays C-contiguous in each power's slab,
+        # and no two overlap.  The step loop hands U at each of n_record
+        # steps to its observer in that one recorded U.
         model = make(1.0, dim)
         traj_bytes = workspace_bytes(model, n_steps)
         d, k, block = dim, noise_width(model), min(montecarlo.NOISE_BLOCK_STEPS, n_steps)
         gue = make is gue_constant
-        kept = n_steps * d * (d + 1) // 2 if gue else 0
-        noise = block * (d * (d - 1) // 2 if gue else k) + block * d * d + k
+        noise = block * k + block * d * d + k
         # X, |X| and its column sums, the Taylor arrays, a block column, the result
         step = (2 + 1 + 8 + 8) * d * d if gue else (1 + 1 + 4 + 1 + 4 + 2) * d * d
         step += d + (2 + 4) * d * d
-        floats = kept + noise + step + 2 * 2 * d * d + 2 * d * d
+        floats = noise + step + 2 * 2 * d * d + 2 * d * d
         assert traj_bytes == floats * 8
         space = montecarlo._workspace(montecarlo._workspace_layout(model, n_steps), n_traj)
         assert sum(a.nbytes for a in vars(space).values()) == n_traj * traj_bytes
-        assert space.kept.shape == (n_traj, kept)
+        assert space.block.shape == (n_traj, block * k)
+        powers = {"m", "b"} if gue else {"y", "p", "q"}
         for batch in (n_traj, n_traj - 1):
             work = montecarlo._chunk(space, batch)
             assert vars(work).keys() == vars(space).keys()
             for name, a in vars(work).items():
-                assert a.flags.c_contiguous and a.shape[0] == batch
                 assert a.base is getattr(space, name)
+                if name in powers:
+                    assert a.shape[1] == batch and all(slab.flags.c_contiguous for slab in a)
+                else:
+                    assert a.flags.c_contiguous and a.shape[0] == batch
             arrays = list(vars(work).values())
             assert not any(np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
             assert work.record.shape == (batch, d, d) and work.record.dtype == complex
         seen = []
-        gens = [np.random.default_rng(s) for s in range(n_traj - 1)]
+        gens = [[np.random.default_rng(s) for s in range(n_traj - 1)] for _ in range(2 if gue else 1)]
         record_steps = np.arange(n_steps - n_record + 1, n_steps + 1)
         montecarlo._evolve_recorded(np.linspace(-1.0, 1.0, d), model, 0.01, record_steps, gens, work,
                                     lambda k, u: seen.append((k, u)))
@@ -504,11 +509,54 @@ class TestSharedSimulation:
             bounds = chunk_bounds(n_traj, workspace_bytes(make(1.0, dim), 200), 2)
             assert [hi - lo for lo, hi in bounds] == [size, size]
 
+    @pytest.mark.parametrize("make", [gue_constant, goe_constant])
+    def test_workspace_independent_of_horizon(self, make):
+        # Each block draws its own steps' x and y halves, so nothing in a
+        # workspace grows with the number of steps; the x halves of every
+        # step that GUE kept took 57.6 KB a trajectory at 200 steps.
+        model = make(1.0, 8)
+        assert workspace_bytes(model, 50) == workspace_bytes(model, 4000)
+
+    def test_long_horizon_chunking(self):
+        # 256 GUE trajectories of D = 8 and 4000 steps on 2 threads run as
+        # one chunk per thread, as at 200 steps; keeping every step's x
+        # halves cut them into 20.
+        bounds = chunk_bounds(256, workspace_bytes(gue_constant(1.0, 8), 4000), 2)
+        assert bounds == [(0, 128), (128, 256)]
+
+    def test_long_gue_run_equals_up_front_reference(self, spec4, monkeypatch):
+        # 250 steps in blocks of 7: the y generators draw past the x draws
+        # of all 250 steps in pieces of their chunk's draw scratch, 3 to 6
+        # of them with a ragged last one, and every block's x and y halves,
+        # the last block of 5 steps, then give the estimates of one up-front
+        # draw per trajectory, bit for bit, at every thread count.
+        monkeypatch.setattr(montecarlo, "NOISE_BLOCK_STEPS", 7)
+        model = gue_constant(1.0, 4)
+        cfg = TrajectoryConfig(dt=0.01, t_max=2.5, n_traj=13, seed=4)
+        t = np.array([0.07, 1.0, 2.5])
+        observables = {"sff": sff_observable(), "transfer": transfer_observable(1, 2)}
+        expected = reference_estimates(spec4, model, cfg, t, observables)
+        for threads in (1, 2, 3):
+            run = estimate_observables(spec4, model, cfg, t, observables, threads=threads)
+            for key, (values, stderr) in expected.items():
+                assert np.array_equal(run.series[key].values, values)
+                assert np.array_equal(run.series[key].stderr, stderr)
+
+    @pytest.mark.parametrize("threads, chunks", [(1, 1), (2, 2), (3, 3)])
+    def test_run_records_chunks_and_workspace(self, spec4, threads, chunks):
+        # 37 trajectories on 1, 2 and 3 threads: one chunk per thread, and
+        # each worker's workspace is sized for its largest chunk.
+        model = gue_constant(1.0, 4)
+        run = estimate_observables(spec4, model, small_cfg(37, dt=1e-2), T_GRID,
+                                   {"sff": sff_observable()}, threads=threads)
+        assert run.chunks == chunks
+        assert run.workspace_bytes == -(-37 // chunks) * workspace_bytes(model, 100)
+
     def test_single_thread_buffer_below_mmap_cap(self):
         # glibc maps an allocation above 32 MiB afresh on every call and
         # unmaps it on free, so such a buffer faults in every page each call
-        # (GUE D = 8, 512 trajectories of 200 steps: 57 MB in one chunk).
-        traj_bytes = workspace_bytes(gue_constant(1.0, 8), 200)
+        # (GOE D = 16, 512 trajectories of 200 steps: 43 MB in one chunk).
+        traj_bytes = workspace_bytes(goe_constant(1.0, 16), 200)
         sizes = [hi - lo for lo, hi in chunk_bounds(512, traj_bytes, 1)]
         assert 512 * traj_bytes > 2**25
         assert max(sizes) * traj_bytes < 2**25
@@ -593,7 +641,8 @@ class TestSharedSimulation:
         model, batch = make(1.0, 8), 256
         space = montecarlo._workspace(montecarlo._workspace_layout(model, 60), batch + 1)
         work = montecarlo._chunk(space, batch)
-        gens = [np.random.default_rng(s) for s in range(batch)]
+        gens = [[np.random.default_rng(s) for s in range(batch)]
+                for _ in range(2 if make is gue_constant else 1)]
         h0 = np.diag(np.linspace(-1.0, 1.0, 8)).astype(work.x.dtype)
         work.u[:] = np.eye(16, 8)
         tracemalloc.start()
