@@ -1,20 +1,20 @@
 """Single-replica noise-averaged channel U1(t) = E[U_t (x) U_t*].
 
-The channel is stored in the delta-structure basis: three D x D coefficient
+The channel is read in the delta-structure basis: three D x D coefficient
 arrays A, B, G multiplying delta_{ii'}delta_{jj'}, delta_{ij}delta_{i'j'} and
 delta_{ij'}delta_{ji'} respectively, so memory is O(D^2) instead of O(D^4).
 Each ensemble has one builder for any variance profile; u1_gue_const and
 u1_goe_const are those builders on lambda_ij = J/D.  Every case is an exact
-closed form.  Under GUE noise A has rank one, A_ij = p_i conj(p_j) with the
-phases p_i = e^{-(i E_i + J_i/2) t} (``gue_phases``), and G is zero; under GOE
+closed form, and a built ``ChannelOne`` keeps only the factors the form
+produces, building a grid when it is read.  Under GUE noise A has rank one,
+A_ij = p_i conj(p_j) with the phases p_i = e^{-(i E_i + J_i/2) t}
+(``gue_phases``), so the channel keeps the D phases, and G is zero; under GOE
 noise each level pair i <= j is one 2 x 2 block with real kappa and q^2
-(``GoePairs``), so A and G are its cosh and sinh, and G is real.  The
-populations are a Markov chain, so B is a matrix exponential, which
-``populations`` evaluates at one t for the builders or contracted on a whole
-grid for the diagnostics; under the constant profile it is one number.
-A builder stores only what its ensemble and profile produce: a zero G and a
-constant B are read-only broadcasts of one value, and every array of a
-``ChannelOne`` is read-only, so a broadcast and a dense grid behave alike.
+(``GoePairs``), so A and G are its cosh and sinh, one complex and one real
+value per pair.  The populations are a Markov chain, so B is a matrix
+exponential: the channel keeps the model's shared modes and two D-vectors,
+and ``populations`` contracts it on a whole grid for the diagnostics; under
+the constant profile it is one number.
 """
 
 from __future__ import annotations
@@ -29,6 +29,21 @@ from .noise import ConstantOverD, Ensemble, NoiseModel, goe_constant, gue_consta
 from .spectra import Spectrum
 
 
+class MarkovFactors(NamedTuple):
+    """B = (v e^{mu s}) v^T - diag(e^{-J s}) at one Markov time s: the
+    model's shared population modes v and two D-vectors."""
+
+    modes: np.ndarray
+    growth: np.ndarray  # e^{mu s}
+    kept: np.ndarray  # e^{-J s}
+
+
+def _read_only(a) -> np.ndarray:
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class ChannelOne:
     """Averaged single-replica channel at a fixed time.
@@ -37,23 +52,62 @@ class ChannelOne:
 
         rho'_ij = A_ij rho_ij + delta_ij sum_k B_ik rho_kk + G_ij rho_ji
 
-    Each coefficient is a read-only array that broadcasts as D x D: A is a
-    complex grid; B is a real grid, or under the constant profile a
-    broadcast of its one value; G is a broadcast zero under GUE noise and a
-    real grid under GOE noise.  The arrays are stored as read-only views,
-    so the caller's arrays keep their own flags.
+    The channel keeps the factors its closed form produces, each stored as
+    a read-only view:
+
+    - ``a_part``: under GUE noise the D phases p, A = p p^H; under GOE noise
+      a = C - i delta S over the level pairs i <= j (``_pair_indices``),
+      A_ij = a and A_ji = conj(a);
+    - ``g_part``: None under GUE noise, where G is zero; under GOE noise
+      g = (lambda_ij/2) S over the level pairs, G_ij = G_ji = g;
+    - ``b_part``: the constant profile's one value of B, a float, or B's
+      ``MarkovFactors``.
+
+    ``coeff_A``, ``coeff_B`` and ``coeff_G`` build a new read-only array
+    that broadcasts as D x D at each read, and keep nothing: A is a complex
+    grid; B is a real grid, or under the constant profile a broadcast of its
+    one value; G is a broadcast zero under GUE noise and a real grid under
+    GOE noise.
     """
 
     dim: int
-    coeff_A: np.ndarray
-    coeff_B: np.ndarray
-    coeff_G: np.ndarray
+    a_part: np.ndarray
+    g_part: np.ndarray | None
+    b_part: float | MarkovFactors
 
     def __post_init__(self):
-        for name in ("coeff_A", "coeff_B", "coeff_G"):
-            view = np.asarray(getattr(self, name)).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        b = self.b_part
+        b = MarkovFactors(*map(_read_only, b)) if isinstance(b, MarkovFactors) else float(b)
+        object.__setattr__(self, "a_part", _read_only(self.a_part))
+        if self.g_part is not None:
+            object.__setattr__(self, "g_part", _read_only(self.g_part))
+        object.__setattr__(self, "b_part", b)
+
+    @property
+    def coeff_A(self) -> np.ndarray:
+        if self.g_part is None:
+            return _read_only(np.multiply.outer(self.a_part, self.a_part.conj()))
+        i, j = _pair_indices(self.dim)
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        out[j, i] = self.a_part.conj()  # the lower triangle first: a holds the diagonal
+        out[i, j] = self.a_part
+        return _read_only(out)
+
+    @property
+    def coeff_B(self) -> np.ndarray:
+        if not isinstance(self.b_part, MarkovFactors):
+            return np.broadcast_to(self.b_part, (self.dim, self.dim))
+        v, growth, kept = self.b_part
+        return _read_only((v * growth) @ v.T - np.diag(kept))
+
+    @property
+    def coeff_G(self) -> np.ndarray:
+        if self.g_part is None:
+            return np.broadcast_to(0.0, (self.dim, self.dim))
+        i, j = _pair_indices(self.dim)
+        out = np.empty((self.dim, self.dim))
+        out[i, j] = out[j, i] = self.g_part
+        return _read_only(out)
 
 
 class GoePairs(NamedTuple):
@@ -104,50 +158,56 @@ def gue_phases(spec: Spectrum, model: NoiseModel, t) -> np.ndarray:
     return np.exp(np.negative(p, out=p), out=p)
 
 
-def populations(model: NoiseModel, t, m=None, propagator: bool = False) -> np.ndarray:
+def _markov_time(model: NoiseModel, t) -> np.ndarray:
+    """The populations' time s: t under GUE noise, t/2 under GOE (its
+    generator is the GUE one halved)."""
+    return np.asarray(t, dtype=float) / (2.0 if model.ensemble is Ensemble.GOE else 1.0)
+
+
+def populations(model: NoiseModel, t, m, propagator: bool = False) -> np.ndarray:
     """The population block B, the delta_ij delta_i'j' coefficients, of
-    either ensemble: B(t) at one t without weights m, and with D x D weights
-    m the sum_ij m_ij B_ij(t) shaped like the grid t, or with ``propagator``
-    the same sum over e^{sP} = B(t) + diag(e^{-J s}).
+    either ensemble contracted with D x D weights m: sum_ij m_ij B_ij(t)
+    shaped like the grid t, or with ``propagator`` the same sum over
+    e^{sP} = B(t) + diag(e^{-J s}).
 
     The populations obey rho_jj' = sum_i lambda_ji rho_ii - J_j rho_jj, a
     Markov chain with the symmetric generator P = lambda - diag(J), so they
-    evolve by e^{sP}, with s = t under GUE noise and s = t/2 under GOE (its
-    generator is the GUE one halved).  The diagonal of A (+ G) carries the
-    e^{-J s} of it that never left its state, so B = e^{sP} - diag(e^{-J s}).
-    The constant profile gives B = -expm1(-Js)/D everywhere, returned at one
-    t as a read-only broadcast of that number; any other takes
-    the model's modes, e^{sP} = V diag(e^{mu s}) V^T, and a contraction needs
-    only diag(V^T m V): O(T D) on T points.  P is minus a graph Laplacian,
+    evolve by e^{sP} at the time s of ``_markov_time``.  The diagonal of
+    A (+ G) carries the e^{-J s} of it that never left its state, so
+    B = e^{sP} - diag(e^{-J s}).  The constant profile gives
+    B = -expm1(-Js)/D everywhere; any other takes the model's modes,
+    e^{sP} = V diag(e^{mu s}) V^T, and a contraction needs only
+    diag(V^T m V): O(T D) on T points.  P is minus a graph Laplacian,
     negative semidefinite, so e^{mu s} <= 1 and no t overflows.
     """
-    s = np.asarray(t, dtype=float) / (2.0 if model.ensemble is Ensemble.GOE else 1.0)
-    d = model.dim
+    s = _markov_time(model, t)
     if isinstance(model.profile, ConstantOverD):
-        flat = -np.expm1(-model.profile.J * s) / d
-        if m is None:
-            return np.broadcast_to(flat, (d, d))
         kept = np.exp(-model.profile.J * s) * np.trace(m) if propagator else 0.0
-        return flat * np.sum(m) + kept
+        return -np.expm1(-model.profile.J * s) / model.dim * np.sum(m) + kept
     mu, v, j_row = model.population_modes
-    if m is None:
-        return (v * np.exp(mu * s)) @ v.T - np.diag(np.exp(-j_row * s))
     out = np.exp(np.multiply.outer(s, mu)) @ ((m @ v) * v).sum(axis=0)
     return out if propagator else out - np.exp(np.multiply.outer(s, -j_row)) @ np.diagonal(m)
 
 
+def _population_factors(model: NoiseModel, t: float) -> float | MarkovFactors:
+    """B at one time, as a builder keeps it: the constant profile's one
+    value -expm1(-Js)/D, or the ``MarkovFactors`` of the model's modes."""
+    s = _markov_time(model, t)
+    if isinstance(model.profile, ConstantOverD):
+        return -np.expm1(-model.profile.J * s) / model.dim
+    mu, v, j_row = model.population_modes
+    return MarkovFactors(v, np.exp(mu * s), np.exp(-j_row * s))
+
+
 def u1_gue_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     """GUE channel of any variance profile: A_ij = exp(w_ij t) with
-    w_ij = -i(E_i - E_j) - (J_i + J_j)/2, taken as the rank-one p_i conj(p_j)
-    of the D phases, B from populations, and G a read-only broadcast zero."""
+    w_ij = -i(E_i - E_j) - (J_i + J_j)/2, kept as the D phases of the
+    rank-one p_i conj(p_j), B's factors, and no G."""
     check_dims(spec, model)
     if model.ensemble is not Ensemble.GUE:
         raise ValueError("u1_gue_general requires a GUE noise model")
     t = _one_time(t)
-    d = spec.dim
-    p = gue_phases(spec, model, t)
-    coeff_a = np.multiply.outer(p, p.conj())
-    return ChannelOne(d, coeff_a, populations(model, t), np.broadcast_to(0.0, (d, d)))
+    return ChannelOne(spec.dim, gue_phases(spec, model, t), None, _population_factors(model, t))
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,21 +254,17 @@ def goe_cos_sin(q: np.ndarray, kappa: np.ndarray, t) -> tuple[np.ndarray, np.nda
 
 def u1_goe_general(spec: Spectrum, model: NoiseModel, t: float) -> ChannelOne:
     """GOE channel of any variance profile.  Per pair, with C and S of
-    ``goe_cos_sin``: A_ij = C - i delta S = conj(A_ji) and G_ij = G_ji = l S.
-    The populations feel the noise at half the GUE rate (A_jj + G_jj =
-    e^{-J_j t/2}), so ``populations`` takes B at t/2.  A is a complex grid
-    and G a real one."""
+    ``goe_cos_sin``: A_ij = C - i delta S = conj(A_ji) and G_ij = G_ji = l S,
+    kept as one complex and one real value per pair.  The populations feel
+    the noise at half the GUE rate (A_jj + G_jj = e^{-J_j t/2}), so B's
+    factors are taken at t/2."""
     check_dims(spec, model)
     if model.ensemble is not Ensemble.GOE:
         raise ValueError("u1_goe_general requires a GOE noise model")
     t = _one_time(t)
     p = goe_params(spec, model)
     c, s = goe_cos_sin(p.q, p.kappa, t)
-    coeff_a = np.empty((spec.dim, spec.dim), dtype=complex)
-    coeff_g = np.empty((spec.dim, spec.dim))
-    coeff_a[p.i, p.j], coeff_a[p.j, p.i] = c - 1j * p.delta * s, c + 1j * p.delta * s
-    coeff_g[p.i, p.j] = coeff_g[p.j, p.i] = p.half_lam * s
-    return ChannelOne(spec.dim, coeff_a, populations(model, t), coeff_g)
+    return ChannelOne(spec.dim, c - 1j * p.delta * s, p.half_lam * s, _population_factors(model, t))
 
 
 def u1_gue_const(spec: Spectrum, J: float, t: float) -> ChannelOne:
@@ -233,6 +289,7 @@ def apply_channel(ch: ChannelOne, rho: np.ndarray) -> np.ndarray:
     delta_{i'j'} redistributes the diagonal (B acting on diag rho), and
     delta_{ij'}delta_{ji'} transposes (elementwise G on rho^T).
     """
+    rho = np.asarray(rho)
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"rho shape {rho.shape} != ({ch.dim}, {ch.dim})")
     out = ch.coeff_A * rho

@@ -1,7 +1,8 @@
 """Reference objects that only the tests use: the single-replica generator
 L1 and its dense D^2 x D^2 matrix, a matrix exponential by scaling and
-squaring, the forced linear solve of the channel's populations, the dense
-D^2 x D^2 superoperator and Choi matrix of a channel, the
+squaring, the forced linear solve of the channel's populations, a
+channel's coefficients as dense D x D grids, the dense D^2 x D^2
+superoperator and Choi matrix of a channel, the
 8 x 8 two-replica generator M at any D, the SFF's second moment and
 variance in 60-digit arithmetic, one generator's full noise rows, one full
 Monte Carlo trajectory and the estimates of a whole run, each drawing its
@@ -25,6 +26,7 @@ import numpy as np
 
 from noisychaos import (
     ChannelOne,
+    ConstantOverD,
     Ensemble,
     InvalidDimensionError,
     NoiseModel,
@@ -33,6 +35,7 @@ from noisychaos import (
     f_matrix,
     two_point_gue_const,
 )
+from noisychaos.channel_one import goe_cos_sin, goe_params, gue_phases
 from noisychaos.channel_two import UnsupportedDimensionError
 from noisychaos.krylov import LanczosBreakdownError
 from noisychaos.montecarlo import expm_hermitian_step, grid_steps, validate_step
@@ -117,6 +120,32 @@ def dense_superoperator(ch: ChannelOne) -> np.ndarray:
     s[idx[:, None], idx[:, None], idx[None, :], idx[None, :]] += ch.coeff_B
     s[idx[:, None], idx[None, :], idx[None, :], idx[:, None]] += ch.coeff_G
     return s.reshape(d * d, d * d)
+
+
+def dense_coefficients(spec: Spectrum, model: NoiseModel, t: float):
+    """U1(t)'s A, B and G as dense D x D grids, each built at once from the
+    closed forms: A as the outer product p_i conj(p_j) of the GUE phases or
+    the scatter of C -+ i delta S over the GOE level pairs, G as zero or the
+    scatter of (lambda_ij/2) S, and B as the dense Markov matrix
+    V diag(e^{mu s}) V^T - diag(e^{-J s}), s = t (GUE) or t/2 (GOE), or the
+    broadcast of -expm1(-Js)/D under the constant profile."""
+    d = spec.dim
+    if model.ensemble is Ensemble.GUE:
+        p, s = gue_phases(spec, model, t), t
+        coeff_a, coeff_g = np.multiply.outer(p, p.conj()), np.broadcast_to(0.0, (d, d))
+    else:
+        pairs, s = goe_params(spec, model), t / 2.0
+        c, sh = goe_cos_sin(pairs.q, pairs.kappa, t)
+        i, j = pairs.i, pairs.j
+        coeff_a, coeff_g = np.empty((d, d), dtype=complex), np.empty((d, d))
+        coeff_a[i, j], coeff_a[j, i] = c - 1j * pairs.delta * sh, c + 1j * pairs.delta * sh
+        coeff_g[i, j] = coeff_g[j, i] = pairs.half_lam * sh
+    if isinstance(model.profile, ConstantOverD):
+        coeff_b = np.broadcast_to(-np.expm1(-model.profile.J * s) / d, (d, d))
+    else:
+        mu, v, j_row = model.population_modes
+        coeff_b = (v * np.exp(mu * s)) @ v.T - np.diag(np.exp(-j_row * s))
+    return coeff_a, coeff_b, coeff_g
 
 
 def dense_generator(gen: GeneratorOne) -> np.ndarray:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from noisychaos import (
-    ChannelOne,
     ConstantOverD,
     GibbsProfile,
     MatrixProfile,
@@ -20,7 +19,7 @@ from noisychaos import (
     u1_gue_const,
     u1_gue_general,
 )
-from noisychaos.channel_one import goe_params
+from noisychaos.channel_one import MarkovFactors, goe_params
 from noisychaos.noise import Ensemble
 
 from conftest import random_density, random_hermitian
@@ -28,6 +27,7 @@ from oracles import (
     apply_generator,
     build_L1,
     choi_matrix,
+    dense_coefficients,
     dense_generator,
     dense_superoperator,
     expm,
@@ -573,14 +573,22 @@ class TestChannelInvariants:
         with pytest.raises(ValueError):
             apply_channel(ch, np.eye(3))
 
+    def test_nested_list(self):
+        ch = u1_goe_const(Spectrum(np.array([-1.0, 0.2, 0.9])), 1.0, 0.4)
+        rho = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+        assert np.array_equal(apply_channel(ch, rho), apply_channel(ch, np.array(rho)))
+        with pytest.raises(ValueError, match=r"rho shape \(2, 2\) != \(3, 3\)"):
+            apply_channel(ch, [[1, 0], [0, 0]])
+
 
 
 @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
 @pytest.mark.parametrize("profile", ["const", "gibbs", "matrix"])
 class TestStorage:
-    """A ChannelOne holds only the arrays its ensemble and profile produce:
-    a constant B is a broadcast of one number, G is a broadcast zero under
-    GUE noise and real under GOE noise, and every array is read-only."""
+    """A ChannelOne keeps only the factors its ensemble and profile produce,
+    and each read of a coefficient builds a grid from them: a constant B is
+    a broadcast of one number, G is a broadcast zero under GUE noise and
+    real under GOE noise, and every array is read-only."""
 
     def test_dtypes_and_shapes(self, profile, ensemble):
         spec, model, build, _ = general_case(6, profile, ensemble)
@@ -606,22 +614,64 @@ class TestStorage:
 
     @pytest.mark.parametrize("t", [0.0, 0.9, 30.0])
     def test_apply_matches_dense_contraction(self, profile, ensemble, t):
-        # The coefficients as dense complex grids, contracted as a D^2 x D^2
-        # superoperator, against apply_channel on the compact storage.
+        # The coefficients contracted as a dense D^2 x D^2 superoperator,
+        # against apply_channel on the same channel.
         spec, model, build, _ = general_case(6, profile, ensemble)
         ch = build(spec, model, t)
-        dense = ChannelOne(6, *(np.array(np.broadcast_to(c, (6, 6)), dtype=complex)
-                                for c in (ch.coeff_A, ch.coeff_B, ch.coeff_G)))
         rho = np.random.default_rng(7).standard_normal((6, 6, 2)) @ [1.0, 1j]
-        want = (dense_superoperator(dense) @ rho.reshape(-1)).reshape(6, 6)
+        want = (dense_superoperator(ch) @ rho.reshape(-1)).reshape(6, 6)
         assert np.max(np.abs(apply_channel(ch, rho) - want)) <= 1e-14
 
+    def test_each_read_is_a_new_read_only_grid(self, profile, ensemble):
+        # A read builds its grid from the stored factors and keeps nothing,
+        # so two reads are equal and share no memory; nothing stored or read
+        # can be written.
+        spec, model, build, _ = general_case(6, profile, ensemble)
+        ch = build(spec, model, 0.9)
+        for name in ("coeff_A", "coeff_B", "coeff_G"):
+            first, second = getattr(ch, name), getattr(ch, name)
+            assert np.array_equal(first, second)
+            assert not np.shares_memory(first, second)
+            assert not first.flags.writeable and not second.flags.writeable
+        b = ch.b_part if isinstance(ch.b_part, MarkovFactors) else ()
+        for factor in (ch.a_part, ch.g_part, *b):
+            assert factor is None or not factor.flags.writeable
+        assert isinstance(ch.b_part, MarkovFactors) is (profile != "const")
 
-def test_channel_views_leave_the_callers_arrays_writable():
-    a, b, g = np.ones((2, 2), dtype=complex), np.zeros((2, 2)), np.zeros((2, 2))
-    ch = ChannelOne(2, a, b, g)
-    assert a.flags.writeable and not ch.coeff_A.flags.writeable
-    assert np.shares_memory(a, ch.coeff_A)
+
+class TestDenseIdentity:
+    """Each builder's grids, built from its factors at each read, against
+    ``oracles.dense_coefficients``, which scatters the same closed forms
+    into dense grids: equal entry for entry, and byte for byte for every
+    GUE grid and every B."""
+
+    TIMES = (0.0, 1e-6, 0.3, 2.5, 40.0)
+
+    @staticmethod
+    def assert_identical(ch, spec, model, t):
+        for name, want in zip(("coeff_A", "coeff_B", "coeff_G"), dense_coefficients(spec, model, t)):
+            got = getattr(ch, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (name, t)
+            if model.ensemble is Ensemble.GUE or name == "coeff_B":
+                assert got.tobytes() == want.tobytes(), (name, t)
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+    @pytest.mark.parametrize("profile", ["const", "gibbs", "matrix"])
+    @pytest.mark.parametrize("dim", [3, 6, 16, 64])
+    def test_general_builders(self, dim, profile, ensemble):
+        spec, model, build, _ = general_case(dim, profile, ensemble)
+        for t in self.TIMES:
+            self.assert_identical(build(spec, model, t), spec, model, t)
+
+    @pytest.mark.parametrize("ensemble", [Ensemble.GUE, Ensemble.GOE])
+    @pytest.mark.parametrize("dim", [3, 6, 16, 64])
+    def test_const_builders(self, dim, ensemble):
+        spec = general_case(dim, "const", ensemble)[0]
+        build, model = ((u1_gue_const, gue_constant(0.8, dim)) if ensemble is Ensemble.GUE
+                        else (u1_goe_const, goe_constant(0.8, dim)))
+        for t in self.TIMES:
+            self.assert_identical(build(spec, 0.8, t), spec, model, t)
 
 
 class TestGuePhases:

@@ -11,10 +11,14 @@ Gibbs-model entries also build the model's lambda and the
 eigendecomposition of its Markov generator, under the same bounds.  A
 (T, D, D) stack over the grid would take 400.
 
-A built ChannelOne keeps only what its ensemble and profile produce: the
-complex A (1 grid), a real B unless the profile is constant (0.5) and a
-real G under GOE noise (0.5).  Dense grids for all three, with A and G
-complex, would keep 2.5 in every case.
+A built ChannelOne keeps only the factors its closed form produces, and
+builds a coefficient grid when it is read: under GUE noise the D phases
+and, unless the profile is constant, B's two D-vectors (0.010-0.021 grids
+at D = 128); under GOE noise one complex and one real value per level pair
+(0.76-0.77).  B's population modes belong to the noise model and are shared.
+Keeping the grids, a complex A, a real B unless the profile is constant
+and a real G under GOE noise, took 1-2 grids; dense grids for all three,
+with A and G complex, would keep 2.5 in every case.
 """
 
 import tracemalloc
@@ -128,9 +132,16 @@ KEPT_BOUNDS = {("gue", "const"): 1.05, ("gue", "gibbs"): 1.55, ("gue", "matrix")
                ("goe", "const"): 1.55, ("goe", "gibbs"): 2.05, ("goe", "matrix"): 2.05}
 
 
-@pytest.mark.parametrize("ensemble, profile", KEPT_BOUNDS)
-def test_channel_keeps_only_its_arrays(inputs, ensemble, profile):
-    spec = inputs[0]
+# The same, for the factors: the D phases and B's two D-vectors under GUE
+# noise (0.010-0.021 grids), one complex and one real value per level pair
+# under GOE noise (0.76-0.77).
+FACTOR_BOUNDS = {("gue", "const"): 0.05, ("gue", "gibbs"): 0.05, ("gue", "matrix"): 0.05,
+                 ("goe", "const"): 0.8, ("goe", "gibbs"): 0.8, ("goe", "matrix"): 0.8}
+
+
+def kept_grids(spec, ensemble, profile) -> float:
+    """What one build at D keeps, with the model's modes and the pair
+    indices taken before tracing, in D x D complex grids."""
     rng = np.random.default_rng(5)
     lam = rng.random((D, D))
     prof = {"const": ConstantOverD(0.5), "gibbs": GibbsProfile(0.5, 0.5, spec),
@@ -145,4 +156,16 @@ def test_channel_keeps_only_its_arrays(inputs, ensemble, profile):
     finally:
         tracemalloc.stop()
     assert channel.dim == D
+    return grids
+
+
+@pytest.mark.parametrize("ensemble, profile", KEPT_BOUNDS)
+def test_channel_keeps_only_its_arrays(inputs, ensemble, profile):
+    grids = kept_grids(inputs[0], ensemble, profile)
     assert grids <= KEPT_BOUNDS[ensemble, profile], f"the channel keeps {grids:.2f} D x D grids"
+
+
+@pytest.mark.parametrize("ensemble, profile", FACTOR_BOUNDS)
+def test_channel_keeps_its_factors(inputs, ensemble, profile):
+    grids = kept_grids(inputs[0], ensemble, profile)
+    assert grids <= FACTOR_BOUNDS[ensemble, profile], f"the channel keeps {grids:.3f} D x D grids"
